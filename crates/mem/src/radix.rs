@@ -13,6 +13,7 @@
 //! all snapshots, byte-for-byte and pointer-for-pointer. This reproduces, in
 //! software, the CoW fault behaviour the paper gets from hardware paging.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::page::{fresh_zero_frame, Frame, PageBuf};
@@ -111,11 +112,8 @@ impl PageTable {
         Arc::ptr_eq(&self.root, &other.root)
     }
 
-    /// Looks up the frame mapped at `vpn`, if one has been materialised.
-    ///
-    /// Demand-zero pages that were never written have no frame and return
-    /// `None`; the caller reads zeroes for them.
-    pub fn frame(&self, vpn: u64) -> Option<&Frame> {
+    /// The frame slots of the leaf covering `vpn`, if that leaf exists.
+    fn leaf_slots(&self, vpn: u64) -> Option<&[Option<Frame>]> {
         debug_assert!(vpn <= MAX_VPN);
         let mut node: &Node = &self.root;
         for level in (1..LEVELS).rev() {
@@ -127,8 +125,27 @@ impl PageTable {
             }
         }
         match node {
-            Node::Leaf(frames) => frames[slot(vpn, 0)].as_ref(),
+            Node::Leaf(frames) => Some(frames),
             Node::Interior(_) => unreachable!("interior at level 0"),
+        }
+    }
+
+    /// Looks up the frame mapped at `vpn`, if one has been materialised.
+    ///
+    /// Demand-zero pages that were never written have no frame and return
+    /// `None`; the caller reads zeroes for them.
+    pub fn frame(&self, vpn: u64) -> Option<&Frame> {
+        self.leaf_slots(vpn)?[slot(vpn, 0)].as_ref()
+    }
+
+    /// The frames mapped at `vpn`, `vpn + 1`, … in order (`None` for a
+    /// page with no frame). Sequential readers pay one tree walk per
+    /// 512-page leaf instead of one per page.
+    pub fn frames_from(&self, vpn: u64) -> FramesFrom<'_> {
+        FramesFrom {
+            table: self,
+            vpn,
+            leaf: self.leaf_slots(vpn),
         }
     }
 
@@ -223,15 +240,33 @@ impl PageTable {
 
     /// Discards all frames with vpn in `[lo, hi)`, pruning empty subtrees.
     ///
+    /// Costs the nodes on the paths to the range's two ends plus the
+    /// slots between them; a node is copied (and its frames' reference
+    /// counts touched) only if a frame under it is actually discarded,
+    /// so a discard that finds nothing leaves the table sharing its
+    /// whole structure with its clones.
+    ///
     /// Returns the number of frames discarded (recorded in
     /// `stats.pages_discarded` as well).
     pub fn discard_range(&mut self, lo: u64, hi: u64, stats: &mut MemStats) -> u64 {
+        let hi = hi.min(MAX_VPN + 1);
         if lo >= hi {
             return 0;
         }
-        let discarded = discard_rec(&mut self.root, LEVELS - 1, 0, lo, hi.min(MAX_VPN + 1));
+        let discarded = discard_rec(&mut self.root, LEVELS - 1, 0, lo, hi, stats);
         stats.pages_discarded += discarded;
         discarded
+    }
+
+    /// Number of frames only this table keeps alive — exactly the frames
+    /// dropping it would free.
+    ///
+    /// A node another table also references keeps everything beneath it
+    /// alive, so shared subtrees are skipped whole: the cost is the
+    /// nodes private to this table, not the table. (Exact while no
+    /// reference to a node or frame is held outside a table.)
+    pub fn private_frames(&self) -> u64 {
+        private_rec(&self.root)
     }
 
     /// Calls `f` for every materialised frame, in ascending vpn order.
@@ -278,67 +313,118 @@ impl PageTable {
     }
 }
 
-fn discard_rec(node: &mut Arc<Node>, level: u32, base: u64, lo: u64, hi: u64) -> u64 {
-    let node_span = span(level + 1);
-    let node_lo = base;
-    let node_hi = base + node_span;
-    if hi <= node_lo || lo >= node_hi {
+/// Iterator returned by [`PageTable::frames_from`].
+pub struct FramesFrom<'a> {
+    table: &'a PageTable,
+    vpn: u64,
+    leaf: Option<&'a [Option<Frame>]>,
+}
+
+impl<'a> Iterator for FramesFrom<'a> {
+    type Item = Option<&'a Frame>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.vpn > MAX_VPN {
+            return None;
+        }
+        let frame = self
+            .leaf
+            .and_then(|frames| frames[slot(self.vpn, 0)].as_ref());
+        self.vpn += 1;
+        if slot(self.vpn, 0) == 0 && self.vpn <= MAX_VPN {
+            self.leaf = self.table.leaf_slots(self.vpn);
+        }
+        Some(frame)
+    }
+}
+
+/// The slots of a node at `level` based at `base` that `[lo, hi)`
+/// overlaps. The caller guarantees the overlap is not empty.
+fn slot_range(level: u32, base: u64, lo: u64, hi: u64) -> Range<usize> {
+    let shift = FANOUT_SHIFT * level;
+    let first = (lo.max(base) - base) >> shift;
+    let last = (hi.min(base + span(level + 1)) - 1 - base) >> shift;
+    first as usize..last as usize + 1
+}
+
+/// Whether any frame with vpn in `[lo, hi)` is mapped under `node`.
+fn any_mapped(node: &Node, level: u32, base: u64, lo: u64, hi: u64) -> bool {
+    let range = slot_range(level, base, lo, hi);
+    match node {
+        Node::Leaf(frames) => frames[range].iter().any(Option::is_some),
+        Node::Interior(slots) => range.into_iter().any(|i| {
+            slots[i].as_deref().is_some_and(|child| {
+                any_mapped(child, level - 1, base + i as u64 * span(level), lo, hi)
+            })
+        }),
+    }
+}
+
+fn discard_rec(
+    node: &mut Arc<Node>,
+    level: u32,
+    base: u64,
+    lo: u64,
+    hi: u64,
+    stats: &mut MemStats,
+) -> u64 {
+    // Look before copying: a shared node is only worth a private copy
+    // if something under it is going away.
+    if !any_mapped(node, level, base, lo, hi) {
         return 0;
     }
-    // Count frames in fully covered subtrees without copying nodes.
-    let mut discarded = 0u64;
-    let make_none = lo <= node_lo && node_hi <= hi;
-    if make_none {
-        // Whole node goes away; caller clears the slot. Count first.
-        return count_rec(node, level);
+    if Arc::strong_count(node) > 1 {
+        stats.node_copies += 1;
     }
-    let node = Arc::make_mut(node);
-    match node {
+    let range = slot_range(level, base, lo, hi);
+    let mut discarded = 0u64;
+    match Arc::make_mut(node) {
         Node::Interior(slots) => {
             let child_span = span(level);
-            for (i, entry) in slots.iter_mut().enumerate() {
-                let child_lo = base + i as u64 * child_span;
-                let child_hi = child_lo + child_span;
-                if hi <= child_lo || lo >= child_hi {
+            for i in range {
+                let Some(child) = &mut slots[i] else {
                     continue;
-                }
-                if let Some(child) = entry {
-                    if lo <= child_lo && child_hi <= hi {
-                        discarded += count_rec(child, level - 1);
-                        *entry = None;
-                    } else {
-                        discarded += discard_rec(child, level - 1, child_lo, lo, hi);
-                        if child.is_empty() {
-                            *entry = None;
-                        }
+                };
+                let child_lo = base + i as u64 * child_span;
+                if lo <= child_lo && child_lo + child_span <= hi {
+                    discarded += count_rec(child);
+                    slots[i] = None;
+                } else {
+                    let n = discard_rec(child, level - 1, child_lo, lo, hi, stats);
+                    if n > 0 && child.is_empty() {
+                        slots[i] = None;
                     }
+                    discarded += n;
                 }
             }
         }
         Node::Leaf(frames) => {
-            for (i, entry) in frames.iter_mut().enumerate() {
-                let vpn = base + i as u64;
-                if lo <= vpn && vpn < hi && entry.is_some() {
-                    *entry = None;
-                    discarded += 1;
-                }
+            for entry in &mut frames[range] {
+                discarded += u64::from(entry.take().is_some());
             }
         }
     }
     discarded
 }
 
-#[allow(clippy::only_used_in_recursion)] // mirrors discard_rec's signature
-fn count_rec(node: &Arc<Node>, level: u32) -> u64 {
-    match &**node {
-        Node::Interior(slots) => {
-            let mut n = 0;
-            for entry in slots.iter().flatten() {
-                n += count_rec(entry, level - 1);
-            }
-            n
-        }
+fn count_rec(node: &Node) -> u64 {
+    match node {
+        Node::Interior(slots) => slots.iter().flatten().map(|child| count_rec(child)).sum(),
         Node::Leaf(frames) => frames.iter().flatten().count() as u64,
+    }
+}
+
+fn private_rec(node: &Arc<Node>) -> u64 {
+    if Arc::strong_count(node) > 1 {
+        return 0;
+    }
+    match &**node {
+        Node::Interior(slots) => slots.iter().flatten().map(private_rec).sum(),
+        Node::Leaf(frames) => frames
+            .iter()
+            .flatten()
+            .filter(|frame| Arc::strong_count(frame) == 1)
+            .count() as u64,
     }
 }
 
@@ -495,6 +581,108 @@ mod tests {
         pt.discard_range(0, 100, &mut stats);
         assert!(pt.frame(4).is_none());
         assert_eq!(read_byte(&snap, 4, 0), 7);
+    }
+
+    #[test]
+    fn discard_of_the_whole_space_empties_the_table() {
+        let mut pt = PageTable::new();
+        let mut stats = MemStats::new();
+        for &vpn in &[0u64, 513, 1 << 27, MAX_VPN] {
+            write_byte(&mut pt, vpn, 0, 1, &mut stats);
+        }
+        assert_eq!(pt.discard_range(0, MAX_VPN + 1, &mut stats), 4);
+        assert_eq!(pt.count_frames(), 0);
+    }
+
+    /// One frame in each of three leaves: under separate level-1 nodes
+    /// (`near`, `far`) and under a separate level-2 node (`other`).
+    fn three_leaf_table(stats: &mut MemStats) -> (PageTable, [u64; 3]) {
+        let vpns = [7, 1 << (FANOUT_SHIFT * 2), 1 << (FANOUT_SHIFT * 3)];
+        let mut pt = PageTable::new();
+        for &vpn in &vpns {
+            write_byte(&mut pt, vpn, 0, 1, stats);
+        }
+        (pt, vpns)
+    }
+
+    #[test]
+    fn empty_discard_copies_nothing_and_keeps_the_root_shared() {
+        let mut stats = MemStats::new();
+        let (pt, [near, far, other]) = three_leaf_table(&mut stats);
+        let mut fork = pt.clone();
+        let before = stats;
+        // Partially covers the root, both level-2 nodes, a level-1 node
+        // and `near`'s leaf, and fully covers thousands of empty slots:
+        // nothing mapped anywhere in it.
+        assert_eq!(fork.discard_range(near + 1, far, &mut stats), 0);
+        assert_eq!(fork.discard_range(far + 1, other, &mut stats), 0);
+        assert_eq!(fork.discard_range(other + 1, MAX_VPN + 1, &mut stats), 0);
+        assert_eq!(stats.delta(&before), MemStats::new());
+        assert!(fork.same_root(&pt), "an empty discard must not fork");
+        let held = Arc::strong_count(pt.frame(near).unwrap());
+        assert_eq!(held, 1, "no leaf was copied, so no frame was re-counted");
+    }
+
+    #[test]
+    fn partial_discard_copies_only_the_path_to_what_it_drops() {
+        let mut stats = MemStats::new();
+        let (pt, [near, far, other]) = three_leaf_table(&mut stats);
+        let mut fork = pt.clone();
+        let before = stats;
+        // The range spans `near`'s whole level-1 node and stops just
+        // short of `far`: only `near`'s frame is mapped inside it.
+        assert_eq!(fork.discard_range(near, far, &mut stats), 1);
+        let d = stats.delta(&before);
+        // Root, `near`'s level-2 and level-1 nodes, and its leaf.
+        assert_eq!(d.node_copies, u64::from(LEVELS));
+        assert!(fork.frame(near).is_none());
+        assert!(pt.frame(near).is_some(), "the original is untouched");
+        for vpn in [far, other] {
+            assert!(
+                Arc::ptr_eq(fork.frame(vpn).unwrap(), pt.frame(vpn).unwrap()),
+                "frames outside the range stay shared"
+            );
+        }
+        // `far` sits under the copied level-2 node but its own level-1
+        // node and leaf were not copied: still one reference per leaf.
+        assert_eq!(Arc::strong_count(pt.frame(far).unwrap()), 1);
+    }
+
+    #[test]
+    fn frames_from_crosses_leaf_boundaries() {
+        let mut pt = PageTable::new();
+        let mut stats = MemStats::new();
+        let mapped = [510u64, 511, 512, 1024];
+        for &vpn in &mapped {
+            write_byte(&mut pt, vpn, 0, vpn as u8, &mut stats);
+        }
+        for (vpn, frame) in (508..1030).zip(pt.frames_from(508)) {
+            assert_eq!(
+                frame.map(Arc::as_ptr),
+                pt.frame(vpn).map(Arc::as_ptr),
+                "vpn {vpn}"
+            );
+        }
+        assert_eq!(pt.frames_from(MAX_VPN).count(), 1, "stops at the top");
+    }
+
+    #[test]
+    fn private_frames_are_what_a_drop_frees() {
+        let mut pt = PageTable::new();
+        let mut stats = MemStats::new();
+        for vpn in 0..10 {
+            write_byte(&mut pt, vpn, 0, 1, &mut stats);
+        }
+        assert_eq!(pt.private_frames(), 10);
+        let mut fork = pt.clone();
+        assert_eq!(fork.private_frames(), 0, "shares its root");
+        // One page diverges, one is new: the fork owns exactly those.
+        write_byte(&mut fork, 3, 0, 2, &mut stats);
+        write_byte(&mut fork, 600, 0, 2, &mut stats);
+        assert_eq!(fork.private_frames(), 2);
+        assert_eq!(pt.private_frames(), 1, "only the page the fork replaced");
+        drop(fork);
+        assert_eq!(pt.private_frames(), 10);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use lwsnap_mem::{AddressSpace, Prot, RegionKind, PAGE_SIZE};
+use lwsnap_mem::{AddressSpace, MemStats, PageTable, Prot, RegionKind, PAGE_SIZE};
 use proptest::prelude::*;
 
 const BASE: u64 = 0x10_0000;
@@ -243,5 +243,41 @@ proptest! {
         let d = asp.stats().delta(&before);
         prop_assert_eq!(d.cow_page_copies, k);
         prop_assert_eq!(d.zero_fills, 0);
+    }
+
+    /// `discard_range` descends by slot index; a brute-force sweep with
+    /// `frame()` says what it must leave behind. Mapped pages cluster
+    /// around leaf and level-1 boundaries, where the index arithmetic
+    /// can go wrong, and a clone taken first must not notice.
+    #[test]
+    fn discard_range_matches_a_frame_sweep(
+        pages in proptest::collection::vec((0usize..4, 0u64..24), 1..40),
+        lo in (0usize..4, 0u64..24),
+        len in 0u64..(1 << 18) + 30,
+    ) {
+        const ORIGINS: [u64; 4] = [0, 512 - 12, (1 << 18) - 12, (1 << 27) - 12];
+        let at = |&(origin, off): &(usize, u64)| ORIGINS[origin] + off;
+        let mut stats = MemStats::new();
+        let mut table = PageTable::new();
+        for page in &pages {
+            table.with_frame_mut(at(page), &mut stats, |buf| buf.bytes_mut()[0] = 1);
+        }
+        let mut mapped: Vec<u64> = pages.iter().map(at).collect();
+        mapped.sort_unstable();
+        mapped.dedup();
+        let (lo, hi) = (at(&lo), at(&lo) + len);
+        let keep: Vec<u64> = mapped.iter().copied().filter(|v| !(lo..hi).contains(v)).collect();
+
+        let original = table.clone();
+        let discarded = table.discard_range(lo, hi, &mut stats);
+        prop_assert_eq!(discarded as usize, mapped.len() - keep.len());
+        prop_assert_eq!(table.same_root(&original), discarded == 0);
+        let mut left = Vec::new();
+        table.for_each_frame(|vpn, _| left.push(vpn));
+        prop_assert_eq!(&left, &keep);
+        for &vpn in &mapped {
+            prop_assert_eq!(table.frame(vpn).is_some(), keep.contains(&vpn));
+            prop_assert!(original.frame(vpn).is_some(), "the clone lost vpn {}", vpn);
+        }
     }
 }

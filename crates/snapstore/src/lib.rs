@@ -36,17 +36,38 @@
 //! service's `snapshot_budget_bytes` compares against; with sharing,
 //! the same budget holds many times more snapshots than the deep-clone
 //! baseline (the `snapstore_density` bench asserts ≥ 5×).
+//!
+//! ## What each operation costs
+//!
+//! The store's own bookkeeping follows the same cost model as its
+//! storage — proportional to the pages that changed, not to the table:
+//!
+//! * `put` encodes into buffers it keeps, compares each page against
+//!   the parent's frame (one tree walk per 512-page leaf), installs the
+//!   `k` dirtied pages — path-copying at most `2 + 2·s` table nodes
+//!   when they fall in `s` sections — and discards a tail only where a
+//!   section got shorter than the parent's header says it was.
+//! * `get` decodes straight out of the mapped frames.
+//! * `remove` counts the frames the victim alone kept alive by walking
+//!   only the table nodes private to it, then drops the table.
+//! * `resident_bytes` is a running count those two maintain: O(1).
+//!   The walk over every resident frame survives only behind
+//!   [`CowStore::page_stats`], which also checks the running count
+//!   against it in debug builds.
+//!
+//! Table nodes are **not** priced: `resident_bytes` counts frames only,
+//! while every `put` also allocates the (4 KiB) nodes it path-copies.
+//! `MemStats::node_copies` counts them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use lwsnap_mem::{MemStats, PageBuf, PageTable, PAGE_SIZE};
 use lwsnap_solver::snapshot::{
-    self, SnapId, SnapshotStore, StoreMemStats, StorePageStats, NUM_SECTIONS,
+    self, SnapId, SnapshotStore, StoreMemStats, StorePageStats, HEADER_LEN, NUM_SECTIONS,
 };
 use lwsnap_solver::Solver;
 
@@ -67,9 +88,12 @@ pub struct CowStore {
     free: Vec<u32>,
     live: usize,
     stats: MemStats,
-    /// Memoised `(resident_bytes, page_stats)` — invalidated by every
-    /// `put`/`remove`, recomputed lazily by a frame walk.
-    cache: Cell<Option<(usize, StorePageStats)>>,
+    /// Distinct frames mapped by the resident tables, maintained by
+    /// `put` (frames installed) and `remove` (frames that die with the
+    /// victim) so that pricing never walks a table.
+    frames: u64,
+    /// `put`'s encode buffers, one per section, kept between calls.
+    scratch: [Vec<u8>; NUM_SECTIONS],
 }
 
 impl Default for CowStore {
@@ -87,7 +111,8 @@ impl CowStore {
             free: Vec::new(),
             live: 0,
             stats: MemStats::new(),
-            cache: Cell::new(None),
+            frames: 0,
+            scratch: Default::default(),
         }
     }
 
@@ -105,34 +130,46 @@ impl CowStore {
         self.slots[id.idx() as usize].as_ref()
     }
 
-    /// Writes one encoded section into `table` at its fixed base,
-    /// skipping pages whose bytes already match (they stay shared with
-    /// the parent) and all-zero pages with no frame (demand-zero).
-    fn write_section(table: &mut PageTable, stats: &mut MemStats, sec_idx: usize, bytes: &[u8]) {
+    /// Lays one encoded section over `table` (a fork of `parent`) at
+    /// its fixed base. Pages whose bytes match the parent's stay shared
+    /// with it, all-zero pages with no frame stay demand-zero, the rest
+    /// get fresh frames. `parent_len` is the section's byte length in
+    /// the parent (0 without one).
+    fn write_section(
+        parent: &PageTable,
+        table: &mut PageTable,
+        stats: &mut MemStats,
+        sec_idx: usize,
+        bytes: &[u8],
+        parent_len: usize,
+    ) {
         let base = sec_idx as u64 * SECTION_STRIDE;
-        let npages = bytes.len().div_ceil(PAGE_SIZE) as u64;
-        debug_assert!(npages < SECTION_STRIDE, "section overflows its stride");
-        for p in 0..npages {
-            let start = (p as usize) * PAGE_SIZE;
-            let chunk = &bytes[start..bytes.len().min(start + PAGE_SIZE)];
-            let vpn = base + p;
-            let (present, dirty) = match table.frame(vpn) {
+        let npages = bytes.len().div_ceil(PAGE_SIZE);
+        debug_assert!(
+            (npages as u64) < SECTION_STRIDE,
+            "section overflows its stride"
+        );
+        let pages = bytes.chunks(PAGE_SIZE).zip(parent.frames_from(base));
+        for (vpn, (chunk, frame)) in (base..).zip(pages) {
+            let clean = match frame {
                 Some(frame) => {
-                    let fb = frame.bytes();
-                    let same =
-                        fb[..chunk.len()] == *chunk && fb[chunk.len()..].iter().all(|&b| b == 0);
-                    (true, !same)
+                    // A frame is zero past its section's end, so its
+                    // tail needs a look only where the parent's section
+                    // reached further into this page than `chunk` does.
+                    let (head, tail) = frame.bytes().split_at(chunk.len());
+                    let end = (vpn - base) as usize * PAGE_SIZE + chunk.len();
+                    head == chunk && (parent_len <= end || tail.iter().all(|&b| b == 0))
                 }
-                None => (false, chunk.iter().any(|&b| b != 0)),
+                None => chunk.iter().all(|&b| b == 0),
             };
-            if !dirty {
+            if clean {
                 continue;
             }
             // `install` with a fresh frame rather than `with_frame_mut`:
             // the old shared frame must not be copied first just to be
             // overwritten. Bill the page copy / zero fill ourselves
             // (install only counts node copies).
-            if present {
+            if frame.is_some() {
                 stats.cow_page_copies += 1;
             } else {
                 stats.zero_fills += 1;
@@ -144,63 +181,54 @@ impl CowStore {
         }
         // Pages past the section's new end are stale parent state (the
         // section shrank, e.g. a reduced learnt database): drop them so
-        // reads see zeroes.
-        table.discard_range(base + npages, base + SECTION_STRIDE, stats);
+        // reads see zeroes. The parent mapped nothing past its own end.
+        let parent_pages = parent_len.div_ceil(PAGE_SIZE);
+        if npages < parent_pages {
+            table.discard_range(base + npages as u64, base + parent_pages as u64, stats);
+        }
     }
 
-    /// Reads `len` bytes of section `sec_idx` back out of `table`;
+    /// Section `sec_idx`'s `len` bytes in `table`, page by page;
     /// unmapped (demand-zero) pages read as zeroes.
-    fn read_section(table: &PageTable, sec_idx: usize, len: usize) -> Vec<u8> {
-        let base = sec_idx as u64 * SECTION_STRIDE;
-        let mut out = vec![0u8; len];
-        for p in 0..len.div_ceil(PAGE_SIZE) {
-            if let Some(frame) = table.frame(base + p as u64) {
-                let start = p * PAGE_SIZE;
-                let n = PAGE_SIZE.min(len - start);
-                out[start..start + n].copy_from_slice(&frame.bytes()[..n]);
-            }
-        }
-        out
+    fn section_pages(table: &PageTable, sec_idx: usize, len: usize) -> impl Iterator<Item = &[u8]> {
+        static ZEROES: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        table
+            .frames_from(sec_idx as u64 * SECTION_STRIDE)
+            .take(len.div_ceil(PAGE_SIZE))
+            .enumerate()
+            .map(move |(p, frame)| {
+                let page = frame.map_or(&ZEROES, |f| f.bytes());
+                &page[..PAGE_SIZE.min(len - p * PAGE_SIZE)]
+            })
     }
 
-    fn recompute(&self) -> (usize, StorePageStats) {
-        // Key frames by allocation address: `Arc::ptr_eq` at scale.
-        let mut counts: HashMap<usize, u64> = HashMap::new();
-        for table in self.slots.iter().flatten() {
-            table.for_each_frame(|_, frame| {
-                *counts.entry(Arc::as_ptr(frame) as usize).or_insert(0) += 1;
-            });
-        }
-        let total = counts.len() as u64;
-        let shared = counts.values().filter(|&&c| c > 1).count() as u64;
-        let stats = StorePageStats {
-            total_pages: total,
-            shared_pages: shared,
-            private_pages: total - shared,
-        };
-        (counts.len() * PAGE_SIZE, stats)
-    }
-
-    fn cached(&self) -> (usize, StorePageStats) {
-        if let Some(hit) = self.cache.get() {
-            return hit;
-        }
-        let fresh = self.recompute();
-        self.cache.set(Some(fresh));
-        fresh
+    /// The header section of a snapshot's table. Its length words are
+    /// never zero, so every snapshot maps its header page.
+    fn header(table: &PageTable) -> Option<&[u8]> {
+        Some(&table.frame(0)?.bytes()[..HEADER_LEN])
     }
 }
 
 impl SnapshotStore for CowStore {
     fn put(&mut self, parent: Option<SnapId>, solver: &Solver) -> SnapId {
-        let sections = snapshot::encode(solver);
-        let mut table = parent
+        snapshot::encode_into(solver, &mut self.scratch);
+        // Both O(1) forks: `parent` is what pages are compared against,
+        // `table` is what the new snapshot keeps.
+        let parent = parent
             .and_then(|id| self.table(id).cloned())
             .unwrap_or_default();
-        for (i, sec) in sections.iter().enumerate() {
-            Self::write_section(&mut table, &mut self.stats, i, sec);
+        let parent_lens = Self::header(&parent)
+            .and_then(snapshot::section_lengths)
+            .unwrap_or([0; NUM_SECTIONS]);
+        let mut table = parent.clone();
+        let before = self.stats;
+        for (i, sec) in self.scratch.iter().enumerate() {
+            Self::write_section(&parent, &mut table, &mut self.stats, i, sec, parent_lens[i]);
         }
-        self.cache.set(None);
+        // Every installed frame is new; the frames it replaced, and the
+        // ones a shrink discarded, are still the parent's.
+        let wrote = self.stats.delta(&before);
+        self.frames += wrote.cow_page_copies + wrote.zero_fills;
         self.live += 1;
         match self.free.pop() {
             Some(idx) => {
@@ -217,14 +245,9 @@ impl SnapshotStore for CowStore {
 
     fn get(&self, id: SnapId) -> Option<Solver> {
         let table = self.table(id)?;
-        let header = Self::read_section(table, 0, snapshot::HEADER_LEN);
-        let lens = snapshot::section_lengths(&header)?;
-        let mut sections = Vec::with_capacity(NUM_SECTIONS);
-        sections.push(header);
-        for (i, &len) in lens.iter().enumerate().skip(1) {
-            sections.push(Self::read_section(table, i, len));
-        }
-        snapshot::decode(&sections)
+        snapshot::decode_from(Self::header(table)?, |sec_idx, len| {
+            Self::section_pages(table, sec_idx, len)
+        })
     }
 
     fn remove(&mut self, id: SnapId) -> bool {
@@ -237,11 +260,16 @@ impl SnapshotStore for CowStore {
         // Dropping the table frees every frame only it referenced;
         // frames shared with parent/children survive by refcount —
         // chain compaction for free.
-        self.slots[id.idx() as usize] = None;
+        let table = self.slots[id.idx() as usize].take().expect("checked above");
+        self.frames -= table.private_frames();
+        drop(table);
         self.gens[id.idx() as usize] = gen.wrapping_add(1);
         self.free.push(id.idx());
         self.live -= 1;
-        self.cache.set(None);
+        // Debug builds check the running count against the full walk
+        // (the assertion is `page_stats`' own).
+        #[cfg(debug_assertions)]
+        self.page_stats();
         true
     }
 
@@ -250,11 +278,25 @@ impl SnapshotStore for CowStore {
     }
 
     fn resident_bytes(&self) -> usize {
-        self.cached().0
+        self.frames as usize * PAGE_SIZE
     }
 
     fn page_stats(&self) -> StorePageStats {
-        self.cached().1
+        // Key frames by allocation address: `Arc::ptr_eq` at scale.
+        let mut counts: HashMap<usize, u64> = HashMap::new();
+        for table in self.slots.iter().flatten() {
+            table.for_each_frame(|_, frame| {
+                *counts.entry(Arc::as_ptr(frame) as usize).or_insert(0) += 1;
+            });
+        }
+        let total = counts.len() as u64;
+        let shared = counts.values().filter(|&&c| c > 1).count() as u64;
+        debug_assert_eq!(total, self.frames, "running frame count drifted");
+        StorePageStats {
+            total_pages: total,
+            shared_pages: shared,
+            private_pages: total - shared,
+        }
     }
 
     fn mem_stats(&self) -> StoreMemStats {
@@ -262,6 +304,7 @@ impl SnapshotStore for CowStore {
             cow_page_copies: self.stats.cow_page_copies,
             zero_fills: self.stats.zero_fills,
             bytes_written: self.stats.bytes_written,
+            node_copies: self.stats.node_copies,
         }
     }
 
@@ -443,5 +486,87 @@ mod tests {
         };
         let child = store.put(Some(parent), &small);
         assert_eq!(encode(&store.get(child).unwrap()), encode(&small));
+
+        // All the way down: every section but the header shrinks to
+        // zero length, so the header page is all the child may map.
+        let empty = Solver::new();
+        let hollow = store.put(Some(parent), &empty);
+        assert_eq!(encode(&store.get(hollow).unwrap()), encode(&empty));
+        assert_eq!(store.table(hollow).unwrap().count_frames(), 1);
+        // And back up: a grandchild regrows every section over the
+        // hollow one, sharing nothing stale and nothing with `parent`.
+        let regrown = store.put(Some(hollow), &big);
+        assert_eq!(encode(&store.get(regrown).unwrap()), encode(&big));
+        assert_eq!(
+            store.table(regrown).unwrap().count_frames(),
+            store.table(parent).unwrap().count_frames()
+        );
+        assert_eq!(encode(&store.get(parent).unwrap()), encode(&big));
+        assert_eq!(
+            store.resident_bytes(),
+            store.page_stats().total_pages as usize * PAGE_SIZE
+        );
+    }
+
+    #[test]
+    fn child_put_copies_only_the_paths_to_its_dirty_pages() {
+        // Big enough that sections span several pages each.
+        let vars = 1500;
+        let mut base = Solver::new();
+        for c in &random_ksat(vars, vars * 2, 3, 12).clauses {
+            base.add_clause(c);
+        }
+        assert_eq!(base.solve(), SolveResult::Sat);
+        let mut store = CowStore::new();
+        let parent = store.put(None, &base);
+
+        let mut child = store.get(parent).unwrap();
+        for c in &random_ksat(vars, 600, 3, 13).clauses {
+            child.add_clause(c);
+        }
+        assert_eq!(child.solve(), SolveResult::Sat);
+        let (old, new) = (encode(&base), encode(&child));
+        let (mut pages, mut sections) = (0, 0);
+        for (old, new) in old.iter().zip(&new) {
+            assert!(
+                new.len() >= old.len(),
+                "nothing shrinks, nothing to discard"
+            );
+            let dirty = (0..new.len().div_ceil(PAGE_SIZE))
+                .filter(|p| {
+                    let page = |sec: &[u8]| {
+                        let mut buf = [0u8; PAGE_SIZE];
+                        let bytes = sec.chunks(PAGE_SIZE).nth(*p).unwrap_or(&[]);
+                        buf[..bytes.len()].copy_from_slice(bytes);
+                        buf
+                    };
+                    page(old) != page(new)
+                })
+                .count() as u64;
+            pages += dirty;
+            sections += u64::from(dirty > 0);
+        }
+        assert!(
+            sections >= 2 && pages > sections,
+            "{pages} pages, {sections} sections"
+        );
+
+        let before = store.mem_stats();
+        let id = store.put(Some(parent), &child);
+        let d = store.mem_stats().delta(&before);
+        assert_eq!(
+            d.cow_page_copies + d.zero_fills,
+            pages,
+            "exactly the pages that differ"
+        );
+        // The root and the level-2 node once, then a level-1 node and a
+        // leaf per section touched — however many sections there are.
+        assert!(
+            d.node_copies <= 2 + 2 * sections,
+            "{} node copies for {pages} pages in {sections} sections",
+            d.node_copies
+        );
+        assert_eq!(d.pages_discarded, 0);
+        assert_eq!(encode(&store.get(id).unwrap()), new);
     }
 }

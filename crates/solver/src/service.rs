@@ -151,11 +151,22 @@ pub struct SolverService {
     /// Logical clock for LRU stamps.
     clock: u64,
     /// Lazy-deletion min-heap of `(last_use, index)` eviction
-    /// candidates: every residency touch pushes a fresh entry; stale
-    /// entries (stamp no longer matching the node) are discarded on
-    /// pop. Keeps victim selection O(log n) amortised instead of a
-    /// full-table scan per eviction.
+    /// candidates: while a limit is armed every residency touch pushes
+    /// a fresh entry; stale entries (stamp no longer matching the node)
+    /// are discarded on pop, and swept out whenever they outnumber the
+    /// resident snapshots two to one. Keeps victim selection O(log n)
+    /// amortised instead of a full-table scan per eviction, and the
+    /// heap O(resident). Empty while no limit is armed.
     lru: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+/// Whether heap entry `(stamp, index)` still names an eviction
+/// candidate: a resident, unpinned node not touched since the push.
+fn is_candidate(nodes: &[Option<ProblemNode>], stamp: u64, index: u32) -> bool {
+    nodes
+        .get(index as usize)
+        .and_then(Option::as_ref)
+        .is_some_and(|n| n.snap.is_some() && !n.pinned && n.last_use == stamp)
 }
 
 impl Default for SolverService {
@@ -226,6 +237,7 @@ impl SolverService {
     /// evicts immediately.
     pub fn set_snapshot_capacity(&mut self, capacity: Option<usize>) {
         self.capacity = capacity.map(|c| c.max(1));
+        self.rebuild_lru();
         self.enforce_capacity(None);
     }
 
@@ -243,6 +255,7 @@ impl SolverService {
     /// whatever the pinned set occupies.
     pub fn set_snapshot_budget(&mut self, budget: Option<usize>) {
         self.budget = budget;
+        self.rebuild_lru();
         self.enforce_capacity(None);
     }
 
@@ -266,6 +279,41 @@ impl SolverService {
     /// deep-clone baseline).
     pub fn page_stats(&self) -> StorePageStats {
         self.store.page_stats()
+    }
+
+    /// Whether a limit is set, i.e. whether anything can ever be evicted.
+    fn armed(&self) -> bool {
+        self.capacity.is_some() || self.budget.is_some()
+    }
+
+    /// Resets the candidate heap after a limit changed: every resident
+    /// unpinned snapshot while one is armed, nothing otherwise.
+    fn rebuild_lru(&mut self) {
+        self.lru.clear();
+        if self.armed() {
+            self.lru.extend(
+                (0u32..)
+                    .zip(&self.nodes)
+                    .filter_map(|(index, node)| Some((index, node.as_ref()?)))
+                    .filter(|(_, node)| node.snap.is_some() && !node.pinned)
+                    .map(|(index, node)| Reverse((node.last_use, index))),
+            );
+        }
+    }
+
+    /// Makes resident node `index`, last used at `stamp`, an eviction
+    /// candidate. Each push orphans the node's older entries, so sweep
+    /// them once they outnumber the resident snapshots two to one.
+    fn push_candidate(&mut self, stamp: u64, index: u32) {
+        if !self.armed() {
+            return;
+        }
+        self.lru.push(Reverse((stamp, index)));
+        if self.lru.len() > 3 * self.store.len() {
+            let nodes = &self.nodes;
+            self.lru
+                .retain(|&Reverse((stamp, index))| is_candidate(nodes, stamp, index));
+        }
     }
 
     /// Whether the resident set exceeds either the count capacity or
@@ -353,7 +401,8 @@ impl SolverService {
             // Pinned entries are discarded from the LRU heap on pop, so
             // a freshly unpinned resident node needs a new candidacy.
             if node.snap.is_some() {
-                self.lru.push(Reverse((node.last_use, r.0)));
+                let stamp = node.last_use;
+                self.push_candidate(stamp, r.0);
             }
         }
     }
@@ -377,6 +426,7 @@ impl SolverService {
         let reg = trace::Registry::global();
         reg.snap_put_ns.record(trace::now_ns().saturating_sub(t0));
         reg.pages_dirtied.add(dirtied);
+        reg.node_copies.add(after.node_copies - before.node_copies);
         reg.bytes_written
             .add(after.bytes_written - before.bytes_written);
         snap
@@ -396,7 +446,7 @@ impl SolverService {
             let node = self.nodes[r.0 as usize].as_mut().unwrap();
             node.last_use = stamp;
             if !node.pinned {
-                self.lru.push(Reverse((stamp, r.0)));
+                self.push_candidate(stamp, r.0);
             }
             self.stats.snapshot_hits += 1;
             trace::instant(trace::Kind::SnapHit, r.0 as u64, 0);
@@ -463,7 +513,7 @@ impl SolverService {
         node.snap = Some(snap);
         node.last_use = stamp;
         if !node.pinned {
-            self.lru.push(Reverse((stamp, r.0)));
+            self.push_candidate(stamp, r.0);
         }
         self.enforce_capacity(Some(r));
         Some((solver, true))
@@ -479,7 +529,7 @@ impl SolverService {
     /// and stale entries are simply discarded, so the work per eviction
     /// is O(log n) amortised over touches — never a table scan.
     fn enforce_capacity(&mut self, protect: Option<ProblemRef>) {
-        if self.capacity.is_none() && self.budget.is_none() {
+        if !self.armed() {
             return;
         }
         let mut deferred: Option<Reverse<(u64, u32)>> = None;
@@ -487,12 +537,7 @@ impl SolverService {
             let Some(Reverse((stamp, index))) = self.lru.pop() else {
                 break; // everything left is pinned/protected
             };
-            let live = self
-                .nodes
-                .get(index as usize)
-                .and_then(Option::as_ref)
-                .is_some_and(|n| n.snap.is_some() && !n.pinned && n.last_use == stamp);
-            if !live {
+            if !is_candidate(&self.nodes, stamp, index) {
                 continue; // stale heap entry
             }
             if protect == Some(ProblemRef(index)) {
@@ -573,7 +618,7 @@ impl SolverService {
         if let Some(parent_node) = self.nodes[parent.0 as usize].as_mut() {
             parent_node.children += 1;
         }
-        self.lru.push(Reverse((stamp, problem.0)));
+        self.push_candidate(stamp, problem.0);
         self.enforce_capacity(Some(problem));
         Some(Reply {
             problem,
@@ -1003,6 +1048,42 @@ mod tests {
         // The root is never evictable even via unpin.
         svc.unpin(svc.root());
         assert_eq!(svc.is_resident(svc.root()), Some(true));
+    }
+
+    /// The candidate heap is lazy-deletion: hits and solves push, only
+    /// evictions pop. It must stay O(resident) anyway — empty while no
+    /// limit is armed, and swept of orphaned entries while one is.
+    #[test]
+    fn lru_heap_stays_bounded_by_the_resident_set() {
+        let mut svc = SolverService::new();
+        let base = svc.solve(svc.root(), &[lits(&[1, 2])]).unwrap().problem;
+        let round = |svc: &mut SolverService, v: i64| {
+            // A hit on `base` plus a new leaf: two pushes per round.
+            let q = svc.solve(base, &[lits(&[v % 7 + 3])]).unwrap();
+            svc.release(q.problem);
+        };
+        for v in 0..10_000 {
+            round(&mut svc, v);
+        }
+        assert!(svc.lru.is_empty(), "nothing can be evicted: no candidates");
+
+        // Arming a limit that never binds makes the resident unpinned
+        // nodes candidates, and every push keeps the heap within 3× the
+        // resident set — here the root, `base` and the round's leaf.
+        svc.set_snapshot_capacity(Some(64));
+        assert_eq!(svc.lru.len(), 1, "`base` (the root is pinned)");
+        for v in 0..10_000 {
+            round(&mut svc, v);
+            assert!(svc.lru.len() <= 3 * 3, "heap grew to {}", svc.lru.len());
+        }
+        assert_eq!(svc.stats().evictions, 0);
+        // The bounded heap still finds the right victim.
+        let leaf = svc.solve(base, &[lits(&[9])]).unwrap().problem;
+        svc.set_snapshot_capacity(Some(2));
+        assert_eq!(svc.is_resident(base), Some(false), "LRU-older goes first");
+        assert_eq!(svc.is_resident(leaf), Some(true));
+        svc.set_snapshot_capacity(None);
+        assert!(svc.lru.is_empty(), "disarmed");
     }
 
     #[test]

@@ -126,6 +126,9 @@ pub struct StoreMemStats {
     pub zero_fills: u64,
     /// Bytes written into page frames by snapshot puts.
     pub bytes_written: u64,
+    /// Page-table nodes path-copied by snapshot puts. This is memory
+    /// `resident_bytes` does not price.
+    pub node_copies: u64,
 }
 
 /// Storage backend for solver snapshots.
@@ -308,9 +311,20 @@ fn lbool_from_u8(b: u8) -> Option<Lbool> {
 /// the service snapshots. Derived state (watch lists, decision heap,
 /// `seen`) is deliberately not serialized; [`decode`] rebuilds it.
 pub fn encode(solver: &Solver) -> Vec<Vec<u8>> {
+    let mut sections: [Vec<u8>; NUM_SECTIONS] = Default::default();
+    encode_into(solver, &mut sections);
+    sections.into()
+}
+
+/// [`encode`] into buffers the caller keeps: each vector is cleared and
+/// refilled, so a store that encodes on every `put` allocates only when
+/// a section outgrows every earlier one.
+pub fn encode_into(solver: &Solver, sections: &mut [Vec<u8>; NUM_SECTIONS]) {
     debug_assert!(solver.trail_lim.is_empty(), "encode mid-solve");
     debug_assert_eq!(solver.qhead, solver.trail.len(), "encode mid-propagation");
-    let mut sections: Vec<Vec<u8>> = vec![Vec::new(); NUM_SECTIONS];
+    for sec in sections.iter_mut() {
+        sec.clear();
+    }
 
     put_u32s(&mut sections[SEC_ARENA], solver.arena.iter().copied());
     put_u32s(&mut sections[SEC_CLAUSES], solver.clauses.iter().copied());
@@ -329,19 +343,18 @@ pub fn encode(solver: &Solver) -> Vec<Vec<u8>> {
     sections[SEC_MODEL].extend(solver.model.iter().map(|&b| lbool_to_u8(b)));
 
     // Header last: it carries every section's final byte length.
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    put_u64s(&mut header, [HEADER_LEN as u64]);
-    put_u64s(&mut header, [HEADER_LEN as u64]); // lengths[0] = header itself
-    for sec in &sections[1..] {
-        put_u64s(&mut header, [sec.len() as u64]);
-    }
-    put_u64s(&mut header, [solver.qhead as u64]);
-    put_u64s(&mut header, [solver.var_inc.to_bits()]);
-    put_u64s(&mut header, [solver.cla_inc.to_bits()]);
-    put_u64s(&mut header, [solver.max_learnts.to_bits()]);
+    let [header, fields @ ..] = sections;
+    header.reserve(HEADER_LEN);
+    put_u64s(header, [HEADER_LEN as u64]);
+    put_u64s(header, [HEADER_LEN as u64]); // lengths[0] = header itself
+    put_u64s(header, fields.iter().map(|sec| sec.len() as u64));
+    put_u64s(header, [solver.qhead as u64]);
+    put_u64s(header, [solver.var_inc.to_bits()]);
+    put_u64s(header, [solver.cla_inc.to_bits()]);
+    put_u64s(header, [solver.max_learnts.to_bits()]);
     let st = &solver.stats;
     put_u64s(
-        &mut header,
+        header,
         [
             st.decisions,
             st.propagations,
@@ -353,8 +366,6 @@ pub fn encode(solver: &Solver) -> Vec<Vec<u8>> {
     );
     header.push(solver.ok as u8);
     debug_assert_eq!(header.len(), HEADER_LEN);
-    sections[0] = header;
-    sections
 }
 
 /// Reads the header's self-declared byte length from its first bytes
@@ -408,37 +419,33 @@ impl<'a> Cur<'a> {
     }
 }
 
-fn decode_u32s(sec: &[u8]) -> Option<Vec<u32>> {
-    if !sec.len().is_multiple_of(4) {
+/// Decodes one section of `W`-byte little-endian words, handed over in
+/// consecutive chunks that add up to `len` bytes. `None` if `len` is
+/// not a whole number of words or the chunks do not deliver it.
+fn decode_words<'a, T, const W: usize>(
+    len: usize,
+    chunks: impl Iterator<Item = &'a [u8]>,
+    word: impl Fn([u8; W]) -> T,
+) -> Option<Vec<T>> {
+    if !len.is_multiple_of(W) {
         return None;
     }
-    Some(
-        sec.chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
-    )
+    let mut out = Vec::with_capacity(len / W);
+    for chunk in chunks {
+        out.extend(
+            chunk
+                .chunks_exact(W)
+                .map(|w| word(w.try_into().expect("chunks_exact yields W bytes"))),
+        );
+    }
+    (out.len() * W == len).then_some(out)
 }
 
-fn decode_f64s(sec: &[u8]) -> Option<Vec<f64>> {
-    if !sec.len().is_multiple_of(8) {
-        return None;
-    }
-    Some(
-        sec.chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-            .collect(),
-    )
-}
-
-fn decode_usizes(sec: &[u8]) -> Option<Vec<usize>> {
-    if !sec.len().is_multiple_of(8) {
-        return None;
-    }
-    Some(
-        sec.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()) as usize)
-            .collect(),
-    )
+/// [`decode_words`] for a section of one-byte [`Lbool`]s.
+fn decode_lbools<'a>(len: usize, chunks: impl Iterator<Item = &'a [u8]>) -> Option<Vec<Lbool>> {
+    decode_words(len, chunks, |[b]| lbool_from_u8(b))?
+        .into_iter()
+        .collect()
 }
 
 /// Validates that every cref in `refs` points at a well-formed clause
@@ -476,20 +483,33 @@ pub fn decode(sections: &[Vec<u8>]) -> Option<Solver> {
     if sections.len() != NUM_SECTIONS {
         return None;
     }
-    let mut h = Cur::new(&sections[0]);
-    let declared = h.u64()? as usize;
-    if declared != HEADER_LEN || sections[0].len() != HEADER_LEN {
+    let lens = section_lengths(&sections[0])?;
+    if sections
+        .iter()
+        .zip(&lens)
+        .any(|(sec, &len)| sec.len() != len)
+    {
         return None;
     }
-    let mut lens = [0usize; NUM_SECTIONS];
-    for len in lens.iter_mut() {
-        *len = h.u64()? as usize;
+    decode_from(&sections[0], |idx, _| {
+        std::iter::once(sections[idx].as_slice())
+    })
+}
+
+/// [`decode`] for a store that keeps sections in pieces: `header` is
+/// section 0, and `section(idx, len)` yields section `idx`'s `len`
+/// bytes (`len` being what the header declares) as consecutive chunks,
+/// every chunk but the last a multiple of 8 bytes long — pages, for a
+/// page-granular store, which then decodes straight out of its frames.
+pub fn decode_from<'a, I>(header: &[u8], section: impl Fn(usize, usize) -> I) -> Option<Solver>
+where
+    I: Iterator<Item = &'a [u8]>,
+{
+    if header.len() != HEADER_LEN {
+        return None;
     }
-    for (sec, &len) in sections.iter().zip(&lens) {
-        if sec.len() != len {
-            return None;
-        }
-    }
+    let lens = section_lengths(header)?;
+    let mut h = Cur::new(&header[8 + NUM_SECTIONS * 8..]);
     let qhead = h.u64()? as usize;
     let var_inc = h.f64()?;
     let cla_inc = h.f64()?;
@@ -511,38 +531,40 @@ pub fn decode(sections: &[Vec<u8>]) -> Option<Solver> {
         return None;
     }
 
-    let assigns: Vec<Lbool> = sections[SEC_ASSIGNS]
-        .iter()
-        .map(|&b| lbool_from_u8(b))
-        .collect::<Option<_>>()?;
+    let chunks = |idx: usize| section(idx, lens[idx]);
+    let u32s = |idx: usize| decode_words(lens[idx], chunks(idx), u32::from_le_bytes);
+    let f64s = |idx: usize| {
+        decode_words(lens[idx], chunks(idx), |w| {
+            f64::from_bits(u64::from_le_bytes(w))
+        })
+    };
+    let assigns = decode_lbools(lens[SEC_ASSIGNS], chunks(SEC_ASSIGNS))?;
     let nvars = assigns.len();
 
     let mut solver = Solver {
-        arena: decode_u32s(&sections[SEC_ARENA])?,
-        clauses: decode_u32s(&sections[SEC_CLAUSES])?,
-        learnts: decode_u32s(&sections[SEC_LEARNTS])?,
-        learnt_act: decode_f64s(&sections[SEC_LEARNT_ACT])?,
+        arena: u32s(SEC_ARENA)?,
+        clauses: u32s(SEC_CLAUSES)?,
+        learnts: u32s(SEC_LEARNTS)?,
+        learnt_act: f64s(SEC_LEARNT_ACT)?,
         watches: vec![Vec::new(); 2 * nvars],
         assigns,
-        level: decode_u32s(&sections[SEC_LEVEL])?,
-        reason: decode_u32s(&sections[SEC_REASON])?,
-        trail: decode_u32s(&sections[SEC_TRAIL])?
-            .into_iter()
-            .map(Lit)
-            .collect(),
-        trail_lim: decode_usizes(&sections[SEC_TRAIL_LIM])?,
+        level: u32s(SEC_LEVEL)?,
+        reason: u32s(SEC_REASON)?,
+        trail: decode_words(lens[SEC_TRAIL], chunks(SEC_TRAIL), |w| {
+            Lit(u32::from_le_bytes(w))
+        })?,
+        trail_lim: decode_words(lens[SEC_TRAIL_LIM], chunks(SEC_TRAIL_LIM), |w| {
+            u64::from_le_bytes(w) as usize
+        })?,
         qhead,
-        activity: decode_f64s(&sections[SEC_ACTIVITY])?,
+        activity: f64s(SEC_ACTIVITY)?,
         var_inc,
         cla_inc,
         order: VarHeap::new(),
-        polarity: sections[SEC_POLARITY].iter().map(|&b| b != 0).collect(),
+        polarity: decode_words(lens[SEC_POLARITY], chunks(SEC_POLARITY), |[b]| b != 0)?,
         seen: vec![false; nvars],
         ok,
-        model: sections[SEC_MODEL]
-            .iter()
-            .map(|&b| lbool_from_u8(b))
-            .collect::<Option<_>>()?,
+        model: decode_lbools(lens[SEC_MODEL], chunks(SEC_MODEL))?,
         max_learnts,
         stats,
     };

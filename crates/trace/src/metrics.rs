@@ -267,6 +267,9 @@ pub struct Registry {
     pub evictions: Counter,
     /// CoW pages dirtied (page copies + zero fills) by snapshot puts.
     pub pages_dirtied: Counter,
+    /// Page-table nodes path-copied by snapshot puts: 4 KiB each that
+    /// `resident_bytes` does not price.
+    pub node_copies: Counter,
     /// Bytes written into snapshot page frames.
     pub bytes_written: Counter,
     /// Derivation edges forwarded to replicas (both planes).
@@ -305,6 +308,7 @@ impl Registry {
             snapshot_hits: Counter::new(),
             evictions: Counter::new(),
             pages_dirtied: Counter::new(),
+            node_copies: Counter::new(),
             bytes_written: Counter::new(),
             forwards: Counter::new(),
             promotions: Counter::new(),
@@ -333,6 +337,7 @@ impl Registry {
                 ("snapshot_hits_total".into(), self.snapshot_hits.value()),
                 ("evictions_total".into(), self.evictions.value()),
                 ("pages_dirtied_total".into(), self.pages_dirtied.value()),
+                ("snap_node_copies_total".into(), self.node_copies.value()),
                 ("bytes_written_total".into(), self.bytes_written.value()),
                 ("forwards_total".into(), self.forwards.value()),
                 ("promotions_total".into(), self.promotions.value()),
@@ -588,6 +593,7 @@ lwsnap_requests_total 2
 lwsnap_snapshot_hits_total 1
 lwsnap_evictions_total 0
 lwsnap_pages_dirtied_total 0
+lwsnap_snap_node_copies_total 0
 lwsnap_bytes_written_total 0
 lwsnap_forwards_total 0
 lwsnap_promotions_total 0
