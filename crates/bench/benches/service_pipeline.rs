@@ -4,9 +4,9 @@
 //! through one loopback TCP connection; the only variable is the wire
 //! discipline:
 //!
-//! * `tcp_blocking` — the legacy [`TcpClient`]: one v1 frame out, wait
-//!   for the reply, repeat. Every query pays a full round trip plus a
-//!   reactor wakeup.
+//! * `tcp_blocking` — depth-1 [`PipelinedClient::call`]: one frame
+//!   out, wait for the reply, repeat. Every query pays a full round
+//!   trip plus a reactor wakeup.
 //! * `tcp_pipelined/8` — the [`PipelinedClient`] keeping a depth-8
 //!   window of tagged requests in flight: the round trips and reactor
 //!   wakeups amortise across the window, and the worker pool sees the
@@ -30,7 +30,7 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lwsnap_service::{PipelinedClient, Response, Server, ServiceConfig, SolverBackend, TcpClient};
+use lwsnap_service::{PipelinedClient, Request, Response, Server, ServiceConfig, SolverBackend};
 use lwsnap_solver::Lit;
 
 const DEPTH: usize = 8;
@@ -149,12 +149,16 @@ fn bench_service_pipeline(c: &mut Criterion) {
     group.throughput(Throughput::Elements((DEPTH * WINDOWS) as u64));
 
     group.bench_function("tcp_blocking", |b| {
-        let mut client = TcpClient::connect(addr).expect("connect");
-        let root = client.session_root(1).expect("root");
+        let client = PipelinedClient::connect(addr).expect("connect");
+        let root = client.session_root(1).expect("root").to_wire();
         let mut step = 0usize;
         b.iter(|| {
             for _ in 0..DEPTH * WINDOWS {
-                let response = client.solve(root, &wire_clauses(step)).expect("solve");
+                let request = Request::Solve {
+                    parent: root,
+                    clauses: wire_clauses(step),
+                };
+                let response = client.call(&request).expect("solve");
                 let Response::Solved { sat: true, .. } = response else {
                     panic!("expected SAT");
                 };

@@ -3,16 +3,16 @@
 //! ```sh
 //! lwsnapd [--addr 127.0.0.1:7557] [--shards N] [--workers M] \
 //!         [--reactors R] [--capacity K] [--budget BYTES] \
-//!         [--node-id ID] [--store cow|deep-clone] \
+//!         [--node-id ID] \
 //!         [--peer ID=HOST:PORT ...] [--ring-seed SEED] \
 //!         [--replica-budget BYTES] [--metrics-addr HOST:PORT]
 //! ```
 //!
-//! Serves the `lwsnap-service` wire protocol (legacy in-order frames
-//! and pipelined tagged frames on the same port, multiplexed by
-//! `--reactors` epoll reactor threads — one per core by default, each
-//! with its own `SO_REUSEPORT` listener so the kernel shards accepted
-//! connections across them) until a client sends a `Shutdown` request,
+//! Serves the `lwsnap-service` wire protocol (pipelined tagged frames,
+//! multiplexed by `--reactors` epoll reactor threads — one per core by
+//! default, each with its own `SO_REUSEPORT` listener so the kernel
+//! shards accepted connections across them) until a client sends a
+//! `Shutdown` request,
 //! then prints the final service and worker statistics. `--capacity`
 //! bounds the resident solver snapshots *per shard* by count,
 //! `--budget` by byte cost (clause + assignment footprint); evicted
@@ -30,11 +30,10 @@
 //!
 //! With `--peer` flags (one per other node) the daemons also talk to
 //! *each other*: every tracked session's derivation edges are forwarded
-//! by the home node to the session's ring successor (redundant with the
-//! clients' own replication fan-out — a session stays replicated even
-//! when no single client sees its whole solve stream), and a heartbeat
-//! thread probes the peers, promoting a dead node's sessions from their
-//! replicas before clients notice. `--ring-seed` must match the
+//! by the home node to the session's replica (its first ring-ranked
+//! peer — a session stays replicated however many clients drive it),
+//! and a heartbeat thread probes the peers, promoting a dead node's
+//! sessions from their replicas before clients notice. `--ring-seed` must match the
 //! clients' seed; `--replica-budget` bounds the replica store, above
 //! which linear path-log chains are compacted in place.
 //!
@@ -47,14 +46,14 @@
 //! wire requests, so clusters can be scraped through a
 //! `ClusterBackend` without any HTTP exposure.
 
-use lwsnap_service::{NodeId, Server, ServiceConfig, StoreKind};
+use lwsnap_service::{NodeId, Server, ServiceConfig};
 
 use std::net::SocketAddr;
 
 fn usage() -> ! {
     eprintln!(
         "usage: lwsnapd [--addr HOST:PORT] [--shards N] [--workers M] \
-         [--reactors R] [--capacity K] [--budget BYTES] [--node-id ID] [--store KIND] \
+         [--reactors R] [--capacity K] [--budget BYTES] [--node-id ID] \
          [--peer ID=HOST:PORT ...] [--ring-seed SEED] [--replica-budget BYTES] \
          [--metrics-addr HOST:PORT]\n\
          \n\
@@ -68,8 +67,6 @@ fn usage() -> ! {
          --budget    max resident snapshot bytes per shard (default: unbounded)\n\
          --node-id   cluster node id stamped into problem ids (default 0);\n\
          \u{20}           run one daemon per id and give a ClusterBackend the map\n\
-         --store     snapshot store backend: cow (page-granular CoW deltas,\n\
-         \u{20}           the default) or deep-clone (full images, baseline)\n\
          --peer      another node of the cluster, as ID=HOST:PORT (repeat per\n\
          \u{20}           peer); turns on server-side edge forwarding + heartbeats\n\
          --ring-seed consistent-hash ring seed (default 0) — must match every\n\
@@ -96,7 +93,6 @@ fn main() {
     let mut capacity: Option<usize> = None;
     let mut budget: Option<usize> = None;
     let mut node_id: u16 = 0;
-    let mut store = StoreKind::default();
     let mut peers: Vec<(NodeId, SocketAddr)> = Vec::new();
     let mut ring_seed: u64 = 0;
     let mut replica_budget: Option<usize> = None;
@@ -120,7 +116,6 @@ fn main() {
             }
             "--budget" => budget = Some(value("--budget").parse().unwrap_or_else(|_| usage())),
             "--node-id" => node_id = value("--node-id").parse().unwrap_or_else(|_| usage()),
-            "--store" => store = StoreKind::parse(&value("--store")).unwrap_or_else(|| usage()),
             "--peer" => peers.push(parse_peer(&value("--peer")).unwrap_or_else(|| usage())),
             "--ring-seed" => ring_seed = value("--ring-seed").parse().unwrap_or_else(|_| usage()),
             "--replica-budget" => {
@@ -136,9 +131,7 @@ fn main() {
         }
     }
 
-    let mut config = ServiceConfig::new(shards)
-        .with_node_id(node_id)
-        .with_store(store);
+    let mut config = ServiceConfig::new(shards).with_node_id(node_id);
     config.snapshot_capacity = capacity;
     config.snapshot_budget_bytes = budget;
     config.replica_budget_bytes = replica_budget;
@@ -167,14 +160,13 @@ fn main() {
     }
     println!(
         "lwsnapd node {} listening on {} ({} shards, {} workers, {} reactor(s), \
-         capacity {}, {} store)",
+         capacity {})",
         node_id,
         server.local_addr(),
         shards,
         workers,
         server.reactors(),
         capacity.map_or("unbounded".to_owned(), |c| c.to_string()),
-        server.service().store_name(),
     );
 
     let service = server.service().clone();
@@ -197,11 +189,8 @@ fn main() {
         total.live_problems,
     );
     println!(
-        "snapshot store ({}): {} resident bytes, {} shared / {} private pages",
-        service.store_name(),
-        total.resident_bytes,
-        total.shared_pages,
-        total.private_pages,
+        "snapshot store: {} resident bytes, {} shared / {} private pages",
+        total.resident_bytes, total.shared_pages, total.private_pages,
     );
     println!(
         "replication: {replica_bytes} replica bytes held, {replica_promotions} promotions \

@@ -291,9 +291,9 @@ impl FrameAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{put_tagged_frame, write_frame};
+    use crate::protocol::put_tagged_frame;
 
-    fn drain(asm: &mut FrameAssembler) -> Vec<(Option<u64>, Vec<u8>)> {
+    fn drain(asm: &mut FrameAssembler) -> Vec<(u64, Vec<u8>)> {
         let mut out = Vec::new();
         while let Some(frame) = asm
             .next(|f| (f.tag, f.payload.to_vec()))
@@ -308,16 +308,13 @@ mod tests {
     fn whole_frames_parse_in_place_without_copies() {
         let pool = BufferPool::new();
         let mut wire = Vec::new();
-        write_frame(&mut wire, b"hello").unwrap();
+        put_tagged_frame(&mut wire, 3, b"hello").unwrap();
         put_tagged_frame(&mut wire, 7, b"world").unwrap();
         let mut asm = FrameAssembler::new(Arc::clone(&pool));
         let mut r = wire.as_slice();
         while asm.fill(&mut r).unwrap() > 0 {}
         let frames = drain(&mut asm);
-        assert_eq!(
-            frames,
-            vec![(None, b"hello".to_vec()), (Some(7), b"world".to_vec())]
-        );
+        assert_eq!(frames, vec![(3, b"hello".to_vec()), (7, b"world".to_vec())]);
         assert_eq!(asm.copied_bytes(), 0, "in-block frames copy nothing");
         assert_eq!(asm.pending(), 0);
     }
@@ -330,7 +327,7 @@ mod tests {
         let payload: Vec<u8> = (0..BLOCK_SIZE + 1234).map(|i| (i % 251) as u8).collect();
         let mut wire = Vec::new();
         put_tagged_frame(&mut wire, 42, &payload).unwrap();
-        write_frame(&mut wire, b"after").unwrap();
+        put_tagged_frame(&mut wire, 43, b"after").unwrap();
         let mut asm = FrameAssembler::new(Arc::clone(&pool));
         let mut r = wire.as_slice();
         let mut frames = Vec::new();
@@ -342,8 +339,8 @@ mod tests {
             }
         }
         assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0], (Some(42), payload));
-        assert_eq!(frames[1], (None, b"after".to_vec()));
+        assert_eq!(frames[0], (42, payload));
+        assert_eq!(frames[1], (43, b"after".to_vec()));
         assert!(asm.copied_bytes() > 0, "spanning frames are counted");
         assert_eq!(asm.pending(), 0);
     }

@@ -5,24 +5,18 @@
 //!
 //! * **Determinism** — every decision is a pure function of a seed and
 //!   the *content* of the frame it applies to ([`ChaosPolicy::decide`]
-//!   hashes `seed ⊕ plane ⊕ key` through [`mix64`]). Nothing depends on
+//!   hashes `seed ⊕ key` through [`mix64`]). Nothing depends on
 //!   wall-clock time, thread interleaving, or how many frames happened
 //!   to come before — so a seeded run injects the same faults no matter
 //!   how the scheduler slices it, and a failure reproduces from its
 //!   seed alone.
-//! * **Verdict safety** — faults apply ONLY to fire-and-forget
-//!   replication-plane frames (`Replicate`, `Unreplicate`, `Forward`)
-//!   whose loss the system is *designed* to absorb (the client reships
-//!   its whole log at failover, and the client/server planes are
-//!   redundant). Data-plane `Solve` frames are never touched: dropping
-//!   one would change the verdict stream, which is the invariant the
-//!   harness exists to check.
-//!
-//! The two replication planes carry distinct plane salts
-//! ([`PLANE_CLIENT`], [`PLANE_SERVER`]) so the client-fanned and
-//! server-fanned copies of the SAME edge never share a fate: a drop
-//! decision that kills one leaves the other alive, which is exactly the
-//! redundancy a real lossy network gives you.
+//! * **Verdict safety** — faults apply ONLY to the home node's
+//!   fire-and-forget replication frames (`Replicate`, `Unreplicate`),
+//!   whose loss the system is *designed* to absorb: a client re-ships
+//!   its own copy of the path log to the replica before it asks for a
+//!   promotion, and that healing path is exempt. Data-plane `Solve`
+//!   frames are never touched: dropping one would change the verdict
+//!   stream, which is the invariant the harness exists to check.
 //!
 //! Node kills are scheduled by [`ChaosPlan`], the loadgen-facing
 //! wrapper that parses a `--chaos-mode` list and derives the victim
@@ -32,16 +26,10 @@ use std::time::Duration;
 
 use crate::router::mix64;
 
-/// Plane salt for client-fanned replication frames.
-pub const PLANE_CLIENT: u64 = 1;
-
-/// Plane salt for server-fanned (`Forward`) replication frames.
-pub const PLANE_SERVER: u64 = 2;
-
 /// Content-stable chaos key of a session root. Wire problem ids are
-/// allocation-order artifacts — two runs (or the two replication
-/// planes) can mint different ids for the same logical problem — so
-/// chaos decisions key on a hash of what the problem *is* instead:
+/// allocation-order artifacts — two runs can mint different ids for
+/// the same logical problem — so chaos decisions key on a hash of what
+/// the problem *is* instead:
 /// the session for a root, and the clause path for every derivation
 /// ([`stable_key`]).
 pub fn root_key(session: u64) -> u64 {
@@ -50,9 +38,8 @@ pub fn root_key(session: u64) -> u64 {
 
 /// Folds one derivation edge's content into its parent's stable key:
 /// the child's key hashes the parent's key with the added clauses, so
-/// the same logical edge gets the same fate on every run and on both
-/// replication planes (modulo the plane salt), no matter what wire ids
-/// were allocated for it.
+/// the same logical edge gets the same fate on every run, no matter
+/// what wire ids were allocated for it.
 pub fn stable_key(parent_key: u64, clauses: &[Vec<i64>]) -> u64 {
     let mut h = mix64(parent_key ^ 0x6564_6765); // "edge"
     for clause in clauses {
@@ -121,10 +108,10 @@ impl ChaosPolicy {
         self
     }
 
-    /// The fate of the frame identified by `key` on `plane`. Pure: the
-    /// same `(seed, plane, key)` always decides the same fate.
-    pub fn decide(&self, plane: u64, key: u64) -> ChaosAction {
-        let h = mix64(self.seed ^ mix64(plane) ^ key);
+    /// The fate of the frame identified by `key`. Pure: the same
+    /// `(seed, key)` always decides the same fate.
+    pub fn decide(&self, key: u64) -> ChaosAction {
+        let h = mix64(self.seed ^ key);
         let roll = (h & 0xff) as u32;
         if roll < self.drop_w {
             ChaosAction::Drop
@@ -212,15 +199,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn decisions_are_pure_functions_of_seed_plane_and_key() {
+    fn decisions_are_pure_functions_of_seed_and_key() {
         let policy = ChaosPolicy::quiet(42)
             .with_drops(32)
             .with_duplicates(32)
             .with_delays(32, Duration::from_millis(2));
         for key in 0..512u64 {
             assert_eq!(
-                policy.decide(PLANE_CLIENT, key),
-                policy.decide(PLANE_CLIENT, key),
+                policy.decide(key),
+                policy.decide(key),
                 "chaos must be deterministic"
             );
         }
@@ -230,29 +217,8 @@ mod tests {
             .with_duplicates(32)
             .with_delays(32, Duration::from_millis(2));
         assert!(
-            (0..512u64).any(|k| policy.decide(PLANE_CLIENT, k) != other.decide(PLANE_CLIENT, k)),
+            (0..512u64).any(|k| policy.decide(k) != other.decide(k)),
             "seeds must matter"
-        );
-    }
-
-    #[test]
-    fn planes_never_share_a_fate_everywhere() {
-        // The same edge on both planes must not be dropped by the same
-        // roll for EVERY key — redundancy is the drop-safety argument.
-        let policy = ChaosPolicy::quiet(7).with_drops(64);
-        let both_dropped = (0..4096u64)
-            .filter(|&k| {
-                policy.decide(PLANE_CLIENT, k) == ChaosAction::Drop
-                    && policy.decide(PLANE_SERVER, k) == ChaosAction::Drop
-            })
-            .count();
-        let client_dropped = (0..4096u64)
-            .filter(|&k| policy.decide(PLANE_CLIENT, k) == ChaosAction::Drop)
-            .count();
-        assert!(client_dropped > 0, "drops do happen");
-        assert!(
-            both_dropped < client_dropped,
-            "plane salts decorrelate the copies"
         );
     }
 
@@ -262,9 +228,7 @@ mod tests {
             .with_drops(32)
             .with_duplicates(32)
             .with_delays(32, Duration::from_millis(2));
-        let decisions: Vec<ChaosAction> = (0..2048u64)
-            .map(|k| policy.decide(PLANE_SERVER, k))
-            .collect();
+        let decisions: Vec<ChaosAction> = (0..2048u64).map(|k| policy.decide(k)).collect();
         assert!(decisions.contains(&ChaosAction::Drop));
         assert!(decisions.contains(&ChaosAction::Duplicate));
         assert!(decisions.iter().any(|d| matches!(d, ChaosAction::Delay(_))));

@@ -1,15 +1,14 @@
-//! Wire-protocol clients: the blocking one-call-at-a-time
-//! [`TcpClient`], the [`PipelinedClient`] that keeps many tagged
-//! requests in flight on one connection, and the [`ClusterBackend`]
+//! Wire-protocol clients: the [`PipelinedClient`] that keeps many
+//! tagged requests in flight on one connection (a blocking exchange is
+//! its depth-1 [`PipelinedClient::call`]), and the [`ClusterBackend`]
 //! that spreads sessions over N pipelined connections — one per
 //! cluster node — through the consistent-hash [`crate::router::Ring`].
 //!
-//! All of them speak the same `lwsnapd` protocol; the pipelined client
-//! uses v2 tagged frames ([`crate::protocol::TAGGED`]) so the server
-//! may complete its requests out of order, and both it and the cluster
-//! backend implement [`crate::SolverBackend`] so drivers written
-//! against the trait can run remotely — on one node or on a whole
-//! cluster — unchanged.
+//! Both speak the same `lwsnapd` protocol — tagged frames
+//! ([`crate::protocol::TAGGED`]), so the server may complete requests
+//! out of order — and both implement [`crate::SolverBackend`], so
+//! drivers written against the trait can run remotely — on one node or
+//! on a whole cluster — unchanged.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -22,10 +21,9 @@ use lwsnap_solver::{Lit, SolveResult};
 use lwsnap_trace::{self as trace, Event, MetricsSnapshot};
 
 use crate::backend::{foreign_ticket, SolverBackend, Ticket, TicketInner};
-use crate::chaos::{root_key, stable_key, ChaosAction, ChaosPolicy, PLANE_CLIENT};
 use crate::protocol::{
-    lits_to_clauses, put_tagged_frame, read_any_frame, read_frame, write_frame, write_tagged_frame,
-    ProtoError, Request, Response, StatsSummary,
+    lits_to_clauses, put_tagged_frame, read_any_frame, write_tagged_frame, ProtoError, Request,
+    Response, StatsSummary,
 };
 use crate::router::{mix64, NodeId, Ring};
 use crate::sharded::{ProblemId, SolveReply};
@@ -53,96 +51,20 @@ impl std::fmt::Display for Disconnected {
 
 impl std::error::Error for Disconnected {}
 
-pub(crate) fn disconnected() -> io::Error {
-    io::Error::new(io::ErrorKind::ConnectionAborted, Disconnected)
+/// Why a connection stopped delivering; kept so that every later wait
+/// fails the same way (`io::Error` is not `Clone`).
+enum Dead {
+    /// The server closed cleanly between frames.
+    Closed,
+    /// Anything else, rendered.
+    Failed(io::ErrorKind, String),
 }
 
-/// A blocking client for the `lwsnapd` wire protocol: one
-/// request/response exchange at a time, in order (legacy v1 frames).
-pub struct TcpClient {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl TcpClient {
-    /// Connects to a running server.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(TcpClient {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream.try_clone()?),
-            stream,
-        })
-    }
-
-    /// Bounds how long a [`TcpClient::call`] may block waiting for the
-    /// server's reply (`None` = wait forever). On expiry the call fails
-    /// with a `WouldBlock`/`TimedOut` error; the connection may then
-    /// hold a half-read frame, so treat a timed-out client as dead and
-    /// reconnect — the timeout is for *detecting* a hung server, not
-    /// for retrying on a live connection.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
-    }
-
-    /// One request/response exchange.
-    ///
-    /// Error taxonomy: a clean server close between frames is
-    /// `ConnectionAborted` carrying [`Disconnected`]; a stream that
-    /// dies mid-frame is `UnexpectedEof` (truncation); a configured
-    /// read timeout surfaces as `WouldBlock`/`TimedOut`.
-    pub fn call(&mut self, request: &Request) -> io::Result<Response> {
-        write_frame(&mut self.writer, &request.encode())?;
-        let payload = read_frame(&mut self.reader)?.ok_or_else(disconnected)?;
-        Response::decode(&payload).map_err(io::Error::from)
-    }
-
-    /// The root problem for a session id.
-    pub fn session_root(&mut self, session: u64) -> io::Result<u64> {
-        match self.call(&Request::Root { session })? {
-            Response::Root { problem } => Ok(problem),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Solves `parent ∧ clauses` (DIMACS literals); returns the full
-    /// [`Response::Solved`] payload or the server's error as `io::Error`.
-    pub fn solve(&mut self, parent: u64, clauses: &[Vec<i64>]) -> io::Result<Response> {
-        let response = self.call(&Request::Solve {
-            parent,
-            clauses: clauses.to_vec(),
-        })?;
-        match response {
-            Response::Solved { .. } => Ok(response),
-            Response::Error(msg) => Err(io::Error::new(io::ErrorKind::NotFound, msg)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Releases a problem snapshot.
-    pub fn release(&mut self, problem: u64) -> io::Result<()> {
-        match self.call(&Request::Release { problem })? {
-            Response::Released => Ok(()),
-            Response::Error(msg) => Err(io::Error::new(io::ErrorKind::NotFound, msg)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Fetches the aggregated service statistics.
-    pub fn stats(&mut self) -> io::Result<StatsSummary> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Asks the daemon to shut down; returns its final stats snapshot.
-    pub fn shutdown_server(&mut self) -> io::Result<StatsSummary> {
-        match self.call(&Request::Shutdown)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(unexpected(other)),
+impl Dead {
+    fn error(&self) -> io::Error {
+        match self {
+            Dead::Closed => io::Error::new(io::ErrorKind::ConnectionAborted, Disconnected),
+            Dead::Failed(kind, msg) => io::Error::new(*kind, msg.clone()),
         }
     }
 }
@@ -176,7 +98,7 @@ struct PipeState {
     /// (fire-and-forget requests like release).
     forgotten: HashSet<u64>,
     /// A terminal transport error: once set, every wait fails with it.
-    dead: Option<(io::ErrorKind, String)>,
+    dead: Option<Dead>,
 }
 
 /// A pipelined client: many tagged requests in flight on one
@@ -239,8 +161,11 @@ impl PipelinedClient {
     }
 
     /// Bounds how long a blocked wait may sit on the socket before
-    /// failing (`None` = wait forever); see
-    /// [`TcpClient::set_read_timeout`] for the caveats.
+    /// failing (`None` = wait forever). On expiry the wait fails with a
+    /// `WouldBlock`/`TimedOut` error; the connection may then hold a
+    /// half-read frame, so treat a timed-out client as dead and
+    /// reconnect — the timeout is for *detecting* a hung server, not
+    /// for retrying on a live connection.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         self.stream.set_read_timeout(timeout)
     }
@@ -289,8 +214,8 @@ impl PipelinedClient {
     }
 
     /// Submits a request whose response should be discarded on arrival
-    /// (fire-and-forget). Crate-visible: the server's own forwarding
-    /// plane ([`crate::net`]) ships `Forward` frames through it too.
+    /// (fire-and-forget). Crate-visible: the server's forwarding plane
+    /// ([`crate::net`]) ships its `Replicate` frames through it too.
     pub(crate) fn submit_forgotten(&self, request: &Request) -> io::Result<()> {
         let tag = self.submit_request(request)?;
         let mut st = self.state.lock().unwrap();
@@ -310,8 +235,8 @@ impl PipelinedClient {
                 if let Some(resp) = st.done.remove(&tag) {
                     return Ok(resp);
                 }
-                if let Some((kind, msg)) = &st.dead {
-                    return Err(io::Error::new(*kind, msg.clone()));
+                if let Some(dead) = &st.dead {
+                    return Err(dead.error());
                 }
             }
             match self.reader.try_lock() {
@@ -320,32 +245,28 @@ impl PipelinedClient {
                     let mut st = self.state.lock().unwrap();
                     match read {
                         Ok(Some(frame)) => {
-                            let Some(frame_tag) = frame.tag else {
-                                st.dead =
-                                    Some((io::ErrorKind::InvalidData, "untagged reply".into()));
-                                self.arrived.notify_all();
-                                continue;
-                            };
-                            if st.forgotten.remove(&frame_tag) {
+                            if st.forgotten.remove(&frame.tag) {
                                 continue;
                             }
                             match Response::decode(&frame.payload) {
                                 Ok(resp) => {
-                                    st.done.insert(frame_tag, resp);
+                                    st.done.insert(frame.tag, resp);
                                 }
                                 Err(e) => {
-                                    st.dead = Some((io::ErrorKind::InvalidData, e.to_string()));
+                                    st.dead = Some(Dead::Failed(
+                                        io::ErrorKind::InvalidData,
+                                        e.to_string(),
+                                    ));
                                 }
                             }
                             self.arrived.notify_all();
                         }
                         Ok(None) => {
-                            st.dead =
-                                Some((io::ErrorKind::ConnectionAborted, Disconnected.to_string()));
+                            st.dead = Some(Dead::Closed);
                             self.arrived.notify_all();
                         }
                         Err(e) => {
-                            st.dead = Some((e.kind(), e.to_string()));
+                            st.dead = Some(Dead::Failed(e.kind(), e.to_string()));
                             self.arrived.notify_all();
                         }
                     }
@@ -369,6 +290,11 @@ impl PipelinedClient {
     }
 
     /// Submit + wait for one request (no overlap).
+    ///
+    /// Error taxonomy: a clean server close between frames is
+    /// `ConnectionAborted` carrying [`Disconnected`]; a stream that
+    /// dies mid-frame is `UnexpectedEof` (truncation); a configured
+    /// read timeout surfaces as `WouldBlock`/`TimedOut`.
     pub fn call(&self, request: &Request) -> io::Result<Response> {
         let tag = self.submit_request(request)?;
         self.wait_response(tag)
@@ -616,15 +542,34 @@ impl SuspicionTable {
         *count >= self.threshold
     }
 
-    /// Whether the node has at least one un-acked miss.
-    pub(crate) fn suspected(&self, node: NodeId) -> bool {
-        self.counts.get(&node).copied().unwrap_or(0) > 0
+    /// The node's consecutive un-acked misses.
+    pub(crate) fn misses(&self, node: NodeId) -> u32 {
+        self.counts.get(&node).copied().unwrap_or(0)
     }
 
     /// Drops a condemned (or departed) node's counter.
     pub(crate) fn forget(&mut self, node: NodeId) {
         self.counts.remove(&node);
     }
+}
+
+/// One heartbeat interval plus up to +50% jitter seeded by `salt` (no
+/// wall-clock randomness, so a fleet's probes never phase-lock),
+/// slept in 10 ms chunks so a raised `stop` flag is noticed promptly.
+/// `false` when the flag cut the nap short.
+pub(crate) fn jittered_nap(interval: Duration, salt: u64, stop: &AtomicBool) -> bool {
+    let half = (interval.as_micros() as u64 / 2).max(1);
+    let nap = interval + Duration::from_micros(mix64(salt) % half);
+    let mut slept = Duration::ZERO;
+    while slept < nap {
+        if stop.load(Ordering::Acquire) {
+            return false;
+        }
+        let chunk = Duration::from_millis(10).min(nap - slept);
+        std::thread::sleep(chunk);
+        slept += chunk;
+    }
+    true
 }
 
 /// Whether an error means the node itself is gone (dead, partitioned,
@@ -646,8 +591,9 @@ fn is_node_death(e: &io::Error) -> bool {
 
 /// One recorded derivation of a tracked session: `problem` was derived
 /// from `parent` (current-coordinate wire ids) by adding `clauses`.
-/// The client-side copy of the path log — the source of truth for
-/// (re-)shipping replicas after membership changes.
+/// The client-side copy of the path log — the copy of last resort,
+/// re-shipped to the replica before a promotion and after membership
+/// changes.
 struct LogEntry {
     problem: u64,
     parent: u64,
@@ -658,8 +604,11 @@ struct LogEntry {
 struct SessionState {
     /// The node serving the session right now.
     home: NodeId,
-    /// The node holding the session's replica (`None`: nowhere to
-    /// replicate — a 1-node cluster, or every candidate died).
+    /// The node the session's home forwards its edges to (`None`:
+    /// nowhere to replicate — a 1-node cluster, or every candidate
+    /// died). Picked with [`Ring::replica_for`], like the home node
+    /// does: fixed when the session starts, re-picked only when that
+    /// node leaves.
     replica: Option<NodeId>,
     /// The session root's wire id, in current coordinates.
     root: u64,
@@ -669,11 +618,6 @@ struct SessionState {
     /// live descendant's replay path runs through them; pruned (with
     /// cascade) by [`prune_log`] when the descendants go too.
     released: HashSet<u64>,
-    /// Problem wire id → content-stable chaos key ([`stable_key`] over
-    /// the clause lineage). Wire ids are rewritten by failover remaps;
-    /// the keys survive unchanged, so chaos decisions stay replayable
-    /// across promotions and runs.
-    keys: HashMap<u64, u64>,
 }
 
 /// Drops released problems' log entries once no live entry replays
@@ -747,23 +691,27 @@ fn resolve(remap: &HashMap<u64, u64>, mut id: u64) -> u64 {
 ///   nodes' tag spaces are disjoint by construction; a ticket carries
 ///   `(node, tag)` and completions merge through the same
 ///   ticket/wait machinery as a single connection.
-/// * **Replication** — after every successful solve of a tracked
-///   session, the derivation edge is shipped fire-and-forget to the
-///   session's ring successor ([`Ring::successor_for`]), which records
-///   it passively ([`crate::ReplicaStore`]). The home node forwards
-///   the same edges itself (the server's `Forward` plane, idempotent
-///   by sequence number), so a session stays fully replicated even
-///   when several clients drive it and each sees only a slice of the
-///   solve stream.
-/// * **Failover** — when a node dies mid-session, the backend promotes
-///   each affected session on its replica (the successor replays the
-///   path log — bit-identical verdicts and models, because the solver
-///   is deterministic in the clause path), installs an id remap, picks
-///   a fresh replica, re-ships the log, and **transparently retries**
+/// * **Replication** — the session's home node is the only
+///   steady-state replicator: it forwards every derivation edge to the
+///   session's replica (the first ring-ranked node that is not the
+///   home), which records it passively ([`crate::ReplicaStore`]), so a
+///   session stays fully replicated even when several clients drive it
+///   and each sees only a slice of the solve stream. The backend sends
+///   no per-solve replication frame; it keeps its own copy of each
+///   tracked session's path log and names the same replica.
+/// * **Failover** — when a node dies mid-session, the backend re-ships
+///   its copy of each affected session's log to the replica (healing
+///   whatever a lossy network ate), promotes the session there (the
+///   replica replays the path log — bit-identical verdicts and models,
+///   because the solver is deterministic in the clause path), installs
+///   an id remap, picks a fresh replica, re-ships the log, and
+///   **transparently retries**
 ///   the interrupted solve, backing off exponentially (with seeded
-///   jitter) between attempts. Only sessions with no replica (1-node
-///   clusters, double failures) still surface the typed [`NodeError`],
-///   which carries the attempt count.
+///   jitter) between attempts. A replica found dead at promotion time
+///   is buried in turn and the session promoted on the next survivor.
+///   Only sessions with no survivor left (1-node clusters, every other
+///   node dead) still surface the typed [`NodeError`], which carries
+///   the attempt count.
 /// * **Heartbeats** — opt-in ([`ClusterBackend::start_heartbeat`]): a
 ///   probe thread pings every node on dedicated connections (so a
 ///   half-dead node that still answers pings while its solves stall is
@@ -795,18 +743,14 @@ impl Drop for ClusterBackend {
 }
 
 /// Everything behind a [`ClusterBackend`], shareable with the
-/// heartbeat thread: the member table, the routing state, the chaos
-/// policy and the failure-detection counters.
+/// heartbeat thread: the member table, the routing state and the
+/// failure-detection counters.
 struct ClusterCore {
     /// Member nodes, sorted by id (binary-searchable). `Arc` so a
     /// connection can be used after the lock is dropped — waits must
     /// not serialize behind membership changes.
     nodes: RwLock<Vec<Arc<ClusterNode>>>,
     state: Mutex<ClusterState>,
-    /// Fault-injection policy for this client's replication plane
-    /// (`Replicate`/`Unreplicate` fire-and-forget frames only; the
-    /// re-shipping done at failover is a healing path and is exempt).
-    chaos: Mutex<Option<Arc<ChaosPolicy>>>,
     /// Heartbeat probes that went unanswered.
     hb_misses: AtomicU64,
     /// Failovers the heartbeat thread triggered (vs. a request path
@@ -873,7 +817,6 @@ impl ClusterBackend {
                     timeout: None,
                     epoch: 0,
                 }),
-                chaos: Mutex::new(None),
                 hb_misses: AtomicU64::new(0),
                 hb_failovers: AtomicU64::new(0),
                 retries: AtomicU64::new(0),
@@ -918,12 +861,6 @@ impl ClusterBackend {
         Ok(())
     }
 
-    /// Installs (or clears) the fault-injection policy for this
-    /// client's outgoing replication-plane frames.
-    pub fn set_chaos(&self, chaos: Option<Arc<ChaosPolicy>>) {
-        *self.core.chaos.lock().unwrap() = chaos;
-    }
-
     /// Starts the heartbeat thread (idempotent): every `interval` (plus
     /// seeded jitter) it pings each member on a short-lived dedicated
     /// connection and fails over any node that misses `threshold`
@@ -961,9 +898,10 @@ impl ClusterBackend {
     }
 
     /// Joins a NEW node to the cluster map and the ring mid-run.
-    /// Existing sessions stay where they are (rendezvous addition only
-    /// *steals* keys, and tracked sessions route by their recorded
-    /// home); new sessions and future replica picks may land on it.
+    /// Existing sessions stay where they are — home AND replica
+    /// (rendezvous addition only *steals* keys, and tracked sessions
+    /// route by their recorded placement); new sessions and future
+    /// replica picks may land on it.
     pub fn add_node<A: ToSocketAddrs>(&self, id: NodeId, addr: A) -> io::Result<()> {
         let addr = addr
             .to_socket_addrs()
@@ -1108,6 +1046,11 @@ impl ClusterCore {
     /// actually buried it.
     fn failover(&self, dead: NodeId) -> bool {
         let mut st = self.state.lock().unwrap();
+        self.bury_locked(&mut st, dead)
+    }
+
+    /// [`ClusterCore::failover`] under an already-held state lock.
+    fn bury_locked(&self, st: &mut ClusterState, dead: NodeId) -> bool {
         if !st.ring.remove_node(dead) {
             return false; // already handled (or never a member)
         }
@@ -1119,15 +1062,15 @@ impl ClusterCore {
                 nodes.remove(at);
             }
         }
-        self.migrate_locked(&mut st, dead);
+        self.migrate_locked(st, dead);
         true
     }
 
     /// Moves every session touching `leaving` (as home: promote on the
     /// replica; as replica: pick a new one) — `leaving` is already out
-    /// of `st.ring`. Sessions that cannot be saved (no replica, or the
-    /// replica is unreachable too) keep their dead home and surface
-    /// typed [`NodeError`]s on use.
+    /// of `st.ring`. Sessions that cannot be saved (no surviving node
+    /// to promote on) keep their dead home and surface typed
+    /// [`NodeError`]s on use.
     fn migrate_locked(&self, st: &mut ClusterState, leaving: NodeId) {
         let session_ids: Vec<u64> = st.sessions.keys().copied().collect();
         for session in session_ids {
@@ -1136,10 +1079,10 @@ impl ClusterCore {
                 (s.home, s.replica)
             };
             if home == leaving {
-                self.promote_session(st, session, leaving);
+                self.promote_session(st, session);
             } else if replica == Some(leaving) {
                 // Home is fine; the replica died. Re-pick and re-ship.
-                let new_replica = st.ring.ranked(session).into_iter().find(|&n| n != home);
+                let new_replica = st.ring.replica_for(session, home);
                 let sess = st.sessions.get_mut(&session).unwrap();
                 sess.replica = new_replica;
                 self.ship_log(st, session);
@@ -1150,41 +1093,49 @@ impl ClusterCore {
     /// Fails one session over onto its replica: promote by path replay,
     /// install the id remap, rewrite the log into new coordinates,
     /// re-pick a replica and re-ship the log to it.
-    fn promote_session(&self, st: &mut ClusterState, session: u64, leaving: NodeId) {
-        let (replica, problems, old_root) = {
+    fn promote_session(&self, st: &mut ClusterState, session: u64) {
+        let (problems, old_root) = {
             let s = &st.sessions[&session];
             (
-                s.replica,
                 s.log.iter().map(|e| e.problem).collect::<Vec<u64>>(),
                 s.root,
             )
         };
-        let target = replica.and_then(|r| self.node_opt(r));
-        let Some(member) = target else {
-            // Unrecoverable: no replica, or its connection is gone too.
-            st.sessions.get_mut(&session).unwrap().replica = None;
-            return;
-        };
-        let new_home = member.id;
-        // Heal before promoting: re-ship this client's whole log to the
-        // replica first (fire-and-forget, chaos-exempt, on the SAME
-        // connection as the `Promote` call — the frames land in order).
-        // A lossy network may have eaten an edge on both replication
-        // planes; the local log is the copy of last resort, and the
-        // store dedupes re-sends by problem id.
-        self.ship_log(st, session);
-        // Always ask — even with an empty local log. The server may
-        // hold edges this client never saw (another client drove the
-        // session, or the home node's own Forward plane outran us);
-        // `Promote` returns the FULL session mapping, so those edges'
-        // promoted ids land in our remap too.
-        let mapping = match member.client.call(&Request::Promote { session, problems }) {
-            Ok(Response::Promoted { mapping }) => mapping,
-            _ => {
-                // The replica died mid-promotion (or answered
-                // garbage): the session is unrecoverable.
+        let (new_home, mapping) = loop {
+            let replica = st.sessions[&session].replica;
+            let Some(member) = replica.and_then(|r| self.node_opt(r)) else {
+                // Unrecoverable: no survivor left to promote on.
                 st.sessions.get_mut(&session).unwrap().replica = None;
                 return;
+            };
+            // Heal before promoting: re-ship this client's whole log to
+            // the replica first (fire-and-forget, on the SAME connection
+            // as the `Promote` call — the frames land in order). A lossy
+            // network may have eaten an edge the home forwarded; the
+            // local log is the copy of last resort, and the store
+            // dedupes re-sends by problem id.
+            self.ship_log(st, session);
+            // Always ask — even with an empty local log. The server may
+            // hold edges this client never saw (another client drove
+            // the session); `Promote` returns the FULL session mapping,
+            // so those edges' promoted ids land in our remap too.
+            let request = Request::Promote {
+                session,
+                problems: problems.clone(),
+            };
+            match member.client.call(&request) {
+                Ok(Response::Promoted { mapping }) => break (member.id, mapping),
+                // The replica is dead too. This client sends it nothing
+                // in steady state, so without heartbeats this is where
+                // it finds out. Bury it: that re-picks this session's
+                // replica among the survivors, and the next round heals
+                // and promotes there.
+                Err(e) if is_node_death(&e) && self.bury_locked(st, member.id) => {}
+                _ => {
+                    // The replica answered garbage: unrecoverable.
+                    st.sessions.get_mut(&session).unwrap().replica = None;
+                    return;
+                }
             }
         };
         for &(old, new) in &mapping {
@@ -1215,20 +1166,15 @@ impl ClusterCore {
                 .iter()
                 .map(|&p| resolve(&st.remap, p))
                 .collect();
-            sess.keys = sess
-                .keys
-                .iter()
-                .map(|(&p, &k)| (resolve(&st.remap, p), k))
-                .collect();
-            sess.replica = st.ring.ranked(session).into_iter().find(|&n| n != new_home);
+            sess.replica = st.ring.replica_for(session, new_home);
         }
-        let _ = leaving;
         self.ship_log(st, session);
     }
 
     /// Re-ships a session's whole path log to its current replica
-    /// (fire-and-forget; a send failure means the replica is dying and
-    /// will be handled by its own failover).
+    /// (fire-and-forget; a send failure means the replica is dying —
+    /// the heartbeat thread, or the next promotion that needs it,
+    /// buries it and re-picks).
     fn ship_log(&self, st: &ClusterState, session: u64) {
         let sess = &st.sessions[&session];
         let Some(member) = sess.replica.and_then(|r| self.node_opt(r)) else {
@@ -1245,77 +1191,24 @@ impl ClusterCore {
     }
 
     /// Records a successful solve of a tracked session into the path
-    /// log and streams the edge to the session's replica.
+    /// log. Nothing is sent: the home node forwarded the edge to the
+    /// replica before it released the reply.
     fn record(&self, session: u64, problem: u64, parent: u64, clauses: &[Vec<i64>]) {
-        let (replica, key) = {
-            let mut st = self.state.lock().unwrap();
-            let Some(sess) = st.sessions.get_mut(&session) else {
-                return;
-            };
-            // A reply that raced a failover carries stale (dead-node)
-            // coordinates; logging it would poison the replayable log.
-            if ProblemId::from_wire(problem).node() != sess.home {
-                return;
-            }
-            sess.log.push(LogEntry {
-                problem,
-                parent,
-                clauses: clauses.to_vec(),
-            });
-            let parent_key = if parent == sess.root {
-                root_key(session)
-            } else {
-                sess.keys
-                    .get(&parent)
-                    .copied()
-                    .unwrap_or_else(|| root_key(session))
-            };
-            let key = stable_key(parent_key, clauses);
-            sess.keys.insert(problem, key);
-            let replica = sess.replica;
-            st.owner.insert(problem, session);
-            (replica, key)
+        let mut st = self.state.lock().unwrap();
+        let Some(sess) = st.sessions.get_mut(&session) else {
+            return;
         };
-        if let Some(member) = replica.and_then(|r| self.node_opt(r)) {
-            let request = Request::Replicate {
-                session,
-                problem,
-                parent,
-                clauses: clauses.to_vec(),
-            };
-            if self.chaos_forgotten(&member, key, &request).is_err() {
-                // The replica's connection is dead: migrate everything
-                // that depends on it now rather than at the next read.
-                self.failover(member.id);
-            }
+        // A reply that raced a failover carries stale (dead-node)
+        // coordinates; logging it would poison the replayable log.
+        if ProblemId::from_wire(problem).node() != sess.home {
+            return;
         }
-    }
-
-    /// Sends one fire-and-forget replication frame through the chaos
-    /// policy (if any): drops swallow it, duplicates send it twice (the
-    /// replica store dedupes by problem id), delays sleep briefly
-    /// first. Keyed by the edge's content-stable key ([`stable_key`]) —
-    /// the same key the server plane computes for the same edge,
-    /// decorrelated there by the plane salt.
-    fn chaos_forgotten(&self, member: &ClusterNode, key: u64, request: &Request) -> io::Result<()> {
-        let chaos = self.chaos.lock().unwrap().clone();
-        let action = chaos.map_or(ChaosAction::Deliver, |p| p.decide(PLANE_CLIENT, key));
-        if action != ChaosAction::Deliver {
-            trace::instant(trace::Kind::ChaosInject, key, PLANE_CLIENT);
-            trace::Registry::global().chaos_injections.inc();
-        }
-        match action {
-            ChaosAction::Drop => Ok(()),
-            ChaosAction::Deliver => member.client.submit_forgotten(request),
-            ChaosAction::Duplicate => {
-                member.client.submit_forgotten(request)?;
-                member.client.submit_forgotten(request)
-            }
-            ChaosAction::Delay(pause) => {
-                std::thread::sleep(pause);
-                member.client.submit_forgotten(request)
-            }
-        }
+        sess.log.push(LogEntry {
+            problem,
+            parent,
+            clauses: clauses.to_vec(),
+        });
+        st.owner.insert(problem, session);
     }
 
     /// Resolves a parent id through the failover remap and attributes
@@ -1374,7 +1267,7 @@ impl ClusterCore {
 /// the pipelined data connection, whose queue a stalled solve could
 /// block. Returns the peer's epoch, or `None` for any kind of miss.
 fn probe(addr: SocketAddr, epoch: u64, timeout: Duration) -> Option<u64> {
-    let mut client = TcpClient::connect(addr).ok()?;
+    let client = PipelinedClient::connect(addr).ok()?;
     client.set_read_timeout(Some(timeout)).ok()?;
     match client.call(&Request::Ping {
         sender: u64::MAX,
@@ -1396,20 +1289,7 @@ fn heartbeat_loop(core: Arc<ClusterCore>, interval: Duration, threshold: u32) {
         .min(Duration::from_secs(1));
     let mut suspicion = SuspicionTable::new(threshold);
     let mut tick = 0u64;
-    while !core.hb_stop.load(Ordering::Acquire) {
-        // Jittered nap (seeded — no wall-clock randomness), chunked so
-        // a dropped backend is noticed within ~10 ms.
-        let half = (interval.as_micros() as u64 / 2).max(1);
-        let nap = interval + Duration::from_micros(mix64(0xbea7 ^ tick) % half);
-        let mut slept = Duration::ZERO;
-        while slept < nap {
-            if core.hb_stop.load(Ordering::Acquire) {
-                return;
-            }
-            let chunk = Duration::from_millis(10).min(nap - slept);
-            std::thread::sleep(chunk);
-            slept += chunk;
-        }
+    while jittered_nap(interval, 0xbea7 ^ tick, &core.hb_stop) {
         tick += 1;
         let members = core.members();
         if members.is_empty() {
@@ -1440,7 +1320,7 @@ fn heartbeat_loop(core: Arc<ClusterCore>, interval: Duration, threshold: u32) {
             core.state.lock().unwrap().epoch = max_seen;
             for &(id, addr) in &members {
                 if !condemned.contains(&id)
-                    && suspicion.suspected(id)
+                    && suspicion.misses(id) > 0
                     && probe(addr, max_seen, timeout).is_none()
                 {
                     condemned.push(id);
@@ -1462,7 +1342,8 @@ impl SolverBackend for ClusterBackend {
     /// the node id the ring chose — a mismatch means the server was
     /// started with the wrong `--node-id` and is caught here, not after
     /// a session's tree has landed on the wrong node. The session's
-    /// replica target (its ring successor) is fixed here too.
+    /// replica is fixed here too, by the rule the home node applies
+    /// when it registers the root.
     fn session_root(&self, session: u64) -> io::Result<ProblemId> {
         let budget = self.num_nodes() + 2;
         let mut attempt = 0usize;
@@ -1490,14 +1371,13 @@ impl SolverBackend for ClusterBackend {
                         ));
                     }
                     let mut st = self.core.state.lock().unwrap();
-                    let replica = st.ring.ranked(session).into_iter().find(|&n| n != home);
+                    let replica = st.ring.replica_for(session, home);
                     st.sessions.entry(session).or_insert(SessionState {
                         home,
                         replica,
                         root: root.to_wire(),
                         log: Vec::new(),
                         released: HashSet::new(),
-                        keys: HashMap::new(),
                     });
                     st.roots.insert(root.to_wire(), session);
                     return Ok(root);
@@ -1570,35 +1450,15 @@ impl SolverBackend for ClusterBackend {
         let (resolved, session) = self.core.locate(id.to_wire());
         // A released problem will never be promoted: prune the
         // client-side path log (child-aware — entries a live
-        // descendant still replays through are kept) and tell the
-        // session's replica to GC its copy of the dead edges
-        // (fire-and-forget, like the Replicate that shipped them).
+        // descendant still replays through are kept). The home node
+        // tells the session's replica to GC its copy of the dead edges
+        // when the `Release` below reaches it.
         if let Some(session) = session {
-            let (replica, key) = {
-                let mut st = self.core.state.lock().unwrap();
-                st.owner.remove(&resolved);
-                match st.sessions.get_mut(&session) {
-                    Some(sess) => {
-                        sess.released.insert(resolved);
-                        prune_log(sess);
-                        let key = sess
-                            .keys
-                            .remove(&resolved)
-                            .unwrap_or_else(|| root_key(session));
-                        (sess.replica, key)
-                    }
-                    None => (None, root_key(session)),
-                }
-            };
-            if let Some(member) = replica.and_then(|r| self.core.node_opt(r)) {
-                let _ = self.core.chaos_forgotten(
-                    &member,
-                    key,
-                    &Request::Unreplicate {
-                        session,
-                        problems: vec![resolved],
-                    },
-                );
+            let mut st = self.core.state.lock().unwrap();
+            st.owner.remove(&resolved);
+            if let Some(sess) = st.sessions.get_mut(&session) {
+                sess.released.insert(resolved);
+                prune_log(sess);
             }
         }
         // Releasing something whose home is gone is a no-op, not an
@@ -1726,7 +1586,7 @@ mod tests {
             assert!(!table.miss(7));
             table.ack(7);
         }
-        assert!(!table.suspected(7));
+        assert_eq!(table.misses(7), 0);
     }
 
     #[test]
@@ -1735,9 +1595,9 @@ mod tests {
         assert!(!table.miss(1));
         assert!(!table.miss(2));
         assert!(table.miss(1), "node 1 is condemned on ITS second miss");
-        assert!(table.suspected(2));
+        assert_eq!(table.misses(2), 1);
         table.forget(1);
-        assert!(!table.suspected(1));
+        assert_eq!(table.misses(1), 0);
     }
 
     #[test]

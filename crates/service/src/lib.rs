@@ -30,14 +30,13 @@
 //!   every layer above implements, so exploration drivers, load
 //!   generators and tests are written once and run against any of
 //!   them.
-//! * [`protocol`] — length-prefixed frames, in two versions on one
-//!   connection: legacy in-order v1 and tagged v2, whose correlation
+//! * [`protocol`] — length-prefixed tagged frames, whose correlation
 //!   tags let one connection pipeline many in-flight solves with
 //!   out-of-order completions.
-//! * [`replica`] — the passive replica store: path logs shipped to a
-//!   session's ring successor (by the client AND by the home node's own
-//!   `Forward` plane), compacted under a byte budget, promoted by
-//!   bit-identical replay when the home node dies or drains out.
+//! * [`replica`] — the passive replica store: path logs forwarded by a
+//!   session's home node to the session's replica, compacted under a
+//!   byte budget, promoted by bit-identical replay when the home node
+//!   dies or drains out.
 //! * [`bufpool`] — pooled 64 KiB receive blocks and the zero-copy
 //!   [`bufpool::FrameAssembler`] that parses frames in place, spilling
 //!   (and counting) only the rare block-boundary bytes.
@@ -50,10 +49,10 @@
 //!   `lwsnapd` binary serves it.
 //! * [`chaos`] — deterministic fault injection at the protocol
 //!   boundary: seeded, content-keyed drops/duplications/delays of
-//!   replication-plane frames, plus the loadgen kill schedule.
-//! * [`client`] — [`TcpClient`] (blocking, v1), [`PipelinedClient`]
-//!   (send-many/await-many, v2) and [`ClusterBackend`] (N pipelined
-//!   connections behind the ring) — the latter two are the remote
+//!   the home nodes' replication frames, plus the loadgen kill schedule.
+//! * [`client`] — [`PipelinedClient`] (send-many/await-many; a blocking
+//!   exchange is its depth-1 `call`) and [`ClusterBackend`] (N
+//!   pipelined connections behind the ring) — the remote
 //!   [`SolverBackend`]s, for one node and for a whole cluster.
 //! * [`stats`] — per-shard and per-worker counters aggregated into one
 //!   cluster view.
@@ -93,11 +92,11 @@ pub mod stats;
 pub use backend::{SolverBackend, Ticket};
 pub use bufpool::{BufferPool, FrameAssembler, Lease};
 pub use chaos::{ChaosAction, ChaosPlan, ChaosPolicy};
-pub use client::{ClusterBackend, Disconnected, NodeError, PipelinedClient, TcpClient};
+pub use client::{ClusterBackend, Disconnected, NodeError, PipelinedClient};
 pub use net::{Cluster, ReactorStatsView, Server};
 pub use pool::{PoolClient, WorkerPool};
 pub use protocol::{Request, Response, StatsSummary};
 pub use replica::ReplicaStore;
 pub use router::{NodeId, Placement, Ring};
-pub use sharded::{ProblemId, ServiceConfig, ShardedService, SolveReply, StoreKind};
+pub use sharded::{ProblemId, ServiceConfig, ShardedService, SolveReply};
 pub use stats::{ClusterStats, FleetStats, WorkerStats};

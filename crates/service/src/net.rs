@@ -34,10 +34,9 @@
 //!   ([`std::io::Write::write_vectored`], i.e. `writev`): the encoded
 //!   payload `Vec` is handed to the kernel where it lies instead of
 //!   being restaged through a flat `outbuf`.
-//! * **Ordering** — v2 tagged requests complete out of order, written
-//!   the moment they finish. Legacy v1 requests are answered strictly
-//!   in request order per connection (a per-connection reorder map
-//!   holds early completions), so old clients keep working unchanged.
+//! * **Ordering** — requests complete out of order, each reply written
+//!   the moment it finishes and matched to its request by the echoed
+//!   correlation tag.
 //! * **Backpressure** — a connection whose unflushed output or
 //!   in-flight count crosses the high-water mark stops being read (its
 //!   read interest is not re-armed) until it drains, so one slow
@@ -54,11 +53,15 @@
 //! start happening beside the client traffic:
 //!
 //! * **Edge forwarding** — every successful solve of a tracked session
-//!   is forwarded by the home node itself ([`Request::Forward`]) to the
-//!   session's ring successor, idempotent by per-session sequence
-//!   number. The client's own `Replicate` fan-out still runs; the two
-//!   planes are redundant, so a session stays replicated even when only
-//!   one of its clients (or none) logs edges.
+//!   is forwarded by the home node ([`Request::Replicate`]) to the
+//!   session's replica: the first ring-ranked node that is not the
+//!   home, chosen when the session's root is registered, inherited by
+//!   every problem derived from it and re-chosen only when that node
+//!   leaves the membership — a join neither moves nor stops an existing
+//!   session's forwarding. The home is the only steady-state
+//!   replicator, so a session stays replicated however many clients
+//!   drive it; clients keep their own copy of the log and re-ship it
+//!   before asking for a promotion.
 //! * **Heartbeats** — a detached thread pings every peer on a jittered
 //!   timer ([`Request::Ping`]/[`Response::Pong`], carrying the
 //!   membership epoch). Three consecutive misses declare a peer dead:
@@ -79,12 +82,12 @@ use lwsnap_trace as trace;
 use polling::{Event, Poller};
 
 use crate::bufpool::{BufferPool, FrameAssembler};
-use crate::chaos::{root_key, stable_key, ChaosAction, ChaosPolicy, PLANE_SERVER};
-use crate::client::PipelinedClient;
+use crate::chaos::{root_key, stable_key, ChaosAction, ChaosPolicy};
+use crate::client::{jittered_nap, PipelinedClient, SuspicionTable};
 use crate::pool::{CompletionQueue, PoolClient, WorkerPool};
-use crate::protocol::{clauses_to_lits, Request, Response, StatsSummary, TAGGED};
+use crate::protocol::{clauses_to_lits, Request, Response, StatsSummary, CONNECTION_TAG, TAGGED};
 use crate::replica::ReplicaStore;
-use crate::router::{mix64, NodeId, Ring};
+use crate::router::{NodeId, Ring};
 use crate::sharded::{ProblemId, ServiceConfig, ShardedService, SolveReply};
 use crate::stats::WorkerStats;
 
@@ -131,8 +134,9 @@ const SUSPICION_THRESHOLD: u32 = 3;
 /// connection per peer (`conns`), shared by the forward plane (worker
 /// threads) and the heartbeat thread. On the receiving node that
 /// connection is pinned to whichever reactor accepted it, so all
-/// `Forward`/`Ping` traffic from one peer rides one reactor — the
-/// peer plane never straddles the front-end fan-out.
+/// `Replicate`/`Ping` traffic from one peer rides one reactor — the
+/// peer plane never straddles the front-end fan-out — and one
+/// session's edges reach its replica in the order they were written.
 pub(crate) struct Forwarder {
     node: NodeId,
     inner: Mutex<ForwardInner>,
@@ -158,19 +162,46 @@ struct ForwardInner {
     peers: HashMap<NodeId, SocketAddr>,
     /// Lazily opened server-to-server connections.
     conns: HashMap<NodeId, Arc<PipelinedClient>>,
-    /// Problem wire id (minted here) → `(owning session, content-stable
-    /// chaos key)`. Roots register at `Root` dispatch, children at
-    /// solve completion. The stable key hashes the problem's clause
-    /// lineage ([`stable_key`]) so chaos decisions replay identically
-    /// regardless of wire-id allocation order.
-    sessions: HashMap<u64, (u64, u64)>,
-    /// Per-session `Forward` sequence counters (the receiver dedupes
-    /// by these, so the chaos harness may duplicate frames freely).
-    seqs: HashMap<u64, u64>,
+    /// Problem wire id (minted here) → its session attribution. Roots
+    /// register at `Root` dispatch, children at solve completion.
+    sessions: HashMap<u64, Tracked>,
     /// Consecutive missed heartbeats per peer; reset by any `Pong`.
-    suspicion: HashMap<NodeId, u32>,
-    /// Fault-injection policy for the server replication plane.
+    suspicion: SuspicionTable,
+    /// Fault-injection policy for outgoing replication frames.
     chaos: Option<Arc<ChaosPolicy>>,
+}
+
+/// What the home node knows about one problem it minted.
+#[derive(Clone, Copy)]
+struct Tracked {
+    /// The owning session.
+    session: u64,
+    /// Content-stable chaos key: hashes the problem's clause lineage
+    /// ([`stable_key`]) so chaos decisions replay identically
+    /// regardless of wire-id allocation order.
+    key: u64,
+    /// Where the session's edges are forwarded (`None`: no peer to
+    /// replicate to). Picked by [`Ring::replica_for`] for a root, inherited
+    /// by everything derived from it, so the whole session keeps one
+    /// replica — the one its clients name — until that node leaves.
+    replica: Option<NodeId>,
+}
+
+/// Re-picks the replica of every problem whose replica is no longer a
+/// peer (it died, or a new cluster map dropped it). Sessions whose
+/// replica is still a member are left exactly where they are.
+fn rehome_replicas(inner: &mut ForwardInner, home: NodeId) {
+    let ForwardInner {
+        ring,
+        peers,
+        sessions,
+        ..
+    } = inner;
+    for tracked in sessions.values_mut() {
+        if tracked.replica.is_some_and(|r| !peers.contains_key(&r)) {
+            tracked.replica = ring.replica_for(tracked.session, home);
+        }
+    }
 }
 
 /// Opens (or reuses) the pipelined connection to `peer`.
@@ -190,16 +221,16 @@ fn peer_conn(inner: &mut ForwardInner, peer: NodeId) -> Option<Arc<PipelinedClie
 /// policy: drops swallow it, duplicates send it twice (the receiver
 /// dedupes), delays sleep briefly first. `key` must identify the frame
 /// by *content* (the [`stable_key`] of its clause lineage) so the
-/// decision is replayable across runs and identical on both planes.
+/// decision is replayable across runs.
 fn chaos_send(
     conn: &PipelinedClient,
     chaos: Option<&ChaosPolicy>,
     key: u64,
     request: &Request,
 ) -> io::Result<()> {
-    let action = chaos.map_or(ChaosAction::Deliver, |p| p.decide(PLANE_SERVER, key));
+    let action = chaos.map_or(ChaosAction::Deliver, |p| p.decide(key));
     if action != ChaosAction::Deliver {
-        trace::instant(trace::Kind::ChaosInject, key, PLANE_SERVER);
+        trace::instant(trace::Kind::ChaosInject, key, 0);
         trace::Registry::global().chaos_injections.inc();
     }
     match action {
@@ -225,8 +256,7 @@ impl Forwarder {
                 peers: HashMap::new(),
                 conns: HashMap::new(),
                 sessions: HashMap::new(),
-                seqs: HashMap::new(),
-                suspicion: HashMap::new(),
+                suspicion: SuspicionTable::new(SUSPICION_THRESHOLD),
                 chaos: None,
             }),
             misses: Arc::new(AtomicU64::new(0)),
@@ -237,7 +267,9 @@ impl Forwarder {
 
     /// Installs the cluster map (this node may or may not be listed;
     /// the ring always includes it). Safe to call again on membership
-    /// changes — connections to vanished peers are dropped.
+    /// changes — connections to vanished peers are dropped and the
+    /// sessions replicated on them pick a new replica; a joined peer
+    /// moves nobody.
     fn set_peers(&self, peers: &[(NodeId, SocketAddr)], seed: u64) {
         let mut ids: Vec<NodeId> = peers.iter().map(|&(id, _)| id).collect();
         if !ids.contains(&self.node) {
@@ -248,11 +280,15 @@ impl Forwarder {
             .filter(|&&(id, _)| id != self.node)
             .map(|&(id, addr)| (id, addr))
             .collect();
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
         inner.ring = Ring::new(ids, seed);
         inner.conns.retain(|id, _| peer_map.contains_key(id));
-        inner.suspicion.retain(|id, _| peer_map.contains_key(id));
-        inner.peers = peer_map;
+        let before = std::mem::replace(&mut inner.peers, peer_map);
+        for id in before.keys().filter(|id| !inner.peers.contains_key(id)) {
+            inner.suspicion.forget(*id);
+        }
+        rehome_replicas(inner, self.node);
     }
 
     fn set_chaos(&self, chaos: Option<Arc<ChaosPolicy>>) {
@@ -263,85 +299,83 @@ impl Forwarder {
         !self.inner.lock().unwrap().peers.is_empty()
     }
 
-    /// Attributes a freshly minted session root to its session.
+    /// Attributes a session root to its session and fixes the session's
+    /// replica. Registering the same session again (a second client, a
+    /// reconnect) keeps the replica already chosen.
     fn register_root(&self, problem: u64, session: u64) {
-        self.inner
-            .lock()
-            .unwrap()
+        let mut inner = self.inner.lock().unwrap();
+        if inner
             .sessions
-            .insert(problem, (session, root_key(session)));
+            .get(&problem)
+            .is_some_and(|t| t.session == session)
+        {
+            return;
+        }
+        let tracked = Tracked {
+            session,
+            key: root_key(session),
+            replica: inner.ring.replica_for(session, self.node),
+        };
+        inner.sessions.insert(problem, tracked);
     }
 
-    /// Forwards one derivation edge to the session's ring successor
-    /// (and registers the child for future attribution). No-op for
-    /// untracked parents and single-node rings.
+    /// Forwards one derivation edge to the session's replica (and
+    /// registers the child for future attribution). No-op for
+    /// untracked parents and sessions with nowhere to replicate.
     fn forward_edge(&self, parent: u64, problem: u64, clauses: Vec<Vec<i64>>) {
-        let (conn, chaos, successor, session, seq, key) = {
+        let (conn, chaos, replica, session, key) = {
             let mut inner = self.inner.lock().unwrap();
-            let Some(&(session, parent_key)) = inner.sessions.get(&parent) else {
+            let Some(&from) = inner.sessions.get(&parent) else {
                 return;
             };
-            let key = stable_key(parent_key, &clauses);
-            inner.sessions.insert(problem, (session, key));
-            let Some(successor) = inner.ring.successor_for(session) else {
+            let key = stable_key(from.key, &clauses);
+            inner.sessions.insert(problem, Tracked { key, ..from });
+            let Some(replica) = from.replica else {
                 return;
             };
-            if successor == self.node {
-                return;
-            }
-            let seq = {
-                let counter = inner.seqs.entry(session).or_insert(0);
-                let seq = *counter;
-                *counter += 1;
-                seq
-            };
-            let Some(conn) = peer_conn(&mut inner, successor) else {
+            let Some(conn) = peer_conn(&mut inner, replica) else {
                 return;
             };
-            (conn, inner.chaos.clone(), successor, session, seq, key)
+            (conn, inner.chaos.clone(), replica, from.session, key)
         };
-        trace::instant(trace::Kind::ReplForward, session, seq);
+        trace::instant(trace::Kind::ReplForward, session, problem);
         trace::Registry::global().forwards.inc();
-        let request = Request::Forward {
+        let request = Request::Replicate {
             session,
-            seq,
             problem,
             parent,
             clauses,
         };
         if chaos_send(&conn, chaos.as_deref(), key, &request).is_err() {
-            // The successor's connection died; drop it so the next
+            // The replica's connection died; drop it so the next
             // forward reconnects (its liveness is the heartbeat's job).
-            self.inner.lock().unwrap().conns.remove(&successor);
+            self.inner.lock().unwrap().conns.remove(&replica);
         }
     }
 
     /// Mirrors a client `Release` onto the replication plane: drops the
     /// problem from the session registry and tells the session's
-    /// successor to GC its copy of the edge.
+    /// replica to GC its copy of the edge.
     fn forget(&self, problem: u64) {
-        let (conn, chaos, successor, session, key) = {
+        let (conn, chaos, replica, gone) = {
             let mut inner = self.inner.lock().unwrap();
-            let Some((session, key)) = inner.sessions.remove(&problem) else {
+            let Some(gone) = inner.sessions.remove(&problem) else {
                 return;
             };
-            let Some(successor) = inner.ring.successor_for(session) else {
+            let Some(replica) = gone.replica else {
                 return;
             };
-            if successor == self.node {
-                return;
-            }
-            let Some(conn) = peer_conn(&mut inner, successor) else {
+            let Some(conn) = peer_conn(&mut inner, replica) else {
                 return;
             };
-            (conn, inner.chaos.clone(), successor, session, key)
+            (conn, inner.chaos.clone(), replica, gone)
         };
         let request = Request::Unreplicate {
-            session,
+            session: gone.session,
             problems: vec![problem],
         };
-        if chaos_send(&conn, chaos.as_deref(), key, &request).is_err() {
-            self.inner.lock().unwrap().conns.remove(&successor);
+        if chaos_send(&conn, chaos.as_deref(), gone.key, &request).is_err() {
+            self.inner.lock().unwrap().conns.remove(&replica);
         }
     }
 
@@ -383,7 +417,7 @@ impl Forwarder {
                 Some(Response::Pong { epoch, .. }) => {
                     trace::instant(trace::Kind::HbPong, peer as u64, epoch);
                     self.observe_epoch(epoch);
-                    self.inner.lock().unwrap().suspicion.insert(peer, 0);
+                    self.inner.lock().unwrap().suspicion.ack(peer);
                 }
                 _ => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
@@ -391,9 +425,8 @@ impl Forwarder {
                     let (dead, count) = {
                         let mut inner = self.inner.lock().unwrap();
                         inner.conns.remove(&peer);
-                        let count = inner.suspicion.entry(peer).or_insert(0);
-                        *count += 1;
-                        (*count >= SUSPICION_THRESHOLD, *count)
+                        let dead = inner.suspicion.miss(peer);
+                        (dead, inner.suspicion.misses(peer))
                     };
                     trace::instant(trace::Kind::HbMiss, peer as u64, count as u64);
                     if dead {
@@ -404,7 +437,8 @@ impl Forwarder {
         }
     }
 
-    /// Removes a dead peer from the membership and promotes, by path
+    /// Removes a dead peer from the membership, re-picks the replica of
+    /// the sessions that were replicated on it, and promotes, by path
     /// replay, every session that was homed on it and replicated here.
     /// The victims are computed against the PRE-removal ring (only it
     /// can still say which sessions the dead node owned); the
@@ -428,7 +462,8 @@ impl Forwarder {
             }
             inner.peers.remove(&dead);
             inner.conns.remove(&dead);
-            inner.suspicion.remove(&dead);
+            inner.suspicion.forget(dead);
+            rehome_replicas(&mut inner, self.node);
             victims
         };
         trace::instant(trace::Kind::NodeDead, dead as u64, victims.len() as u64);
@@ -441,10 +476,9 @@ impl Forwarder {
     }
 }
 
-/// The detached heartbeat loop: jittered sleeps (seeded by node id and
+/// The detached heartbeat loop: jittered naps (seeded by node id and
 /// tick, so a fleet never phase-locks) punctuated by
-/// [`Forwarder::heartbeat_round`]s. Exits when `hard_stop` is set; the
-/// sleep is chunked so shutdown stays prompt.
+/// [`Forwarder::heartbeat_round`]s. Exits when `hard_stop` is set.
 fn heartbeat_loop(
     forwarder: Arc<Forwarder>,
     service: Arc<ShardedService>,
@@ -453,19 +487,7 @@ fn heartbeat_loop(
 ) {
     let node = forwarder.node as u64;
     let mut tick = 0u64;
-    while !hard_stop.load(Ordering::Acquire) {
-        let half = (HEARTBEAT_INTERVAL.as_micros() as u64 / 2).max(1);
-        let jitter = Duration::from_micros(mix64(node << 32 ^ tick) % half);
-        let nap = HEARTBEAT_INTERVAL + jitter;
-        let mut slept = Duration::ZERO;
-        while slept < nap {
-            if hard_stop.load(Ordering::Acquire) {
-                return;
-            }
-            let chunk = Duration::from_millis(10).min(nap - slept);
-            std::thread::sleep(chunk);
-            slept += chunk;
-        }
+    while jittered_nap(HEARTBEAT_INTERVAL, node << 32 ^ tick, &hard_stop) {
         tick += 1;
         forwarder.heartbeat_round(&service, &replicas);
     }
@@ -792,56 +814,35 @@ impl Drop for Server {
     }
 }
 
-/// Where a response slots into its connection's output stream.
-enum Slot {
-    /// v2: echo this correlation tag, complete in any order.
-    Tagged(u64),
-    /// v1: the `seq`-th untagged request — completes in request order.
-    Seq(u64),
-}
-
 /// A finished solve travelling from a worker back to the reactor.
 struct Completion {
     idx: usize,
     gen: u64,
-    slot: Slot,
+    /// The request's correlation tag, echoed on the reply.
+    tag: u64,
     response: Response,
 }
 
-/// One encoded response frame awaiting the socket: the 4- or 12-byte
+/// One encoded response frame awaiting the socket: the 12-byte
 /// length/tag header and the payload it frames, written as separate
 /// [`IoSlice`]s so the encoded payload is handed to the kernel where
 /// it lies instead of being restaged through a flat output buffer.
 struct OutFrame {
     header: [u8; 12],
-    hlen: u8,
     payload: Vec<u8>,
 }
 
 impl OutFrame {
-    fn new(slot: &Slot, payload: Vec<u8>) -> OutFrame {
+    fn new(tag: u64, payload: Vec<u8>) -> OutFrame {
         let mut header = [0u8; 12];
-        let hlen = match slot {
-            Slot::Tagged(tag) => {
-                let len = (payload.len() + 8) as u32 | TAGGED;
-                header[..4].copy_from_slice(&len.to_le_bytes());
-                header[4..12].copy_from_slice(&tag.to_le_bytes());
-                12u8
-            }
-            Slot::Seq(_) => {
-                header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-                4u8
-            }
-        };
-        OutFrame {
-            header,
-            hlen,
-            payload,
-        }
+        let len = (payload.len() + 8) as u32 | TAGGED;
+        header[..4].copy_from_slice(&len.to_le_bytes());
+        header[4..].copy_from_slice(&tag.to_le_bytes());
+        OutFrame { header, payload }
     }
 
     fn total_len(&self) -> usize {
-        self.hlen as usize + self.payload.len()
+        self.header.len() + self.payload.len()
     }
 }
 
@@ -856,12 +857,6 @@ struct Conn {
     out_written: usize,
     /// Total unwritten bytes across the queue.
     out_bytes: usize,
-    /// Sequence assigned to the next untagged request.
-    v1_next_seq: u64,
-    /// Sequence whose response must be written next.
-    v1_next_flush: u64,
-    /// Early (out-of-order) completions for untagged requests.
-    v1_ready: HashMap<u64, Response>,
     /// Solves submitted to the pool, not yet completed.
     inflight: usize,
     /// Peer half-closed its send side: stop reading, flush what
@@ -880,9 +875,10 @@ impl Conn {
         self.out_bytes
     }
 
-    /// Queues one encoded response frame for scatter-gather writeout.
-    fn enqueue_frame(&mut self, slot: &Slot, response: &Response) {
-        let frame = OutFrame::new(slot, response.encode());
+    /// Queues one response frame, echoing the request's `tag`, for
+    /// scatter-gather writeout.
+    fn complete(&mut self, tag: u64, response: &Response) {
+        let frame = OutFrame::new(tag, response.encode());
         self.out_bytes += frame.total_len();
         self.out.push_back(frame);
     }
@@ -898,22 +894,6 @@ impl Conn {
             }
             self.out_written -= total;
             self.out.pop_front();
-        }
-    }
-
-    /// Routes a completed response: tagged frames are written
-    /// immediately, v1 frames strictly in request order.
-    fn complete(&mut self, slot: Slot, response: Response) {
-        match slot {
-            Slot::Tagged(_) => self.enqueue_frame(&slot, &response),
-            Slot::Seq(seq) => {
-                self.v1_ready.insert(seq, response);
-                while let Some(resp) = self.v1_ready.remove(&self.v1_next_flush) {
-                    let slot = Slot::Seq(self.v1_next_flush);
-                    self.enqueue_frame(&slot, &resp);
-                    self.v1_next_flush += 1;
-                }
-            }
         }
     }
 }
@@ -1019,10 +999,7 @@ impl Reactor {
     }
 
     fn all_flushed(&self) -> bool {
-        self.conns
-            .iter()
-            .flatten()
-            .all(|c| c.pending_out() == 0 && c.v1_ready.is_empty())
+        self.conns.iter().flatten().all(|c| c.pending_out() == 0)
     }
 
     fn accept_burst(&mut self) {
@@ -1042,9 +1019,6 @@ impl Reactor {
                         out: VecDeque::new(),
                         out_written: 0,
                         out_bytes: 0,
-                        v1_next_seq: 0,
-                        v1_next_flush: 0,
-                        v1_ready: HashMap::new(),
                         inflight: 0,
                         peer_closed: false,
                         broken: false,
@@ -1089,7 +1063,7 @@ impl Reactor {
             let finished = match self.conns[c.idx].as_mut() {
                 Some(conn) => {
                     conn.inflight -= 1;
-                    conn.complete(c.slot, c.response);
+                    conn.complete(c.tag, &c.response);
                     Self::flush_conn(conn);
                     Self::should_drop(conn)
                 }
@@ -1151,7 +1125,7 @@ impl Reactor {
                 Vec::with_capacity(2 * conn.out.len().min(MAX_WRITE_FRAMES));
             let mut skip = conn.out_written;
             for frame in conn.out.iter().take(MAX_WRITE_FRAMES) {
-                let header = &frame.header[..frame.hlen as usize];
+                let header = &frame.header;
                 if skip < header.len() {
                     slices.push(IoSlice::new(&header[skip..]));
                     if !frame.payload.is_empty() {
@@ -1236,37 +1210,18 @@ impl Reactor {
             }
             // Decode while the frame still borrows the pool block — the
             // payload bytes never leave it on the fast path.
-            let step = {
-                let Conn {
-                    rx, v1_next_seq, ..
-                } = &mut *conn;
-                rx.next(|frame| {
-                    let slot = match frame.tag {
-                        Some(tag) => Slot::Tagged(tag),
-                        None => {
-                            let seq = *v1_next_seq;
-                            *v1_next_seq += 1;
-                            Slot::Seq(seq)
-                        }
-                    };
-                    (slot, Request::decode(frame.payload))
-                })
-            };
+            let step = conn
+                .rx
+                .next(|frame| (frame.tag, Request::decode(frame.payload)));
             match step {
-                Ok(Some((slot, Ok(request)))) => self.dispatch(idx, slot, request),
-                Ok(Some((slot, Err(e)))) => {
-                    self.complete_inline(idx, slot, Response::Error(e.to_string()));
-                }
+                Ok(Some((tag, Ok(request)))) => self.dispatch(idx, tag, request),
+                Ok(Some((tag, Err(e)))) => conn.complete(tag, &Response::Error(e.to_string())),
                 Ok(None) => break,
                 Err(e) => {
-                    // Framing is unrecoverable: answer, then close once
-                    // the error frame (and anything before it) flushes.
-                    let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                        return;
-                    };
-                    let seq = conn.v1_next_seq;
-                    conn.v1_next_seq += 1;
-                    conn.complete(Slot::Seq(seq), Response::Error(e.to_string()));
+                    // Framing is unrecoverable (an oversized length, an
+                    // untagged header): answer, then close once the
+                    // error frame and anything before it flushes.
+                    conn.complete(CONNECTION_TAG, &Response::Error(e.to_string()));
                     conn.close_after_flush = true;
                     break;
                 }
@@ -1276,7 +1231,7 @@ impl Reactor {
 
     /// Executes one decoded request: cheap ones inline, solves via
     /// the pool with a reactor-bound completion callback.
-    fn dispatch(&mut self, idx: usize, slot: Slot, request: Request) {
+    fn dispatch(&mut self, idx: usize, tag: u64, request: Request) {
         let num_shards = self.service.num_shards();
         let node = self.service.node_id();
         match request {
@@ -1284,10 +1239,10 @@ impl Reactor {
                 let problem = self.service.session_root(session).to_wire();
                 // The home node is its own replication fan-out point:
                 // attributing the root here is what lets solve
-                // completions forward their edges without the client's
-                // help (the two-client under-replication fix).
+                // completions forward their edges however many clients
+                // drive the session.
                 self.forwarder.register_root(problem, session);
-                self.complete_inline(idx, slot, Response::Root { problem });
+                self.complete_inline(idx, tag, Response::Root { problem });
             }
             Request::Release { problem } => {
                 let response = match ProblemId::from_wire_checked(problem, node, num_shards) {
@@ -1298,11 +1253,11 @@ impl Reactor {
                     }
                     Err(e) => Response::Error(e.to_string()),
                 };
-                self.complete_inline(idx, slot, response);
+                self.complete_inline(idx, tag, response);
             }
             Request::Stats => {
                 let response = Response::Stats(self.stats_summary());
-                self.complete_inline(idx, slot, response);
+                self.complete_inline(idx, tag, response);
             }
             Request::Stats2 => {
                 // Refresh the point-in-time gauges so the snapshot's
@@ -1311,17 +1266,17 @@ impl Reactor {
                 let reg = trace::Registry::global();
                 reg.resident_bytes.set(stats.resident_bytes as i64);
                 reg.live_problems.set(stats.live_problems as i64);
-                self.complete_inline(idx, slot, Response::Metrics(reg.snapshot()));
+                self.complete_inline(idx, tag, Response::Metrics(reg.snapshot()));
             }
             Request::TraceDump => {
-                self.complete_inline(idx, slot, Response::Trace(trace::drain()));
+                self.complete_inline(idx, tag, Response::Trace(trace::drain()));
             }
             Request::Shutdown => {
                 // Ack with the final stats, then drain gracefully. The
                 // flag is shared: wake every sibling reactor so each
                 // starts its own drain tick.
                 let response = Response::Stats(self.stats_summary());
-                self.complete_inline(idx, slot, response);
+                self.complete_inline(idx, tag, response);
                 self.draining.store(true, Ordering::Release);
                 for poller in self.all_pollers.iter() {
                     let _ = poller.notify();
@@ -1333,19 +1288,20 @@ impl Reactor {
                 parent,
                 clauses,
             } => {
-                // Passive: record the edge, solve nothing. Clients send
-                // these fire-and-forget; the ack is discarded on
-                // arrival but keeps their tag bookkeeping clean.
+                // Passive: record the edge, solve nothing. The home node
+                // (and a client healing before a promotion) sends these
+                // fire-and-forget; the ack is discarded on arrival but
+                // keeps the sender's tag bookkeeping clean.
                 self.replicas.record(session, problem, parent, clauses);
-                self.complete_inline(idx, slot, Response::Released);
+                self.complete_inline(idx, tag, Response::Released);
             }
             Request::Unreplicate { session, problems } => {
-                // Replica GC: the client released these problems on
-                // their home node; drop the dead edges (child-aware —
+                // Replica GC: a client released these problems on their
+                // home node, which tells us; drop the dead edges (child-aware —
                 // see [`crate::ReplicaStore::forget`]). Fire-and-forget
                 // like Replicate, acked the same way.
                 self.replicas.forget(session, &problems);
-                self.complete_inline(idx, slot, Response::Released);
+                self.complete_inline(idx, tag, Response::Released);
             }
             Request::Promote { session, problems } => {
                 // Failover/drain replay: rare and latency-insensitive
@@ -1358,22 +1314,7 @@ impl Reactor {
                 for &(_, new) in &mapping {
                     self.forwarder.register_root(new, session);
                 }
-                self.complete_inline(idx, slot, Response::Promoted { mapping });
-            }
-            Request::Forward {
-                session,
-                seq,
-                problem,
-                parent,
-                clauses,
-            } => {
-                // The server-fanned twin of `Replicate`: the session's
-                // home node streams its edges here. Idempotent by the
-                // per-session sequence number (chaos may duplicate) AND
-                // by problem id (the client plane ships the same edge).
-                self.replicas
-                    .record_seq(session, seq, problem, parent, clauses);
-                self.complete_inline(idx, slot, Response::Released);
+                self.complete_inline(idx, tag, Response::Promoted { mapping });
             }
             Request::Ping { sender, epoch } => {
                 let _ = sender; // diagnostic only; clients send u64::MAX
@@ -1382,14 +1323,14 @@ impl Reactor {
                     node: node as u64,
                     epoch,
                 };
-                self.complete_inline(idx, slot, response);
+                self.complete_inline(idx, tag, response);
             }
             Request::Solve { parent, clauses } => {
                 let parent_wire = parent;
                 let parent = match ProblemId::from_wire_checked(parent, node, num_shards) {
                     Ok(id) => id,
                     Err(e) => {
-                        self.complete_inline(idx, slot, Response::Error(e.to_string()));
+                        self.complete_inline(idx, tag, Response::Error(e.to_string()));
                         return;
                     }
                 };
@@ -1421,7 +1362,7 @@ impl Reactor {
                     let depth = completions.push(Completion {
                         idx,
                         gen,
-                        slot,
+                        tag,
                         response: solve_response(reply),
                     });
                     // Wake coalescing: a deeper queue means an earlier
@@ -1449,9 +1390,9 @@ impl Reactor {
         summary
     }
 
-    fn complete_inline(&mut self, idx: usize, slot: Slot, response: Response) {
+    fn complete_inline(&mut self, idx: usize, tag: u64, response: Response) {
         if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
-            conn.complete(slot, response);
+            conn.complete(tag, &response);
         }
     }
 
@@ -1643,5 +1584,87 @@ fn solve_response(reply: Option<SolveReply>) -> Response {
             model: reply.model,
         },
         None => Response::Error("dead or unknown problem reference".into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Addresses nothing listens on: a forward finds no connection and
+    /// only registers the child.
+    fn cluster_map(ids: &[NodeId]) -> Vec<(NodeId, SocketAddr)> {
+        ids.iter()
+            .map(|&id| (id, SocketAddr::from(([127, 0, 0, 1], 1))))
+            .collect()
+    }
+
+    fn replica_of(forwarder: &Forwarder, problem: u64) -> Option<NodeId> {
+        forwarder.inner.lock().unwrap().sessions[&problem].replica
+    }
+
+    /// A session whose ring ranking over nodes {0, 1, 2} is `ranking`.
+    fn session_ranked(ranking: [NodeId; 3]) -> u64 {
+        let ring = Ring::new([0, 1, 2], 0);
+        (0..4096u64)
+            .find(|&s| ring.ranked(s) == ranking)
+            .expect("every ranking of three nodes occurs")
+    }
+
+    /// Root wire ids of two shards of node 0, and a child of the first.
+    const ROOT_A: u64 = 0;
+    const ROOT_B: u64 = 1 << 32;
+    const CHILD_A: u64 = 1;
+
+    #[test]
+    fn a_session_keeps_its_replica_across_a_join_and_a_second_root() {
+        // Node 0 homes the session; node 2 outranks it once it joins.
+        let session = session_ranked([2, 0, 1]);
+        let home = Forwarder::new(0);
+        home.set_peers(&cluster_map(&[0, 1]), 0);
+        home.register_root(ROOT_A, session);
+        assert_eq!(replica_of(&home, ROOT_A), Some(1));
+
+        home.set_peers(&cluster_map(&[0, 1, 2]), 0);
+        assert_eq!(replica_of(&home, ROOT_A), Some(1), "a join moves nobody");
+        // A second client asking for the same root changes nothing, and
+        // a problem derived after the join inherits the old choice.
+        home.register_root(ROOT_A, session);
+        home.forward_edge(ROOT_A, CHILD_A, vec![vec![1]]);
+        assert_eq!(replica_of(&home, ROOT_A), Some(1));
+        assert_eq!(replica_of(&home, CHILD_A), Some(1));
+        // A session that STARTS after the join uses the grown ring.
+        home.register_root(ROOT_B, session_ranked([0, 2, 1]));
+        assert_eq!(replica_of(&home, ROOT_B), Some(2));
+    }
+
+    #[test]
+    fn a_cluster_map_without_the_replica_rehomes_only_its_sessions() {
+        let home = Forwarder::new(0);
+        home.set_peers(&cluster_map(&[0, 1, 2]), 0);
+        home.register_root(ROOT_A, session_ranked([0, 1, 2]));
+        home.register_root(ROOT_B, session_ranked([0, 2, 1]));
+        assert_eq!(replica_of(&home, ROOT_A), Some(1));
+        assert_eq!(replica_of(&home, ROOT_B), Some(2));
+
+        home.set_peers(&cluster_map(&[0, 2]), 0);
+        assert_eq!(replica_of(&home, ROOT_A), Some(2), "its replica left");
+        assert_eq!(replica_of(&home, ROOT_B), Some(2), "untouched");
+        home.set_peers(&cluster_map(&[0]), 0);
+        assert_eq!(replica_of(&home, ROOT_A), None, "nobody left to hold it");
+    }
+
+    #[test]
+    fn a_dead_replica_is_replaced_when_the_peer_is_declared_dead() {
+        let home = Forwarder::new(0);
+        home.set_peers(&cluster_map(&[0, 1, 2]), 0);
+        home.register_root(ROOT_A, session_ranked([0, 1, 2]));
+        assert_eq!(replica_of(&home, ROOT_A), Some(1));
+
+        let service = Arc::new(ShardedService::new(ServiceConfig::new(1)));
+        let replicas = Arc::new(ReplicaStore::new());
+        home.declare_dead(1, &service, &replicas);
+        assert_eq!(replica_of(&home, ROOT_A), Some(2));
+        assert_eq!(home.epoch.load(Ordering::Acquire), 1);
     }
 }

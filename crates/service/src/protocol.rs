@@ -2,24 +2,22 @@
 //! `Read`/`Write` transport.
 //!
 //! Every message is one frame: a little-endian `u32` header word
-//! followed by the payload; payloads start with a one-byte tag. The
+//! followed by the payload; messages start with a one-byte tag. The
 //! encoding is hand-rolled (the workspace builds offline, without serde)
 //! and deliberately boring: LE fixed-width integers, `u32`-prefixed
 //! sequences, bit-packed models.
 //!
-//! ## Frame versions
+//! ## Framing
 //!
-//! * **v1 (legacy)** — header bit 31 clear: the low 31 bits are the
-//!   payload length and the payload is the bare message. Responses to
-//!   v1 requests come back in request order.
-//! * **v2 (tagged)** — header bit 31 ([`TAGGED`]) set: the payload
-//!   starts with a little-endian `u64` *correlation tag* chosen by the
-//!   client, followed by the message. The server echoes the tag on the
-//!   reply and may complete tagged requests **out of order**, which is
-//!   what lets one connection pipeline many in-flight solves.
-//!
-//! Both versions coexist on one connection; old clients keep working
-//! against new servers unchanged.
+//! The header word has bit 31 ([`TAGGED`]) set and the payload length
+//! in the low 31 bits; the payload starts with a little-endian `u64`
+//! *correlation tag* chosen by the client, followed by the message. The
+//! server echoes the tag on the reply and may complete requests **out
+//! of order**, which is what lets one connection pipeline many
+//! in-flight solves. A header with bit 31 clear is a framing error
+//! ([`ProtoError::Untagged`]): the server answers it with an error
+//! frame tagged [`CONNECTION_TAG`] and closes the connection, like any
+//! other framing garbage.
 //!
 //! Clause literals travel in DIMACS convention (non-zero `i64`, sign =
 //! negation) so the protocol stays independent of the solver's internal
@@ -34,8 +32,14 @@ use lwsnap_trace::{Event, HistogramSnapshot, Kind, MetricsSnapshot};
 /// length prefixes before any allocation happens).
 pub const MAX_FRAME: u32 = 64 << 20;
 
-/// Header bit marking a v2 tagged frame.
+/// Header bit every frame carries: the payload opens with a `u64`
+/// correlation tag.
 pub const TAGGED: u32 = 1 << 31;
+
+/// The tag of a server frame that answers no request: the error sent
+/// before closing a connection whose framing broke. Clients allocate
+/// request tags from 1.
+pub const CONNECTION_TAG: u64 = 0;
 
 /// Protocol-level decode failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +50,8 @@ pub enum ProtoError {
     BadTag(u8),
     /// A length prefix exceeded [`MAX_FRAME`] or its container.
     BadLength(u64),
+    /// A frame header without the [`TAGGED`] bit.
+    Untagged,
     /// A string field was not UTF-8.
     BadUtf8,
     /// A clause literal was zero (forbidden in DIMACS convention).
@@ -68,6 +74,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::Truncated => write!(f, "truncated message"),
             ProtoError::BadTag(t) => write!(f, "unknown message tag {t}"),
             ProtoError::BadLength(n) => write!(f, "implausible length {n}"),
+            ProtoError::Untagged => write!(f, "untagged frame header"),
             ProtoError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
             ProtoError::ZeroLiteral => write!(f, "zero literal in clause"),
             ProtoError::BadShard(s) => write!(f, "shard index {s} out of range"),
@@ -114,12 +121,15 @@ pub enum Request {
     Stats,
     /// Ask the daemon to shut down (connection close follows).
     Shutdown,
-    /// Ship one edge of a session's constraint path log to its ring
-    /// successor: "on the session's home node, `problem` was derived
-    /// from `parent` by adding `clauses`". The receiving node records
-    /// the edge in its passive replica store ([`crate::ReplicaStore`])
-    /// without solving anything; clients send these fire-and-forget
-    /// after each successful solve. Acked with [`Response::Released`].
+    /// Ship one edge of a session's constraint path log to the
+    /// session's replica: "on the session's home node, `problem` was
+    /// derived from `parent` by adding `clauses`". The receiving node
+    /// records the edge in its passive replica store
+    /// ([`crate::ReplicaStore`]) without solving anything, idempotent
+    /// by `problem`. The home node sends one fire-and-forget after each
+    /// successful solve of a tracked session; a client re-sends its
+    /// copy of the log before a promotion. Acked with
+    /// [`Response::Released`].
     Replicate {
         /// The session whose path log this edge extends.
         session: u64,
@@ -141,39 +151,19 @@ pub enum Request {
         /// The home-node wire ids to materialize here, oldest first.
         problems: Vec<u64>,
     },
-    /// Drop replicated path-log edges for released problems: the
-    /// client released `problems` on the session's home node, so their
-    /// edges in this node's passive replica store are dead weight —
-    /// they will never be promoted. The replica GC counterpart of
-    /// [`Request::Replicate`], sent fire-and-forget on release; acked
-    /// with [`Response::Released`]. Edges that still have recorded
-    /// children are kept (the child's replay path runs through them).
+    /// Drop replicated path-log edges for released problems: a client
+    /// released `problems` on the session's home node, so their edges
+    /// in this node's passive replica store are dead weight — they
+    /// will never be promoted. The replica GC counterpart of
+    /// [`Request::Replicate`], sent fire-and-forget by the home node on
+    /// release; acked with [`Response::Released`]. Edges that still
+    /// have recorded children are kept (the child's replay path runs
+    /// through them).
     Unreplicate {
         /// The session whose replicated edges are being pruned.
         session: u64,
         /// Home-node wire ids of the released problems.
         problems: Vec<u64>,
-    },
-    /// Server-to-server path-log replication: the session's HOME node
-    /// forwards the derivation edge to the ring successor itself, so a
-    /// session is replicated correctly no matter how many clients drive
-    /// it. Identical in effect to [`Request::Replicate`] but carries a
-    /// per-session sequence number assigned by the home node, making
-    /// the frame idempotent — the client-fanned and server-fanned paths
-    /// can coexist during a rollout without double-recording, and a
-    /// chaos-duplicated frame is a no-op. Acked with
-    /// [`Response::Released`].
-    Forward {
-        /// The session whose path log this edge extends.
-        session: u64,
-        /// Home-node-assigned edge sequence number (dedup key).
-        seq: u64,
-        /// Wire id of the derived problem (on its HOME node).
-        problem: u64,
-        /// Wire id of the parent it was derived from.
-        parent: u64,
-        /// The incremental constraint, DIMACS literals.
-        clauses: Vec<Vec<i64>>,
     },
     /// Liveness probe for the heartbeat/gossip layer. Sent on a
     /// jittered timer by peers (server-to-server) and routers
@@ -235,11 +225,9 @@ pub struct StatsSummary {
     /// Bytes resident in the snapshot stores, shared storage counted
     /// **once** (what the eviction byte budget compares against).
     pub resident_bytes: u64,
-    /// Physical pages mapped by two or more resident snapshots (0 on
-    /// the deep-clone store).
+    /// Physical pages mapped by two or more resident snapshots.
     pub shared_pages: u64,
-    /// Physical pages private to exactly one resident snapshot (0 on
-    /// the deep-clone store).
+    /// Physical pages private to exactly one resident snapshot.
     pub private_pages: u64,
     /// Heartbeat probes to peers that went unanswered (server-to-server
     /// gossip layer; 0 on nodes with no peers configured).
@@ -247,14 +235,11 @@ pub struct StatsSummary {
     /// Linear path-log chains collapsed into composite edges by the
     /// replica store's byte-budget compaction policy.
     pub compactions: u64,
-    /// Shared pages copied on first divergent write by snapshot puts
-    /// (0 on the deep-clone store).
+    /// Shared pages copied on first divergent write by snapshot puts.
     pub cow_page_copies: u64,
-    /// Fresh pages materialized from the zero page by snapshot puts
-    /// (0 on the deep-clone store).
+    /// Fresh pages materialized from the zero page by snapshot puts.
     pub zero_fills: u64,
-    /// Bytes written into page frames by snapshot puts (0 on the
-    /// deep-clone store).
+    /// Bytes written into page frames by snapshot puts.
     pub bytes_written: u64,
 }
 
@@ -345,12 +330,12 @@ pub enum Response {
 // Frame I/O.
 // ---------------------------------------------------------------------
 
-/// One decoded frame: the optional v2 correlation tag plus the message
-/// payload (tag bytes already stripped).
+/// One decoded frame: the correlation tag plus the message payload
+/// (tag bytes already stripped).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// The correlation tag (`None` for legacy v1 frames).
-    pub tag: Option<u64>,
+    /// The correlation tag.
+    pub tag: u64,
     /// The message payload.
     pub payload: Vec<u8>,
 }
@@ -362,22 +347,14 @@ fn check_len(len: usize) -> Result<u32, ProtoError> {
         .ok_or(ProtoError::BadLength(len as u64))
 }
 
-/// Writes one legacy (v1) length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = check_len(payload.len())?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Writes one v2 tagged frame: header bit 31 set, payload prefixed with
-/// the little-endian correlation tag.
+/// Writes one frame: header bit 31 set, payload prefixed with the
+/// little-endian correlation tag.
 pub fn write_tagged_frame(w: &mut impl Write, tag: u64, payload: &[u8]) -> io::Result<()> {
     put_tagged_frame(w, tag, payload)?;
     w.flush()
 }
 
-/// Writes one v2 tagged frame **without flushing** — the corked form
+/// Writes one frame **without flushing** — the corked form
 /// batching clients use to put a whole window of frames on a buffered
 /// writer and flush the socket once (see
 /// [`crate::PipelinedClient::submit_batch`]).
@@ -410,43 +387,36 @@ fn read_exact_or_clean_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool
     Ok(true)
 }
 
-/// Reads one legacy (v1) frame. `Ok(None)` on clean EOF at a frame
-/// boundary (peer closed the connection); a v2 header here is an error.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    match read_any_frame(r)? {
-        None => Ok(None),
-        Some(Frame { tag: None, payload }) => Ok(Some(payload)),
-        Some(Frame { tag: Some(_), .. }) => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unexpected tagged frame on a v1 stream",
-        )),
+/// Validates a header word and returns the payload length it declares
+/// (correlation tag included).
+fn body_len(word: u32) -> Result<usize, ProtoError> {
+    if word & TAGGED == 0 {
+        return Err(ProtoError::Untagged);
     }
+    let len = word & !TAGGED;
+    if !(8..=MAX_FRAME).contains(&len) {
+        return Err(ProtoError::BadLength(len as u64));
+    }
+    Ok(len as usize)
 }
 
-/// Reads one frame of either version. `Ok(None)` on clean EOF at a
-/// frame boundary; an EOF inside a frame (even inside the 4-byte
-/// header) is an `UnexpectedEof` error.
+/// Reads one frame. `Ok(None)` on clean EOF at a frame boundary; an
+/// EOF inside a frame (even inside the 4-byte header) is an
+/// `UnexpectedEof` error.
 pub fn read_any_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let mut header = [0u8; 4];
     if !read_exact_or_clean_eof(r, &mut header)? {
         return Ok(None);
     }
-    let word = u32::from_le_bytes(header);
-    let tagged = word & TAGGED != 0;
-    let len = word & !TAGGED;
-    if len > MAX_FRAME || (tagged && len < 8) {
-        return Err(ProtoError::BadLength(len as u64).into());
-    }
-    let mut payload = vec![0u8; len as usize];
+    let len = body_len(u32::from_le_bytes(header))?;
+    let mut tag = [0u8; 8];
+    r.read_exact(&mut tag)?;
+    let mut payload = vec![0u8; len - 8];
     r.read_exact(&mut payload)?;
-    let tag = if tagged {
-        let tag = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        payload.drain(..8);
-        Some(tag)
-    } else {
-        None
-    };
-    Ok(Some(Frame { tag, payload }))
+    Ok(Some(Frame {
+        tag: u64::from_le_bytes(tag),
+        payload,
+    }))
 }
 
 /// One decoded frame whose payload **borrows** the receive buffer it
@@ -456,8 +426,8 @@ pub fn read_any_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
 /// never staged through an intermediate `Vec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameRef<'a> {
-    /// The correlation tag (`None` for legacy v1 frames).
-    pub tag: Option<u64>,
+    /// The correlation tag.
+    pub tag: u64,
     /// The message payload, borrowed from the receive buffer.
     pub payload: &'a [u8],
 }
@@ -481,12 +451,7 @@ pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, ProtoError> {
         return Ok(None);
     }
     let word = u32::from_le_bytes(buf[..4].try_into().unwrap());
-    let tagged = word & TAGGED != 0;
-    let len = (word & !TAGGED) as usize;
-    if len > MAX_FRAME as usize || (tagged && len < 8) {
-        return Err(ProtoError::BadLength(len as u64));
-    }
-    Ok(Some(4 + len))
+    Ok(Some(4 + body_len(word)?))
 }
 
 /// Incremental (non-blocking) frame extraction for readiness-loop
@@ -502,17 +467,11 @@ pub fn parse_frame_ref(buf: &[u8]) -> Result<Option<(FrameRef<'_>, usize)>, Prot
     if buf.len() < total {
         return Ok(None);
     }
-    let body = &buf[4..total];
-    let tagged = u32::from_le_bytes(buf[..4].try_into().unwrap()) & TAGGED != 0;
-    let (tag, payload) = if tagged {
-        (
-            Some(u64::from_le_bytes(body[..8].try_into().unwrap())),
-            &body[8..],
-        )
-    } else {
-        (None, body)
+    let frame = FrameRef {
+        tag: u64::from_le_bytes(buf[4..12].try_into().unwrap()),
+        payload: &buf[12..total],
     };
-    Ok(Some((FrameRef { tag, payload }, total)))
+    Ok(Some((frame, total)))
 }
 
 /// [`parse_frame_ref`] with an owning payload, for callers that keep
@@ -705,20 +664,6 @@ impl Request {
                     put_u64(&mut out, p);
                 }
             }
-            Request::Forward {
-                session,
-                seq,
-                problem,
-                parent,
-                clauses,
-            } => {
-                out.push(9);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *problem);
-                put_u64(&mut out, *parent);
-                encode_clauses(&mut out, clauses);
-            }
             Request::Ping { sender, epoch } => {
                 out.push(10);
                 put_u64(&mut out, *sender);
@@ -761,13 +706,6 @@ impl Request {
                     let n = d.count(8)?;
                     (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?
                 },
-            },
-            9 => Request::Forward {
-                session: d.u64()?,
-                seq: d.u64()?,
-                problem: d.u64()?,
-                parent: d.u64()?,
-                clauses: decode_clauses(&mut d)?,
             },
             10 => Request::Ping {
                 sender: d.u64()?,
@@ -1101,20 +1039,6 @@ mod tests {
             session: 1,
             problems: vec![],
         });
-        roundtrip_request(Request::Forward {
-            session: 42,
-            seq: 17,
-            problem: 1 << 48 | 7 << 32 | 3,
-            parent: 1 << 48 | 7 << 32,
-            clauses: vec![vec![1, -2], vec![3]],
-        });
-        roundtrip_request(Request::Forward {
-            session: 0,
-            seq: u64::MAX,
-            problem: 0,
-            parent: 0,
-            clauses: vec![],
-        });
         roundtrip_request(Request::Ping {
             sender: 3,
             epoch: 12,
@@ -1282,28 +1206,6 @@ mod tests {
     }
 
     #[test]
-    fn frames_roundtrip_over_a_buffer() {
-        let mut wire = Vec::new();
-        let reqs = [
-            Request::Root { session: 1 },
-            Request::Solve {
-                parent: 0,
-                clauses: vec![vec![1, 2]],
-            },
-            Request::Shutdown,
-        ];
-        for req in &reqs {
-            write_frame(&mut wire, &req.encode()).unwrap();
-        }
-        let mut r = wire.as_slice();
-        for req in &reqs {
-            let payload = read_frame(&mut r).unwrap().expect("frame present");
-            assert_eq!(Request::decode(&payload).unwrap(), *req);
-        }
-        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
-    }
-
-    #[test]
     fn truncation_and_garbage_are_errors() {
         let payload = Request::Solve {
             parent: 3,
@@ -1332,43 +1234,44 @@ mod tests {
     }
 
     #[test]
-    fn tagged_frames_roundtrip_and_interleave_with_v1() {
+    fn frames_roundtrip_over_a_buffer() {
+        let frames = [
+            (42, Request::Stats),
+            (
+                1,
+                Request::Solve {
+                    parent: 0,
+                    clauses: vec![vec![1, 2]],
+                },
+            ),
+            (u64::MAX, Request::Root { session: 9 }),
+        ];
         let mut wire = Vec::new();
-        write_tagged_frame(&mut wire, 42, &Request::Stats.encode()).unwrap();
-        write_frame(&mut wire, &Request::Shutdown.encode()).unwrap();
-        write_tagged_frame(&mut wire, u64::MAX, &Request::Root { session: 9 }.encode()).unwrap();
+        for (tag, req) in &frames {
+            write_tagged_frame(&mut wire, *tag, &req.encode()).unwrap();
+        }
         let mut r = wire.as_slice();
-        let f1 = read_any_frame(&mut r).unwrap().unwrap();
-        assert_eq!(f1.tag, Some(42));
-        assert_eq!(Request::decode(&f1.payload), Ok(Request::Stats));
-        let f2 = read_any_frame(&mut r).unwrap().unwrap();
-        assert_eq!(f2.tag, None);
-        assert_eq!(Request::decode(&f2.payload), Ok(Request::Shutdown));
-        let f3 = read_any_frame(&mut r).unwrap().unwrap();
-        assert_eq!(f3.tag, Some(u64::MAX));
-        assert_eq!(
-            Request::decode(&f3.payload),
-            Ok(Request::Root { session: 9 })
-        );
+        for (tag, req) in &frames {
+            let frame = read_any_frame(&mut r).unwrap().expect("frame present");
+            assert_eq!(frame.tag, *tag);
+            assert_eq!(Request::decode(&frame.payload).unwrap(), *req);
+        }
         assert_eq!(read_any_frame(&mut r).unwrap(), None, "clean EOF");
     }
 
     #[test]
     fn truncated_header_is_an_error_not_clean_eof() {
-        // v1 read path: 2 of 4 header bytes then EOF must be an error.
+        // 2 of 4 header bytes then EOF must be an error.
         let wire = [7u8, 0];
         let mut r = wire.as_slice();
-        let err = read_frame(&mut r).unwrap_err();
+        let err = read_any_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        // Same through read_any_frame.
-        let mut r = wire.as_slice();
-        assert!(read_any_frame(&mut r).is_err());
         // Truncated payload mid-frame too.
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Request::Stats.encode()).unwrap();
+        write_tagged_frame(&mut wire, 1, &Request::Stats.encode()).unwrap();
         wire.pop();
         let mut r = wire.as_slice();
-        let err = read_frame(&mut r).unwrap_err();
+        let err = read_any_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -1376,7 +1279,7 @@ mod tests {
     fn incremental_parser_matches_blocking_reader() {
         let mut wire = Vec::new();
         write_tagged_frame(&mut wire, 7, &Request::Stats.encode()).unwrap();
-        write_frame(&mut wire, &Request::Shutdown.encode()).unwrap();
+        write_tagged_frame(&mut wire, 8, &Request::Shutdown.encode()).unwrap();
         // Every prefix short of the first full frame yields None.
         let first_len = 4 + 8 + Request::Stats.encode().len();
         for cut in 0..first_len {
@@ -1387,31 +1290,44 @@ mod tests {
             );
         }
         let (f1, used1) = parse_frame(&wire).unwrap().unwrap();
-        assert_eq!(f1.tag, Some(7));
+        assert_eq!(f1.tag, 7);
         assert_eq!(used1, first_len);
         let (f2, used2) = parse_frame(&wire[used1..]).unwrap().unwrap();
-        assert_eq!(f2.tag, None);
+        assert_eq!(f2.tag, 8);
         assert_eq!(Request::decode(&f2.payload), Ok(Request::Shutdown));
         assert_eq!(used1 + used2, wire.len());
     }
 
     #[test]
-    fn tagged_header_shorter_than_its_tag_is_rejected() {
-        // A v2 header whose length can't even hold the 8-byte tag.
+    fn header_shorter_than_its_tag_is_rejected() {
+        // A header whose length can't even hold the 8-byte tag.
         let word = TAGGED | 3;
         let mut wire = word.to_le_bytes().to_vec();
         wire.extend_from_slice(&[0, 0, 0]);
-        assert!(parse_frame(&wire).is_err());
+        assert_eq!(parse_frame(&wire), Err(ProtoError::BadLength(3)));
         let mut r = wire.as_slice();
         assert!(read_any_frame(&mut r).is_err());
     }
 
     #[test]
+    fn untagged_header_is_rejected() {
+        // Bit 31 clear: what a pre-tagging client would send.
+        let payload = Request::Stats.encode();
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&payload);
+        assert_eq!(parse_frame(&wire), Err(ProtoError::Untagged));
+        assert_eq!(frame_len(&wire), Err(ProtoError::Untagged));
+        let mut r = wire.as_slice();
+        let err = read_any_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
     fn hostile_length_prefix_is_rejected_before_allocation() {
         let mut wire = Vec::new();
-        wire.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+        wire.extend_from_slice(&((MAX_FRAME + 1) | TAGGED).to_le_bytes());
         let mut r = wire.as_slice();
-        assert!(read_frame(&mut r).is_err());
+        assert!(read_any_frame(&mut r).is_err());
         // An absurd element count inside a tiny payload is caught too.
         let mut payload = vec![2u8];
         put_u64(&mut payload, 0);

@@ -1,5 +1,6 @@
 //! The passive replica store: each node's copy of the constraint path
-//! logs shipped to it by sessions homed elsewhere on the ring.
+//! logs shipped to it by the home nodes of sessions placed elsewhere on
+//! the ring.
 //!
 //! Replication rides on the same observation that powers in-node
 //! eviction: a solver snapshot is a **pure function of the clause path
@@ -10,12 +11,11 @@
 //! the solving cost of replication is deferred entirely to failover,
 //! which is the rare path.
 //!
-//! Edges arrive on two planes that may overlap during a rollout: the
-//! client fans [`crate::Request::Replicate`] frames, and the session's
-//! home node fans [`crate::Request::Forward`] frames itself. Both are
-//! idempotent — `Forward` by its home-assigned sequence number, and
-//! every record by the derived problem's wire id — so the two planes
-//! (and chaos-duplicated frames) never double-count.
+//! Edges arrive as [`crate::Request::Replicate`] frames: one from the
+//! session's home node after every solve, and — before a promotion —
+//! a client's whole copy of the log again, in case the network ate
+//! some. A record is idempotent by the derived problem's wire id, so
+//! re-sent and chaos-duplicated frames never double-count.
 //!
 //! On failover (or a planned drain) the client sends
 //! [`crate::Request::Promote`]; [`ReplicaStore::promote`] then walks
@@ -107,8 +107,6 @@ struct SessionLog {
     /// it. Survives compaction, so parent pointers and promotions keep
     /// resolving interior ids of composite edges.
     index: HashMap<u64, u64>,
-    /// Home-node `Forward` sequence numbers already applied.
-    seqs: HashSet<u64>,
     /// Released problems whose segments are *retained* because a live
     /// descendant's replay path still runs through them. When the
     /// descendants are forgotten too, their edges cascade out
@@ -168,30 +166,25 @@ impl ReplicaStore {
     /// Records one path-log edge: on `session`'s home node, `problem`
     /// was derived from `parent` by adding `clauses`. Idempotent per
     /// problem id — a problem already recorded (even inside a composite
-    /// edge) is left untouched, so the client-fanned and server-fanned
-    /// replication planes never double-count.
+    /// edge) is left untouched, so a re-sent or duplicated frame never
+    /// double-counts.
     pub fn record(&self, session: u64, problem: u64, parent: u64, clauses: Vec<Vec<i64>>) {
         let mut inner = self.inner.lock().unwrap();
-        record_locked(&mut inner, session, problem, parent, clauses);
-    }
-
-    /// Records one server-forwarded edge, idempotent by the home node's
-    /// per-session sequence number: returns `false` (and records
-    /// nothing) if `seq` was already applied — a duplicated frame.
-    pub fn record_seq(
-        &self,
-        session: u64,
-        seq: u64,
-        problem: u64,
-        parent: u64,
-        clauses: Vec<Vec<i64>>,
-    ) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        if !inner.sessions.entry(session).or_default().seqs.insert(seq) {
-            return false;
+        let st = &mut *inner;
+        let log = st.sessions.entry(session).or_default();
+        if log.index.contains_key(&problem) {
+            return;
         }
-        record_locked(&mut inner, session, problem, parent, clauses);
-        true
+        let edge = Edge {
+            parent,
+            segments: vec![Segment { problem, clauses }],
+        };
+        st.bytes += edge.bytes();
+        log.index.insert(problem, problem);
+        log.edges.insert(problem, edge);
+        if st.budget.is_some_and(|b| st.bytes > b) {
+            compact_locked(st);
+        }
     }
 
     /// Number of stored edges for `session` (composite edges count
@@ -249,7 +242,6 @@ impl ReplicaStore {
         let SessionLog {
             edges,
             index,
-            seqs: _,
             tombstones,
         } = log;
         tombstones.extend(problems.iter().copied());
@@ -345,31 +337,6 @@ impl ReplicaStore {
             .promotions
             .add(mapping.len() as u64);
         mapping
-    }
-}
-
-/// The unlocked record path shared by [`ReplicaStore::record`] and
-/// [`ReplicaStore::record_seq`].
-fn record_locked(
-    st: &mut StoreInner,
-    session: u64,
-    problem: u64,
-    parent: u64,
-    clauses: Vec<Vec<i64>>,
-) {
-    let log = st.sessions.entry(session).or_default();
-    if log.index.contains_key(&problem) {
-        return;
-    }
-    let edge = Edge {
-        parent,
-        segments: vec![Segment { problem, clauses }],
-    };
-    st.bytes += edge.bytes();
-    log.index.insert(problem, problem);
-    log.edges.insert(problem, edge);
-    if st.budget.is_some_and(|b| st.bytes > b) {
-        compact_locked(st);
     }
 }
 
@@ -579,26 +546,6 @@ mod tests {
         store.record(1, wire(0, 0, 1), wire(0, 0, 0), vec![vec![1, -2]]);
         assert_eq!(store.counters().0, bytes);
         assert_eq!(store.session_edges(1), 1);
-    }
-
-    #[test]
-    fn forward_frames_are_idempotent_by_seq() {
-        let store = ReplicaStore::new();
-        let (root, a, b) = (wire(0, 0, 0), wire(0, 0, 1), wire(0, 0, 2));
-        assert!(store.record_seq(3, 0, a, root, vec![vec![1]]));
-        let (bytes, ..) = store.counters();
-        // A chaos-duplicated frame: same seq, applied nothing.
-        assert!(!store.record_seq(3, 0, a, root, vec![vec![1]]));
-        assert_eq!(store.counters().0, bytes);
-        assert_eq!(store.session_edges(3), 1);
-        // The client-fanned copy of the same edge: new plane, no seq,
-        // deduplicated by problem id instead.
-        store.record(3, a, root, vec![vec![1]]);
-        assert_eq!(store.counters().0, bytes);
-        assert_eq!(store.session_edges(3), 1);
-        // A genuinely new edge under a new seq lands.
-        assert!(store.record_seq(3, 1, b, a, vec![vec![2]]));
-        assert_eq!(store.session_edges(3), 2);
     }
 
     #[test]

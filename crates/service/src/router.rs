@@ -158,6 +158,16 @@ impl Ring {
         self.ranked(key).get(1).copied()
     }
 
+    /// Where the session `key` homed on `home` is replicated: the
+    /// first-ranked node that is not `home` — for a session on its ring
+    /// home, the successor. The home node and its clients both pick
+    /// with this, once per session, and keep the answer until that
+    /// node leaves (a join never moves an existing session's replica),
+    /// which is how they name the same node.
+    pub fn replica_for(&self, key: u64, home: NodeId) -> Option<NodeId> {
+        self.ranked(key).into_iter().find(|&n| n != home)
+    }
+
     /// Full placement of a session root: ring-chosen node, then the
     /// node-local Fibonacci shard over `shards_per_node`.
     pub fn place(&self, session: u64, shards_per_node: usize) -> Option<Placement> {

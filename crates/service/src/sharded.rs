@@ -18,54 +18,10 @@
 use std::sync::Mutex;
 
 use lwsnap_snapstore::CowStore;
-use lwsnap_solver::{
-    DeepCloneStore, Lit, ProblemRef, ServiceStats, SnapshotStore, SolveResult, SolverService,
-};
+use lwsnap_solver::{Lit, ProblemRef, ServiceStats, SolveResult, SolverService};
 
 use crate::router::NodeId;
 use crate::stats::ClusterStats;
-
-/// Which snapshot-store backend each shard runs on.
-///
-/// The two stores are **behaviourally identical** — bit-identical
-/// verdicts and witnesses on any derive/evict/release interleaving
-/// (enforced by conformance proptests in `lwsnap-snapstore`) — and
-/// differ only in cost: [`StoreKind::Cow`] shares unchanged
-/// page-granular frames between a snapshot and its parent, so a chain
-/// of derived problems costs its *deltas*, while
-/// [`StoreKind::DeepClone`] prices every snapshot at its full
-/// footprint. Under the same `snapshot_budget_bytes` the CoW store
-/// therefore keeps several times more snapshots resident.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum StoreKind {
-    /// One full serialized solver image per snapshot — the simple
-    /// conformance baseline.
-    DeepClone,
-    /// Page-granular copy-on-write frames on the persistent radix page
-    /// table (`lwsnap-snapstore`): a child holds only the pages it
-    /// dirtied since its parent. The default.
-    #[default]
-    Cow,
-}
-
-impl StoreKind {
-    /// Builds one store instance of this kind (each shard gets its own).
-    pub fn build(self) -> Box<dyn SnapshotStore> {
-        match self {
-            StoreKind::DeepClone => Box::new(DeepCloneStore::new()),
-            StoreKind::Cow => Box::new(CowStore::new()),
-        }
-    }
-
-    /// Parses a `--store` flag value (`"deep-clone"` / `"cow"`).
-    pub fn parse(name: &str) -> Option<StoreKind> {
-        match name {
-            "deep-clone" | "deepclone" | "deep_clone" => Some(StoreKind::DeepClone),
-            "cow" => Some(StoreKind::Cow),
-            _ => None,
-        }
-    }
-}
 
 /// Configuration for a [`ShardedService`].
 #[derive(Debug, Clone)]
@@ -89,10 +45,6 @@ pub struct ServiceConfig {
     /// rejects them with a typed error, the in-process API answers
     /// `None`.
     pub node_id: NodeId,
-    /// Snapshot-store backend for every shard (default:
-    /// [`StoreKind::Cow`] — page-granular CoW deltas; the deep-clone
-    /// baseline remains available for conformance comparison).
-    pub store: StoreKind,
     /// Byte budget for this node's passive [`crate::ReplicaStore`]
     /// (`None` = unbounded): exceeding it collapses linear path-log
     /// chains into composite edges (replay-equivalent compaction; see
@@ -110,15 +62,8 @@ impl ServiceConfig {
             snapshot_capacity: None,
             snapshot_budget_bytes: None,
             node_id: 0,
-            store: StoreKind::default(),
             replica_budget_bytes: None,
         }
-    }
-
-    /// Sets the snapshot-store backend.
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store = store;
-        self
     }
 
     /// Sets the cluster node id.
@@ -263,15 +208,18 @@ pub struct ShardedService {
 }
 
 impl ShardedService {
-    /// Builds the service: `config.shards` empty shards, each containing
-    /// its root problem, each bounded by `config.snapshot_capacity`.
+    /// Builds the service: `config.shards` empty shards on the
+    /// page-granular copy-on-write snapshot store ([`CowStore`]: a child
+    /// holds only the pages it dirtied since its parent), each
+    /// containing its root problem, each bounded by
+    /// `config.snapshot_capacity`.
     /// The shard count is clamped to `1..=u16::MAX` — the id's shard
     /// field is 16 bits, and an unclamped count (the `shards` field is
     /// public) would silently alias ids across shards on truncation.
     pub fn new(config: ServiceConfig) -> Self {
         let shards = (0..config.shards.clamp(1, u16::MAX as usize))
             .map(|_| {
-                let mut svc = SolverService::with_store(config.store.build());
+                let mut svc = SolverService::with_store(Box::new(CowStore::new()));
                 svc.set_snapshot_capacity(config.snapshot_capacity);
                 svc.set_snapshot_budget(config.snapshot_budget_bytes);
                 Mutex::new(svc)
@@ -291,11 +239,6 @@ impl ShardedService {
     /// This instance's cluster node id (stamped into every id it mints).
     pub fn node_id(&self) -> NodeId {
         self.node
-    }
-
-    /// Name of the snapshot-store backend the shards run on.
-    pub fn store_name(&self) -> &'static str {
-        self.shards[0].lock().unwrap().store_name()
     }
 
     /// The root problem of shard `shard` (empty, trivially SAT).
@@ -492,37 +435,6 @@ mod tests {
             ProblemId::from_wire_checked(u64::MAX, u16::MAX, svc.num_shards()),
             Err(ProtoError::BadShard(u16::MAX as u64))
         );
-    }
-
-    #[test]
-    fn store_kinds_agree_on_verdicts_and_witnesses() {
-        let cow = ShardedService::new(ServiceConfig::new(2));
-        let deep = ShardedService::new(ServiceConfig::new(2).with_store(StoreKind::DeepClone));
-        assert_eq!(cow.store_name(), "cow-page");
-        assert_eq!(deep.store_name(), "deep-clone");
-        let steps: Vec<Vec<Vec<Lit>>> = vec![
-            vec![lits(&[1, 2]), lits(&[-1, 3])],
-            vec![lits(&[-2])],
-            vec![lits(&[-3, -1])],
-        ];
-        let (mut pc, mut pd) = (cow.root(0).unwrap(), deep.root(0).unwrap());
-        for added in &steps {
-            let rc = cow.solve(pc, added).unwrap();
-            let rd = deep.solve(pd, added).unwrap();
-            assert_eq!(rc.result, rd.result);
-            assert_eq!(rc.model, rd.model, "bit-identical witnesses");
-            pc = rc.problem;
-            pd = rd.problem;
-        }
-    }
-
-    #[test]
-    fn store_kind_parses_flag_values() {
-        assert_eq!(StoreKind::parse("cow"), Some(StoreKind::Cow));
-        assert_eq!(StoreKind::parse("deep-clone"), Some(StoreKind::DeepClone));
-        assert_eq!(StoreKind::parse("deepclone"), Some(StoreKind::DeepClone));
-        assert_eq!(StoreKind::parse("bogus"), None);
-        assert_eq!(StoreKind::default(), StoreKind::Cow);
     }
 
     #[test]

@@ -9,9 +9,7 @@ use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use lwsnap_service::protocol::{
-    read_any_frame, write_frame, write_tagged_frame, Request, Response,
-};
+use lwsnap_service::protocol::{read_any_frame, write_tagged_frame, Request, Response};
 use lwsnap_service::{
     Cluster, ClusterBackend, ProblemId, ServiceConfig, ShardedService, SolverBackend,
 };
@@ -141,7 +139,7 @@ fn client_heartbeats_fail_over_before_any_request() {
 /// Reactor-affinity regression (satellite): with two reactors per
 /// node, each peer's pipelined connection — shared by the forward
 /// plane and the heartbeat prober — is accepted by exactly one reactor
-/// and stays there, so peer `Ping`/`Forward` frames never interleave
+/// and stays there, so peer `Ping`/`Replicate` frames never interleave
 /// across event loops. Steady-state traffic on a healthy 2-reactor
 /// cluster must therefore record zero heartbeat misses and zero epoch
 /// movement, while answers stay bit-identical to a local mirror.
@@ -186,8 +184,8 @@ fn peer_traffic_rides_one_reactor_without_heartbeat_misses() {
     cluster.shutdown();
 }
 
-/// A half-dead node answers every `Ping` (on both frame dialects) but
-/// sits on everything else forever.
+/// A half-dead node answers every `Ping` but sits on everything else
+/// forever.
 fn spawn_half_dead_node() -> std::net::SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -209,11 +207,7 @@ fn half_dead_connection(stream: TcpStream) {
         };
         if let Request::Ping { epoch, .. } = request {
             let pong = Response::Pong { node: 0, epoch }.encode();
-            let sent = match frame.tag {
-                Some(tag) => write_tagged_frame(&mut writer, tag, &pong),
-                None => write_frame(&mut writer, &pong),
-            };
-            if sent.is_err() {
+            if write_tagged_frame(&mut writer, frame.tag, &pong).is_err() {
                 return;
             }
         }

@@ -1,6 +1,6 @@
-//! Protocol robustness: property-based round-trips for both frame
-//! versions (legacy v1 and tagged v2), decode hardening against
-//! truncated, oversized and garbage payloads, and the zero-copy
+//! Protocol robustness: property-based round-trips of tagged frames,
+//! decode hardening against truncated, oversized, untagged and garbage
+//! input, and the zero-copy
 //! borrowed-payload assembler: arbitrarily split reads — mid-header,
 //! mid-payload, across pool-block boundaries — must reassemble
 //! bit-identically to a whole-buffer parse, and every pooled block
@@ -10,8 +10,8 @@ use std::io::Read;
 
 use lwsnap_service::bufpool::{BufferPool, FrameAssembler, BLOCK_SIZE};
 use lwsnap_service::protocol::{
-    parse_frame, read_any_frame, read_frame, write_frame, write_tagged_frame, Frame, Request,
-    Response, StatsSummary, MAX_FRAME, TAGGED,
+    parse_frame, read_any_frame, write_tagged_frame, Frame, ProtoError, Request, Response,
+    StatsSummary, MAX_FRAME, TAGGED,
 };
 use proptest::prelude::*;
 
@@ -42,8 +42,8 @@ impl Read for ChunkedReader<'_> {
     }
 }
 
-/// A decoded frame: its tag (v2 only) and an owned copy of its payload.
-type DecodedFrame = (Option<u64>, Vec<u8>);
+/// A decoded frame: its tag and an owned copy of its payload.
+type DecodedFrame = (u64, Vec<u8>);
 
 /// Runs `wire` through a [`FrameAssembler`] fed by chunked reads;
 /// returns the decoded frames and the byte count the assembler copied.
@@ -153,7 +153,7 @@ fn response_strategy() -> impl Strategy<Value = Response> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// v2 tagged frames round-trip through both the blocking reader and
+    /// Request frames round-trip through both the blocking reader and
     /// the incremental parser, tag preserved exactly.
     #[test]
     fn tagged_request_frames_roundtrip(req in request_strategy(), tag in any::<u64>()) {
@@ -162,53 +162,43 @@ proptest! {
 
         let mut r = wire.as_slice();
         let frame = read_any_frame(&mut r).unwrap().unwrap();
-        prop_assert_eq!(frame.tag, Some(tag));
+        prop_assert_eq!(frame.tag, tag);
         prop_assert_eq!(Request::decode(&frame.payload), Ok(req.clone()));
 
         let (frame, used) = parse_frame(&wire).unwrap().unwrap();
         prop_assert_eq!(used, wire.len());
-        prop_assert_eq!(frame.tag, Some(tag));
+        prop_assert_eq!(frame.tag, tag);
         prop_assert_eq!(Request::decode(&frame.payload), Ok(req));
     }
 
-    /// Responses round-trip under both frame versions; the v1 path is
-    /// byte-identical to what the pre-tagging protocol produced.
+    /// Response frames round-trip, tag and payload preserved exactly.
     #[test]
-    fn response_frames_roundtrip_both_versions(resp in response_strategy(), tag in any::<u64>()) {
+    fn response_frames_roundtrip(resp in response_strategy(), tag in any::<u64>()) {
         let payload = resp.encode();
         prop_assert_eq!(Response::decode(&payload), Ok(resp.clone()));
 
-        let mut v1 = Vec::new();
-        write_frame(&mut v1, &payload).unwrap();
-        let mut r = v1.as_slice();
-        prop_assert_eq!(read_frame(&mut r).unwrap().unwrap(), payload.clone());
-
-        let mut v2 = Vec::new();
-        write_tagged_frame(&mut v2, tag, &payload).unwrap();
-        let mut r = v2.as_slice();
+        let mut wire = Vec::new();
+        write_tagged_frame(&mut wire, tag, &payload).unwrap();
+        let mut r = wire.as_slice();
         let frame = read_any_frame(&mut r).unwrap().unwrap();
-        prop_assert_eq!(frame, Frame { tag: Some(tag), payload });
+        prop_assert_eq!(frame, Frame { tag, payload });
     }
 
-    /// A mixed v1/v2 frame sequence over one buffer parses back in
-    /// order, each frame keeping its version.
+    /// A frame sequence over one buffer parses back in order, each
+    /// frame keeping its tag.
     #[test]
-    fn mixed_version_streams_parse_in_order(
-        frames in proptest::collection::vec((request_strategy(), any::<u64>(), any::<bool>()), 1..6)
+    fn frame_streams_parse_in_order(
+        frames in proptest::collection::vec((request_strategy(), any::<u64>()), 1..6)
     ) {
         let mut wire = Vec::new();
-        for (req, tag, tagged) in &frames {
-            if *tagged {
-                write_tagged_frame(&mut wire, *tag, &req.encode()).unwrap();
-            } else {
-                write_frame(&mut wire, &req.encode()).unwrap();
-            }
+        for (req, tag) in &frames {
+            write_tagged_frame(&mut wire, *tag, &req.encode()).unwrap();
         }
         let mut pos = 0usize;
-        for (req, tag, tagged) in &frames {
+        for (req, tag) in &frames {
             let (frame, used) = parse_frame(&wire[pos..]).unwrap().unwrap();
             pos += used;
-            prop_assert_eq!(frame.tag, tagged.then_some(*tag));
+            prop_assert_eq!(frame.tag, *tag);
             prop_assert_eq!(Request::decode(&frame.payload), Ok(req.clone()));
         }
         prop_assert_eq!(pos, wire.len());
@@ -217,15 +207,11 @@ proptest! {
     /// Truncating a frame at ANY byte boundary must never decode as a
     /// complete frame: the incremental parser asks for more bytes and
     /// the blocking reader reports UnexpectedEof (clean EOF only at
-    /// offset zero). Holds for both versions.
+    /// offset zero).
     #[test]
-    fn truncation_never_yields_a_frame(req in request_strategy(), tag in any::<u64>(), tagged in any::<bool>()) {
+    fn truncation_never_yields_a_frame(req in request_strategy(), tag in any::<u64>()) {
         let mut wire = Vec::new();
-        if tagged {
-            write_tagged_frame(&mut wire, tag, &req.encode()).unwrap();
-        } else {
-            write_frame(&mut wire, &req.encode()).unwrap();
-        }
+        write_tagged_frame(&mut wire, tag, &req.encode()).unwrap();
         for cut in 0..wire.len() {
             prop_assert_eq!(parse_frame(&wire[..cut]).unwrap(), None, "cut at {}", cut);
             let mut r = &wire[..cut];
@@ -237,17 +223,31 @@ proptest! {
         }
     }
 
-    /// Oversized length words are rejected up front, in both versions,
-    /// before any payload allocation happens.
+    /// Oversized length words are rejected up front, before any
+    /// payload allocation happens.
     #[test]
-    fn oversized_headers_are_rejected(extra in 1u32..1024, tagged in any::<bool>()) {
+    fn oversized_headers_are_rejected(extra in 1u32..1024) {
         let len = MAX_FRAME + extra;
-        let word = if tagged { len | TAGGED } else { len };
-        let mut wire = word.to_le_bytes().to_vec();
+        let mut wire = (len | TAGGED).to_le_bytes().to_vec();
         wire.extend_from_slice(&[0u8; 16]);
-        prop_assert!(parse_frame(&wire).is_err());
+        prop_assert_eq!(parse_frame(&wire), Err(ProtoError::BadLength(len as u64)));
         let mut r = wire.as_slice();
         prop_assert!(read_any_frame(&mut r).is_err());
+    }
+
+    /// A header without the tagged bit is a framing error whatever
+    /// length it declares and whatever follows it.
+    #[test]
+    fn untagged_headers_are_rejected(
+        len in 0u32..(1 << 31),
+        body in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        let mut wire = len.to_le_bytes().to_vec();
+        wire.extend_from_slice(&body);
+        prop_assert_eq!(parse_frame(&wire), Err(ProtoError::Untagged));
+        let mut r = wire.as_slice();
+        let err = read_any_frame(&mut r).unwrap_err();
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     /// Garbage payloads never decode successfully into a request or
@@ -263,21 +263,17 @@ proptest! {
         }
     }
 
-    /// Any chunking of a mixed v1/v2 stream — cuts mid-header,
+    /// Any chunking of a frame stream — cuts mid-header, mid-tag,
     /// mid-payload, wherever the cycle lands — reassembles through the
     /// pooled assembler bit-identically to a whole-buffer parse.
     #[test]
     fn split_reads_reassemble_bit_identically(
-        frames in proptest::collection::vec((request_strategy(), any::<u64>(), any::<bool>()), 1..8),
+        frames in proptest::collection::vec((request_strategy(), any::<u64>()), 1..8),
         chunks in proptest::collection::vec(1usize..4096, 1..12),
     ) {
         let mut wire = Vec::new();
-        for (req, tag, tagged) in &frames {
-            if *tagged {
-                write_tagged_frame(&mut wire, *tag, &req.encode()).unwrap();
-            } else {
-                write_frame(&mut wire, &req.encode()).unwrap();
-            }
+        for (req, tag) in &frames {
+            write_tagged_frame(&mut wire, *tag, &req.encode()).unwrap();
         }
         let expect = parse_whole(&wire);
         let (got, _copied) = assemble_chunked(&wire, &chunks);
@@ -307,7 +303,7 @@ proptest! {
     /// accounted (each wire byte spills at most once).
     #[test]
     fn block_boundary_frames_reassemble(
-        delta in -32i64..32,
+        delta in -40i64..24,
         tag in any::<u64>(),
         chunk in 512usize..8192,
         lead in 0usize..64,
@@ -317,12 +313,12 @@ proptest! {
         let mut wire = Vec::new();
         // A small leading frame shifts the big frame's header off the
         // block origin, so the length word itself can straddle blocks.
-        write_frame(&mut wire, &vec![0xab; lead]).unwrap();
+        write_tagged_frame(&mut wire, !tag, &vec![0xab; lead]).unwrap();
         write_tagged_frame(&mut wire, tag, &payload).unwrap();
         let (got, copied) = assemble_chunked(&wire, &[chunk]);
         prop_assert_eq!(got.len(), 2);
         prop_assert_eq!(got[0].1.len(), lead);
-        prop_assert_eq!(got[1].0, Some(tag));
+        prop_assert_eq!(got[1].0, tag);
         prop_assert_eq!(&got[1].1, &payload);
         if wire.len() > BLOCK_SIZE {
             prop_assert!(copied > 0, "a block-spanning frame must spill");

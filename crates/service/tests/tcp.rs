@@ -7,9 +7,28 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lwsnap_service::{
-    protocol, Disconnected, PipelinedClient, Response, Server, ServiceConfig, ShardedService,
-    SolverBackend, TcpClient,
+    protocol, Disconnected, PipelinedClient, Request, Response, Server, ServiceConfig,
+    ShardedService, SolverBackend,
 };
+
+/// One blocking `Solve` exchange on wire ids, returning whatever the
+/// server answered (`Solved` or `Error`).
+fn solve(client: &PipelinedClient, parent: u64, clauses: &[Vec<i64>]) -> Response {
+    client
+        .call(&Request::Solve {
+            parent,
+            clauses: clauses.to_vec(),
+        })
+        .unwrap()
+}
+
+/// The server's complaint about a request, or a panic if it had none.
+fn error_of(response: Response) -> String {
+    match response {
+        Response::Error(msg) => msg,
+        other => panic!("expected an error response, got {other:?}"),
+    }
+}
 
 fn assert_model_satisfies(model: &[bool], stack: &[Vec<i64>]) {
     assert!(
@@ -26,8 +45,8 @@ fn tcp_session_roundtrip_with_verification() {
     let clients: Vec<_> = (0..4u64)
         .map(|session| {
             std::thread::spawn(move || {
-                let mut client = TcpClient::connect(addr).unwrap();
-                let root = client.session_root(session).unwrap();
+                let client = PipelinedClient::connect(addr).unwrap();
+                let root = client.session_root(session).unwrap().to_wire();
                 let mut stack: Vec<Vec<i64>> = Vec::new();
                 let mut cur = root;
                 for step in 0..5 {
@@ -35,13 +54,12 @@ fn tcp_session_roundtrip_with_verification() {
                     let v = (session * 5 + step + 1) as i64;
                     let clauses = vec![vec![v, v + 1], vec![-v, v + 1]];
                     stack.extend(clauses.clone());
-                    let response = client.solve(cur, &clauses).unwrap();
                     let Response::Solved {
                         problem,
                         sat,
                         model,
                         ..
-                    } = response
+                    } = solve(&client, cur, &clauses)
                     else {
                         panic!("expected Solved");
                     };
@@ -57,7 +75,7 @@ fn tcp_session_roundtrip_with_verification() {
         c.join().unwrap();
     }
 
-    let mut client = TcpClient::connect(addr).unwrap();
+    let client = PipelinedClient::connect(addr).unwrap();
     let stats = client.stats().unwrap();
     assert_eq!(stats.shards, 4);
     assert_eq!(stats.queries, 20, "4 sessions × 5 queries");
@@ -74,14 +92,14 @@ fn tcp_session_roundtrip_with_verification() {
 fn tcp_surfaces_dead_references_and_eviction() {
     let config = ServiceConfig::new(2).with_snapshot_capacity(2);
     let server = Server::start("127.0.0.1:0", config, 2).unwrap();
-    let mut client = TcpClient::connect(server.local_addr()).unwrap();
+    let client = PipelinedClient::connect(server.local_addr()).unwrap();
 
-    let root = client.session_root(7).unwrap();
+    let root = client.session_root(7).unwrap().to_wire();
     // March a chain past the capacity so early nodes get evicted.
     let mut refs = vec![root];
     let mut cur = root;
     for v in 1..=5i64 {
-        let Response::Solved { problem, sat, .. } = client.solve(cur, &[vec![v]]).unwrap() else {
+        let Response::Solved { problem, sat, .. } = solve(&client, cur, &[vec![v]]) else {
             panic!("expected Solved");
         };
         assert!(sat);
@@ -89,7 +107,7 @@ fn tcp_surfaces_dead_references_and_eviction() {
         cur = problem;
     }
     // Query an early (evicted) node: still answers, flags the replay.
-    let Response::Solved { sat, rederived, .. } = client.solve(refs[1], &[vec![6]]).unwrap() else {
+    let Response::Solved { sat, rederived, .. } = solve(&client, refs[1], &[vec![6]]) else {
         panic!("expected Solved");
     };
     assert!(sat);
@@ -102,27 +120,25 @@ fn tcp_surfaces_dead_references_and_eviction() {
     // A wire id naming a shard the service does not have is a decode
     // error (satellite: no silent acceptance of arbitrary u64s); one
     // naming a different cluster NODE is the typed routing error ...
+    let release = |problem: u64| client.call(&Request::Release { problem }).unwrap();
     let bad_shard = 0xbeefu64 << 32 | 1; // node 0, shard 0xbeef
-    let err = client.release(bad_shard).unwrap_err();
+    let err = error_of(release(bad_shard));
+    assert!(err.contains("shard index"), "expected BadShard, got: {err}");
+    let err = error_of(solve(&client, bad_shard, &[vec![1]]));
+    assert!(err.contains("shard index"));
+    let err = error_of(release(0xdead_beef_0000_0001));
     assert!(
-        err.to_string().contains("shard index"),
-        "expected BadShard, got: {err}"
-    );
-    let err = client.solve(bad_shard, &[vec![1]]).unwrap_err();
-    assert!(err.to_string().contains("shard index"));
-    let err = client.release(0xdead_beef_0000_0001).unwrap_err();
-    assert!(
-        err.to_string().contains("routed to node 57005"),
+        err.contains("routed to node 57005"),
         "expected WrongNode, got: {err}"
     );
-    let err = client.solve(0xdead_beef_0000_0001, &[vec![1]]).unwrap_err();
-    assert!(err.to_string().contains("this is node 0"));
+    let err = error_of(solve(&client, 0xdead_beef_0000_0001, &[vec![1]]));
+    assert!(err.contains("this is node 0"));
     // ... while releasing an in-range-but-dead id stays harmless and
     // idempotent.
-    client.release((1u64 << 32) | 0xbeef).unwrap();
-    client.release(refs[2]).unwrap();
-    let err = client.solve(refs[2], &[vec![9]]).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    assert_eq!(release((1u64 << 32) | 0xbeef), Response::Released);
+    assert_eq!(release(refs[2]), Response::Released);
+    let err = error_of(solve(&client, refs[2], &[vec![9]]));
+    assert!(err.contains("dead or unknown"), "dead reference: {err}");
 
     drop(client);
     server.shutdown();
@@ -204,7 +220,7 @@ fn sixty_four_pipelined_sessions_on_one_reactor() {
         h.join().unwrap();
     }
 
-    let mut probe = TcpClient::connect(addr).unwrap();
+    let probe = PipelinedClient::connect(addr).unwrap();
     let stats = probe.stats().unwrap();
     assert_eq!(stats.queries, SESSIONS * DEPTH as u64);
     probe.shutdown_server().unwrap();
@@ -274,29 +290,6 @@ fn corked_batch_answers_in_request_order() {
     server.wait();
 }
 
-#[test]
-fn v1_and_pipelined_clients_share_one_server() {
-    let server = Server::start("127.0.0.1:0", ServiceConfig::new(4), 2).unwrap();
-    let addr = server.local_addr();
-    let mut old = TcpClient::connect(addr).unwrap();
-    let new = PipelinedClient::connect(addr).unwrap();
-
-    let root_old = old.session_root(1).unwrap();
-    let root_new = new.session_root(1).unwrap();
-    assert_eq!(root_old, root_new.to_wire(), "same session, same root");
-
-    let Response::Solved { sat: true, .. } = old.solve(root_old, &[vec![5]]).unwrap() else {
-        panic!("expected SAT");
-    };
-    let reply = new
-        .solve(root_new, vec![vec![lwsnap_solver::Lit::from_dimacs(-5)]])
-        .unwrap()
-        .unwrap();
-    assert_eq!(reply.result, lwsnap_solver::SolveResult::Sat);
-    assert_eq!(old.stats().unwrap().queries, 2);
-    server.shutdown();
-}
-
 /// Satellite: a clean server close between frames is the typed
 /// [`Disconnected`] error; a stream dying mid-frame is `UnexpectedEof`.
 #[test]
@@ -310,8 +303,8 @@ fn clean_disconnect_and_truncation_are_distinct_errors() {
         let _ = s.read(&mut buf); // swallow the request, reply nothing
                                   // drop(s): clean FIN between frames
     });
-    let mut client = TcpClient::connect(addr).unwrap();
-    let err = client.call(&protocol::Request::Stats).unwrap_err();
+    let client = PipelinedClient::connect(addr).unwrap();
+    let err = client.call(&Request::Stats).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::ConnectionAborted);
     assert!(
         err.get_ref().is_some_and(|e| e.is::<Disconnected>()),
@@ -327,12 +320,12 @@ fn clean_disconnect_and_truncation_are_distinct_errors() {
         let mut buf = [0u8; 256];
         let _ = s.read(&mut buf);
         // 16-byte frame promised, 2 bytes delivered.
-        let mut partial = 16u32.to_le_bytes().to_vec();
+        let mut partial = (16u32 | protocol::TAGGED).to_le_bytes().to_vec();
         partial.extend_from_slice(&[1, 2]);
         s.write_all(&partial).unwrap();
     });
-    let mut client = TcpClient::connect(addr).unwrap();
-    let err = client.call(&protocol::Request::Stats).unwrap_err();
+    let client = PipelinedClient::connect(addr).unwrap();
+    let err = client.call(&Request::Stats).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     assert!(
         err.get_ref().is_none_or(|e| !e.is::<Disconnected>()),
@@ -354,12 +347,12 @@ fn client_read_timeout_detects_hung_server() {
         let _ = s.read(&mut buf);
         std::thread::sleep(Duration::from_millis(400));
     });
-    let mut client = TcpClient::connect(addr).unwrap();
+    let client = PipelinedClient::connect(addr).unwrap();
     client
         .set_read_timeout(Some(Duration::from_millis(50)))
         .unwrap();
     let start = std::time::Instant::now();
-    let err = client.call(&protocol::Request::Stats).unwrap_err();
+    let err = client.call(&Request::Stats).unwrap_err();
     assert!(
         matches!(
             err.kind(),
@@ -371,24 +364,37 @@ fn client_read_timeout_detects_hung_server() {
     srv.join().unwrap();
 }
 
-/// A garbage header on the wire gets an error response and the
-/// connection is closed — the reactor must not wedge or crash.
+/// A garbage header on the wire — an absurd length, or a header
+/// without the tagged bit (what a pre-tagging client would send) —
+/// gets an error response on the connection-level tag and the
+/// connection is closed; the reactor must not wedge or crash.
 #[test]
 fn framing_garbage_gets_an_error_then_close() {
     let server = Server::start("127.0.0.1:0", ServiceConfig::new(2), 1).unwrap();
-    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    // Length prefix far beyond MAX_FRAME.
-    raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
-    let mut response = Vec::new();
-    raw.read_to_end(&mut response).unwrap(); // server closes after the error frame
-    let mut r = response.as_slice();
-    let payload = protocol::read_frame(&mut r).unwrap().expect("error frame");
-    let Response::Error(msg) = Response::decode(&payload).unwrap() else {
-        panic!("expected an error response");
-    };
-    assert!(msg.contains("length"), "framing diagnosis: {msg}");
+    let stats = Request::Stats.encode();
+    let mut untagged = (stats.len() as u32).to_le_bytes().to_vec();
+    untagged.extend_from_slice(&stats);
+    for (garbage, diagnosis) in [
+        // Length prefix far beyond MAX_FRAME.
+        (u32::MAX.to_le_bytes().to_vec(), "length"),
+        // A well-formed frame of the pre-tagging protocol: bit 31 clear.
+        (untagged, "untagged"),
+    ] {
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(&garbage).unwrap();
+        let mut response = Vec::new();
+        raw.read_to_end(&mut response).unwrap(); // server closes after the error frame
+        let mut r = response.as_slice();
+        let frame = protocol::read_any_frame(&mut r)
+            .unwrap()
+            .expect("error frame");
+        assert_eq!(frame.tag, protocol::CONNECTION_TAG);
+        let msg = error_of(Response::decode(&frame.payload).unwrap());
+        assert!(msg.contains(diagnosis), "framing diagnosis: {msg}");
+        assert!(r.is_empty(), "one error frame, then close");
+    }
     // The server is still healthy for well-formed clients.
-    let mut client = TcpClient::connect(server.local_addr()).unwrap();
+    let client = PipelinedClient::connect(server.local_addr()).unwrap();
     assert_eq!(client.stats().unwrap().queries, 0);
     server.shutdown();
 }
@@ -402,9 +408,8 @@ fn server_over_existing_service_shares_state() {
         .solve(root, &[vec![lwsnap_solver::Lit::from_dimacs(1)]])
         .unwrap();
     let server = Server::serve("127.0.0.1:0", Arc::clone(&service), 1).unwrap();
-    let mut client = TcpClient::connect(server.local_addr()).unwrap();
-    let Response::Solved { sat, model, .. } =
-        client.solve(reply.problem.to_wire(), &[vec![2]]).unwrap()
+    let client = PipelinedClient::connect(server.local_addr()).unwrap();
+    let Response::Solved { sat, model, .. } = solve(&client, reply.problem.to_wire(), &[vec![2]])
     else {
         panic!("expected Solved");
     };

@@ -113,8 +113,8 @@ pub enum Kind {
     /// Span: evicted snapshot re-derived by constraint replay. a =
     /// problem id, b = edges replayed.
     SnapRederive = 7,
-    /// Instant: a derivation edge forwarded to the ring successor.
-    /// a = session, b = edge seq.
+    /// Instant: a derivation edge forwarded to the session's replica.
+    /// a = session, b = the derived problem's wire id.
     ReplForward = 8,
     /// Span: a session promoted from its replica log. a = session,
     /// b = problems promoted.
@@ -134,8 +134,8 @@ pub enum Kind {
     /// Instant: a request was re-issued after failover. a = dead node
     /// id, b = the new home node.
     Rerouted = 14,
-    /// Instant: chaos fault injected. a = content-stable chaos key,
-    /// b = plane salt (1 client-fanned, 2 server-fanned).
+    /// Instant: chaos fault injected into a home node's replication
+    /// frame. a = content-stable chaos key, b = 0.
     ChaosInject = 15,
 }
 
