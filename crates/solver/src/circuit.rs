@@ -87,6 +87,15 @@ impl Circuit {
         &self.clauses
     }
 
+    /// Drains the accumulated clauses, keeping the variable numbering:
+    /// gates built afterwards allocate fresh variables above the ones
+    /// already handed out, so what the next call returns is exactly the
+    /// increment an incremental solver needs on top of what it was
+    /// given before.
+    pub fn take_clauses(&mut self) -> Vec<Vec<Lit>> {
+        std::mem::take(&mut self.clauses)
+    }
+
     /// Converts into a [`Cnf`].
     pub fn to_cnf(&self) -> Cnf {
         Cnf {

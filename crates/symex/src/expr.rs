@@ -12,9 +12,10 @@
 //! between workers, so every worker must intern into — and resolve ids
 //! against — one pool. `SharedPool` is the `Arc<RwLock<_>>`-backed
 //! handle that makes the ids globally meaningful: interning takes the
-//! write lock (short, append-only), while feasibility checks (the
-//! expensive SAT part) solve against a [`SharedPool::snapshot`] taken
-//! under a briefly held read lock, so solving never blocks interning.
+//! write lock (short, append-only); a feasibility check reads the pool
+//! under [`SharedPool::with`] only for the microseconds it takes to
+//! blast the constraints a branch added, and the SAT solve itself runs
+//! with no lock held, so solving never blocks interning.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -256,19 +257,37 @@ impl ExprPool {
         self.const_of(id).is_some()
     }
 
-    /// Evaluates an expression under a concrete input assignment.
+    /// Evaluates an expression under a concrete input assignment
+    /// (inputs the assignment does not mention read as 0).
     pub fn eval(&self, id: ExprId, inputs: &HashMap<u32, u8>) -> u64 {
-        match self.node(id) {
-            Expr::Input { id } => *inputs.get(&id).unwrap_or(&0) as u64,
-            Expr::Const { v } => v,
-            Expr::Bin { op, a, b } => eval_bin(op, self.eval(a, inputs), self.eval(b, inputs)),
-            Expr::Extract8 { e, byte } => self.eval(e, inputs) >> (8 * byte) & 0xff,
-            Expr::ZExt8 { e } => self.eval(e, inputs),
-            Expr::Cmp { op, a, b } => {
-                eval_cmp(op, self.eval(a, inputs), self.eval(b, inputs)) as u64
-            }
-            Expr::Not1 { e } => (self.eval(e, inputs) == 0) as u64,
+        self.eval_memo(id, inputs, &mut HashMap::new())
+    }
+
+    /// [`ExprPool::eval`] visiting each interior node once: the pool is
+    /// a hash-consed DAG, so a value such as `x = x * x` repeated `k`
+    /// times has `k` nodes but `2^k` root-to-leaf walks.
+    fn eval_memo(
+        &self,
+        id: ExprId,
+        inputs: &HashMap<u32, u8>,
+        memo: &mut HashMap<ExprId, u64>,
+    ) -> u64 {
+        if let Some(&v) = memo.get(&id) {
+            return v;
         }
+        let mut eval = |e| self.eval_memo(e, inputs, memo);
+        let v = match self.node(id) {
+            // Leaves are cheaper to read than to remember.
+            Expr::Input { id } => return *inputs.get(&id).unwrap_or(&0) as u64,
+            Expr::Const { v } => return v,
+            Expr::Bin { op, a, b } => eval_bin(op, eval(a), eval(b)),
+            Expr::Extract8 { e, byte } => eval(e) >> (8 * byte) & 0xff,
+            Expr::ZExt8 { e } => eval(e),
+            Expr::Cmp { op, a, b } => eval_cmp(op, eval(a), eval(b)) as u64,
+            Expr::Not1 { e } => (eval(e) == 0) as u64,
+        };
+        memo.insert(id, v);
+        v
     }
 }
 
@@ -278,10 +297,10 @@ impl ExprPool {
 /// one thread resolves identically on every other — the invariant the
 /// parallel symex driver relies on when a worker steals a path whose
 /// [`crate::Shadow`] carries constraints built elsewhere. Mutating
-/// constructors take the write lock briefly; long computations (path
-/// feasibility solves) clone a [`SharedPool::snapshot`] and run with no
-/// lock held at all, so solver work on one worker never stalls another
-/// worker's execution.
+/// constructors take the write lock briefly; readers that need several
+/// nodes at once (blasting a branch condition, checking a witness) use
+/// [`SharedPool::with`] and must leave before doing anything long — a
+/// SAT solve runs on the clauses, never inside the pool.
 #[derive(Debug, Default, Clone)]
 pub struct SharedPool(Arc<RwLock<ExprPool>>);
 
@@ -293,20 +312,9 @@ impl SharedPool {
 
     /// Runs `f` with shared (read) access to the underlying pool. Keep
     /// `f` short: while any reader is inside, writers (interning
-    /// workers) block — for long work such as a SAT solve, take a
-    /// [`SharedPool::snapshot`] instead.
+    /// workers) block. Blast inside, solve outside.
     pub fn with<R>(&self, f: impl FnOnce(&ExprPool) -> R) -> R {
         f(&self.0.read().unwrap())
-    }
-
-    /// Clones the current pool contents under a briefly held read lock.
-    /// The pool is append-only, so a snapshot resolves every `ExprId`
-    /// minted up to this point — feasibility checks solve against the
-    /// snapshot without blocking other workers' interning (cloning a
-    /// few thousand nodes costs microseconds; a solve costs
-    /// milliseconds).
-    pub fn snapshot(&self) -> ExprPool {
-        self.0.read().unwrap().clone()
     }
 
     /// Number of distinct nodes.
@@ -491,5 +499,22 @@ mod tests {
         assert_eq!(p.eval(expr, &inputs), (7u64 * 3 + 5) ^ 0xff);
         // Missing inputs default to 0.
         assert_eq!(p.eval(expr, &HashMap::new()), 0xff);
+    }
+
+    /// `x = x * x` 48 times is 48 nodes and 2^48 walks: evaluation must
+    /// visit nodes, not walks.
+    #[test]
+    fn eval_visits_a_shared_node_once() {
+        let mut p = ExprPool::new();
+        let byte = p.input(0);
+        let mut x = p.zext8(byte);
+        let mut expected = 3u64;
+        for _ in 0..48 {
+            x = p.bin(BinOp::Mul, x, x);
+            expected = expected.wrapping_mul(expected);
+        }
+        let started = std::time::Instant::now();
+        assert_eq!(p.eval(x, &HashMap::from([(0, 3u8)])), expected);
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
     }
 }

@@ -11,8 +11,11 @@
 //!   the snapshot's `ext` slot;
 //! * state forking = `sys_guess(2)` at every branch whose condition is
 //!   symbolic — the engine's snapshot tree *is* the execution tree;
-//! * feasibility & test generation = bit-blasting ([`blast`]) into the
-//!   `lwsnap-solver` CDCL core.
+//! * feasibility & test generation = bit-blasting ([`blast`]) only what
+//!   a branch added and solving it as a child of the path's last solved
+//!   problem on the §3.2 solver service — the solver context forks with
+//!   the state, and a witness carried along answers two checks in three
+//!   without a solver.
 //!
 //! Where S2E modifies "about 2 KLOC spread in QEMU's code base" to
 //! intercept writes, here containment is free: the MMU's copy-on-write
@@ -39,7 +42,7 @@ pub mod machine;
 pub mod par;
 pub mod programs;
 
-pub use blast::{check_path, check_path_on, Blaster, Feasibility};
+pub use blast::{check_path, BlastState, Blaster, Feasibility};
 pub use expr::{BinOp, CmpOp, Expr, ExprId, ExprPool, SharedPool, Width};
 pub use machine::{PathEnd, Shadow, SymExec, SymStats, TestCase, SYS_MAKE_SYMBOLIC};
 pub use par::{par_explore, par_explore_on, par_explore_with, ParExploreResult};

@@ -16,6 +16,32 @@
 //! and schedules both outcomes. Infeasible directions are pruned with the
 //! SAT solver; completed paths yield concrete test inputs (KLEE-style).
 //!
+//! ## Solver state is just more snapshotted state
+//!
+//! The [`Shadow`] also carries the path's *solver context*, so a fork
+//! forks it with everything else:
+//!
+//! * a **witness** — concrete input bytes satisfying the whole path
+//!   condition. At a fork, evaluating the branch condition under the
+//!   parent's witness says which child it still satisfies; that child
+//!   keeps the witness and costs no solver call. A completed path
+//!   reports its witness as the test case, again without solving.
+//! * the **nearest solved ancestor**: the [`ProblemId`] of the last
+//!   problem solved on this path together with the
+//!   [`BlastState`] that produced it, behind one
+//!   reference-counted handle that releases the problem when the last
+//!   state naming it is dropped. The other child of a fork blasts only
+//!   the constraints accepted since that problem and submits the
+//!   resulting clauses as `solve(ancestor, Δ)` — one backend solve per
+//!   fork, each from the snapshot of its parent problem. The engine
+//!   dropping a guest snapshot is what releases solver state; once an
+//!   exploration drains, the backend holds what it held before.
+//!
+//! Which problem a state names depends only on its path (the witness
+//! that decides hit or solve is itself a function of the chain), so the
+//! generated test cases are a function of the program alone; see
+//! [`crate::blast`] for the full contract.
+//!
 //! Supported symbolic data flow: integer arithmetic/logic, shifts,
 //! byte-granular memory, comparisons and all conditional branches.
 //! Deliberately unsupported (the path faults, soundly): symbolic
@@ -30,9 +56,9 @@ use lwsnap_core::{
 };
 use lwsnap_vm::{Instr, Opcode, INSTR_SIZE};
 
-use crate::blast::{check_path, check_path_on, Feasibility};
+use crate::blast::{check_path, BlastState, Blaster, Feasibility};
 use crate::expr::{BinOp, CmpOp, ExprId, SharedPool};
-use lwsnap_service::{ProblemId, SolverBackend};
+use lwsnap_service::{ProblemId, ServiceConfig, ShardedService, SolverBackend};
 
 /// Syscall number for `make_symbolic(addr, len)`.
 pub const SYS_MAKE_SYMBOLIC: u64 = 1100;
@@ -52,6 +78,33 @@ pub struct Shadow {
     constraints: Vec<(ExprId, bool)>,
     /// Number of symbolic input bytes created so far.
     n_inputs: u32,
+    /// The nearest ancestor whose condition a backend has solved;
+    /// `None` until the first solve on this path. The constraints past
+    /// [`Solved::constraints`] are accepted but not yet shipped.
+    solved: Option<Arc<Solved>>,
+    /// Input bytes satisfying every constraint (absent inputs read 0).
+    witness: Arc<HashMap<u32, u8>>,
+}
+
+/// A problem on the backend that answers a prefix of some path's
+/// condition, with the blast session that built it. Shared by every
+/// state forked below it; the problem is released when the last of
+/// them goes.
+struct Solved {
+    backend: Arc<dyn SolverBackend>,
+    problem: ProblemId,
+    /// The session after blasting the prefix, clauses all shipped.
+    blast: BlastState,
+    /// Length of the prefix of the path's constraints `problem` holds.
+    constraints: usize,
+}
+
+impl Drop for Solved {
+    fn drop(&mut self) {
+        // The backend may already be gone (a remote one shut down);
+        // there is nothing left to leak into then.
+        let _ = self.backend.release(self.problem);
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -118,8 +171,13 @@ impl TestCase {
 pub struct SymStats {
     /// Symbolic branches forked.
     pub forks: u64,
-    /// Solver feasibility checks.
+    /// Feasibility checks a backend solved.
     pub solver_checks: u64,
+    /// Feasibility checks the inherited witness answered instead: fork
+    /// children it still satisfies, and every completed path.
+    pub witness_hits: u64,
+    /// Clauses shipped to the backend, summed over solves.
+    pub delta_clauses: u64,
     /// Paths pruned as infeasible.
     pub infeasible_pruned: u64,
     /// Test cases generated.
@@ -128,22 +186,32 @@ pub struct SymStats {
     pub instructions: u64,
 }
 
-/// How feasibility queries reach a solver.
-enum QueryRoute {
-    /// A fresh local solver per query (zero-transport baseline).
-    Local,
-    /// Through a [`SolverBackend`] — the in-process sharded service,
-    /// a worker pool, or a remote `lwsnapd` over the pipelined wire.
-    Backend {
-        backend: Arc<dyn SolverBackend>,
-        root: ProblemId,
-    },
+impl std::ops::AddAssign for SymStats {
+    fn add_assign(&mut self, rhs: SymStats) {
+        // Destructured so that a new counter cannot be left out.
+        let SymStats {
+            forks,
+            solver_checks,
+            witness_hits,
+            delta_clauses,
+            infeasible_pruned,
+            tests_generated,
+            instructions,
+        } = rhs;
+        self.forks += forks;
+        self.solver_checks += solver_checks;
+        self.witness_hits += witness_hits;
+        self.delta_clauses += delta_clauses;
+        self.infeasible_pruned += infeasible_pruned;
+        self.tests_generated += tests_generated;
+        self.instructions += instructions;
+    }
 }
 
 /// The symbolic executor (implements [`Guest`]).
 pub struct SymExec {
     /// The (append-only, shared) expression pool. A [`SharedPool`]
-    /// handle: executors built with [`SymExec::with_pool`] intern into
+    /// handle: executors built over clones of one handle intern into
     /// the same pool, which is what lets the parallel driver move
     /// `ExprId`-bearing shadows between worker threads.
     pub pool: SharedPool,
@@ -156,7 +224,12 @@ pub struct SymExec {
     /// Test cases generated from completed paths.
     pub cases: Vec<TestCase>,
     /// Where feasibility queries are solved.
-    route: QueryRoute,
+    backend: Arc<dyn SolverBackend>,
+    /// This executor's session root on `backend`: the parent problem of
+    /// a state with no solved ancestor. Every root is the same empty
+    /// solver, so which executor's root a path starts from cannot show
+    /// in a verdict or a witness.
+    root: ProblemId,
 }
 
 impl Default for SymExec {
@@ -185,25 +258,19 @@ impl SymExec {
     }
 
     /// Creates a symbolic executor interning into an existing shared
-    /// pool — the constructor the parallel driver uses so that all
-    /// workers resolve each other's expression ids.
+    /// pool, so that it resolves expression ids minted by the pool's
+    /// other users. Feasibility queries are solved on a private
+    /// one-shard in-process service.
     pub fn with_pool(pool: SharedPool) -> Self {
-        SymExec {
-            pool,
-            policy: InterposePolicy::default(),
-            max_steps: 50_000_000,
-            stats: SymStats::default(),
-            cases: Vec::new(),
-            route: QueryRoute::Local,
-        }
+        let service = ShardedService::new(ServiceConfig::new(1));
+        Self::with_backend(pool, Arc::new(service), 0)
     }
 
     /// Like [`SymExec::with_pool`], but feasibility queries are solved
-    /// through `backend` under the given session id instead of a local
-    /// per-query solver. Verdicts and witnesses are bit-identical to
-    /// the local route (see [`check_path_on`]); what changes is *where*
-    /// the solving happens — a shared in-process service, a worker
-    /// pool, or a remote daemon.
+    /// by `backend` under the given session id — a shared in-process
+    /// service, a worker pool, or a remote daemon. The generated test
+    /// cases are the same whichever it is (see [`crate::blast`]); what
+    /// changes is *where* the solving happens.
     ///
     /// # Panics
     ///
@@ -213,28 +280,89 @@ impl SymExec {
         let root = backend
             .session_root(session)
             .expect("solver backend transport failure resolving session root");
-        let mut exec = Self::with_pool(pool);
-        exec.route = QueryRoute::Backend { backend, root };
-        exec
+        SymExec {
+            pool,
+            policy: InterposePolicy::default(),
+            max_steps: 50_000_000,
+            stats: SymStats::default(),
+            cases: Vec::new(),
+            backend,
+            root,
+        }
     }
 
-    /// Checks the joint feasibility of `constraints` over the current
-    /// pool snapshot, via whichever route this executor was built with.
+    /// Decides the newest constraint of `shadow` — the outcome the
+    /// engine picked for a pending branch. If the inherited witness
+    /// already satisfies it the path keeps the witness and no solver
+    /// runs; otherwise the constraints not yet shipped are blasted on
+    /// top of the nearest solved ancestor and solved as its child.
+    /// Returns whether the path is still feasible.
     ///
     /// # Panics
     ///
     /// Panics on a backend transport failure (loudly, rather than
-    /// silently mispruning a path). In-process routes never fail.
-    fn check_constraints(&self, constraints: &[(ExprId, bool)]) -> Feasibility {
-        // Snapshot, then solve lock-free: holding the read lock across
-        // the SAT solve would stall every other worker's interning.
-        let snapshot = self.pool.snapshot();
-        match &self.route {
-            QueryRoute::Local => check_path(&snapshot, constraints),
-            QueryRoute::Backend { backend, root } => {
-                check_path_on(backend.as_ref(), *root, &snapshot, constraints)
-                    .unwrap_or_else(|e| panic!("solver backend transport failure: {e}"))
+    /// silently mispruning a path). In-process backends never fail.
+    fn accept_constraint(&mut self, shadow: &mut Shadow) -> bool {
+        let &(cond, polarity) = shadow.constraints.last().expect("just pushed");
+        if (self.pool.eval(cond, &shadow.witness) == 1) == polarity {
+            self.stats.witness_hits += 1;
+            return true;
+        }
+        let (parent, shipped, blast) = match &shadow.solved {
+            Some(solved) => (solved.problem, solved.constraints, solved.blast.clone()),
+            None => (self.root, 0, BlastState::default()),
+        };
+        // Blasting a branch condition takes microseconds; the solve
+        // runs with the pool unlocked.
+        let (delta, blast) = self.pool.with(|pool| {
+            let mut blaster = Blaster::resume(pool, blast);
+            for &(cond, polarity) in &shadow.constraints[shipped..] {
+                blaster.assert_cond(cond, polarity);
             }
+            (blaster.take_delta(), blaster.into_state())
+        });
+        self.stats.solver_checks += 1;
+        self.stats.delta_clauses += delta.len() as u64;
+        let reply = self
+            .backend
+            .solve(parent, delta)
+            .unwrap_or_else(|e| panic!("solver backend transport failure: {e}"))
+            .expect("a state keeps its parent problem alive");
+        // Owns the reply's problem from here: an infeasible child
+        // releases it by dropping this.
+        let solved = Solved {
+            backend: Arc::clone(&self.backend),
+            problem: reply.problem,
+            blast,
+            constraints: shadow.constraints.len(),
+        };
+        let feasible = reply.model.is_some();
+        debug_assert_eq!(
+            feasible,
+            self.pool
+                .with(|pool| check_path(pool, &shadow.constraints) != Feasibility::Unsat),
+            "incremental verdict differs from the from-scratch reference"
+        );
+        if let Some(model) = reply.model {
+            shadow.witness = Arc::new(solved.blast.witness(&model));
+            shadow.solved = Some(Arc::new(solved));
+        }
+        feasible
+    }
+
+    /// Debug builds re-check the invariant the witness shortcut rests
+    /// on: the witness satisfies every constraint of the path.
+    fn debug_check_witness(&self, shadow: &Shadow) {
+        if cfg!(debug_assertions) {
+            self.pool.with(|pool| {
+                for &(cond, polarity) in &shadow.constraints {
+                    assert_eq!(
+                        pool.eval(cond, &shadow.witness) == 1,
+                        polarity,
+                        "witness violates a constraint of its own path"
+                    );
+                }
+            });
         }
     }
 
@@ -349,30 +477,23 @@ impl SymExec {
         }
     }
 
-    /// Finishes a path: solve its constraints and record a test case.
+    /// Finishes a path: its witness is the test case.
     fn finish_path(&mut self, st: &GuestState, shadow: &Shadow, end: PathEnd) {
-        self.stats.solver_checks += 1;
-        match self.check_constraints(&shadow.constraints) {
-            Feasibility::Sat(model) => {
-                let mut inputs = vec![0u8; shadow.n_inputs as usize];
-                for (id, byte) in model {
-                    if (id as usize) < inputs.len() {
-                        inputs[id as usize] = byte;
-                    }
-                }
-                self.cases.push(TestCase {
-                    end,
-                    inputs,
-                    constraints: shadow.constraints.len(),
-                    depth: st.depth,
-                });
-                self.stats.tests_generated += 1;
-            }
-            Feasibility::Unsat => {
-                // Should have been pruned at the fork; count it anyway.
-                self.stats.infeasible_pruned += 1;
+        self.stats.witness_hits += 1;
+        self.debug_check_witness(shadow);
+        let mut inputs = vec![0u8; shadow.n_inputs as usize];
+        for (&id, &byte) in shadow.witness.iter() {
+            if let Some(slot) = inputs.get_mut(id as usize) {
+                *slot = byte;
             }
         }
+        self.cases.push(TestCase {
+            end,
+            inputs,
+            constraints: shadow.constraints.len(),
+            depth: st.depth,
+        });
+        self.stats.tests_generated += 1;
     }
 
     fn save_shadow(st: &mut GuestState, shadow: Shadow) {
@@ -423,12 +544,11 @@ impl Guest for SymExec {
         if let Some(p) = shadow.pending.take() {
             let taken = st.regs.get(Reg::Rax) == 1;
             shadow.constraints.push((p.cond, taken));
-            self.stats.solver_checks += 1;
-            if self.check_constraints(&shadow.constraints) == Feasibility::Unsat {
+            if !self.accept_constraint(&mut shadow) {
                 self.stats.infeasible_pruned += 1;
-                Self::save_shadow(st, shadow);
                 return Exit::Fail;
             }
+            self.debug_check_witness(&shadow);
             if taken {
                 st.regs.rip = p.target;
             }

@@ -17,6 +17,13 @@
 //!   snapshot's `ext` slot. Its `ExprId`s are resolved against one
 //!   [`SharedPool`] shared by every worker, so a stolen path's
 //!   constraints mean the same thing on the thief as on the victim.
+//! * Solver state forks the same way: the shadow names the backend
+//!   problem of its nearest solved ancestor and carries the blast
+//!   session that built it, so a stolen path solves its next branch as
+//!   a child of that problem — in the victim's shard, the id being its
+//!   own route — with the variable numbering it was stolen with. A path
+//!   with no solved ancestor yet starts from the session root of
+//!   whichever worker runs it; all roots are the same empty solver.
 //! * Each worker owns a private [`crate::SymExec`] (interner handle +
 //!   local counters + local test cases); when the run drains, per-worker
 //!   verdicts are merged into one canonically ordered report.
@@ -24,10 +31,16 @@
 //! ## Determinism
 //!
 //! Which worker explores which path is racy; the *verdicts* are not.
-//! Pruning and test generation depend only on each path's constraint
-//! set, so the merged [`ParExploreResult::cases`] is the same multiset
-//! as a sequential run's — [`par_explore`] additionally sorts it into a
-//! canonical order so equal explorations compare equal with `==`.
+//! A path's problem chain — which ancestors were solved, with which
+//! clauses — is a function of its constraint sequence alone, and a
+//! backend's reply is a function of the chain (resident or re-derived
+//! after eviction, in-process or across the wire). So pruning and the
+//! witness bytes of every test case are a function of the program: the
+//! merged [`ParExploreResult::cases`] is the same multiset as a
+//! sequential run's across worker counts, steal schedules, backends and
+//! snapshot budgets — [`par_explore`] additionally sorts it into a
+//! canonical order so equal explorations compare equal with `==`. The
+//! full contract is in [`crate::blast`].
 //!
 //! ```
 //! use lwsnap_symex::{par_explore, PathEnd, programs::linear_crash_source};
@@ -78,12 +91,7 @@ struct Merged {
 impl Merged {
     fn absorb(&mut self, exec: &mut SymExec) {
         self.cases.append(&mut exec.cases);
-        let s = exec.stats;
-        self.stats.forks += s.forks;
-        self.stats.solver_checks += s.solver_checks;
-        self.stats.infeasible_pruned += s.infeasible_pruned;
-        self.stats.tests_generated += s.tests_generated;
-        self.stats.instructions += s.instructions;
+        self.stats += exec.stats;
     }
 }
 
@@ -128,12 +136,13 @@ pub fn par_explore_with(config: ParallelConfig, root: GuestState) -> ParExploreR
 
 /// [`par_explore_with`] against an arbitrary [`SolverBackend`]: every
 /// worker's feasibility queries are solved by `backend` (each worker
-/// under its own session id). The merged verdicts are bit-identical
-/// across backends — see [`crate::blast::check_path_on`] — so this is
-/// purely a deployment knob: in-process for latency, a pool for
-/// parallelism beyond the exploration workers, a remote daemon to move
-/// constraint solving off-box entirely (the paper's solver-service
-/// vision closing the loop).
+/// under its own session id). The merged test cases are identical
+/// across backends — see the module docs — so this is purely a
+/// deployment knob: in-process for latency, a pool for parallelism
+/// beyond the exploration workers, a remote daemon to move constraint
+/// solving off-box entirely (the paper's solver-service vision closing
+/// the loop). When it returns, every problem the exploration created
+/// has been released: the backend holds what it held before.
 pub fn par_explore_on(
     config: ParallelConfig,
     root: GuestState,
@@ -303,9 +312,126 @@ mod tests {
             !report.pool.is_empty(),
             "interned nodes live in the shared pool"
         );
-        // Witnesses re-validate against the shared pool: every reported
-        // SAT case satisfies being *a* completed path (smoke check that
-        // ids survived cross-worker transfer).
-        assert!(report.stats.solver_checks >= report.cases.len() as u64);
+        // Every decision — two per fork, one per completed path — was
+        // answered, by the backend or by an inherited witness.
+        let stats = report.stats;
+        assert_eq!(
+            stats.solver_checks + stats.witness_hits,
+            2 * stats.forks + report.cases.len() as u64
+        );
+    }
+
+    /// Two bytes, each behind a contradictory inner check: forks whose
+    /// solved child is UNSAT.
+    const PRUNING: &str = r#"
+.text
+_start:
+    mov  rdi, buf
+    mov  rsi, 2
+    mov  rax, 1100
+    syscall
+    mov  r12, buf
+    ld1  rbx, [r12]
+    cmp  rbx, 10
+    jae  second
+    cmp  rbx, 200
+    jbe  second
+    udiv rbx, 0        ; unreachable
+second:
+    ld1  rbx, [r12+1]
+    cmp  rbx, 10
+    jae  done
+    cmp  rbx, 200
+    jbe  done
+    udiv rbx, 0        ; unreachable
+done:
+    mov  rdi, 0
+    mov  rax, 60
+    syscall
+.data
+buf: .space 2
+"#;
+
+    /// Solver state is snapshotted state: when the engine has dropped
+    /// its last guest snapshot, every problem the exploration created
+    /// has been released. Fails if `Solved`'s `Drop` stops releasing.
+    #[test]
+    fn exploration_leaves_the_backend_as_it_found_it() {
+        let service = Arc::new(ShardedService::new(ServiceConfig::new(4)));
+        let held = |service: &ShardedService| {
+            let total = service.stats().total();
+            (total.live_problems, total.resident_snapshots)
+        };
+        let before = held(&service);
+        let mut queries = 0;
+        for (src, limit) in [
+            (branch_tree_source(6), None),
+            (password_source(b"hi!"), None),
+            (PRUNING.to_owned(), None),
+            // Cut short, as the ledger's warm-up is on every set-up:
+            // the frontier's states go with the engine.
+            (branch_tree_source(6), Some(40)),
+        ] {
+            let prog = assemble_source(&src).unwrap();
+            let config = ParallelConfig {
+                max_extensions: limit,
+                ..ParallelConfig::new(4)
+            };
+            let report = par_explore_on(config, prog.boot().unwrap(), service.clone());
+            assert_eq!(held(&service), before, "problems or snapshots leaked");
+            queries += report.stats.solver_checks;
+            assert_eq!(service.stats().total().queries, queries);
+            if limit.is_none() {
+                assert_eq!(report.run.stop, StopReason::Exhausted);
+                assert_eq!(report.stats.solver_checks, report.stats.forks);
+            } else {
+                assert!(report.stats.solver_checks <= report.stats.forks);
+                assert!(report.cases.len() < 64, "the limit did cut the run short");
+            }
+        }
+        assert!(queries > 0);
+    }
+
+    #[test]
+    fn the_pruning_program_prunes() {
+        let prog = assemble_source(PRUNING).unwrap();
+        let report = par_explore(prog.boot().unwrap(), 2);
+        // One contradiction under byte 0 < 10, one under byte 1 < 10 on
+        // each side of the first check.
+        assert_eq!(report.stats.infeasible_pruned, 3);
+        assert_eq!(report.cases.len(), 4);
+        assert!(report.cases.iter().all(|c| c.end == PathEnd::Exit(0)));
+    }
+
+    /// Two shards that keep two snapshots each: parents are evicted
+    /// under the states that name them and come back by replay, on
+    /// whichever worker — owner or thief — solves next. Same cases.
+    #[test]
+    fn solver_context_survives_eviction_and_theft() {
+        let src = branch_tree_source(6);
+        let (seq_cases, _) = sequential_cases(&src);
+        let config = ServiceConfig::new(2).with_snapshot_capacity(2);
+        let service = Arc::new(ShardedService::new(config));
+        let prog = assemble_source(&src).unwrap();
+        let report = par_explore_on(
+            ParallelConfig::new(4),
+            prog.boot().unwrap(),
+            service.clone(),
+        );
+        assert_eq!(report.cases, seq_cases);
+        let total = service.stats().total();
+        assert!(total.rederivations > 0, "parents were evicted and replayed");
+        assert_eq!(total.live_problems, 2, "only the roots remain");
+    }
+
+    #[test]
+    fn repeated_parallel_runs_are_identical() {
+        let prog = assemble_source(&branch_tree_source(5)).unwrap();
+        let first = par_explore(prog.boot().unwrap(), 4).cases;
+        assert_eq!(first.len(), 32);
+        for run in 1..20 {
+            let again = par_explore(prog.boot().unwrap(), 4).cases;
+            assert_eq!(again, first, "run {run} differs");
+        }
     }
 }

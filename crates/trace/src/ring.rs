@@ -7,8 +7,13 @@
 //! events (the writer simply laps the ring); a drain that races a lap
 //! skips the torn slot instead of blocking the hot path.
 //!
-//! The global registry of rings is a mutex-guarded vec touched once
-//! per thread (registration) and on drain — never on the record path.
+//! The global registry of rings is mutex-guarded and touched twice
+//! per thread (claiming a ring on the first event, handing it back at
+//! thread exit) and on drain — never on the record path. A new thread
+//! takes over the ring of an exited one before a fresh ring is made, so
+//! the rings held are as many as threads ever recorded *at once*: a
+//! program that keeps spawning short-lived workers (one parallel
+//! exploration after another) does not grow by a ring per worker.
 
 use crate::{thread_id, Kind};
 
@@ -41,7 +46,6 @@ pub struct Event {
 }
 
 struct Ring {
-    tid: u32,
     /// Total events ever pushed; slot = head % capacity.
     head: AtomicU64,
     /// High-water mark of drained indices (consume-on-drain).
@@ -51,11 +55,10 @@ struct Ring {
 }
 
 impl Ring {
-    fn new(tid: u32) -> Ring {
+    fn new() -> Ring {
         let mut slots = Vec::with_capacity(RING_CAPACITY * STRIDE);
         slots.resize_with(RING_CAPACITY * STRIDE, || AtomicU64::new(0));
         Ring {
-            tid,
             head: AtomicU64::new(0),
             drained: AtomicU64::new(0),
             slots: slots.into_boxed_slice(),
@@ -65,7 +68,7 @@ impl Ring {
     /// Owner-thread-only write. Seqlock protocol: seq goes odd, payload
     /// lands, seq goes even-and-index-stamped. `2*(idx+1)` is unique
     /// per ring index, so a reader can tell which lap it observed.
-    fn push(&self, ts_ns: u64, dur_ns: u64, kind: Kind, a: u64, b: u64) {
+    fn push(&self, tid: u32, ts_ns: u64, dur_ns: u64, kind: Kind, a: u64, b: u64) {
         let idx = self.head.load(Ordering::Relaxed);
         let base = (idx as usize % RING_CAPACITY) * STRIDE;
         let s = &self.slots;
@@ -73,10 +76,7 @@ impl Ring {
         fence(Ordering::Release);
         s[base + 1].store(ts_ns, Ordering::Relaxed);
         s[base + 2].store(dur_ns, Ordering::Relaxed);
-        s[base + 3].store(
-            (kind.code() as u64) << 32 | self.tid as u64,
-            Ordering::Relaxed,
-        );
+        s[base + 3].store((kind.code() as u64) << 32 | tid as u64, Ordering::Relaxed);
         s[base + 4].store(a, Ordering::Relaxed);
         s[base + 5].store(b, Ordering::Relaxed);
         s[base].store(2 * (idx + 1), Ordering::Release);
@@ -123,33 +123,70 @@ impl Ring {
     }
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
-    static RINGS: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
+#[derive(Default)]
+struct Registry {
+    /// Every ring ever made: what [`drain`] walks.
+    all: Vec<Arc<Ring>>,
+    /// Rings whose thread has exited, undrained events and all: what
+    /// the next new thread writes on from.
+    idle: Vec<Arc<Ring>>,
 }
 
-/// Records one event into the calling thread's ring, registering the
-/// ring on first use. Steady-state cost: a thread-local read plus six
+fn registry() -> &'static Mutex<Registry> {
+    static RINGS: OnceLock<Mutex<Registry>> = OnceLock::new();
+    RINGS.get_or_init(Mutex::default)
+}
+
+/// One thread's claim on a ring, from its first event to its exit. The
+/// hand-over goes through the registry mutex, so a ring has one writer
+/// at a time and the next one sees the last one's `head`.
+struct Lease {
+    tid: u32,
+    ring: Arc<Ring>,
+}
+
+impl Lease {
+    fn claim() -> Lease {
+        let mut registry = registry().lock().unwrap();
+        let ring = registry.idle.pop().unwrap_or_else(|| {
+            let ring = Arc::new(Ring::new());
+            registry.all.push(Arc::clone(&ring));
+            ring
+        });
+        Lease {
+            tid: thread_id(),
+            ring,
+        }
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        // A poisoned registry only costs the reuse of this ring.
+        if let Ok(mut registry) = registry().lock() {
+            registry.idle.push(Arc::clone(&self.ring));
+        }
+    }
+}
+
+/// Records one event into the calling thread's ring, claiming a ring
+/// on first use. Steady-state cost: a thread-local read plus six
 /// relaxed/release stores.
 #[inline]
 pub(crate) fn record(ts_ns: u64, dur_ns: u64, kind: Kind, a: u64, b: u64) {
     thread_local! {
-        static LOCAL: Arc<Ring> = {
-            let ring = Arc::new(Ring::new(thread_id()));
-            registry().lock().unwrap().push(ring.clone());
-            ring
-        };
+        static LOCAL: Lease = Lease::claim();
     }
     // Threads can record during TLS teardown (destructor order is
     // unspecified); dropping those events is fine.
-    let _ = LOCAL.try_with(|ring| ring.push(ts_ns, dur_ns, kind, a, b));
+    let _ = LOCAL.try_with(|lease| lease.ring.push(lease.tid, ts_ns, dur_ns, kind, a, b));
 }
 
 /// Drains every thread's ring and merges the events into one stream
 /// ordered by `(ts_ns, tid)`. Consuming: events are returned once.
 pub fn drain() -> Vec<Event> {
     let mut out = Vec::new();
-    for ring in registry().lock().unwrap().iter() {
+    for ring in registry().lock().unwrap().all.iter() {
         ring.drain_into(&mut out);
     }
     out.sort_by_key(|e| (e.ts_ns, e.tid));
@@ -173,10 +210,10 @@ mod tests {
     #[test]
     fn overflow_drops_oldest_keeps_newest() {
         let ns = 0x0dd0;
-        let ring = Ring::new(7);
+        let ring = Ring::new();
         let total = RING_CAPACITY as u64 + 100;
         for i in 0..total {
-            ring.push(i, 0, Kind::SnapHit, ns << 32 | i, i * 2);
+            ring.push(7, i, 0, Kind::SnapHit, ns << 32 | i, i * 2);
         }
         let mut out = Vec::new();
         ring.drain_into(&mut out);
@@ -194,7 +231,7 @@ mod tests {
         let mut again = Vec::new();
         ring.drain_into(&mut again);
         assert!(again.is_empty());
-        ring.push(9999, 0, Kind::SnapHit, ns << 32, 0);
+        ring.push(7, 9999, 0, Kind::SnapHit, ns << 32, 0);
         ring.drain_into(&mut again);
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].ts_ns, 9999);
@@ -236,6 +273,28 @@ mod tests {
                 .collect();
             assert_eq!(own, (0..50).collect::<Vec<_>>());
         }
+    }
+
+    /// Threads that come and go share rings: the registry grows with
+    /// the threads alive at once, not with the threads ever spawned,
+    /// and an exited thread's undrained events survive the hand-over.
+    #[test]
+    fn an_exited_threads_ring_is_taken_over() {
+        let _guard = drain_lock();
+        crate::set_enabled(true);
+        let ns: u64 = 0x1ea5e;
+        let rings_before = registry().lock().unwrap().all.len();
+        for t in 0..8u64 {
+            std::thread::spawn(move || record(t, 0, Kind::SnapHit, ns << 32 | t, 0))
+                .join()
+                .unwrap();
+        }
+        let rings_after = registry().lock().unwrap().all.len();
+        assert!(rings_after <= rings_before + 1, "one ring served all eight");
+        let events = mine(ns, &drain());
+        assert_eq!(events.len(), 8);
+        let tids: std::collections::BTreeSet<u32> = events.iter().map(|e| e.tid).collect();
+        assert_eq!(tids.len(), 8, "each event keeps its own thread's id");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Parallel symbolic execution: S2E-style multi-path analysis on the
 //! lock-free work-stealing engine.
 //!
-//! Explores a branch-tree program (`2^DEPTH` feasible paths, each
-//! requiring a SAT feasibility check) and a password cracker, first
+//! Explores a branch-tree program (`2^DEPTH` feasible paths, one SAT
+//! feasibility solve per fork) and a password cracker, first
 //! sequentially, then with [`lwsnap_symex::par_explore`] forking
-//! path-constraint snapshots across N workers. Per-path verdicts — the
-//! synthesised test inputs — are merged canonically and must match the
-//! sequential run exactly.
+//! path-constraint snapshots — solver context included — across N
+//! workers. Per-path verdicts — the synthesised test inputs — are
+//! merged canonically and must match the sequential run exactly.
 //!
 //! ```sh
 //! cargo run --release --example par_symex [DEPTH] [WORKERS]
@@ -58,10 +58,12 @@ fn main() {
         "parallel verdicts must match sequential"
     );
     println!(
-        "branch_tree({depth}): {} paths, {} solver checks, {} forks",
+        "branch_tree({depth}): {} paths, {} forks, {} solver checks ({} clauses shipped), {} witness hits",
         report.cases.len(),
+        report.stats.forks,
         report.stats.solver_checks,
-        report.stats.forks
+        report.stats.delta_clauses,
+        report.stats.witness_hits
     );
     println!(
         "  sequential {seq_time:?} | {workers} workers {par_time:?} | speedup {:.2}x | verdicts identical: yes",

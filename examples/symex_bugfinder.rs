@@ -75,10 +75,13 @@ fn main() {
 
     println!("explored the target binary symbolically in {elapsed:?}");
     println!(
-        "paths: {} | forks: {} | solver checks: {} | infeasible pruned: {}\n",
+        "paths: {} | forks: {} | solver checks: {} ({} clauses shipped) | witness hits: {} | \
+         infeasible pruned: {}\n",
         exec.cases.len(),
         exec.stats.forks,
         exec.stats.solver_checks,
+        exec.stats.delta_clauses,
+        exec.stats.witness_hits,
         exec.stats.infeasible_pruned
     );
 
