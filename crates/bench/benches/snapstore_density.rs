@@ -48,7 +48,7 @@ fn grow_tree(svc: &mut SolverService, probs: &mut Vec<ProblemRef>, steps: usize)
 
 type MakeStore = fn() -> Box<dyn SnapshotStore>;
 
-fn resident_after_tree(make: MakeStore, budget: usize) -> usize {
+fn resident_after_tree(make: MakeStore, budget: usize) -> u64 {
     let (mut svc, mut probs) = seeded(make());
     svc.set_snapshot_budget(Some(budget));
     grow_tree(&mut svc, &mut probs, TREE);
@@ -65,7 +65,7 @@ fn bench_snapstore_density(c: &mut Criterion) {
         .resident_bytes
         .max(cow_seed.stats().resident_bytes);
     drop((deep_seed, cow_seed));
-    let budget = 3 * one_full;
+    let budget = 3 * one_full as usize;
 
     let stores: [(&str, MakeStore); 2] = [
         ("cow-page", || Box::new(CowStore::new())),

@@ -11,7 +11,7 @@
 //! ## Architecture
 //!
 //! * Each worker owns a **lock-free Chase–Lev deque** ([`crate::deque`])
-//!   of [`WorkItem`]s (one unevaluated extension step each:
+//!   of `WorkItem`s (one unevaluated extension step each:
 //!   `Arc<Snapshot>` + extension index + tree path).
 //! * A worker pushes the siblings of every guess onto its **own** deque
 //!   (bottom) and continues extension 0 inline — the same depth-first

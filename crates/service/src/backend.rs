@@ -27,9 +27,9 @@ use std::io;
 use std::sync::mpsc;
 
 use lwsnap_solver::Lit;
+use lwsnap_trace::StatsSummary;
 
 use crate::pool::{PoolClient, WorkerPool};
-use crate::protocol::StatsSummary;
 use crate::sharded::{ProblemId, ShardedService, SolveReply};
 
 /// A claim on one submitted solve request, redeemed with
@@ -164,7 +164,7 @@ impl SolverBackend for ShardedService {
     }
 
     fn stats(&self) -> io::Result<StatsSummary> {
-        Ok((&ShardedService::stats(self)).into())
+        Ok(ShardedService::stats(self))
     }
 
     fn node_stats(&self) -> io::Result<crate::stats::FleetStats> {
@@ -204,7 +204,7 @@ impl SolverBackend for PoolClient {
     }
 
     fn stats(&self) -> io::Result<StatsSummary> {
-        Ok((&self.service().stats()).into())
+        Ok(self.service().stats())
     }
 
     fn node_stats(&self) -> io::Result<crate::stats::FleetStats> {
@@ -241,7 +241,7 @@ impl SolverBackend for WorkerPool {
     }
 
     fn stats(&self) -> io::Result<StatsSummary> {
-        Ok((&self.service().stats()).into())
+        Ok(self.service().stats())
     }
 
     fn node_stats(&self) -> io::Result<crate::stats::FleetStats> {

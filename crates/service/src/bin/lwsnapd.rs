@@ -12,8 +12,9 @@
 //! multiplexed by `--reactors` epoll reactor threads — one per core by
 //! default, each with its own `SO_REUSEPORT` listener so the kernel
 //! shards accepted connections across them) until a client sends a
-//! `Shutdown` request,
-//! then prints the final service and worker statistics. `--capacity`
+//! `Shutdown` request, then prints the node's final counters (one
+//! `lwsnap_*` line each, as the scrape shows them) and the worker
+//! statistics. `--capacity`
 //! bounds the resident solver snapshots *per shard* by count,
 //! `--budget` by byte cost (clause + assignment footprint); evicted
 //! problems are re-derived transparently by constraint replay.
@@ -40,13 +41,13 @@
 //! ## Observability
 //!
 //! `--metrics-addr HOST:PORT` starts the scrape exporter: `GET
-//! /metrics` serves the plaintext counter/gauge/histogram snapshot and
-//! `GET /trace` drains the event rings as chrome://tracing JSON. The
-//! same data is available in-band via the `Stats2` and `TraceDump`
-//! wire requests, so clusters can be scraped through a
-//! `ClusterBackend` without any HTTP exposure.
+//! /metrics` serves this node's counters and latency histograms as
+//! plaintext and `GET /trace` drains the event rings as
+//! chrome://tracing JSON. The same data is available in-band via the
+//! `Stats` and `TraceDump` wire requests, so clusters can be scraped
+//! through a `ClusterBackend` without any HTTP exposure.
 
-use lwsnap_service::{NodeId, Server, ServiceConfig};
+use lwsnap_service::{MetricsSnapshot, NodeId, Server, ServiceConfig};
 
 use std::net::SocketAddr;
 
@@ -142,8 +143,10 @@ fn main() {
             std::process::exit(1);
         }
     };
+    let counters = server.counters();
     if let Some(scrape) = &metrics_addr {
-        match lwsnap_trace::export::serve(scrape) {
+        let counters = counters.clone();
+        match lwsnap_trace::export::serve(scrape, move || counters.metrics()) {
             Ok(bound) => println!("lwsnapd node {node_id}: metrics on http://{bound}/metrics"),
             Err(e) => {
                 eprintln!("lwsnapd: cannot bind metrics exporter {scrape}: {e}");
@@ -169,35 +172,12 @@ fn main() {
         capacity.map_or("unbounded".to_owned(), |c| c.to_string()),
     );
 
-    let service = server.service().clone();
-    let replicas = server.replicas().clone();
-    let heartbeat_misses = server.heartbeat_miss_handle();
     let worker_stats = server.wait();
-    let (replica_bytes, replica_promotions, failovers) = replicas.counters();
-
-    let total = service.stats().total();
-    println!(
-        "served {} queries ({} conflicts): {} snapshot hits, {} rederivations \
-         ({} clauses replayed, {} conflicts), {} evictions, {} live problems",
-        total.queries,
-        total.total_conflicts,
-        total.snapshot_hits,
-        total.rederivations,
-        total.replayed_clauses,
-        total.rederive_conflicts,
-        total.evictions,
-        total.live_problems,
-    );
-    println!(
-        "snapshot store: {} resident bytes, {} shared / {} private pages",
-        total.resident_bytes, total.shared_pages, total.private_pages,
-    );
-    println!(
-        "replication: {replica_bytes} replica bytes held, {replica_promotions} promotions \
-         across {failovers} failovers served, {} compactions, {} heartbeat misses",
-        replicas.compactions(),
-        heartbeat_misses.load(std::sync::atomic::Ordering::Relaxed),
-    );
+    let final_counters = MetricsSnapshot {
+        counters: counters.snapshot(),
+        histograms: Vec::new(),
+    };
+    print!("{}", final_counters.render());
     for (i, w) in worker_stats.iter().enumerate() {
         println!("worker {i}: {} jobs, {:.3?} busy", w.jobs, w.busy);
     }

@@ -7,24 +7,24 @@
 //! the caller a payload that borrows the block — no
 //! `extend_from_slice` staging copy on the hot path. When the
 //! connection closes, its lease drops and the block returns to the
-//! freelist (counted by the `net.pool_recycle` trace counter), so a
-//! reactor's steady-state allocation rate for receive buffers is zero.
+//! freelist (counted as `pool_recycles`), so a reactor's steady-state
+//! allocation rate for receive buffers is zero.
 //!
 //! The one place bytes still move is a frame that straddles a block
 //! boundary: the partial tail is copied into a per-connection spill
 //! buffer and completed from the next block fill, copying *exactly*
 //! the bytes the frame still needs ([`protocol::frame_len`]). Those
-//! copies — and only those — are counted by the `net.rx_copy_bytes`
-//! trace counter, which is how the benches assert the zero-copy path
-//! really is one: on small-frame traffic the counter stays at a few
-//! bytes per thousand requests, not a few hundred per request.
+//! copies — and only those — are counted as `rx_copy_bytes`, which is
+//! how the benches assert the zero-copy path really is one: on
+//! small-frame traffic the counter stays at a few bytes per thousand
+//! requests, not a few hundred per request.
 
 use std::io::Read;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use lwsnap_trace as trace;
+use lwsnap_trace::StatsSummary;
 
 use crate::protocol::{self, FrameRef, ProtoError};
 
@@ -83,16 +83,15 @@ impl BufferPool {
         self.free.lock().unwrap().len()
     }
 
-    /// Blocks returned to the freelist over the pool's lifetime.
-    pub fn recycled(&self) -> u64 {
-        self.recycled.load(Ordering::Relaxed)
-    }
-
-    /// Receive bytes copied by every assembler over this pool
-    /// (block-boundary spills only — the per-reactor twin of the
-    /// process-wide `net.rx_copy_bytes` trace counter).
-    pub fn copied_bytes(&self) -> u64 {
-        self.copied.load(Ordering::Relaxed)
+    /// The counters this pool owns: blocks returned to the freelist
+    /// (`pool_recycles`) and receive bytes its assemblers copied, block
+    /// boundary spills only (`rx_copy_bytes`).
+    pub fn stats(&self) -> StatsSummary {
+        StatsSummary {
+            pool_recycles: self.recycled.load(Ordering::Relaxed),
+            rx_copy_bytes: self.copied.load(Ordering::Relaxed),
+            ..Default::default()
+        }
     }
 }
 
@@ -124,7 +123,6 @@ impl Drop for Lease {
             free.push(block);
             drop(free);
             self.pool.recycled.fetch_add(1, Ordering::Relaxed);
-            trace::Registry::global().pool_recycles.inc();
         }
     }
 }
@@ -191,7 +189,6 @@ impl FrameAssembler {
     fn count_copy(&mut self, n: usize) {
         self.copied += n as u64;
         self.pool.copied.fetch_add(n as u64, Ordering::Relaxed);
-        trace::Registry::global().rx_copy_bytes.add(n as u64);
     }
 
     /// Extracts the next complete frame, if any, invoking `f` on a
@@ -356,7 +353,7 @@ mod tests {
         }
         assert_eq!(pool.outstanding(), 0);
         assert_eq!(pool.free_blocks(), 2);
-        assert_eq!(pool.recycled(), 2);
+        assert_eq!(pool.stats().pool_recycles, 2);
         // Reuse: a fresh lease comes off the freelist.
         let _c = pool.lease();
         assert_eq!(pool.free_blocks(), 1);

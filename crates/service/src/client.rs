@@ -18,12 +18,12 @@ use std::sync::{Arc, Condvar, Mutex, RwLock, TryLockError};
 use std::time::Duration;
 
 use lwsnap_solver::{Lit, SolveResult};
-use lwsnap_trace::{self as trace, Event, MetricsSnapshot};
+use lwsnap_trace::{self as trace, Event, MetricsSnapshot, StatsSummary};
 
 use crate::backend::{foreign_ticket, SolverBackend, Ticket, TicketInner};
 use crate::protocol::{
     lits_to_clauses, put_tagged_frame, read_any_frame, write_tagged_frame, ProtoError, Request,
-    Response, StatsSummary,
+    Response,
 };
 use crate::router::{mix64, NodeId, Ring};
 use crate::sharded::{ProblemId, SolveReply};
@@ -76,11 +76,10 @@ fn unexpected(response: Response) -> io::Error {
             Response::Root { .. } => 1,
             Response::Solved { .. } => 2,
             Response::Released => 3,
-            Response::Stats(_) => 4,
             Response::Error(_) => 5,
             Response::Promoted { .. } => 6,
             Response::Pong { .. } => 7,
-            Response::Metrics(_) => 8,
+            Response::Metrics { .. } => 8,
             Response::Trace(_) => 9,
         }),
     )
@@ -185,7 +184,7 @@ impl PipelinedClient {
     /// Writes a whole window of tagged requests **corked**: frames
     /// accumulate in the buffered writer and the socket is flushed once
     /// per window (or whenever the buffered bytes cross the server's
-    /// backpressure high-water mark, [`crate::net::HIGH_WATER`] —
+    /// backpressure high-water mark, 1 MiB —
     /// matching the bound the reactor applies on its side) instead of
     /// once per submit. Returns the correlation tags in request order.
     ///
@@ -300,21 +299,26 @@ impl PipelinedClient {
         self.wait_response(tag)
     }
 
-    /// Asks the daemon to shut down; returns its final stats snapshot.
-    pub fn shutdown_server(&self) -> io::Result<StatsSummary> {
-        match self.call(&Request::Shutdown)? {
-            Response::Stats(s) => Ok(s),
+    /// Sends `request` (`Stats` or `Shutdown`) and returns the stats
+    /// reply: the answering node's id and its metrics.
+    fn stats_reply(&self, request: &Request) -> io::Result<(NodeId, MetricsSnapshot)> {
+        match self.call(request)? {
+            Response::Metrics { node, metrics } => NodeId::try_from(node)
+                .map(|node| (node, *metrics))
+                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "node id out of range")),
             other => Err(unexpected(other)),
         }
     }
 
-    /// Fetches the node's full metrics snapshot (named counters, gauges
-    /// and latency histograms) — the mergeable scrape-plane view.
+    /// Asks the daemon to shut down; returns its final counters.
+    pub fn shutdown_server(&self) -> io::Result<StatsSummary> {
+        Ok(self.stats_reply(&Request::Shutdown)?.1.counters)
+    }
+
+    /// Fetches the node's counters and latency histograms — the
+    /// mergeable scrape-plane view.
     pub fn metrics(&self) -> io::Result<MetricsSnapshot> {
-        match self.call(&Request::Stats2)? {
-            Response::Metrics(m) => Ok(m),
-            other => Err(unexpected(other)),
-        }
+        Ok(self.stats_reply(&Request::Stats)?.1)
     }
 
     /// Drains the node's trace rings and returns the merged,
@@ -358,20 +362,15 @@ impl SolverBackend for PipelinedClient {
     }
 
     fn stats(&self) -> io::Result<StatsSummary> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(unexpected(other)),
-        }
+        Ok(self.metrics()?.counters)
     }
 
-    /// The daemon's node id rides in every id it mints, so a read-only
-    /// root lookup labels the stats with the REAL node id (the trait
-    /// default would hardcode 0, misattributing a `--node-id 2`
-    /// daemon's counters).
+    /// One `Stats` request: the reply names the node that answered, so
+    /// a `--node-id 2` daemon's counters are labelled 2.
     fn node_stats(&self) -> io::Result<FleetStats> {
-        let node = SolverBackend::session_root(self, 0)?.node();
+        let (node, metrics) = self.stats_reply(&Request::Stats)?;
         Ok(FleetStats {
-            nodes: vec![(node, SolverBackend::stats(self)?)],
+            nodes: vec![(node, metrics.counters)],
         })
     }
 
@@ -978,13 +977,13 @@ impl ClusterBackend {
     }
 
     /// One merged metrics snapshot for the whole fleet: every member's
-    /// `Stats2` snapshot absorbed by name (counters/histograms sum,
-    /// gauges add — a fleet gauge is a fleet total). Caveat: in an
-    /// *in-process* test cluster every node shares one process-global
-    /// registry, so each node reports the same numbers and the merge
-    /// overcounts N×; across real daemon processes each node owns its
-    /// registry and the merge is exact.
-    pub fn fleet_metrics(&self) -> io::Result<lwsnap_trace::MetricsSnapshot> {
+    /// stats reply absorbed (counters field-wise, histograms by name).
+    /// The counters are exact anywhere. Caveat for the histograms: in
+    /// an *in-process* test cluster every node shares one
+    /// process-global histogram registry, so each node reports the same
+    /// latencies and the merge counts them N×; across real daemon
+    /// processes each node records its own.
+    pub fn fleet_metrics(&self) -> io::Result<MetricsSnapshot> {
         let members: Vec<Arc<ClusterNode>> = self.core.nodes.read().unwrap().to_vec();
         let mut fleet = MetricsSnapshot::default();
         for n in &members {

@@ -54,8 +54,10 @@
 //!   exchange is its depth-1 `call`) and [`ClusterBackend`] (N
 //!   pipelined connections behind the ring) — the remote
 //!   [`SolverBackend`]s, for one node and for a whole cluster.
-//! * [`stats`] — per-shard and per-worker counters aggregated into one
-//!   cluster view.
+//! * [`stats`] — the fleet view of the stats plane: every counter is a
+//!   field of [`StatsSummary`], kept by its owner (a shard, the replica
+//!   store, the forwarder, a buffer pool) and folded per node
+//!   ([`Server::stats`]) and per fleet ([`FleetStats::total`]).
 //!
 //! ```
 //! use lwsnap_service::{ServiceConfig, ShardedService};
@@ -93,10 +95,11 @@ pub use backend::{SolverBackend, Ticket};
 pub use bufpool::{BufferPool, FrameAssembler, Lease};
 pub use chaos::{ChaosAction, ChaosPlan, ChaosPolicy};
 pub use client::{ClusterBackend, Disconnected, NodeError, PipelinedClient};
-pub use net::{Cluster, ReactorStatsView, Server};
+pub use lwsnap_trace::{MetricsSnapshot, StatsSummary};
+pub use net::{Cluster, NodeCounters, ReactorStatsView, Server};
 pub use pool::{PoolClient, WorkerPool};
-pub use protocol::{Request, Response, StatsSummary};
+pub use protocol::{Request, Response};
 pub use replica::ReplicaStore;
 pub use router::{NodeId, Placement, Ring};
 pub use sharded::{ProblemId, ServiceConfig, ShardedService, SolveReply};
-pub use stats::{ClusterStats, FleetStats, WorkerStats};
+pub use stats::{FleetStats, WorkerStats};

@@ -25,10 +25,10 @@
 //!   ([`crate::protocol::parse_frame_ref`]) and the request is decoded
 //!   straight out of the block — the old `inbuf` staging copy is gone.
 //!   Only a frame that straddles a block boundary is copied (into a
-//!   spill buffer), and those bytes are counted by the
-//!   `net.rx_copy_bytes` trace counter so the benches can assert the
-//!   copies stayed gone. Blocks recycle to the reactor's freelist when
-//!   a connection closes (`net.pool_recycle`).
+//!   spill buffer), and those bytes are counted (`rx_copy_bytes`) so
+//!   the benches can assert the copies stayed gone. Blocks recycle to
+//!   the reactor's freelist when a connection closes
+//!   (`pool_recycles`).
 //! * **Write side** — responses queue as (header, payload) pairs and go
 //!   out through corked scatter-gather writes
 //!   ([`std::io::Write::write_vectored`], i.e. `writev`): the encoded
@@ -78,14 +78,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use lwsnap_trace as trace;
+use lwsnap_trace::{self as trace, MetricsSnapshot, StatsSummary};
 use polling::{Event, Poller};
 
 use crate::bufpool::{BufferPool, FrameAssembler};
 use crate::chaos::{root_key, stable_key, ChaosAction, ChaosPolicy};
 use crate::client::{jittered_nap, PipelinedClient, SuspicionTable};
 use crate::pool::{CompletionQueue, PoolClient, WorkerPool};
-use crate::protocol::{clauses_to_lits, Request, Response, StatsSummary, CONNECTION_TAG, TAGGED};
+use crate::protocol::{clauses_to_lits, Request, Response, CONNECTION_TAG, TAGGED};
 use crate::replica::ReplicaStore;
 use crate::router::{NodeId, Ring};
 use crate::sharded::{ProblemId, ServiceConfig, ShardedService, SolveReply};
@@ -140,11 +140,6 @@ const SUSPICION_THRESHOLD: u32 = 3;
 pub(crate) struct Forwarder {
     node: NodeId,
     inner: Mutex<ForwardInner>,
-    /// Total heartbeat probes that went unanswered (exported as
-    /// [`StatsSummary::heartbeat_misses`]). Shared out through
-    /// [`Server::heartbeat_miss_handle`] so the count stays readable
-    /// after [`Server::wait`] has consumed the server.
-    misses: Arc<AtomicU64>,
     /// Highest membership epoch seen anywhere: bumped locally when this
     /// node declares a peer dead, raised to the max carried by any
     /// `Ping` it receives, echoed in every `Pong`. A router holding a
@@ -169,6 +164,25 @@ struct ForwardInner {
     suspicion: SuspicionTable,
     /// Fault-injection policy for outgoing replication frames.
     chaos: Option<Arc<ChaosPolicy>>,
+    /// The counters the forwarder owns: `forwards`,
+    /// `chaos_injections`, `heartbeat_misses` and `dead_peers`.
+    stats: StatsSummary,
+}
+
+impl ForwardInner {
+    /// Decides, and counts, what chaos does to the outgoing
+    /// replication frame whose content key is `key`.
+    fn chaos_action(&mut self, key: u64) -> ChaosAction {
+        let action = self
+            .chaos
+            .as_ref()
+            .map_or(ChaosAction::Deliver, |p| p.decide(key));
+        if action != ChaosAction::Deliver {
+            trace::instant(trace::Kind::ChaosInject, key, 0);
+            self.stats.chaos_injections += 1;
+        }
+        action
+    }
 }
 
 /// What the home node knows about one problem it minted.
@@ -217,22 +231,12 @@ fn peer_conn(inner: &mut ForwardInner, peer: NodeId) -> Option<Arc<PipelinedClie
     Some(client)
 }
 
-/// Sends one fire-and-forget replication frame through the chaos
-/// policy: drops swallow it, duplicates send it twice (the receiver
-/// dedupes), delays sleep briefly first. `key` must identify the frame
-/// by *content* (the [`stable_key`] of its clause lineage) so the
-/// decision is replayable across runs.
-fn chaos_send(
-    conn: &PipelinedClient,
-    chaos: Option<&ChaosPolicy>,
-    key: u64,
-    request: &Request,
-) -> io::Result<()> {
-    let action = chaos.map_or(ChaosAction::Deliver, |p| p.decide(key));
-    if action != ChaosAction::Deliver {
-        trace::instant(trace::Kind::ChaosInject, key, 0);
-        trace::Registry::global().chaos_injections.inc();
-    }
+/// Sends one fire-and-forget replication frame as chaos decided
+/// ([`ForwardInner::chaos_action`], keyed on the frame's *content* —
+/// the [`stable_key`] of its clause lineage — so the decision is
+/// replayable across runs): drops swallow it, duplicates send it twice
+/// (the receiver dedupes), delays sleep briefly first.
+fn chaos_send(conn: &PipelinedClient, action: ChaosAction, request: &Request) -> io::Result<()> {
     match action {
         ChaosAction::Drop => Ok(()),
         ChaosAction::Deliver => conn.submit_forgotten(request),
@@ -258,8 +262,8 @@ impl Forwarder {
                 sessions: HashMap::new(),
                 suspicion: SuspicionTable::new(SUSPICION_THRESHOLD),
                 chaos: None,
+                stats: StatsSummary::default(),
             }),
-            misses: Arc::new(AtomicU64::new(0)),
             epoch: AtomicU64::new(0),
             hb_started: AtomicBool::new(false),
         }
@@ -323,7 +327,7 @@ impl Forwarder {
     /// registers the child for future attribution). No-op for
     /// untracked parents and sessions with nowhere to replicate.
     fn forward_edge(&self, parent: u64, problem: u64, clauses: Vec<Vec<i64>>) {
-        let (conn, chaos, replica, session, key) = {
+        let (conn, action, replica, session) = {
             let mut inner = self.inner.lock().unwrap();
             let Some(&from) = inner.sessions.get(&parent) else {
                 return;
@@ -336,17 +340,17 @@ impl Forwarder {
             let Some(conn) = peer_conn(&mut inner, replica) else {
                 return;
             };
-            (conn, inner.chaos.clone(), replica, from.session, key)
+            inner.stats.forwards += 1;
+            (conn, inner.chaos_action(key), replica, from.session)
         };
         trace::instant(trace::Kind::ReplForward, session, problem);
-        trace::Registry::global().forwards.inc();
         let request = Request::Replicate {
             session,
             problem,
             parent,
             clauses,
         };
-        if chaos_send(&conn, chaos.as_deref(), key, &request).is_err() {
+        if chaos_send(&conn, action, &request).is_err() {
             // The replica's connection died; drop it so the next
             // forward reconnects (its liveness is the heartbeat's job).
             self.inner.lock().unwrap().conns.remove(&replica);
@@ -357,7 +361,7 @@ impl Forwarder {
     /// problem from the session registry and tells the session's
     /// replica to GC its copy of the edge.
     fn forget(&self, problem: u64) {
-        let (conn, chaos, replica, gone) = {
+        let (conn, action, replica, session) = {
             let mut inner = self.inner.lock().unwrap();
             let Some(gone) = inner.sessions.remove(&problem) else {
                 return;
@@ -368,13 +372,13 @@ impl Forwarder {
             let Some(conn) = peer_conn(&mut inner, replica) else {
                 return;
             };
-            (conn, inner.chaos.clone(), replica, gone)
+            (conn, inner.chaos_action(gone.key), replica, gone.session)
         };
         let request = Request::Unreplicate {
-            session: gone.session,
+            session,
             problems: vec![problem],
         };
-        if chaos_send(&conn, chaos.as_deref(), gone.key, &request).is_err() {
+        if chaos_send(&conn, action, &request).is_err() {
             self.inner.lock().unwrap().conns.remove(&replica);
         }
     }
@@ -386,8 +390,9 @@ impl Forwarder {
         self.epoch.load(Ordering::Acquire)
     }
 
-    fn heartbeat_misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    /// The counters the forwarder owns.
+    fn stats(&self) -> StatsSummary {
+        self.inner.lock().unwrap().stats
     }
 
     /// One heartbeat round: ping every peer, track suspicion, and
@@ -420,10 +425,9 @@ impl Forwarder {
                     self.inner.lock().unwrap().suspicion.ack(peer);
                 }
                 _ => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    trace::Registry::global().heartbeat_misses.inc();
                     let (dead, count) = {
                         let mut inner = self.inner.lock().unwrap();
+                        inner.stats.heartbeat_misses += 1;
                         inner.conns.remove(&peer);
                         let dead = inner.suspicion.miss(peer);
                         (dead, inner.suspicion.misses(peer))
@@ -464,10 +468,10 @@ impl Forwarder {
             inner.conns.remove(&dead);
             inner.suspicion.forget(dead);
             rehome_replicas(&mut inner, self.node);
+            inner.stats.dead_peers += 1;
             victims
         };
         trace::instant(trace::Kind::NodeDead, dead as u64, victims.len() as u64);
-        trace::Registry::global().failovers.inc();
         self.epoch.fetch_add(1, Ordering::AcqRel);
         for session in victims {
             let problems = replicas.session_problems(session);
@@ -578,12 +582,48 @@ struct ReactorHandle {
     thread: Option<JoinHandle<()>>,
 }
 
+/// The owners of one node's counters — its shards, replica store,
+/// forwarder and reactors' buffer pools — read on demand. Folding them
+/// is the node's one [`StatsSummary`]: the stats reply, the scrape and
+/// [`Server::stats`] all read it here. Cheap to clone, and it outlives
+/// the [`Server`] it came from ([`Server::counters`]).
+#[derive(Clone)]
+pub struct NodeCounters {
+    service: Arc<ShardedService>,
+    replicas: Arc<ReplicaStore>,
+    forwarder: Arc<Forwarder>,
+    bufpools: Arc<[Arc<BufferPool>]>,
+}
+
+impl NodeCounters {
+    /// The node's counters now.
+    pub fn snapshot(&self) -> StatsSummary {
+        let mut total = self.service.stats();
+        total.absorb(&self.replicas.stats());
+        total.absorb(&self.forwarder.stats());
+        for pool in self.bufpools.iter() {
+            total.absorb(&pool.stats());
+        }
+        total
+    }
+
+    /// The node's counters beside the process's latency histograms:
+    /// what the stats reply carries and the scrape renders.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: self.snapshot(),
+            ..trace::Registry::global().snapshot()
+        }
+    }
+}
+
 /// A running `lwsnapd` server: reactor threads + worker pool.
 pub struct Server {
     addr: SocketAddr,
     service: Arc<ShardedService>,
     replicas: Arc<ReplicaStore>,
     forwarder: Arc<Forwarder>,
+    counters: NodeCounters,
     hard_stop: Arc<AtomicBool>,
     reactors: Vec<ReactorHandle>,
     pool: Option<WorkerPool>,
@@ -644,10 +684,16 @@ impl Server {
         }
         let all_pollers: Arc<Vec<Arc<Poller>>> =
             Arc::new(armed.iter().map(|(_, p)| Arc::clone(p)).collect());
+        let counters = NodeCounters {
+            service: Arc::clone(&service),
+            replicas: Arc::clone(&replicas),
+            forwarder: Arc::clone(&forwarder),
+            bufpools: armed.iter().map(|_| BufferPool::new()).collect(),
+        };
         let mut handles = Vec::with_capacity(armed.len());
         for (index, (listener, poller)) in armed.into_iter().enumerate() {
             let stats = Arc::new(ReactorStats::default());
-            let bufpool = BufferPool::new();
+            let bufpool = Arc::clone(&counters.bufpools[index]);
             let completions = Arc::new(CompletionQueue::new());
             let mut reactor = Reactor {
                 listener,
@@ -656,6 +702,7 @@ impl Server {
                 service: Arc::clone(&service),
                 replicas: Arc::clone(&replicas),
                 forwarder: Arc::clone(&forwarder),
+                counters: counters.clone(),
                 pool: pool.client(),
                 completions: Arc::clone(&completions),
                 hard_stop: Arc::clone(&hard_stop),
@@ -684,6 +731,7 @@ impl Server {
             service,
             replicas,
             forwarder,
+            counters,
             hard_stop,
             reactors: handles,
             pool: Some(pool),
@@ -720,15 +768,16 @@ impl Server {
         self.forwarder.epoch.load(Ordering::Acquire)
     }
 
-    /// Heartbeat probes this node has seen go unanswered.
-    pub fn heartbeat_misses(&self) -> u64 {
-        self.forwarder.heartbeat_misses()
+    /// This node's counters now — what a `Stats` request answers.
+    pub fn stats(&self) -> StatsSummary {
+        self.counters.snapshot()
     }
 
-    /// A clonable handle onto the heartbeat-miss counter, still
-    /// readable after [`Server::wait`] has consumed the server.
-    pub fn heartbeat_miss_handle(&self) -> Arc<AtomicU64> {
-        self.forwarder.misses.clone()
+    /// A handle onto this node's counters that stays readable after
+    /// [`Server::wait`] has consumed the server (the daemon's scrape
+    /// exporter and exit report).
+    pub fn counters(&self) -> NodeCounters {
+        self.counters.clone()
     }
 
     /// The bound address (with the resolved port).
@@ -761,8 +810,8 @@ impl Server {
                 accepted: r.stats.accepted.load(Ordering::Relaxed),
                 completions: r.stats.completions.load(Ordering::Relaxed),
                 queue_peak: r.completions.peak_depth(),
-                rx_copy_bytes: r.bufpool.copied_bytes(),
-                pool_recycled: r.bufpool.recycled(),
+                rx_copy_bytes: r.bufpool.stats().rx_copy_bytes,
+                pool_recycled: r.bufpool.stats().pool_recycles,
                 pool_outstanding: r.bufpool.outstanding(),
                 pool_free: r.bufpool.free_blocks(),
             })
@@ -907,6 +956,8 @@ struct Reactor {
     service: Arc<ShardedService>,
     replicas: Arc<ReplicaStore>,
     forwarder: Arc<Forwarder>,
+    /// The node's counters, for the stats reply.
+    counters: NodeCounters,
     pool: PoolClient,
     completions: Arc<CompletionQueue<Completion>>,
     hard_stop: Arc<AtomicBool>,
@@ -1256,17 +1307,8 @@ impl Reactor {
                 self.complete_inline(idx, tag, response);
             }
             Request::Stats => {
-                let response = Response::Stats(self.stats_summary());
+                let response = self.stats_reply();
                 self.complete_inline(idx, tag, response);
-            }
-            Request::Stats2 => {
-                // Refresh the point-in-time gauges so the snapshot's
-                // counters and gauges describe the same instant.
-                let stats = self.service.stats().total();
-                let reg = trace::Registry::global();
-                reg.resident_bytes.set(stats.resident_bytes as i64);
-                reg.live_problems.set(stats.live_problems as i64);
-                self.complete_inline(idx, tag, Response::Metrics(reg.snapshot()));
             }
             Request::TraceDump => {
                 self.complete_inline(idx, tag, Response::Trace(trace::drain()));
@@ -1275,7 +1317,7 @@ impl Reactor {
                 // Ack with the final stats, then drain gracefully. The
                 // flag is shared: wake every sibling reactor so each
                 // starts its own drain tick.
-                let response = Response::Stats(self.stats_summary());
+                let response = self.stats_reply();
                 self.complete_inline(idx, tag, response);
                 self.draining.store(true, Ordering::Release);
                 for poller in self.all_pollers.iter() {
@@ -1355,9 +1397,8 @@ impl Reactor {
                     }
                     let child = reply.as_ref().map_or(0, |r| r.problem.to_wire());
                     trace::span(trace::Kind::ReqSolve, req_t0, parent_wire, child);
-                    let reg = trace::Registry::global();
-                    reg.requests.inc();
-                    reg.request_ns
+                    trace::Registry::global()
+                        .request_ns
                         .record(trace::now_ns().saturating_sub(req_t0));
                     let depth = completions.push(Completion {
                         idx,
@@ -1376,18 +1417,12 @@ impl Reactor {
         }
     }
 
-    /// The node's stats summary with the replica-store counters
-    /// overlaid (the [`crate::stats::ClusterStats`] conversion cannot
-    /// know them — they live beside the service, not inside it).
-    fn stats_summary(&self) -> StatsSummary {
-        let mut summary: StatsSummary = (&self.service.stats()).into();
-        let (bytes, promotions, failovers) = self.replicas.counters();
-        summary.replica_bytes = bytes;
-        summary.replica_promotions = promotions;
-        summary.failovers = failovers;
-        summary.compactions = self.replicas.compactions();
-        summary.heartbeat_misses = self.forwarder.heartbeat_misses();
-        summary
+    /// The stats reply: this node's id, counters and histograms.
+    fn stats_reply(&self) -> Response {
+        Response::Metrics {
+            node: self.service.node_id() as u64,
+            metrics: Box::new(self.counters.metrics()),
+        }
     }
 
     fn complete_inline(&mut self, idx: usize, tag: u64, response: Response) {

@@ -27,17 +27,12 @@ use crate::stats::WorkerStats;
 /// away).
 type Complete = Box<dyn FnOnce(Option<SolveReply>) + Send>;
 
-enum Job {
-    Solve {
-        parent: ProblemId,
-        clauses: Vec<Vec<Lit>>,
-        complete: Complete,
-        /// Submission instant (trace clock) — queue-wait attribution.
-        queued_at: u64,
-    },
-    Release {
-        id: ProblemId,
-    },
+struct Job {
+    parent: ProblemId,
+    clauses: Vec<Vec<Lit>>,
+    complete: Complete,
+    /// Submission instant (trace clock) — queue-wait attribution.
+    queued_at: u64,
 }
 
 /// A fixed pool of worker threads serving a [`ShardedService`].
@@ -113,23 +108,19 @@ impl WorkerPool {
 
 fn worker_loop(service: &ShardedService, injector: &Injector<Job>, index: usize) -> WorkerStats {
     let mut stats = WorkerStats::default();
-    while let Some(job) = injector.pop() {
+    while let Some(Job {
+        parent,
+        clauses,
+        complete,
+        queued_at,
+    }) = injector.pop()
+    {
         let started = Instant::now();
-        match job {
-            Job::Solve {
-                parent,
-                clauses,
-                complete,
-                queued_at,
-            } => {
-                trace::span(trace::Kind::QueueWait, queued_at, index as u64, 0);
-                trace::Registry::global()
-                    .queue_wait_ns
-                    .record(trace::now_ns().saturating_sub(queued_at));
-                complete(service.solve(parent, &clauses))
-            }
-            Job::Release { id } => service.release(id),
-        }
+        trace::span(trace::Kind::QueueWait, queued_at, index as u64, 0);
+        trace::Registry::global()
+            .queue_wait_ns
+            .record(trace::now_ns().saturating_sub(queued_at));
+        complete(service.solve(parent, &clauses));
         stats.jobs += 1;
         stats.busy += started.elapsed();
     }
@@ -215,7 +206,7 @@ impl PoolClient {
         clauses: Vec<Vec<Lit>>,
         complete: impl FnOnce(Option<SolveReply>) + Send + 'static,
     ) {
-        self.injector.push(Job::Solve {
+        self.injector.push(Job {
             parent,
             clauses,
             complete: Box::new(complete),
@@ -256,7 +247,7 @@ impl PoolClient {
             .map(|(parent, clauses)| {
                 let (tx, rx) = mpsc::channel();
                 receivers.push(rx);
-                Job::Solve {
+                Job {
                     parent,
                     clauses,
                     complete: Box::new(move |reply| {
@@ -273,9 +264,11 @@ impl PoolClient {
             .collect()
     }
 
-    /// Queues an asynchronous release (fire-and-forget).
+    /// Releases on the calling thread (one shard lock), so any request
+    /// submitted afterwards sees the reference dead. A queued release
+    /// could lose that race to a later solve popped by another worker.
     pub fn release(&self, id: ProblemId) {
-        self.injector.push(Job::Release { id });
+        self.service.release(id);
     }
 }
 
@@ -365,7 +358,7 @@ mod tests {
         for s in sessions {
             s.join().unwrap();
         }
-        assert_eq!(service.stats().total().queries, 32);
+        assert_eq!(service.stats().queries, 32);
         let stats = pool.shutdown();
         assert_eq!(stats.iter().map(|w| w.jobs).sum::<u64>(), 32);
     }

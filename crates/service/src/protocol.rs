@@ -26,7 +26,8 @@
 use std::io::{self, Read, Write};
 
 use lwsnap_solver::Lit;
-use lwsnap_trace::{Event, HistogramSnapshot, Kind, MetricsSnapshot};
+use lwsnap_trace::metrics::COUNTERS;
+use lwsnap_trace::{Event, HistogramSnapshot, Kind, MetricsSnapshot, StatsSummary};
 
 /// Upper bound on a frame payload (guards against hostile or corrupt
 /// length prefixes before any allocation happens).
@@ -56,6 +57,9 @@ pub enum ProtoError {
     BadUtf8,
     /// A clause literal was zero (forbidden in DIMACS convention).
     ZeroLiteral,
+    /// A stats reply named a counter out of table order: the two ends
+    /// were built from different counter tables.
+    BadCounter(String),
     /// A wire problem id named a shard the service does not have.
     BadShard(u64),
     /// A wire problem id was routed to the wrong cluster node (stale
@@ -77,6 +81,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::Untagged => write!(f, "untagged frame header"),
             ProtoError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
             ProtoError::ZeroLiteral => write!(f, "zero literal in clause"),
+            ProtoError::BadCounter(name) => write!(f, "counter {name:?} out of table order"),
             ProtoError::BadShard(s) => write!(f, "shard index {s} out of range"),
             ProtoError::WrongNode { got, expected } => {
                 write!(
@@ -117,9 +122,10 @@ pub enum Request {
         /// Wire id of the problem to release.
         problem: u64,
     },
-    /// Fetch aggregated service statistics.
+    /// Fetch the node's stats, answered with [`Response::Metrics`].
     Stats,
-    /// Ask the daemon to shut down (connection close follows).
+    /// Ask the daemon to shut down: answered with its final
+    /// [`Response::Metrics`], then the connection closes.
     Shutdown,
     /// Ship one edge of a session's constraint path log to the
     /// session's replica: "on the session's home node, `problem` was
@@ -181,97 +187,10 @@ pub enum Request {
         /// or failover the sender has locally applied).
         epoch: u64,
     },
-    /// Fetch the node's full metrics snapshot (named counters, gauges
-    /// and latency histograms with their buckets) — the scrape plane's
-    /// wire form, answered with [`Response::Metrics`]. Unlike
-    /// [`Request::Stats`], histograms survive aggregation: a client
-    /// absorbs per-node snapshots into fleet quantiles.
-    Stats2,
     /// Drain the node's trace rings and ship the merged event stream,
     /// answered with [`Response::Trace`]. Draining is consuming: each
     /// event is exported once, to one caller.
     TraceDump,
-}
-
-/// Aggregated counters carried by [`Response::Stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSummary {
-    /// Number of shards.
-    pub shards: u32,
-    /// Queries served.
-    pub queries: u64,
-    /// Live (unreleased) problems.
-    pub live_problems: u64,
-    /// Resident (unevicted) solver snapshots.
-    pub resident_snapshots: u64,
-    /// Queries served straight from a resident snapshot.
-    pub snapshot_hits: u64,
-    /// Queries that re-derived an evicted parent.
-    pub rederivations: u64,
-    /// Clauses replayed during re-derivations.
-    pub replayed_clauses: u64,
-    /// Conflicts spent inside re-derivations.
-    pub rederive_conflicts: u64,
-    /// Snapshots evicted by the LRU policy.
-    pub evictions: u64,
-    /// Conflicts across all queries.
-    pub total_conflicts: u64,
-    /// Promote requests served (sessions failed over ONTO this node).
-    pub failovers: u64,
-    /// Problems materialized by replica-promotion replay.
-    pub replica_promotions: u64,
-    /// Payload bytes held in the passive replica store.
-    pub replica_bytes: u64,
-    /// Bytes resident in the snapshot stores, shared storage counted
-    /// **once** (what the eviction byte budget compares against).
-    pub resident_bytes: u64,
-    /// Physical pages mapped by two or more resident snapshots.
-    pub shared_pages: u64,
-    /// Physical pages private to exactly one resident snapshot.
-    pub private_pages: u64,
-    /// Heartbeat probes to peers that went unanswered (server-to-server
-    /// gossip layer; 0 on nodes with no peers configured).
-    pub heartbeat_misses: u64,
-    /// Linear path-log chains collapsed into composite edges by the
-    /// replica store's byte-budget compaction policy.
-    pub compactions: u64,
-    /// Shared pages copied on first divergent write by snapshot puts.
-    pub cow_page_copies: u64,
-    /// Fresh pages materialized from the zero page by snapshot puts.
-    pub zero_fills: u64,
-    /// Bytes written into page frames by snapshot puts.
-    pub bytes_written: u64,
-}
-
-impl StatsSummary {
-    /// Folds another node's summary into this one (counter-wise sum;
-    /// `shards` adds too, giving the cluster-total shard count). The
-    /// lossy step cross-node aggregation takes — keep
-    /// [`crate::stats::FleetStats`] around when per-node attribution
-    /// matters.
-    pub fn absorb(&mut self, other: &StatsSummary) {
-        self.shards += other.shards;
-        self.queries += other.queries;
-        self.live_problems += other.live_problems;
-        self.resident_snapshots += other.resident_snapshots;
-        self.snapshot_hits += other.snapshot_hits;
-        self.rederivations += other.rederivations;
-        self.replayed_clauses += other.replayed_clauses;
-        self.rederive_conflicts += other.rederive_conflicts;
-        self.evictions += other.evictions;
-        self.total_conflicts += other.total_conflicts;
-        self.failovers += other.failovers;
-        self.replica_promotions += other.replica_promotions;
-        self.replica_bytes += other.replica_bytes;
-        self.resident_bytes += other.resident_bytes;
-        self.shared_pages += other.shared_pages;
-        self.private_pages += other.private_pages;
-        self.heartbeat_misses += other.heartbeat_misses;
-        self.compactions += other.compactions;
-        self.cow_page_copies += other.cow_page_copies;
-        self.zero_fills += other.zero_fills;
-        self.bytes_written += other.bytes_written;
-    }
 }
 
 /// A server response.
@@ -297,8 +216,6 @@ pub enum Response {
     },
     /// Reply to [`Request::Release`] (idempotent).
     Released,
-    /// Reply to [`Request::Stats`].
-    Stats(StatsSummary),
     /// The request could not be served (dead reference, bad shard, ...).
     Error(String),
     /// Reply to [`Request::Promote`]: `(old home-node wire id, promoted
@@ -318,9 +235,18 @@ pub enum Response {
         /// Highest membership epoch the responder has observed.
         epoch: u64,
     },
-    /// Reply to [`Request::Stats2`]: the node's named metrics with
-    /// full histogram buckets (mergeable across nodes).
-    Metrics(MetricsSnapshot),
+    /// Reply to [`Request::Stats`] and [`Request::Shutdown`]: the
+    /// answering node's id, its counters and the process's latency
+    /// histograms. Counters travel as `(name, value)` pairs in table
+    /// order ([`StatsSummary::NAMES`]), histograms with their buckets,
+    /// so replies from many nodes merge exactly.
+    Metrics {
+        /// The answering node's cluster id.
+        node: u64,
+        /// Its counters and histograms (boxed: every other response is
+        /// a few words, and solve replies are moved between threads).
+        metrics: Box<MetricsSnapshot>,
+    },
     /// Reply to [`Request::TraceDump`]: the node's merged,
     /// time-ordered trace events drained so far.
     Trace(Vec<Event>),
@@ -669,7 +595,6 @@ impl Request {
                 put_u64(&mut out, *sender);
                 put_u64(&mut out, *epoch);
             }
-            Request::Stats2 => out.push(11),
             Request::TraceDump => out.push(12),
         }
         out
@@ -711,7 +636,6 @@ impl Request {
                 sender: d.u64()?,
                 epoch: d.u64()?,
             },
-            11 => Request::Stats2,
             12 => Request::TraceDump,
             t => return Err(ProtoError::BadTag(t)),
         };
@@ -744,34 +668,6 @@ impl Response {
                 encode_model(&mut out, model);
             }
             Response::Released => out.push(3),
-            Response::Stats(s) => {
-                out.push(4);
-                put_u32(&mut out, s.shards);
-                for v in [
-                    s.queries,
-                    s.live_problems,
-                    s.resident_snapshots,
-                    s.snapshot_hits,
-                    s.rederivations,
-                    s.replayed_clauses,
-                    s.rederive_conflicts,
-                    s.evictions,
-                    s.total_conflicts,
-                    s.failovers,
-                    s.replica_promotions,
-                    s.replica_bytes,
-                    s.resident_bytes,
-                    s.shared_pages,
-                    s.private_pages,
-                    s.heartbeat_misses,
-                    s.compactions,
-                    s.cow_page_copies,
-                    s.zero_fills,
-                    s.bytes_written,
-                ] {
-                    put_u64(&mut out, v);
-                }
-            }
             Response::Error(msg) => {
                 out.push(5);
                 put_u32(&mut out, msg.len() as u32);
@@ -790,9 +686,10 @@ impl Response {
                 put_u64(&mut out, *node);
                 put_u64(&mut out, *epoch);
             }
-            Response::Metrics(m) => {
+            Response::Metrics { node, metrics } => {
                 out.push(8);
-                encode_metrics(&mut out, m);
+                put_u64(&mut out, *node);
+                encode_metrics(&mut out, metrics);
             }
             Response::Trace(events) => {
                 out.push(9);
@@ -815,29 +712,6 @@ impl Response {
                 model: decode_model(&mut d)?,
             },
             3 => Response::Released,
-            4 => Response::Stats(StatsSummary {
-                shards: d.u32()?,
-                queries: d.u64()?,
-                live_problems: d.u64()?,
-                resident_snapshots: d.u64()?,
-                snapshot_hits: d.u64()?,
-                rederivations: d.u64()?,
-                replayed_clauses: d.u64()?,
-                rederive_conflicts: d.u64()?,
-                evictions: d.u64()?,
-                total_conflicts: d.u64()?,
-                failovers: d.u64()?,
-                replica_promotions: d.u64()?,
-                replica_bytes: d.u64()?,
-                resident_bytes: d.u64()?,
-                shared_pages: d.u64()?,
-                private_pages: d.u64()?,
-                heartbeat_misses: d.u64()?,
-                compactions: d.u64()?,
-                cow_page_copies: d.u64()?,
-                zero_fills: d.u64()?,
-                bytes_written: d.u64()?,
-            }),
             5 => {
                 let len = d.count(1)?;
                 let bytes = d.bytes(len)?;
@@ -859,7 +733,10 @@ impl Response {
                 node: d.u64()?,
                 epoch: d.u64()?,
             },
-            8 => Response::Metrics(decode_metrics(&mut d)?),
+            8 => Response::Metrics {
+                node: d.u64()?,
+                metrics: Box::new(decode_metrics(&mut d)?),
+            },
             9 => Response::Trace(decode_events(&mut d)?),
             t => return Err(ProtoError::BadTag(t)),
         };
@@ -882,15 +759,10 @@ fn decode_str(d: &mut Decoder<'_>) -> Result<String, ProtoError> {
 }
 
 fn encode_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
-    put_u32(out, m.counters.len() as u32);
-    for (name, v) in &m.counters {
+    put_u32(out, COUNTERS as u32);
+    for (name, v) in StatsSummary::NAMES.iter().zip(m.counters.values()) {
         put_str(out, name);
-        put_u64(out, *v);
-    }
-    put_u32(out, m.gauges.len() as u32);
-    for (name, v) in &m.gauges {
-        put_str(out, name);
-        put_u64(out, *v as u64);
+        put_u64(out, v);
     }
     put_u32(out, m.histograms.len() as u32);
     for (name, h) in &m.histograms {
@@ -906,15 +778,21 @@ fn encode_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
 }
 
 fn decode_metrics(d: &mut Decoder<'_>) -> Result<MetricsSnapshot, ProtoError> {
-    // Every entry carries at least a name length (4) plus a value (8).
+    // The counters are the whole table in table order: a peer built from
+    // another table is refused, not half understood. Every entry carries
+    // at least a name length (4) plus a value (8).
     let ncounters = d.count(12)?;
-    let counters = (0..ncounters)
-        .map(|_| Ok((decode_str(d)?, d.u64()?)))
-        .collect::<Result<_, ProtoError>>()?;
-    let ngauges = d.count(12)?;
-    let gauges = (0..ngauges)
-        .map(|_| Ok((decode_str(d)?, d.u64()? as i64)))
-        .collect::<Result<_, ProtoError>>()?;
+    if ncounters != COUNTERS {
+        return Err(ProtoError::BadLength(ncounters as u64));
+    }
+    let mut values = [0; COUNTERS];
+    for (value, expected) in values.iter_mut().zip(StatsSummary::NAMES) {
+        let name = decode_str(d)?;
+        if name != expected {
+            return Err(ProtoError::BadCounter(name));
+        }
+        *value = d.u64()?;
+    }
     let nhists = d.count(24)?;
     let histograms = (0..nhists)
         .map(|_| {
@@ -936,8 +814,7 @@ fn decode_metrics(d: &mut Decoder<'_>) -> Result<MetricsSnapshot, ProtoError> {
         })
         .collect::<Result<_, ProtoError>>()?;
     Ok(MetricsSnapshot {
-        counters,
-        gauges,
+        counters: StatsSummary::from_values(values),
         histograms,
     })
 }
@@ -996,6 +873,7 @@ pub fn lits_to_clauses(clauses: &[Vec<Lit>]) -> Vec<Vec<i64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip_request(req: Request) {
         let payload = req.encode();
@@ -1047,7 +925,6 @@ mod tests {
             sender: u64::MAX,
             epoch: 0,
         });
-        roundtrip_request(Request::Stats2);
         roundtrip_request(Request::TraceDump);
     }
 
@@ -1071,48 +948,35 @@ mod tests {
             model: None,
         });
         roundtrip_response(Response::Released);
-        roundtrip_response(Response::Stats(StatsSummary {
-            shards: 4,
-            queries: 100,
-            live_problems: 50,
-            resident_snapshots: 12,
-            snapshot_hits: 90,
-            rederivations: 10,
-            replayed_clauses: 333,
-            rederive_conflicts: 21,
-            evictions: 38,
-            total_conflicts: 1234,
-            failovers: 2,
-            replica_promotions: 9,
-            replica_bytes: 4096,
-            resident_bytes: 1 << 20,
-            shared_pages: 77,
-            private_pages: 33,
-            heartbeat_misses: 6,
-            compactions: 11,
-            cow_page_copies: 44,
-            zero_fills: 55,
-            bytes_written: 1 << 18,
-        }));
         roundtrip_response(Response::Error("dead reference".into()));
         roundtrip_response(Response::Promoted {
             mapping: vec![(1 << 48 | 3, 2 << 48 | 11), (7, 8)],
         });
         roundtrip_response(Response::Promoted { mapping: vec![] });
         roundtrip_response(Response::Pong { node: 2, epoch: 9 });
-        roundtrip_response(Response::Metrics(MetricsSnapshot {
-            counters: vec![("requests_total".into(), 7), ("evictions_total".into(), 0)],
-            gauges: vec![("resident_bytes".into(), -3)],
-            histograms: vec![(
-                "solve_ns".into(),
-                HistogramSnapshot {
-                    count: 4,
-                    sum: 900,
-                    buckets: vec![(0, 1), (17, 3)],
+        roundtrip_response(Response::Metrics {
+            node: 3,
+            metrics: Box::new(MetricsSnapshot {
+                counters: StatsSummary {
+                    shards: 4,
+                    queries: 100,
+                    dead_peers: 1,
+                    ..Default::default()
                 },
-            )],
-        }));
-        roundtrip_response(Response::Metrics(MetricsSnapshot::default()));
+                histograms: vec![(
+                    "solve_ns".into(),
+                    HistogramSnapshot {
+                        count: 4,
+                        sum: 900,
+                        buckets: vec![(0, 1), (17, 3)],
+                    },
+                )],
+            }),
+        });
+        roundtrip_response(Response::Metrics {
+            node: 0,
+            metrics: Box::default(),
+        });
         roundtrip_response(Response::Trace(vec![
             Event {
                 ts_ns: 1_000,
@@ -1145,6 +1009,39 @@ mod tests {
         put_u64(&mut payload, 0); // a
         put_u64(&mut payload, 0); // b
         assert!(Response::decode(&payload).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The counter table, as a property: every field survives
+        /// struct → named wire form → struct, `absorb` is a field-wise
+        /// sum, and no two counters share a name.
+        #[test]
+        fn stats_table_survives_the_wire_and_sums_fieldwise(
+            a in proptest::collection::vec(any::<u64>(), COUNTERS),
+            b in proptest::collection::vec(any::<u64>(), COUNTERS),
+            node in any::<u64>(),
+        ) {
+            let a = StatsSummary::from_values(a.try_into().unwrap());
+            let b = StatsSummary::from_values(b.try_into().unwrap());
+            let reply = Response::Metrics {
+                node,
+                metrics: Box::new(MetricsSnapshot { counters: a, histograms: vec![] }),
+            };
+            prop_assert_eq!(Response::decode(&reply.encode()), Ok(reply));
+
+            let mut sum = a;
+            sum.absorb(&b);
+            for ((s, x), y) in sum.values().into_iter().zip(a.values()).zip(b.values()) {
+                prop_assert_eq!(s, x.wrapping_add(y));
+            }
+
+            let mut names = StatsSummary::NAMES.to_vec();
+            names.sort_unstable();
+            names.dedup();
+            prop_assert_eq!(names.len(), COUNTERS);
+        }
     }
 
     #[test]
@@ -1203,6 +1100,30 @@ mod tests {
         assert_eq!(a.cow_page_copies, 15);
         assert_eq!(a.zero_fills, 4);
         assert_eq!(a.bytes_written, 4608);
+    }
+
+    #[test]
+    fn stats_replies_from_another_counter_table_are_refused() {
+        let reply = Response::Metrics {
+            node: 1,
+            metrics: Box::default(),
+        }
+        .encode();
+        // The counter count sits after the tag and the node id.
+        let count_at = 1 + 8;
+        for count in [0, COUNTERS as u32 - 1, COUNTERS as u32 + 1, u32::MAX] {
+            let mut hostile = reply.clone();
+            hostile[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+            assert!(Response::decode(&hostile).is_err(), "count {count}");
+        }
+        // Same count, but the first counter renamed.
+        let mut renamed = reply.clone();
+        let first = count_at + 4 + 4;
+        renamed[first] = b'x';
+        assert!(matches!(
+            Response::decode(&renamed),
+            Err(ProtoError::BadCounter(_))
+        ));
     }
 
     #[test]

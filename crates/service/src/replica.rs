@@ -44,7 +44,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
-use lwsnap_trace as trace;
+use lwsnap_trace::{self as trace, StatsSummary};
 
 use crate::protocol::clauses_to_lits;
 use crate::sharded::{ProblemId, ShardedService};
@@ -125,11 +125,10 @@ struct StoreInner {
     promoted: HashMap<u64, u64>,
     /// Byte budget; exceeding it triggers compaction.
     budget: Option<u64>,
-    /// Counters surfaced through [`crate::StatsSummary`].
-    bytes: u64,
-    promotions: u64,
-    failovers: u64,
-    compactions: u64,
+    /// The counters this store owns: `replica_bytes`,
+    /// `replica_promotions`, `promoted_problems`, `failovers` and
+    /// `compactions`.
+    stats: StatsSummary,
 }
 
 /// Per-node passive replica store; see the module docs. All methods
@@ -179,10 +178,10 @@ impl ReplicaStore {
             parent,
             segments: vec![Segment { problem, clauses }],
         };
-        st.bytes += edge.bytes();
+        st.stats.replica_bytes += edge.bytes();
         log.index.insert(problem, problem);
         log.edges.insert(problem, edge);
-        if st.budget.is_some_and(|b| st.bytes > b) {
+        if st.budget.is_some_and(|b| st.stats.replica_bytes > b) {
             compact_locked(st);
         }
     }
@@ -276,19 +275,20 @@ impl ReplicaStore {
         if log.edges.is_empty() {
             st.sessions.remove(&session);
         }
-        st.bytes -= freed;
+        st.stats.replica_bytes -= freed;
         removed
     }
 
-    /// Current `(replica_bytes, replica_promotions, failovers)`.
-    pub fn counters(&self) -> ReplicaCounters {
-        let inner = self.inner.lock().unwrap();
-        (inner.bytes, inner.promotions, inner.failovers)
+    /// The counters this store owns (every other field zero).
+    pub fn stats(&self) -> StatsSummary {
+        self.inner.lock().unwrap().stats
     }
 
-    /// Linear chains collapsed into composite edges so far.
-    pub fn compactions(&self) -> u64 {
-        self.inner.lock().unwrap().compactions
+    /// Current `(replica_bytes, replica_promotions, failovers)`: three
+    /// fields of [`ReplicaStore::stats`].
+    pub fn counters(&self) -> ReplicaCounters {
+        let s = self.stats();
+        (s.replica_bytes, s.replica_promotions, s.failovers)
     }
 
     /// Promotes `session`'s replica onto `service` (this node's own
@@ -308,7 +308,7 @@ impl ReplicaStore {
     ) -> Vec<(u64, u64)> {
         let promote_t0 = trace::now_ns();
         let mut inner = self.inner.lock().unwrap();
-        inner.failovers += 1;
+        inner.stats.failovers += 1;
         let mut requested: Vec<u64> = problems.to_vec();
         let mut seen: HashSet<u64> = problems.iter().copied().collect();
         if let Some(log) = inner.sessions.get(&session) {
@@ -333,9 +333,7 @@ impl ReplicaStore {
             session,
             mapping.len() as u64,
         );
-        trace::Registry::global()
-            .promotions
-            .add(mapping.len() as u64);
+        inner.stats.promoted_problems += mapping.len() as u64;
         mapping
     }
 }
@@ -378,8 +376,8 @@ fn compact_locked(st: &mut StoreInner) {
             merges += 1;
         }
     }
-    st.bytes -= saved;
-    st.compactions += merges;
+    st.stats.replica_bytes -= saved;
+    st.stats.compactions += merges;
 }
 
 /// Replays one problem's path onto `service`, memoizing every segment.
@@ -424,7 +422,7 @@ fn promote_one(
         let StoreInner {
             sessions,
             promoted,
-            promotions,
+            stats,
             ..
         } = st;
         let edge = sessions.get(&session)?.edges.get(&key)?;
@@ -438,7 +436,7 @@ fn promote_one(
             let reply = service.solve(ProblemId::from_wire(parent), &lits)?;
             let new = reply.problem.to_wire();
             promoted.insert(seg.problem, new);
-            *promotions += 1;
+            stats.replica_promotions += 1;
             parent = new;
         }
     }
@@ -485,6 +483,13 @@ mod tests {
                 Some(SolveResult::Sat)
             );
         }
+        // A second promotion answers from the memo: three more remaps,
+        // no more replays.
+        assert_eq!(store.promote(&svc, 9, &[a, b, c]), mapping);
+        let stats = store.stats();
+        assert_eq!(stats.replica_promotions, 3);
+        assert_eq!(stats.promoted_problems, 6);
+        assert_eq!(stats.failovers, 2);
         // b and c really diverge on the replica too.
         let (_, b2) = mapping[1];
         let sat = svc
@@ -560,7 +565,7 @@ mod tests {
         // byte counter reflects only per-segment + clause costs plus a
         // single edge overhead.
         assert_eq!(store.session_edges(session), 1);
-        assert!(store.compactions() > 0);
+        assert!(store.stats().compactions > 0);
         let (bytes, ..) = store.counters();
         let floor = EDGE_OVERHEAD + 16 * (SEGMENT_OVERHEAD + 4 + 8);
         assert_eq!(bytes, floor, "compacted to the accounting floor");

@@ -18,10 +18,10 @@
 use std::sync::Mutex;
 
 use lwsnap_snapstore::CowStore;
-use lwsnap_solver::{Lit, ProblemRef, ServiceStats, SolveResult, SolverService};
+use lwsnap_solver::{Lit, ProblemRef, SolveResult, SolverService};
+use lwsnap_trace::StatsSummary;
 
 use crate::router::NodeId;
-use crate::stats::ClusterStats;
 
 /// Configuration for a [`ShardedService`].
 #[derive(Debug, Clone)]
@@ -309,14 +309,21 @@ impl ShardedService {
         self.shard(id)?.lock().unwrap().is_resident(id.local())
     }
 
-    /// Per-shard counters plus the aggregate.
-    pub fn stats(&self) -> ClusterStats {
-        let shards: Vec<ServiceStats> = self
-            .shards
+    /// The node's solver counters: every shard's, folded.
+    pub fn stats(&self) -> StatsSummary {
+        let mut total = StatsSummary::default();
+        for shard in self.shard_stats() {
+            total.absorb(&shard);
+        }
+        total
+    }
+
+    /// Each shard's counters, indexed by shard.
+    pub fn shard_stats(&self) -> Vec<StatsSummary> {
+        self.shards
             .iter()
             .map(|s| s.lock().unwrap().stats())
-            .collect();
-        ClusterStats { shards }
+            .collect()
     }
 }
 
@@ -379,7 +386,7 @@ mod tests {
         // Contradictory facts coexist because the trees are disjoint.
         assert!(a.model.unwrap()[0]);
         assert!(!b.model.unwrap()[0]);
-        let total = svc.stats().total();
+        let total = svc.stats();
         assert_eq!(total.queries, 2);
         assert_eq!(total.live_problems, 4, "2 roots + 2 children");
     }
@@ -450,7 +457,7 @@ mod tests {
         for v in 1..=3 {
             cur = svc.solve(cur, &[lits(&[v])]).unwrap().problem;
         }
-        let total = svc.stats().total();
+        let total = svc.stats();
         assert!(
             total.shared_pages > 0,
             "derivation chain shares pages: {total:?}"
@@ -468,10 +475,10 @@ mod tests {
         for v in 1..=4 {
             cur = svc.solve(cur, &[lits(&[v])]).unwrap().problem;
         }
-        let stats = svc.stats();
-        assert!(stats.shards[0].evictions > 0, "budget forced evictions");
-        assert_eq!(stats.shards[1].evictions, 0, "other shard untouched");
-        assert!(stats.total().resident_bytes > 0);
+        let stats = svc.shard_stats();
+        assert!(stats[0].evictions > 0, "budget forced evictions");
+        assert_eq!(stats[1].evictions, 0, "other shard untouched");
+        assert!(svc.stats().resident_bytes > 0);
         // Evicted ancestors still answer via replay.
         let reply = svc.solve(root, &[lits(&[5])]).unwrap();
         assert_eq!(reply.result, SolveResult::Sat);
@@ -485,9 +492,9 @@ mod tests {
         for v in 1..=5 {
             cur = svc.solve(cur, &[lits(&[v])]).unwrap().problem;
         }
-        let stats = svc.stats();
-        assert!(stats.shards[0].evictions > 0, "chain exceeded capacity");
-        assert_eq!(stats.shards[1].evictions, 0, "other shard untouched");
+        let stats = svc.shard_stats();
+        assert!(stats[0].evictions > 0, "chain exceeded capacity");
+        assert_eq!(stats[1].evictions, 0, "other shard untouched");
         // Evicted ancestors still answer via replay.
         let reply = svc.solve(root, &[lits(&[6])]).unwrap();
         assert_eq!(reply.result, SolveResult::Sat);

@@ -1,10 +1,16 @@
-//! Per-shard / per-worker counters and their cluster-level aggregation.
+//! Per-worker counters and the fleet view of the stats plane.
+//!
+//! Every service counter is a field of [`StatsSummary`], counted by
+//! its owner: a solver shard, the [`crate::ReplicaStore`], the
+//! server's forwarder or a reactor's [`crate::BufferPool`]. A node
+//! folds its owners ([`crate::ShardedService::stats`],
+//! [`crate::Server::stats`]) and a fleet folds its nodes
+//! ([`FleetStats::total`]), every level with [`StatsSummary::absorb`].
 
 use std::time::Duration;
 
-use lwsnap_solver::ServiceStats;
+use lwsnap_trace::StatsSummary;
 
-use crate::protocol::StatsSummary;
 use crate::router::NodeId;
 
 /// Counters for one worker thread of a [`crate::pool::WorkerPool`].
@@ -16,57 +22,15 @@ pub struct WorkerStats {
     pub busy: Duration,
 }
 
-/// The service-wide view: one [`ServiceStats`] per shard.
-#[derive(Debug, Clone)]
-pub struct ClusterStats {
-    /// Per-shard counters, indexed by shard.
-    pub shards: Vec<ServiceStats>,
-}
-
-impl ClusterStats {
-    /// Sums the per-shard counters into one aggregate.
-    pub fn total(&self) -> ServiceStats {
-        let mut total = ServiceStats::default();
-        for s in &self.shards {
-            total.queries += s.queries;
-            total.total_conflicts += s.total_conflicts;
-            total.total_propagations += s.total_propagations;
-            total.live_problems += s.live_problems;
-            total.resident_snapshots += s.resident_snapshots;
-            total.snapshot_hits += s.snapshot_hits;
-            total.rederivations += s.rederivations;
-            total.replayed_clauses += s.replayed_clauses;
-            total.rederive_conflicts += s.rederive_conflicts;
-            total.evictions += s.evictions;
-            total.resident_bytes += s.resident_bytes;
-            total.shared_pages += s.shared_pages;
-            total.private_pages += s.private_pages;
-            total.cow_page_copies += s.cow_page_copies;
-            total.zero_fills += s.zero_fills;
-            total.bytes_written += s.bytes_written;
-        }
-        total
-    }
-
-    /// Fraction of queries served straight from a resident snapshot
-    /// (1.0 when nothing was ever evicted). `None` before any query.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.total();
-        let lookups = total.snapshot_hits + total.rederivations;
-        (lookups > 0).then(|| total.snapshot_hits as f64 / lookups as f64)
-    }
-}
-
 /// Cross-node statistics with the node dimension kept: one
-/// [`StatsSummary`] per cluster node, in node-id order. The fleet-level
-/// analogue of [`ClusterStats`] (which keeps the *shard* dimension
-/// inside one node) — summing happens only on demand, in [`total`],
-/// so per-node hit/rederive/evict attribution is never silently lost.
+/// [`StatsSummary`] per cluster node, in node-id order. Summing happens
+/// only on demand, in [`total`], so per-node hit/rederive/evict
+/// attribution is never silently lost.
 ///
 /// [`total`]: FleetStats::total
 #[derive(Debug, Clone, Default)]
 pub struct FleetStats {
-    /// Per-node summaries: `(node id, that node's aggregate)`.
+    /// Per-node summaries: `(node id, that node's counters)`.
     pub nodes: Vec<(NodeId, StatsSummary)>,
 }
 
@@ -87,66 +51,36 @@ impl FleetStats {
     }
 }
 
-impl From<&ClusterStats> for crate::protocol::StatsSummary {
-    fn from(cluster: &ClusterStats) -> Self {
-        let t = cluster.total();
-        crate::protocol::StatsSummary {
-            shards: cluster.shards.len() as u32,
-            queries: t.queries,
-            live_problems: t.live_problems as u64,
-            resident_snapshots: t.resident_snapshots as u64,
-            snapshot_hits: t.snapshot_hits,
-            rederivations: t.rederivations,
-            replayed_clauses: t.replayed_clauses,
-            rederive_conflicts: t.rederive_conflicts,
-            evictions: t.evictions,
-            total_conflicts: t.total_conflicts,
-            resident_bytes: t.resident_bytes as u64,
-            shared_pages: t.shared_pages,
-            private_pages: t.private_pages,
-            cow_page_copies: t.cow_page_copies,
-            zero_fills: t.zero_fills,
-            bytes_written: t.bytes_written,
-            // Replication and heartbeat counters live in the reactor's
-            // ReplicaStore and Forwarder, not in the shard stats; the
-            // server overlays them.
-            failovers: 0,
-            replica_promotions: 0,
-            replica_bytes: 0,
-            heartbeat_misses: 0,
-            compactions: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::{ServiceConfig, ShardedService};
+    use lwsnap_solver::Lit;
 
     #[test]
     fn totals_sum_across_shards() {
-        let a = ServiceStats {
-            queries: 3,
-            snapshot_hits: 2,
-            rederivations: 1,
-            live_problems: 4,
-            ..Default::default()
-        };
-        let b = ServiceStats {
-            queries: 5,
-            snapshot_hits: 5,
-            evictions: 2,
-            live_problems: 6,
-            ..Default::default()
-        };
-        let cluster = ClusterStats { shards: vec![a, b] };
-        let total = cluster.total();
-        assert_eq!(total.queries, 8);
-        assert_eq!(total.snapshot_hits, 7);
-        assert_eq!(total.rederivations, 1);
-        assert_eq!(total.evictions, 2);
-        assert_eq!(total.live_problems, 10);
-        assert_eq!(cluster.hit_rate(), Some(7.0 / 8.0));
+        let svc = ShardedService::new(ServiceConfig::new(2).with_snapshot_capacity(1));
+        let root = svc.root(0).unwrap();
+        let p = svc.solve(root, &[vec![Lit::from_dimacs(1)]]).unwrap();
+        svc.solve(root, &[vec![Lit::from_dimacs(2)]]).unwrap();
+        svc.solve(p.problem, &[vec![Lit::from_dimacs(3)]]).unwrap();
+        svc.solve(svc.root(1).unwrap(), &[vec![Lit::from_dimacs(-1)]])
+            .unwrap();
+
+        let shards = svc.shard_stats();
+        let mut sum = StatsSummary::default();
+        for shard in &shards {
+            sum.absorb(shard);
+        }
+        let total = svc.stats();
+        assert_eq!(total, sum, "the node is the field-wise sum of its shards");
+        assert_eq!(total.shards, 2);
+        assert_eq!(total.queries, 4);
+        assert_eq!(total.live_problems, 6, "2 roots + 4 children");
+        assert_eq!(shards[0].queries, 3);
+        assert!(shards[0].evictions > 0 && shards[0].rederivations > 0);
+        let hit_rate = total.hit_rate().unwrap();
+        assert!(0.0 < hit_rate && hit_rate < 1.0, "hit rate {hit_rate}");
     }
 
     #[test]
@@ -180,9 +114,7 @@ mod tests {
 
     #[test]
     fn hit_rate_undefined_before_traffic() {
-        let cluster = ClusterStats {
-            shards: vec![ServiceStats::default()],
-        };
-        assert_eq!(cluster.hit_rate(), None);
+        let svc = ShardedService::new(ServiceConfig::new(1));
+        assert_eq!(svc.stats().hit_rate(), None);
     }
 }

@@ -150,6 +150,6 @@ fn trait_objects_are_shareable_across_threads() {
     for h in handles {
         h.join().unwrap();
     }
-    assert_eq!(service.stats().total().queries, 32);
+    assert_eq!(service.stats().queries, 32);
     pool.shutdown();
 }

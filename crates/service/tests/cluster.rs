@@ -5,9 +5,11 @@
 
 use std::collections::HashSet;
 use std::io::ErrorKind;
+use std::time::{Duration, Instant};
 
 use lwsnap_service::{
     protocol, Cluster, NodeError, ProblemId, Request, Response, Ring, ServiceConfig, SolverBackend,
+    StatsSummary,
 };
 use lwsnap_solver::{Lit, SolveResult};
 
@@ -69,6 +71,55 @@ fn three_node_cluster_serves_spread_sessions() {
         let summary = result.unwrap_or_else(|e| panic!("node {node} failed to drain: {e}"));
         assert_eq!(summary.shards, 4);
     }
+    cluster.shutdown();
+}
+
+/// One stats plane: each node's counters, read over the wire, are
+/// exactly that node's own in-process snapshot, and the fleet total is
+/// their sum — including through `fleet_metrics`, whose counters once
+/// came from one process-wide registry and read N× too high here.
+#[test]
+fn wire_stats_are_each_nodes_own_counters() {
+    let cluster = Cluster::start_local(3, ServiceConfig::new(2), 1).unwrap();
+    let backend = cluster.connect().unwrap();
+    let sessions = 0..12u64;
+    for session in sessions.clone() {
+        let mut cur = backend.session_root(session).unwrap();
+        for v in 1..=3i64 {
+            cur = backend.solve(cur, lits(&[v])).unwrap().unwrap().problem;
+        }
+    }
+    // Quiesce: every forwarded edge has been recorded by its replica.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    for session in sessions {
+        let replica = backend.ring().successor_for(session).unwrap();
+        let held = || {
+            cluster
+                .server(replica)
+                .unwrap()
+                .replicas()
+                .session_edges(session)
+        };
+        while held() != 3 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(held(), 3, "session {session}'s log reached node {replica}");
+    }
+
+    let fleet = backend.node_stats().unwrap();
+    assert_eq!(fleet.nodes.len(), 3);
+    let mut sum = StatsSummary::default();
+    for (node, wire) in &fleet.nodes {
+        let own = cluster.server(*node).unwrap().stats();
+        assert_eq!(*wire, own, "node {node} answers its own counters");
+        assert_eq!(own.shards, 2, "node {node} counts its own shards only");
+        sum.absorb(&own);
+    }
+    assert_eq!(fleet.total(), sum);
+    assert_eq!(sum.queries, 36);
+    assert_eq!(sum.forwards, 36, "every edge forwarded once");
+    assert_eq!(backend.fleet_metrics().unwrap().counters, sum);
+    backend.shutdown();
     cluster.shutdown();
 }
 

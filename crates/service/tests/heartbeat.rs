@@ -11,7 +11,8 @@ use std::time::{Duration, Instant};
 
 use lwsnap_service::protocol::{read_any_frame, write_tagged_frame, Request, Response};
 use lwsnap_service::{
-    Cluster, ClusterBackend, ProblemId, ServiceConfig, ShardedService, SolverBackend,
+    Cluster, ClusterBackend, PipelinedClient, ProblemId, ServiceConfig, ShardedService,
+    SolverBackend,
 };
 use lwsnap_solver::Lit;
 
@@ -66,17 +67,37 @@ fn servers_self_promote_a_dead_nodes_sessions() {
     // survivors' heartbeat threads (50ms jittered interval, 3-miss
     // suspicion) must notice on their own: epoch bumped, the victim's
     // sessions promoted out of the replica logs.
+    let survivors: Vec<u16> = (0..3u16).filter(|&n| n != victim).collect();
+    let mut promoter = None;
     wait_for(
         "server-side heartbeat promotion",
         Duration::from_secs(10),
         || {
-            (0..3u16).filter(|&n| n != victim).any(|n| {
+            promoter = survivors.iter().copied().find(|&n| {
                 let server = cluster.server(n).expect("survivor is running");
-                let (_, promotions, failovers) = server.replicas().counters();
-                server.epoch() >= 1 && promotions > 0 && failovers > 0
-            })
+                let stats = server.stats();
+                server.epoch() >= 1 && stats.replica_promotions > 0 && stats.failovers > 0
+            });
+            promoter.is_some()
         },
     );
+
+    // The two counters that once shared the name "failovers": the
+    // promoter declared exactly one peer dead, and served at least one
+    // promotion of that peer's sessions. What it reports over the wire
+    // is its own snapshot (read until the heartbeat thread is done
+    // promoting, so both reads see one instant).
+    let promoter = cluster.server(promoter.unwrap()).unwrap();
+    let client = PipelinedClient::connect(promoter.local_addr()).unwrap();
+    wait_for("a settled stats snapshot", Duration::from_secs(10), || {
+        let before = promoter.stats();
+        let wire = client.stats().unwrap();
+        before == wire && wire == promoter.stats()
+    });
+    let stats = promoter.stats();
+    assert_eq!(stats.dead_peers, 1, "one peer declared dead");
+    assert!(stats.failovers >= 1, "its sessions were promoted here");
+    assert!(stats.heartbeat_misses >= 3, "suspicion needs misses");
 
     // Only now does a client speak again — and every session continues
     // bit-identically, through its old ids.
@@ -145,8 +166,6 @@ fn client_heartbeats_fail_over_before_any_request() {
 /// movement, while answers stay bit-identical to a local mirror.
 #[test]
 fn peer_traffic_rides_one_reactor_without_heartbeat_misses() {
-    use std::sync::atomic::Ordering;
-
     let cluster = Cluster::start_local_with(3, ServiceConfig::new(2), 1, 2).unwrap();
     let backend = cluster.connect().unwrap();
     let mirror = ShardedService::new(ServiceConfig::new(2));
@@ -172,7 +191,7 @@ fn peer_traffic_rides_one_reactor_without_heartbeat_misses() {
         let server = cluster.server(n).expect("node is running");
         assert_eq!(server.reactors(), 2, "node {n} runs two reactors");
         assert_eq!(
-            server.heartbeat_miss_handle().load(Ordering::Relaxed),
+            server.stats().heartbeat_misses,
             0,
             "node {n} missed heartbeats under multi-reactor peering"
         );

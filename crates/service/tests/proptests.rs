@@ -158,8 +158,7 @@ proptest! {
         pool.shutdown();
 
         // The eviction budget must actually bound residency.
-        let stats = service.stats();
-        for shard in &stats.shards {
+        for shard in &service.shard_stats() {
             prop_assert!(
                 shard.resident_snapshots <= 3,
                 "root + capacity 2 exceeded: {}",

@@ -11,8 +11,11 @@ use std::io::Read;
 use lwsnap_service::bufpool::{BufferPool, FrameAssembler, BLOCK_SIZE};
 use lwsnap_service::protocol::{
     parse_frame, read_any_frame, write_tagged_frame, Frame, ProtoError, Request, Response,
-    StatsSummary, MAX_FRAME, TAGGED,
+    MAX_FRAME, TAGGED,
 };
+use lwsnap_service::{MetricsSnapshot, StatsSummary};
+use lwsnap_trace::metrics::COUNTERS;
+use lwsnap_trace::HistogramSnapshot;
 use proptest::prelude::*;
 
 // -------------------------------------------------------------------
@@ -117,6 +120,57 @@ fn model_strategy() -> impl Strategy<Value = Option<Vec<bool>>> {
     ]
 }
 
+fn histogram_strategy() -> impl Strategy<Value = (String, HistogramSnapshot)> {
+    let name = proptest::collection::vec(0u8..26, 1..12)
+        .prop_map(|bytes| bytes.into_iter().map(|b| (b'a' + b) as char).collect());
+    let buckets = proptest::collection::vec((any::<u8>(), any::<u64>()), 0..6);
+    (name, any::<u64>(), any::<u64>(), buckets).prop_map(|(name, count, sum, buckets)| {
+        (
+            name,
+            HistogramSnapshot {
+                count,
+                sum,
+                buckets,
+            },
+        )
+    })
+}
+
+/// The stats reply: any node, any counter values, a few histograms.
+fn metrics_strategy() -> impl Strategy<Value = Response> {
+    (
+        any::<u64>(),
+        proptest::collection::vec(any::<u64>(), COUNTERS),
+        proptest::collection::vec(histogram_strategy(), 0..4),
+    )
+        .prop_map(|(node, values, histograms)| Response::Metrics {
+            node,
+            metrics: Box::new(MetricsSnapshot {
+                counters: StatsSummary::from_values(values.try_into().unwrap()),
+                histograms,
+            }),
+        })
+}
+
+/// Byte offsets of every `u32` element count in an encoded stats reply:
+/// the counters', the histograms', and each histogram's buckets'.
+fn count_offsets(metrics: &MetricsSnapshot) -> Vec<usize> {
+    let mut at = 1 + 8; // tag, node id
+    let mut offsets = vec![at];
+    at += 4 + StatsSummary::NAMES
+        .iter()
+        .map(|name| 4 + name.len() + 8)
+        .sum::<usize>();
+    offsets.push(at);
+    at += 4;
+    for (name, h) in &metrics.histograms {
+        at += 4 + name.len() + 8 + 8;
+        offsets.push(at);
+        at += 4 + 9 * h.buckets.len();
+    }
+    offsets
+}
+
 fn response_strategy() -> impl Strategy<Value = Response> {
     prop_oneof![
         any::<u64>().prop_map(|problem| Response::Root { problem }),
@@ -137,14 +191,7 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                 }
             ),
         Just(Response::Released),
-        (any::<u32>(), any::<u64>(), any::<u64>()).prop_map(|(shards, queries, evictions)| {
-            Response::Stats(StatsSummary {
-                shards,
-                queries,
-                evictions,
-                ..Default::default()
-            })
-        }),
+        metrics_strategy(),
         proptest::collection::vec(0u8..128, 0..24)
             .prop_map(|bytes| Response::Error(String::from_utf8(bytes).unwrap())),
     ]
@@ -248,6 +295,31 @@ proptest! {
         let mut r = wire.as_slice();
         let err = read_any_frame(&mut r).unwrap_err();
         prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// A stats reply whose element counts lie — the counter count, the
+    /// histogram count, a bucket count — is refused (or, by luck,
+    /// re-encodes to exactly itself), never half-decoded; a counter
+    /// count that is not the table's is always refused.
+    #[test]
+    fn stats_replies_with_hostile_counts_are_refused(
+        resp in metrics_strategy(),
+        pick in any::<usize>(),
+        lie in any::<u32>(),
+    ) {
+        let Response::Metrics { metrics, .. } = &resp else { unreachable!() };
+        let offsets = count_offsets(metrics);
+        let at = offsets[pick % offsets.len()];
+        let mut hostile = resp.encode();
+        let truth = u32::from_le_bytes(hostile[at..at + 4].try_into().unwrap());
+        hostile[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+        match Response::decode(&hostile) {
+            Ok(decoded) => {
+                prop_assert_eq!(decoded.encode(), hostile, "decode is exact or an error");
+                prop_assert!(at != offsets[0] || lie == truth, "foreign counter table accepted");
+            }
+            Err(_) => prop_assert!(lie != truth, "an honest reply was refused"),
+        }
     }
 
     /// Garbage payloads never decode successfully into a request or

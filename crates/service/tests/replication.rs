@@ -12,8 +12,8 @@ use proptest::prelude::*;
 
 use lwsnap_service::protocol::clauses_to_lits;
 use lwsnap_service::{
-    Cluster, ClusterBackend, ProblemId, ReplicaStore, Ring, ServiceConfig, ShardedService,
-    SolverBackend,
+    Cluster, ClusterBackend, PipelinedClient, ProblemId, ReplicaStore, Ring, ServiceConfig,
+    ShardedService, SolverBackend,
 };
 use lwsnap_solver::Lit;
 
@@ -199,6 +199,70 @@ fn two_clients_one_session(await_replica: bool) {
 
     drop(b);
     a.shutdown();
+    cluster.shutdown();
+}
+
+/// A one-shard, two-node cluster and a direct connection to node 0:
+/// every session asked of that connection is homed on node 0's only
+/// shard, under one root wire id, and replicated on node 1.
+fn one_shard_pair() -> (Cluster, PipelinedClient) {
+    let cluster = Cluster::start_local(2, ServiceConfig::new(1), 1).unwrap();
+    let (home, addr) = cluster.addrs()[0];
+    assert_eq!(home, 0);
+    let client = PipelinedClient::connect(addr).unwrap();
+    (cluster, client)
+}
+
+/// Regression: a stats read is read-only. A direct connection's
+/// `node_stats` used to learn its node id by asking for session 0's
+/// root, which re-attributed that root wire id to session 0 on the home
+/// node — and the next solve from session A's root was replicated as
+/// session 0's.
+#[test]
+fn a_stats_read_leaves_replication_attribution_alone() {
+    let (cluster, client) = one_shard_pair();
+    let session = 5u64;
+    let root = client.session_root(session).unwrap();
+    assert_eq!(
+        client.node_stats().unwrap().nodes,
+        vec![(0, client.stats().unwrap())]
+    );
+    client.solve(root, lits(&[1])).unwrap().unwrap();
+
+    await_replica_edges(&cluster, 1, session, 1);
+    let replicas = cluster.server(1).unwrap().replicas();
+    assert_eq!(
+        replicas.session_edges(0),
+        0,
+        "nothing credited to session 0"
+    );
+    cluster.shutdown();
+}
+
+/// The executable witness of a KNOWN bug (ROADMAP, simulator item):
+/// sessions homed on one node and shard share the root wire id, and the
+/// home attributes a root to the LAST session that asked for it — so
+/// session A's subtree is replicated as session B's, and the home's
+/// death can be self-promoted for B but not for A. Only a client that
+/// re-ships A's log before `Promote` saves it. The fix needs the
+/// session on the solve path, or per-session roots: a wire decision.
+#[test]
+#[ignore = "known bug: sessions sharing a root wire id share its replication attribution"]
+fn sessions_sharing_a_root_are_replicated_as_themselves() {
+    let (cluster, client) = one_shard_pair();
+    let (a, b) = (5u64, 6u64);
+    let root_a = client.session_root(a).unwrap();
+    let root_b = client.session_root(b).unwrap();
+    assert_eq!(root_a, root_b, "one shard, one root wire id");
+    client.solve(root_a, lits(&[1])).unwrap().unwrap();
+
+    await_replica_edges(&cluster, 1, a, 1);
+    let replicas = cluster.server(1).unwrap().replicas();
+    assert_eq!(
+        replicas.session_edges(b),
+        0,
+        "nothing credited to session B"
+    );
     cluster.shutdown();
 }
 

@@ -43,6 +43,6 @@ pub use circuit::{Bv, CLit, Circuit};
 pub use dimacs::{parse_dimacs, write_dimacs, Cnf, DimacsError};
 pub use generators::{graph_coloring, pigeonhole, random_ksat, IncrementalFamily};
 pub use lit::{Lbool, Lit, Var};
-pub use service::{ProblemRef, Reply, ServiceStats, SolverService};
+pub use service::{ProblemRef, Reply, SolverService};
 pub use snapshot::{DeepCloneStore, SnapId, SnapshotStore, StorePageStats};
 pub use solver::{luby, model_satisfies, SolveResult, Solver, SolverStats};

@@ -26,14 +26,14 @@
 //! by **replaying its constraint path from the nearest resident
 //! ancestor**: the paper's system-level-backtracking trick applied to the
 //! service's own memory budget. The root is always resident, so replay
-//! always terminates. [`ServiceStats`] counts snapshot hits against
+//! always terminates. [`SolverService::stats`] counts snapshot hits against
 //! re-derivations (and the conflicts re-derivation cost), which is the
 //! service-level analogue of experiment E5.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use lwsnap_trace as trace;
+use lwsnap_trace::{self as trace, StatsSummary};
 
 use crate::lit::Lit;
 use crate::snapshot::{DeepCloneStore, SnapId, SnapshotStore, StorePageStats};
@@ -88,50 +88,6 @@ struct ProblemNode {
     last_use: u64,
 }
 
-/// Counters for the service.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ServiceStats {
-    /// Queries served.
-    pub queries: u64,
-    /// Solver conflicts spent across all queries.
-    pub total_conflicts: u64,
-    /// Solver propagations across all queries.
-    pub total_propagations: u64,
-    /// Live (unreleased) problems in the tree.
-    pub live_problems: usize,
-    /// Problems whose solver snapshot is resident in memory.
-    pub resident_snapshots: usize,
-    /// Queries whose parent snapshot was resident (no replay needed).
-    pub snapshot_hits: u64,
-    /// Queries whose parent had to be re-derived by constraint replay.
-    pub rederivations: u64,
-    /// Clauses re-added during replays (the re-derivation work metric).
-    pub replayed_clauses: u64,
-    /// Solver conflicts spent inside replays (not billed to any query).
-    pub rederive_conflicts: u64,
-    /// Snapshots dropped by the LRU eviction policy.
-    pub evictions: u64,
-    /// Bytes actually held by the snapshot store, counting storage
-    /// shared between snapshots **once** (what the eviction budget
-    /// compares against).
-    pub resident_bytes: usize,
-    /// Physical pages mapped by two or more resident snapshots (0 for
-    /// non-page-granular stores).
-    pub shared_pages: u64,
-    /// Physical pages private to exactly one resident snapshot (0 for
-    /// non-page-granular stores).
-    pub private_pages: u64,
-    /// Shared pages copied on first divergent write by snapshot puts
-    /// (0 for non-page-granular stores).
-    pub cow_page_copies: u64,
-    /// Fresh pages materialized from the zero page by snapshot puts
-    /// (0 for non-page-granular stores).
-    pub zero_fills: u64,
-    /// Bytes written into page frames by snapshot puts (0 for
-    /// non-page-granular stores).
-    pub bytes_written: u64,
-}
-
 /// A multi-path incremental SAT service.
 pub struct SolverService {
     nodes: Vec<Option<ProblemNode>>,
@@ -141,7 +97,9 @@ pub struct SolverService {
     /// budget are the store's own accounting, so shared pages are
     /// priced once.
     store: Box<dyn SnapshotStore>,
-    stats: ServiceStats,
+    /// The counters this shard owns (queries, hits, re-derivations,
+    /// evictions); [`SolverService::stats`] adds the store's levels.
+    stats: StatsSummary,
     /// Maximum resident solver snapshots (`None` = unbounded).
     capacity: Option<usize>,
     /// Maximum bytes of resident solver snapshots (`None` = unbounded).
@@ -217,7 +175,10 @@ impl SolverService {
         SolverService {
             nodes: vec![Some(root)],
             store,
-            stats: ServiceStats::default(),
+            stats: StatsSummary {
+                shards: 1,
+                ..Default::default()
+            },
             capacity: None,
             budget: None,
             clock: 0,
@@ -328,12 +289,13 @@ impl SolverService {
         ProblemRef(0)
     }
 
-    /// Service counters.
-    pub fn stats(&self) -> ServiceStats {
+    /// This shard's counters, with the snapshot store's levels and
+    /// page accounting read off the store.
+    pub fn stats(&self) -> StatsSummary {
         let mut s = self.stats;
-        s.live_problems = self.nodes.iter().flatten().filter(|n| !n.released).count();
-        s.resident_snapshots = self.store.len();
-        s.resident_bytes = self.store.resident_bytes();
+        s.live_problems = self.nodes.iter().flatten().filter(|n| !n.released).count() as u64;
+        s.resident_snapshots = self.store.len() as u64;
+        s.resident_bytes = self.store.resident_bytes() as u64;
         let pages = self.store.page_stats();
         s.shared_pages = pages.shared_pages;
         s.private_pages = pages.private_pages;
@@ -341,6 +303,7 @@ impl SolverService {
         s.cow_page_copies = mem.cow_page_copies;
         s.zero_fills = mem.zero_fills;
         s.bytes_written = mem.bytes_written;
+        s.node_copies = mem.node_copies;
         debug_assert_eq!(
             self.store.len(),
             self.nodes
@@ -414,7 +377,8 @@ impl SolverService {
 
     /// A store put wrapped in its observability: a `SnapPut` span whose
     /// payload is the pages this put dirtied, plus the put-latency
-    /// histogram and dirty-rate counters.
+    /// histogram. (The store counts the pages itself; [`Self::stats`]
+    /// reads them.)
     fn put_traced(&mut self, parent: Option<SnapId>, solver: &Solver, problem: u32) -> SnapId {
         let t0 = trace::now_ns();
         let before = self.store.mem_stats();
@@ -423,12 +387,9 @@ impl SolverService {
         let dirtied = (after.cow_page_copies - before.cow_page_copies)
             + (after.zero_fills - before.zero_fills);
         trace::span(trace::Kind::SnapPut, t0, problem as u64, dirtied);
-        let reg = trace::Registry::global();
-        reg.snap_put_ns.record(trace::now_ns().saturating_sub(t0));
-        reg.pages_dirtied.add(dirtied);
-        reg.node_copies.add(after.node_copies - before.node_copies);
-        reg.bytes_written
-            .add(after.bytes_written - before.bytes_written);
+        trace::Registry::global()
+            .snap_put_ns
+            .record(trace::now_ns().saturating_sub(t0));
         snap
     }
 
@@ -450,7 +411,6 @@ impl SolverService {
             }
             self.stats.snapshot_hits += 1;
             trace::instant(trace::Kind::SnapHit, r.0 as u64, 0);
-            trace::Registry::global().snapshot_hits.inc();
             return Some((solver, false));
         }
         // Metrics stay live even when the trace recorder is switched
@@ -555,7 +515,6 @@ impl SolverService {
                 index as u64,
                 (before - self.store.resident_bytes()) as u64,
             );
-            trace::Registry::global().evictions.inc();
         }
         if let Some(entry) = deferred {
             self.lru.push(entry);
@@ -984,7 +943,7 @@ mod tests {
         // evict anything here — the byte budget evicts exactly the two
         // huge ones (also the LRU-oldest) and nothing else.
         let budget = full_cost - huge_pair;
-        svc.set_snapshot_budget(Some(budget));
+        svc.set_snapshot_budget(Some(budget as usize));
         let st = svc.stats();
         assert_eq!(st.evictions, 2, "exactly the huge pair evicted");
         assert!(st.resident_bytes <= budget, "budget respected");

@@ -269,7 +269,7 @@ mod tests {
         let report = par_explore_on(ParallelConfig::new(2), prog.boot().unwrap(), remote);
         assert_eq!(report.cases, seq_cases, "remote backend diverged");
         assert!(
-            server.service().stats().total().queries >= report.stats.solver_checks,
+            server.service().stats().queries >= report.stats.solver_checks,
             "remote service actually served the checks"
         );
         server.shutdown();
@@ -359,7 +359,7 @@ buf: .space 2
     fn exploration_leaves_the_backend_as_it_found_it() {
         let service = Arc::new(ShardedService::new(ServiceConfig::new(4)));
         let held = |service: &ShardedService| {
-            let total = service.stats().total();
+            let total = service.stats();
             (total.live_problems, total.resident_snapshots)
         };
         let before = held(&service);
@@ -380,7 +380,7 @@ buf: .space 2
             let report = par_explore_on(config, prog.boot().unwrap(), service.clone());
             assert_eq!(held(&service), before, "problems or snapshots leaked");
             queries += report.stats.solver_checks;
-            assert_eq!(service.stats().total().queries, queries);
+            assert_eq!(service.stats().queries, queries);
             if limit.is_none() {
                 assert_eq!(report.run.stop, StopReason::Exhausted);
                 assert_eq!(report.stats.solver_checks, report.stats.forks);
@@ -419,7 +419,7 @@ buf: .space 2
             service.clone(),
         );
         assert_eq!(report.cases, seq_cases);
-        let total = service.stats().total();
+        let total = service.stats();
         assert!(total.rederivations > 0, "parents were evicted and replayed");
         assert_eq!(total.live_problems, 2, "only the roots remain");
     }

@@ -1,16 +1,11 @@
 //! Export plane: plaintext metrics scrape, chrome://tracing JSON, and
 //! a minimal HTTP/1.0 exporter thread serving both.
 
-use crate::metrics::Registry;
+use crate::metrics::MetricsSnapshot;
 use crate::ring::{drain, Event};
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-
-/// Renders the global registry as the plaintext scrape format.
-pub fn render_scrape() -> String {
-    Registry::global().snapshot().render()
-}
 
 /// Renders events as a chrome://tracing-compatible JSON array (load it
 /// at chrome://tracing or ui.perfetto.dev). Spans become complete
@@ -52,14 +47,18 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
 /// returns the bound address. A detached thread serves, per
 /// connection, one HTTP/1.0 request:
 ///
-/// * `GET /metrics` (or `/`) — plaintext scrape of the global registry
+/// * `GET /metrics` (or `/`) — plaintext scrape of what `snapshot`
+///   returns (a daemon passes its node's counters and histograms)
 /// * `GET /trace` — chrome://tracing JSON of all events drained so far
 ///   (draining is consuming: each event is exported once)
 ///
 /// The thread runs for the life of the process; there is deliberately
 /// no shutdown plumbing — the daemon exposes it until exit, exactly
 /// like its listen socket.
-pub fn serve(addr: &str) -> std::io::Result<SocketAddr> {
+pub fn serve(
+    addr: &str,
+    snapshot: impl Fn() -> MetricsSnapshot + Send + 'static,
+) -> std::io::Result<SocketAddr> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     std::thread::Builder::new()
@@ -67,13 +66,13 @@ pub fn serve(addr: &str) -> std::io::Result<SocketAddr> {
         .spawn(move || {
             for conn in listener.incoming() {
                 let Ok(stream) = conn else { continue };
-                let _ = handle(stream);
+                let _ = handle(stream, &snapshot);
             }
         })?;
     Ok(local)
 }
 
-fn handle(mut stream: TcpStream) -> std::io::Result<()> {
+fn handle(mut stream: TcpStream, snapshot: &dyn Fn() -> MetricsSnapshot) -> std::io::Result<()> {
     let mut buf = [0u8; 1024];
     let n = stream.read(&mut buf)?;
     let request = String::from_utf8_lossy(&buf[..n]);
@@ -84,7 +83,7 @@ fn handle(mut stream: TcpStream) -> std::io::Result<()> {
         .unwrap_or("/");
     let (status, content_type, body) = match path {
         "/trace" => ("200 OK", "application/json", chrome_trace_json(&drain())),
-        "/" | "/metrics" => ("200 OK", "text/plain; version=0.0.4", render_scrape()),
+        "/" | "/metrics" => ("200 OK", "text/plain; version=0.0.4", snapshot().render()),
         _ => ("404 Not Found", "text/plain", "not found\n".to_owned()),
     };
     let response = format!(
@@ -153,10 +152,17 @@ mod tests {
     #[test]
     fn exporter_serves_scrape_and_404() {
         let _guard = crate::test_drain_lock();
-        let addr = serve("127.0.0.1:0").expect("bind exporter");
+        let addr = serve("127.0.0.1:0", || MetricsSnapshot {
+            counters: crate::StatsSummary {
+                queries: 7,
+                ..Default::default()
+            },
+            ..crate::Registry::global().snapshot()
+        })
+        .expect("bind exporter");
         let body = fetch(addr, "/metrics").expect("scrape");
         assert!(
-            body.contains("lwsnap_requests_total"),
+            body.contains("lwsnap_queries_total 7\n") && body.contains("lwsnap_request_ns_count"),
             "scrape body:\n{body}"
         );
         let trace = fetch(addr, "/trace").expect("trace");

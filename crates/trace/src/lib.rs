@@ -9,25 +9,29 @@
 //!   globally time-ordered stream. The whole recorder compiles out when
 //!   the `trace` feature is disabled, and can be switched off at runtime
 //!   with [`set_enabled`] (so one binary can measure its own overhead).
-//! * **Metrics registry** ([`metrics`]): sharded counters, gauges, and
-//!   log-linear latency histograms. Histograms are mergeable
-//!   ([`metrics::HistogramSnapshot::absorb`]) the same way the service's
-//!   `StatsSummary` is, so per-node snapshots aggregate into fleet
-//!   totals without losing quantile fidelity.
-//! * **Export plane** ([`export`]): a plaintext scrape rendering of the
-//!   registry, a chrome://tracing-compatible JSON rendering of drained
-//!   events, and a minimal HTTP exporter thread serving both.
+//! * **Stats plane** ([`metrics`]): the counter table
+//!   ([`StatsSummary`], one plain field per counter, kept by whichever
+//!   component owns the event) and the process's log-linear latency
+//!   histograms ([`Registry`]). Both merge exactly
+//!   ([`StatsSummary::absorb`], [`metrics::HistogramSnapshot::absorb`]),
+//!   so per-node snapshots aggregate into fleet totals without losing
+//!   quantile fidelity.
+//! * **Export plane** ([`export`]): a plaintext scrape rendering of a
+//!   node's [`MetricsSnapshot`], a chrome://tracing-compatible JSON
+//!   rendering of drained events, and a minimal HTTP exporter thread
+//!   serving both.
 //!
 //! Timestamps are nanoseconds since a process-wide monotonic epoch
 //! (first use), so events from every thread of a process — including
 //! all nodes of an in-process `Cluster::start_local` fleet — order on
-//! one axis.
+//! one axis. The rings and the histograms are process-wide; counters
+//! are not, so an in-process fleet's counters stay per node.
 
 pub mod export;
 pub mod metrics;
 pub mod ring;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
+pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot, Registry, StatsSummary};
 pub use ring::{drain, Event};
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -51,7 +55,7 @@ pub fn now_ns() -> u64 {
 }
 
 /// Small dense id for the calling thread (allocation order). Used to
-/// tag events and pick counter shards; stable for the thread's life.
+/// tag events; stable for the thread's life.
 #[inline]
 pub fn thread_id() -> u32 {
     static NEXT: AtomicU32 = AtomicU32::new(0);
@@ -65,7 +69,7 @@ pub fn thread_id() -> u32 {
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Is the event recorder live? Always `false` when the `trace` feature
-/// is compiled out. Metrics are unaffected by this switch.
+/// is compiled out. The stats plane is unaffected by this switch.
 #[inline]
 pub fn enabled() -> bool {
     #[cfg(feature = "trace")]

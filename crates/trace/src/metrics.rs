@@ -1,76 +1,113 @@
-//! Mergeable metrics: sharded counters, gauges, and log-linear
-//! latency histograms.
+//! The stats plane: the counter table ([`StatsSummary`]) and the
+//! log-linear latency histograms.
 //!
-//! Histograms use a log-linear bucket layout (4 linear sub-buckets per
-//! power of two), so relative quantile error is bounded by 25% at any
-//! magnitude while the whole histogram is 256 fixed buckets — cheap to
-//! record into (three relaxed atomic adds), cheap to snapshot, and
-//! mergeable bucket-wise the way `StatsSummary::absorb` merges
-//! counters. Fleet aggregation is `MetricsSnapshot::absorb`.
+//! Every counter lives in exactly one place: a plain `Copy` field of
+//! [`StatsSummary`], kept by the component that owns the event it
+//! counts (a solver shard, the replica store, the forwarder, a
+//! reactor's buffer pool). A node folds its owners into one summary and
+//! a fleet folds its nodes, both with the one generated
+//! [`StatsSummary::absorb`]. The struct, its scrape/wire names and its
+//! summer all come from one table below — a new counter costs one line.
+//!
+//! Latency histograms are the exception: a latency is recorded where it
+//! is measured, so they live in a process-global [`Registry`]. They use
+//! a log-linear bucket layout (4 linear sub-buckets per power of two),
+//! so relative quantile error is bounded by 25% at any magnitude while
+//! the whole histogram is 252 fixed buckets — cheap to record into
+//! (three relaxed atomic adds), cheap to snapshot, and mergeable
+//! bucket-wise. [`MetricsSnapshot`] pairs a node's counters with the
+//! histograms; it is the stats reply on the wire and the scrape.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-const COUNTER_SHARDS: usize = 16;
-
-/// A cache-line-padded atomic so counter shards don't false-share.
-#[repr(align(64))]
-struct Pad(AtomicU64);
-
-/// Monotonic counter, sharded per thread to keep hot-path increments
-/// off a single contended line.
-pub struct Counter {
-    shards: [Pad; COUNTER_SHARDS],
-}
-
-impl Counter {
-    #[allow(clippy::new_without_default)]
-    pub const fn new() -> Counter {
-        Counter {
-            shards: [const { Pad(AtomicU64::new(0)) }; COUNTER_SHARDS],
+/// Declares [`StatsSummary`] from the table: one `field, "scrape name",
+/// "doc";` line per counter.
+macro_rules! stats_table {
+    ($($field:ident, $name:literal, $doc:literal;)*) => {
+        /// Every counter one lwsnap node keeps, and the fold of any number
+        /// of them: one shard's, one node's (its shards plus its replica
+        /// store, forwarder and buffer pools) or a whole fleet's.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSummary {
+            $(#[doc = $doc] pub $field: u64,)*
         }
-    }
 
-    #[inline]
-    pub fn add(&self, n: u64) {
-        let shard = crate::thread_id() as usize % COUNTER_SHARDS;
-        self.shards[shard].0.fetch_add(n, Ordering::Relaxed);
-    }
+        /// Number of counters in [`StatsSummary`].
+        pub const COUNTERS: usize = [$($name),*].len();
 
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
+        impl StatsSummary {
+            /// The scrape and wire names, in table order.
+            pub const NAMES: [&'static str; COUNTERS] = [$($name),*];
 
-    pub fn value(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+            /// The values, in table order.
+            pub fn values(&self) -> [u64; COUNTERS] {
+                [$(self.$field),*]
+            }
+
+            /// The summary holding `values`, given in table order.
+            pub fn from_values(values: [u64; COUNTERS]) -> StatsSummary {
+                let [$($field),*] = values;
+                StatsSummary { $($field),* }
+            }
+
+            /// Folds `other` in: a field-wise sum (wrapping, like a
+            /// histogram's sum), so levels such as `resident_bytes` add
+            /// up to the fleet's and `shards` to its shard count.
+            pub fn absorb(&mut self, other: &StatsSummary) {
+                $(self.$field = self.$field.wrapping_add(other.$field);)*
+            }
+        }
+    };
+}
+
+stats_table! {
+    shards, "shards", "Solver shards folded in (a shard reports 1).";
+    queries, "queries_total", "Solve queries served.";
+    total_conflicts, "conflicts_total", "Solver conflicts across all queries.";
+    total_propagations, "propagations_total", "Solver propagations across all queries.";
+    live_problems, "live_problems", "Live (unreleased) problems.";
+    resident_snapshots, "resident_snapshots", "Resident (unevicted) solver snapshots.";
+    snapshot_hits, "snapshot_hits_total", "Queries served straight from a resident snapshot.";
+    rederivations, "rederivations_total", "Queries that re-derived an evicted parent by replay.";
+    replayed_clauses, "replayed_clauses_total", "Clauses re-added during re-derivations.";
+    rederive_conflicts, "rederive_conflicts_total", "Conflicts spent inside re-derivations.";
+    evictions, "evictions_total", "Snapshots evicted by the count or byte-budget LRU.";
+    resident_bytes, "resident_bytes", "Snapshot store bytes, shared storage counted once.";
+    shared_pages, "shared_pages", "Physical pages mapped by two or more resident snapshots.";
+    private_pages, "private_pages", "Physical pages private to one resident snapshot.";
+    cow_page_copies, "cow_page_copies_total", "Shared pages copied on a snapshot put's first write.";
+    zero_fills, "zero_fills_total", "Fresh pages materialized from the zero page by puts.";
+    bytes_written, "bytes_written_total", "Bytes written into page frames by snapshot puts.";
+    node_copies, "snap_node_copies_total", "Page-table nodes path-copied by puts (unpriced memory).";
+    replica_bytes, "replica_bytes", "Path-log bytes held in the passive replica store.";
+    replica_promotions, "replica_promotions_total", "Problems re-solved by promotion replay.";
+    promoted_problems, "promoted_problems_total", "Problems remapped by `Promote` replies, memo hits too.";
+    failovers, "failovers_total", "`Promote` requests served: sessions failed over onto this node.";
+    compactions, "replica_compactions_total", "Path-log chains collapsed by the replica byte budget.";
+    forwards, "forwards_total", "Derivation edges forwarded to session replicas.";
+    heartbeat_misses, "heartbeat_misses_total", "Heartbeat probes to peers that went unanswered.";
+    dead_peers, "peers_declared_dead_total", "Peers declared dead after consecutive missed probes.";
+    chaos_injections, "chaos_injections_total", "Chaos faults injected into replication frames.";
+    rx_copy_bytes, "net_rx_copy_bytes_total", "Receive bytes copied out of pooled blocks (spills).";
+    pool_recycles, "net_pool_recycle_total", "Pooled read blocks returned to a reactor's freelist.";
+}
+
+impl StatsSummary {
+    /// Fraction of parent lookups served straight from a resident
+    /// snapshot (1.0 when nothing was ever evicted). `None` before any
+    /// query.
+    pub fn hit_rate(&self) -> Option<f64> {
+        let lookups = self.snapshot_hits + self.rederivations;
+        (lookups > 0).then(|| self.snapshot_hits as f64 / lookups as f64)
     }
 }
 
-/// Last-writer-wins signed gauge.
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    #[allow(clippy::new_without_default)]
-    pub const fn new() -> Gauge {
-        Gauge(AtomicI64::new(0))
-    }
-
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    pub fn value(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+/// A no-op copy, so `(&service.stats()).into()` reads the same whether
+/// the service answers one summary or something that folds into one.
+impl From<&StatsSummary> for StatsSummary {
+    fn from(summary: &StatsSummary) -> StatsSummary {
+        *summary
     }
 }
 
@@ -180,7 +217,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Merges `other` in, bucket-wise — the histogram analogue of
-    /// `StatsSummary::absorb`. Absorbing two snapshots is equivalent
+    /// [`StatsSummary::absorb`]. Absorbing two snapshots is equivalent
     /// to having recorded the two value streams interleaved.
     pub fn absorb(&mut self, other: &HistogramSnapshot) {
         self.count += other.count;
@@ -245,12 +282,10 @@ impl HistogramSnapshot {
     }
 }
 
-/// The fixed metric set every lwsnap node exposes. One process-global
-/// instance lives behind [`Registry::global`]; tests construct their
-/// own.
+/// The latency histograms every lwsnap process records into. One
+/// process-global instance lives behind [`Registry::global`]; tests
+/// construct their own.
 pub struct Registry {
-    /// Solve requests dispatched (any outcome).
-    pub requests: Counter,
     /// Whole-request latency: dispatch → reply enqueued, ns.
     pub request_ns: Histogram,
     /// Time a job waited in the worker pool queue, ns.
@@ -261,102 +296,33 @@ pub struct Registry {
     pub snap_put_ns: Histogram,
     /// Re-derivation (replay) latency, ns.
     pub rederive_ns: Histogram,
-    /// Materializations served by a resident snapshot.
-    pub snapshot_hits: Counter,
-    /// Snapshots evicted by capacity/budget pressure.
-    pub evictions: Counter,
-    /// CoW pages dirtied (page copies + zero fills) by snapshot puts.
-    pub pages_dirtied: Counter,
-    /// Page-table nodes path-copied by snapshot puts: 4 KiB each that
-    /// `resident_bytes` does not price.
-    pub node_copies: Counter,
-    /// Bytes written into snapshot page frames.
-    pub bytes_written: Counter,
-    /// Derivation edges forwarded to replicas (both planes).
-    pub forwards: Counter,
-    /// Sessions promoted from replica logs.
-    pub promotions: Counter,
-    /// Heartbeat probes that went unanswered.
-    pub heartbeat_misses: Counter,
-    /// Failovers initiated (client or server side).
-    pub failovers: Counter,
-    /// Chaos faults injected (drop + duplicate + delay).
-    pub chaos_injections: Counter,
-    /// Received payload bytes the front end had to copy out of a pooled
-    /// read block (frames spanning a block boundary). The zero-copy
-    /// path parses in place, so this stays near zero per request —
-    /// the observable proof the `inbuf` staging copy is gone.
-    pub rx_copy_bytes: Counter,
-    /// Pooled read blocks returned to their reactor's freelist.
-    pub pool_recycles: Counter,
-    /// Resident snapshot bytes (latest observation).
-    pub resident_bytes: Gauge,
-    /// Live problems (latest observation).
-    pub live_problems: Gauge,
 }
 
 impl Registry {
     #[allow(clippy::new_without_default)]
     pub const fn new() -> Registry {
         Registry {
-            requests: Counter::new(),
             request_ns: Histogram::new(),
             queue_wait_ns: Histogram::new(),
             solve_ns: Histogram::new(),
             snap_put_ns: Histogram::new(),
             rederive_ns: Histogram::new(),
-            snapshot_hits: Counter::new(),
-            evictions: Counter::new(),
-            pages_dirtied: Counter::new(),
-            node_copies: Counter::new(),
-            bytes_written: Counter::new(),
-            forwards: Counter::new(),
-            promotions: Counter::new(),
-            heartbeat_misses: Counter::new(),
-            failovers: Counter::new(),
-            chaos_injections: Counter::new(),
-            rx_copy_bytes: Counter::new(),
-            pool_recycles: Counter::new(),
-            resident_bytes: Gauge::new(),
-            live_problems: Gauge::new(),
         }
     }
 
-    /// The process-global registry all lwsnap instrumentation records
-    /// into.
+    /// The process-global registry all lwsnap latencies record into.
     pub fn global() -> &'static Registry {
         static GLOBAL: Registry = Registry::new();
         &GLOBAL
     }
 
-    /// Point-in-time copy of every metric, named for the wire/scrape.
+    /// Point-in-time copy of every histogram, named for the wire and
+    /// the scrape, beside zero counters: counters belong to their
+    /// owners, which fill them in (`MetricsSnapshot { counters,
+    /// ..registry.snapshot() }`).
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: vec![
-                ("requests_total".into(), self.requests.value()),
-                ("snapshot_hits_total".into(), self.snapshot_hits.value()),
-                ("evictions_total".into(), self.evictions.value()),
-                ("pages_dirtied_total".into(), self.pages_dirtied.value()),
-                ("snap_node_copies_total".into(), self.node_copies.value()),
-                ("bytes_written_total".into(), self.bytes_written.value()),
-                ("forwards_total".into(), self.forwards.value()),
-                ("promotions_total".into(), self.promotions.value()),
-                (
-                    "heartbeat_misses_total".into(),
-                    self.heartbeat_misses.value(),
-                ),
-                ("failovers_total".into(), self.failovers.value()),
-                (
-                    "chaos_injections_total".into(),
-                    self.chaos_injections.value(),
-                ),
-                ("net_rx_copy_bytes_total".into(), self.rx_copy_bytes.value()),
-                ("net_pool_recycle_total".into(), self.pool_recycles.value()),
-            ],
-            gauges: vec![
-                ("resident_bytes".into(), self.resident_bytes.value()),
-                ("live_problems".into(), self.live_problems.value()),
-            ],
+            counters: StatsSummary::default(),
             histograms: vec![
                 ("request_ns".into(), self.request_ns.snapshot()),
                 ("queue_wait_ns".into(), self.queue_wait_ns.snapshot()),
@@ -368,32 +334,20 @@ impl Registry {
     }
 }
 
-/// A named bundle of frozen metrics — one node's worth, or, after
-/// [`MetricsSnapshot::absorb`], a fleet's.
+/// A node's counters with the latency histograms — one node's worth,
+/// or, after [`MetricsSnapshot::absorb`], a fleet's. The stats reply
+/// on the wire and the plaintext scrape are both this.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, i64)>,
+    pub counters: StatsSummary,
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
 impl MetricsSnapshot {
-    /// Merges `other` in by metric name: counters and gauges sum,
-    /// histograms absorb bucket-wise. Names only one side knows are
-    /// kept.
+    /// Merges `other` in: counters field-wise, histograms bucket-wise
+    /// by name. Histograms only one side knows are kept.
     pub fn absorb(&mut self, other: &MetricsSnapshot) {
-        for (name, v) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine += v,
-                None => self.counters.push((name.clone(), *v)),
-            }
-        }
-        for (name, v) in &other.gauges {
-            match self.gauges.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine += v,
-                None => self.gauges.push((name.clone(), *v)),
-            }
-        }
+        self.counters.absorb(&other.counters);
         for (name, h) in &other.histograms {
             match self.histograms.iter_mut().find(|(n, _)| n == name) {
                 Some((_, mine)) => mine.absorb(h),
@@ -410,24 +364,14 @@ impl MetricsSnapshot {
             .map(|(_, h)| h)
     }
 
-    /// Looks up a counter by name.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// Renders the plaintext scrape: `lwsnap_`-prefixed counter and
-    /// gauge lines, then per-histogram count/sum/bucket/quantile
-    /// lines. Deterministic — goldens can assert on it byte-for-byte.
+    /// Renders the plaintext scrape: one `lwsnap_`-prefixed line per
+    /// counter in table order, then per-histogram count/sum/bucket/
+    /// quantile lines. Deterministic — goldens can assert on it
+    /// byte-for-byte.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "lwsnap_{name} {v}");
-        }
-        for (name, v) in &self.gauges {
+        for (name, v) in StatsSummary::NAMES.iter().zip(self.counters.values()) {
             let _ = writeln!(out, "lwsnap_{name} {v}");
         }
         for (name, h) in &self.histograms {
@@ -478,24 +422,6 @@ mod tests {
             }
             last = Some(bound);
         }
-    }
-
-    #[test]
-    fn counter_sums_across_shards_and_threads() {
-        static C: Counter = Counter::new();
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    for _ in 0..1000 {
-                        C.inc();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(C.value(), 8000);
     }
 
     #[test]
@@ -562,48 +488,81 @@ mod tests {
     fn snapshot_absorb_merges_by_name() {
         let a = Registry::new();
         let b = Registry::new();
-        a.requests.add(3);
-        b.requests.add(4);
-        a.resident_bytes.set(100);
-        b.resident_bytes.set(200);
         a.solve_ns.record(10);
         b.solve_ns.record(20);
-        let mut fleet = a.snapshot();
-        fleet.absorb(&b.snapshot());
-        assert_eq!(fleet.counter("requests_total"), Some(7));
-        assert_eq!(
-            fleet.gauges.iter().find(|(n, _)| n == "resident_bytes"),
-            Some(&("resident_bytes".to_string(), 300))
-        );
+        let mut fleet = MetricsSnapshot {
+            counters: StatsSummary {
+                queries: 3,
+                resident_bytes: 100,
+                ..Default::default()
+            },
+            ..a.snapshot()
+        };
+        let mut other = MetricsSnapshot {
+            counters: StatsSummary {
+                queries: 4,
+                resident_bytes: 200,
+                ..Default::default()
+            },
+            ..b.snapshot()
+        };
+        other
+            .histograms
+            .push(("only_here_ns".into(), HistogramSnapshot::default()));
+        fleet.absorb(&other);
+        assert_eq!(fleet.counters.queries, 7);
+        assert_eq!(fleet.counters.resident_bytes, 300);
         assert_eq!(fleet.histogram("solve_ns").unwrap().count, 2);
+        assert!(fleet.histogram("only_here_ns").is_some());
     }
 
     #[test]
     fn scrape_render_golden() {
         let reg = Registry::new();
-        reg.requests.add(2);
-        reg.snapshot_hits.inc();
-        reg.resident_bytes.set(4096);
         reg.solve_ns.record(0);
         reg.solve_ns.record(5);
         reg.solve_ns.record(5);
         reg.solve_ns.record(1000);
+        let snapshot = MetricsSnapshot {
+            counters: StatsSummary {
+                shards: 2,
+                queries: 2,
+                snapshot_hits: 1,
+                resident_bytes: 4096,
+                ..Default::default()
+            },
+            ..reg.snapshot()
+        };
         let golden = "\
-lwsnap_requests_total 2
+lwsnap_shards 2
+lwsnap_queries_total 2
+lwsnap_conflicts_total 0
+lwsnap_propagations_total 0
+lwsnap_live_problems 0
+lwsnap_resident_snapshots 0
 lwsnap_snapshot_hits_total 1
+lwsnap_rederivations_total 0
+lwsnap_replayed_clauses_total 0
+lwsnap_rederive_conflicts_total 0
 lwsnap_evictions_total 0
-lwsnap_pages_dirtied_total 0
-lwsnap_snap_node_copies_total 0
+lwsnap_resident_bytes 4096
+lwsnap_shared_pages 0
+lwsnap_private_pages 0
+lwsnap_cow_page_copies_total 0
+lwsnap_zero_fills_total 0
 lwsnap_bytes_written_total 0
-lwsnap_forwards_total 0
-lwsnap_promotions_total 0
-lwsnap_heartbeat_misses_total 0
+lwsnap_snap_node_copies_total 0
+lwsnap_replica_bytes 0
+lwsnap_replica_promotions_total 0
+lwsnap_promoted_problems_total 0
 lwsnap_failovers_total 0
+lwsnap_replica_compactions_total 0
+lwsnap_forwards_total 0
+lwsnap_heartbeat_misses_total 0
+lwsnap_peers_declared_dead_total 0
 lwsnap_chaos_injections_total 0
 lwsnap_net_rx_copy_bytes_total 0
 lwsnap_net_pool_recycle_total 0
-lwsnap_resident_bytes 4096
-lwsnap_live_problems 0
 lwsnap_request_ns_count 0
 lwsnap_request_ns_sum 0
 lwsnap_request_ns_bucket{le=\"+Inf\"} 0
@@ -638,6 +597,6 @@ lwsnap_rederive_ns{quantile=\"0.5\"} 0
 lwsnap_rederive_ns{quantile=\"0.9\"} 0
 lwsnap_rederive_ns{quantile=\"0.99\"} 0
 ";
-        assert_eq!(reg.snapshot().render(), golden);
+        assert_eq!(snapshot.render(), golden);
     }
 }

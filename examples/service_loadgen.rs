@@ -83,7 +83,7 @@ use std::time::{Duration, Instant};
 
 use lwsnap_bench::service_workload::{RunOutcome, Workload};
 use lwsnap_service::{ChaosPlan, Cluster, PipelinedClient, Server, ServiceConfig, SolverBackend};
-use lwsnap_trace::{export, Event, Kind};
+use lwsnap_trace::{export, Event, Kind, Registry};
 
 /// The replica-store byte budget the chaos harness is calibrated for
 /// (see its use in `main`).
@@ -246,7 +246,11 @@ fn main() {
         .cloned();
     assert!(sessions >= 1 && queries >= 1 && nodes >= 1 && reactors >= 1 && connections >= 1);
     let scrape_addr = metrics_addr.map(|addr| {
-        let bound = export::serve(&addr).expect("bind metrics exporter");
+        // This process hosts many short-lived nodes, each reporting its
+        // own counters in its phase below; the scrape carries what they
+        // share, the process's latency histograms.
+        let bound =
+            export::serve(&addr, || Registry::global().snapshot()).expect("bind metrics exporter");
         println!("metrics exporter on http://{bound}/metrics\n");
         bound
     });
@@ -276,20 +280,19 @@ fn main() {
     let (sharded, service, worker_stats) =
         lwsnap_bench::service_workload::run_sharded(&workload, shards, workers, None);
     report("sharded (unbounded)", &sharded);
-    let stats = service.stats();
-    let total = stats.total();
-    let busiest_shard_live = stats
-        .shards
+    let total = service.stats();
+    let busiest_shard_live = service
+        .shard_stats()
         .iter()
-        .map(|s| s.live_problems)
+        .map(|s| s.live_problems as usize)
         .max()
         .unwrap_or(1);
     println!(
         "    {} live problems over {} shards (busiest {}), hit rate {:.1}%, jobs/worker {:?}",
         total.live_problems,
-        stats.shards.len(),
+        total.shards,
         busiest_shard_live,
-        stats.hit_rate().unwrap_or(1.0) * 100.0,
+        total.hit_rate().unwrap_or(1.0) * 100.0,
         worker_stats.iter().map(|w| w.jobs).collect::<Vec<_>>(),
     );
 
@@ -299,7 +302,7 @@ fn main() {
     let (evicting, evicting_service, _) =
         lwsnap_bench::service_workload::run_sharded(&workload, shards, workers, Some(capacity));
     report(&format!("sharded (cap {capacity}/shard)"), &evicting);
-    let etotal = evicting_service.stats().total();
+    let etotal = evicting_service.stats();
     println!(
         "    {} evictions, {} rederivations ({} clauses, {} conflicts replayed), \
          hit rate {:.1}%",
@@ -307,7 +310,7 @@ fn main() {
         etotal.rederivations,
         etotal.replayed_clauses,
         etotal.rederive_conflicts,
-        evicting_service.stats().hit_rate().unwrap_or(1.0) * 100.0,
+        etotal.hit_rate().unwrap_or(1.0) * 100.0,
     );
 
     // Phases 4 & 5: the same closed loop over loopback TCP against the
