@@ -138,17 +138,6 @@ impl PageTable {
         self.leaf_slots(vpn)?[slot(vpn, 0)].as_ref()
     }
 
-    /// The frames mapped at `vpn`, `vpn + 1`, … in order (`None` for a
-    /// page with no frame). Sequential readers pay one tree walk per
-    /// 512-page leaf instead of one per page.
-    pub fn frames_from(&self, vpn: u64) -> FramesFrom<'_> {
-        FramesFrom {
-            table: self,
-            vpn,
-            leaf: self.leaf_slots(vpn),
-        }
-    }
-
     /// Returns the leaf node covering `vpn`, for the read-side leaf cache.
     pub(crate) fn leaf_for(&self, vpn: u64) -> Option<Arc<Node>> {
         let mut node: &Arc<Node> = &self.root;
@@ -310,31 +299,6 @@ impl PageTable {
             );
         });
         out
-    }
-}
-
-/// Iterator returned by [`PageTable::frames_from`].
-pub struct FramesFrom<'a> {
-    table: &'a PageTable,
-    vpn: u64,
-    leaf: Option<&'a [Option<Frame>]>,
-}
-
-impl<'a> Iterator for FramesFrom<'a> {
-    type Item = Option<&'a Frame>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.vpn > MAX_VPN {
-            return None;
-        }
-        let frame = self
-            .leaf
-            .and_then(|frames| frames[slot(self.vpn, 0)].as_ref());
-        self.vpn += 1;
-        if slot(self.vpn, 0) == 0 && self.vpn <= MAX_VPN {
-            self.leaf = self.table.leaf_slots(self.vpn);
-        }
-        Some(frame)
     }
 }
 
@@ -646,24 +610,6 @@ mod tests {
         // `far` sits under the copied level-2 node but its own level-1
         // node and leaf were not copied: still one reference per leaf.
         assert_eq!(Arc::strong_count(pt.frame(far).unwrap()), 1);
-    }
-
-    #[test]
-    fn frames_from_crosses_leaf_boundaries() {
-        let mut pt = PageTable::new();
-        let mut stats = MemStats::new();
-        let mapped = [510u64, 511, 512, 1024];
-        for &vpn in &mapped {
-            write_byte(&mut pt, vpn, 0, vpn as u8, &mut stats);
-        }
-        for (vpn, frame) in (508..1030).zip(pt.frames_from(508)) {
-            assert_eq!(
-                frame.map(Arc::as_ptr),
-                pt.frame(vpn).map(Arc::as_ptr),
-                "vpn {vpn}"
-            );
-        }
-        assert_eq!(pt.frames_from(MAX_VPN).count(), 1, "stops at the top");
     }
 
     #[test]

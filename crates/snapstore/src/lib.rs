@@ -9,20 +9,28 @@
 //!
 //! [`CowStore::put`] encodes the solver through the sectioned codec of
 //! `lwsnap_solver::snapshot` (essential state only, every field in its
-//! own section at a fixed virtual base; the solver's *snapshot normal
-//! form* makes semantically equal states byte-equal), then lays the
-//! bytes over a **clone of the parent snapshot's page table** — an O(1)
-//! persistent fork. Each 4 KiB page is compared before it is written:
-//! a page whose bytes match the parent's stays physically shared, a
-//! page of zeroes with no backing frame stays demand-zero, and only
-//! genuinely dirtied pages get fresh frames. The result is structural
-//! parent-delta storage without an explicit delta chain:
+//! own section; the solver's *snapshot normal form* makes semantically
+//! equal states byte-equal), then lays the bytes over a **clone of the
+//! parent snapshot's page table** — an O(1) persistent fork. Each 4 KiB
+//! page is compared before it is written: a page whose bytes match the
+//! parent's stays physically shared, a page of zeroes with no backing
+//! frame stays demand-zero, and only genuinely dirtied pages get fresh
+//! frames. The result is structural parent-delta storage without an
+//! explicit delta chain.
+//!
+//! The sections are **interleaved page by page**: page `p` of section
+//! `s` lives at vpn `p · 16 + s` (16 slots ≥ the codec's 13 sections).
+//! One 512-entry leaf therefore holds pages 0–31 of *every* section, so
+//! a solver whose sections fit in 32 pages each lives in one leaf under
+//! one path of three interior nodes — 4 table nodes in all — and a
+//! section's growth never shifts another's pages:
 //!
 //! ```text
-//!   root  ──────►  [H][arena·····][activity····][assigns··]   (all frames)
-//!                     │     │           │            │
-//!   child ──────►  [H'][arena····A][activity····][assigns·B]
-//!                          ▲ shared with root except pages H', A, B
+//!   vpn      0    1      2          12    13–15  16     17      18
+//!   root   [H ][arena][clauses]…[model]  free  [    ][arena][clauses]…
+//!   child  [H'][arena][clauses]…[model]        [    ][A    ][clauses]…
+//!            ▲ page 0 of each section ─┘        page 1 of each section
+//!   every frame the child maps is the root's except H' and A
 //! ```
 //!
 //! Removal (eviction or release) drops the victim's table; frames only
@@ -43,11 +51,13 @@
 //! storage — proportional to the pages that changed, not to the table:
 //!
 //! * `put` encodes into buffers it keeps, compares each page against
-//!   the parent's frame (one tree walk per 512-page leaf), installs the
-//!   `k` dirtied pages — path-copying at most `2 + 2·s` table nodes
-//!   when they fall in `s` sections — and discards a tail only where a
-//!   section got shorter than the parent's header says it was.
-//! * `get` decodes straight out of the mapped frames.
+//!   the parent's frame, installs the `k` dirtied pages — path-copying
+//!   each leaf they fall in and the interior nodes above it, so 4
+//!   table nodes when they all fall in the first 32 pages of their
+//!   sections — and discards a tail only where a section got shorter
+//!   than the parent's header says it was.
+//! * `get` decodes straight out of the mapped frames and rebuilds only
+//!   the solver's derived state: the image is already in normal form.
 //! * `remove` counts the frames the victim alone kept alive by walking
 //!   only the table nodes private to it, then drops the table.
 //! * `resident_bytes` is a running count those two maintain: O(1).
@@ -56,8 +66,8 @@
 //!   against it in debug builds.
 //!
 //! Table nodes are **not** priced: `resident_bytes` counts frames only,
-//! while every `put` also allocates the (4 KiB) nodes it path-copies.
-//! `MemStats::node_copies` counts them.
+//! while every `put` also allocates the (4 KiB) nodes it path-copies —
+//! 4 for a small solver. `MemStats::node_copies` counts them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,11 +81,17 @@ use lwsnap_solver::snapshot::{
 };
 use lwsnap_solver::Solver;
 
-/// Pages reserved per codec section: 1 Mi pages = 4 GiB of virtual
-/// room, far beyond any solver section, and `NUM_SECTIONS` strides fit
-/// comfortably in the table's 36-bit vpn space. Fixed bases mean one
-/// section's growth never shifts another's pages.
-const SECTION_STRIDE: u64 = 1 << 20;
+/// Vpns per page row: page `p` of section `s` lives at vpn `p · ROW +
+/// s`. A power of two no smaller than `NUM_SECTIONS`, so each 512-entry
+/// leaf holds the same 32 pages of every section, and a section's
+/// growth never shifts another's pages.
+const ROW: u64 = 16;
+const _: () = assert!(NUM_SECTIONS as u64 <= ROW);
+
+/// Where page `page` of section `sec_idx` lives.
+fn vpn(sec_idx: usize, page: usize) -> u64 {
+    page as u64 * ROW + sec_idx as u64
+}
 
 /// Page-granular copy-on-write snapshot store.
 ///
@@ -131,7 +147,7 @@ impl CowStore {
     }
 
     /// Lays one encoded section over `table` (a fork of `parent`) at
-    /// its fixed base. Pages whose bytes match the parent's stay shared
+    /// its page slots. Pages whose bytes match the parent's stay shared
     /// with it, all-zero pages with no frame stay demand-zero, the rest
     /// get fresh frames. `parent_len` is the section's byte length in
     /// the parent (0 without one).
@@ -143,21 +159,16 @@ impl CowStore {
         bytes: &[u8],
         parent_len: usize,
     ) {
-        let base = sec_idx as u64 * SECTION_STRIDE;
-        let npages = bytes.len().div_ceil(PAGE_SIZE);
-        debug_assert!(
-            (npages as u64) < SECTION_STRIDE,
-            "section overflows its stride"
-        );
-        let pages = bytes.chunks(PAGE_SIZE).zip(parent.frames_from(base));
-        for (vpn, (chunk, frame)) in (base..).zip(pages) {
+        for (page, chunk) in bytes.chunks(PAGE_SIZE).enumerate() {
+            let vpn = vpn(sec_idx, page);
+            let frame = parent.frame(vpn);
             let clean = match frame {
                 Some(frame) => {
                     // A frame is zero past its section's end, so its
                     // tail needs a look only where the parent's section
                     // reached further into this page than `chunk` does.
                     let (head, tail) = frame.bytes().split_at(chunk.len());
-                    let end = (vpn - base) as usize * PAGE_SIZE + chunk.len();
+                    let end = page * PAGE_SIZE + chunk.len();
                     head == chunk && (parent_len <= end || tail.iter().all(|&b| b == 0))
                 }
                 None => chunk.iter().all(|&b| b == 0),
@@ -182,9 +193,9 @@ impl CowStore {
         // Pages past the section's new end are stale parent state (the
         // section shrank, e.g. a reduced learnt database): drop them so
         // reads see zeroes. The parent mapped nothing past its own end.
-        let parent_pages = parent_len.div_ceil(PAGE_SIZE);
-        if npages < parent_pages {
-            table.discard_range(base + npages as u64, base + parent_pages as u64, stats);
+        for page in bytes.len().div_ceil(PAGE_SIZE)..parent_len.div_ceil(PAGE_SIZE) {
+            let vpn = vpn(sec_idx, page);
+            table.discard_range(vpn, vpn + 1, stats);
         }
     }
 
@@ -192,20 +203,18 @@ impl CowStore {
     /// unmapped (demand-zero) pages read as zeroes.
     fn section_pages(table: &PageTable, sec_idx: usize, len: usize) -> impl Iterator<Item = &[u8]> {
         static ZEROES: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
-        table
-            .frames_from(sec_idx as u64 * SECTION_STRIDE)
-            .take(len.div_ceil(PAGE_SIZE))
-            .enumerate()
-            .map(move |(p, frame)| {
-                let page = frame.map_or(&ZEROES, |f| f.bytes());
-                &page[..PAGE_SIZE.min(len - p * PAGE_SIZE)]
-            })
+        (0..len.div_ceil(PAGE_SIZE)).map(move |page| {
+            let bytes = table
+                .frame(vpn(sec_idx, page))
+                .map_or(&ZEROES, |f| f.bytes());
+            &bytes[..PAGE_SIZE.min(len - page * PAGE_SIZE)]
+        })
     }
 
     /// The header section of a snapshot's table. Its length words are
     /// never zero, so every snapshot maps its header page.
     fn header(table: &PageTable) -> Option<&[u8]> {
-        Some(&table.frame(0)?.bytes()[..HEADER_LEN])
+        Some(&table.frame(vpn(0, 0))?.bytes()[..HEADER_LEN])
     }
 }
 
@@ -316,9 +325,10 @@ impl SnapshotStore for CowStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lwsnap_mem::radix::{FANOUT, LEVELS};
     use lwsnap_solver::generators::{random_ksat, IncrementalFamily};
     use lwsnap_solver::snapshot::encode;
-    use lwsnap_solver::SolveResult;
+    use lwsnap_solver::{Lit, SolveResult};
 
     fn worked_solver(seed: u64) -> Solver {
         let fam = IncrementalFamily::new(80, 4, seed);
@@ -533,15 +543,7 @@ mod tests {
                 "nothing shrinks, nothing to discard"
             );
             let dirty = (0..new.len().div_ceil(PAGE_SIZE))
-                .filter(|p| {
-                    let page = |sec: &[u8]| {
-                        let mut buf = [0u8; PAGE_SIZE];
-                        let bytes = sec.chunks(PAGE_SIZE).nth(*p).unwrap_or(&[]);
-                        buf[..bytes.len()].copy_from_slice(bytes);
-                        buf
-                    };
-                    page(old) != page(new)
-                })
+                .filter(|&p| page(old, p) != page(new, p))
                 .count() as u64;
             pages += dirty;
             sections += u64::from(dirty > 0);
@@ -559,14 +561,109 @@ mod tests {
             pages,
             "exactly the pages that differ"
         );
-        // The root and the level-2 node once, then a level-1 node and a
-        // leaf per section touched — however many sections there are.
+        // Every section stays within its first 32 pages, which all share
+        // one leaf: one path, however many sections were touched.
         assert!(
-            d.node_copies <= 2 + 2 * sections,
+            d.node_copies <= u64::from(LEVELS),
             "{} node copies for {pages} pages in {sections} sections",
             d.node_copies
         );
         assert_eq!(d.pages_discarded, 0);
         assert_eq!(encode(&store.get(id).unwrap()), new);
+    }
+
+    /// Page `p` of an encoded section, zero-padded past its end.
+    fn page(sec: &[u8], p: usize) -> [u8; PAGE_SIZE] {
+        let mut buf = [0u8; PAGE_SIZE];
+        let bytes = sec.chunks(PAGE_SIZE).nth(p).unwrap_or(&[]);
+        buf[..bytes.len()].copy_from_slice(bytes);
+        buf
+    }
+
+    #[test]
+    fn a_section_past_one_leaf_shares_and_shrinks_across_the_boundary() {
+        // Ratio-3 3-SAT over 3000 variables: the clause arena runs past
+        // the 32 pages of it one leaf holds.
+        let vars = 3000;
+        let mut base = Solver::new();
+        for c in &random_ksat(vars, vars * 3, 3, 14).clauses {
+            base.add_clause(c);
+        }
+        assert_eq!(base.solve(), SolveResult::Sat);
+        let old = encode(&base);
+        let leaf_pages = FANOUT / ROW as usize;
+        assert!(old.iter().any(|sec| sec.len() > leaf_pages * PAGE_SIZE));
+        let mut store = CowStore::new();
+        let parent = store.put(None, &base);
+        assert_eq!(encode(&store.get(parent).unwrap()), old);
+
+        // A child with a few clauses more: in either leaf, a page is the
+        // parent's frame exactly when its bytes are the parent's.
+        let mut child = base.clone();
+        for c in &random_ksat(vars, 8, 3, 15).clauses {
+            child.add_clause(c);
+        }
+        assert_eq!(child.solve(), SolveResult::Sat);
+        let new = encode(&child);
+        let id = store.put(Some(parent), &child);
+        assert_eq!(encode(&store.get(id).unwrap()), new);
+        let (pt, ct) = (store.table(parent).unwrap(), store.table(id).unwrap());
+        let mut shared_past_the_first_leaf = 0;
+        for (s, (o, n)) in old.iter().zip(&new).enumerate() {
+            for p in 0..n.len().div_ceil(PAGE_SIZE) {
+                let v = vpn(s, p);
+                let shared = match (pt.frame(v), ct.frame(v)) {
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                    (None, None) => true,
+                    _ => false,
+                };
+                assert_eq!(shared, page(o, p) == page(n, p), "section {s} page {p}");
+                shared_past_the_first_leaf += usize::from(shared && p >= leaf_pages);
+            }
+        }
+        assert!(shared_past_the_first_leaf > 0);
+
+        // A smaller solver as the big one's child: every page past each
+        // section's new end, the second leaf's included, is gone.
+        let mut small = Solver::new();
+        for c in &random_ksat(vars / 2, vars, 3, 16).clauses {
+            small.add_clause(c);
+        }
+        assert_eq!(small.solve(), SolveResult::Sat);
+        let small_enc = encode(&small);
+        let one_leaf = leaf_pages * PAGE_SIZE;
+        assert!(old
+            .iter()
+            .zip(&small_enc)
+            .any(|(o, n)| o.len() > one_leaf && n.len() <= one_leaf));
+        let shrunk = store.put(Some(parent), &small);
+        assert_eq!(encode(&store.get(shrunk).unwrap()), small_enc);
+        let st = store.table(shrunk).unwrap();
+        for (s, (o, n)) in old.iter().zip(&small_enc).enumerate() {
+            for p in n.len().div_ceil(PAGE_SIZE)..o.len().div_ceil(PAGE_SIZE) {
+                assert!(st.frame(vpn(s, p)).is_none(), "stale section {s} page {p}");
+            }
+        }
+        assert_eq!(
+            store.resident_bytes(),
+            store.page_stats().total_pages as usize * PAGE_SIZE
+        );
+    }
+
+    #[test]
+    fn a_solver_unsat_at_level_zero_roundtrips_bit_identically() {
+        // (1 ∨ 2), (1 ∨ ¬2), then ¬1: `add_clause`'s own propagation
+        // meets the conflict, permuting clause literals on the way, and
+        // `solve` answers UNSAT without a search.
+        let mut s = Solver::new();
+        for c in [&[1, 2][..], &[1, -2], &[-1]] {
+            let lits: Vec<Lit> = c.iter().map(|&v| Lit::from_dimacs(v)).collect();
+            s.add_clause(&lits);
+        }
+        assert!(!s.is_ok());
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let mut store = CowStore::new();
+        let id = store.put(None, &s);
+        assert_eq!(encode(&store.get(id).unwrap()), encode(&s));
     }
 }

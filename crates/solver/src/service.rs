@@ -40,11 +40,37 @@ use crate::snapshot::{DeepCloneStore, SnapId, SnapshotStore, StorePageStats};
 use crate::solver::{SolveResult, Solver, SolverStats};
 
 /// Opaque reference to a previously solved problem in the service's tree.
+///
+/// Problem slots are recycled once released, so the reference carries
+/// the slot's generation beside the slot: a reference kept across its
+/// slot's reuse is a detectable dead reference, not an alias of the
+/// problem that took the slot over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProblemRef(u32);
 
+/// Low bits of a [`ProblemRef`] naming its slot; the high bits carry
+/// the slot's generation. Bounds a service to 2^16 problem slots.
+const SLOT_BITS: u32 = 16;
+const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
+/// The last generation a reference can carry. A slot released at it is
+/// retired for good rather than wrapped back to generation 0.
+const MAX_GEN: u32 = u32::MAX >> SLOT_BITS;
+
 impl ProblemRef {
-    /// The dense index behind the reference.
+    fn new(slot: u32, gen: u32) -> ProblemRef {
+        debug_assert!(slot <= SLOT_MASK && gen <= MAX_GEN);
+        ProblemRef(gen << SLOT_BITS | slot)
+    }
+
+    fn slot(self) -> usize {
+        (self.0 & SLOT_MASK) as usize
+    }
+
+    fn gen(self) -> u32 {
+        self.0 >> SLOT_BITS
+    }
+
+    /// The slot and generation behind the reference, packed.
     ///
     /// Exposed so distributed front-ends (the sharded service) can embed
     /// the reference in a wire-level id; within one service instance the
@@ -90,7 +116,14 @@ struct ProblemNode {
 
 /// A multi-path incremental SAT service.
 pub struct SolverService {
+    /// Problem slots: `None` once reaped, until the free list hands the
+    /// slot to a new problem.
     nodes: Vec<Option<ProblemNode>>,
+    /// Each slot's current generation; a retired slot's is past
+    /// `MAX_GEN`, which no reference carries.
+    gens: Vec<u32>,
+    /// Reaped slots awaiting reuse, most recently freed last.
+    free: Vec<u32>,
     /// Where resident snapshots actually live: the deep-clone baseline
     /// by default, or a page-granular CoW store
     /// ([`SolverService::with_store`]). Residency counts and the byte
@@ -174,6 +207,8 @@ impl SolverService {
         };
         SolverService {
             nodes: vec![Some(root)],
+            gens: vec![0],
+            free: Vec::new(),
             store,
             stats: StatsSummary {
                 shards: 1,
@@ -286,7 +321,7 @@ impl SolverService {
 
     /// The root (empty, trivially SAT) problem.
     pub fn root(&self) -> ProblemRef {
-        ProblemRef(0)
+        ProblemRef::new(0, 0)
     }
 
     /// This shard's counters, with the snapshot store's levels and
@@ -317,16 +352,35 @@ impl SolverService {
     }
 
     fn node(&self, r: ProblemRef) -> Option<&ProblemNode> {
-        self.nodes
-            .get(r.0 as usize)
-            .and_then(Option::as_ref)
-            .filter(|n| !n.released)
+        self.raw_node(r).filter(|n| !n.released)
     }
 
     /// Like [`SolverService::node`] but sees released tombstones too —
     /// replay walks through them.
     fn raw_node(&self, r: ProblemRef) -> Option<&ProblemNode> {
-        self.nodes.get(r.0 as usize).and_then(Option::as_ref)
+        self.nodes[self.slot_of(r)?].as_ref()
+    }
+
+    fn raw_node_mut(&mut self, r: ProblemRef) -> Option<&mut ProblemNode> {
+        let slot = self.slot_of(r)?;
+        self.nodes[slot].as_mut()
+    }
+
+    /// `r`'s slot, if `r` was minted for the slot's current generation.
+    fn slot_of(&self, r: ProblemRef) -> Option<usize> {
+        (*self.gens.get(r.slot())? == r.gen()).then_some(r.slot())
+    }
+
+    /// The reference the next new problem gets: the most recently freed
+    /// slot, else a fresh one. `None` once all 2^16 slots are taken.
+    fn next_problem(&self) -> Option<ProblemRef> {
+        match self.free.last() {
+            Some(&slot) => Some(ProblemRef::new(slot, self.gens[slot as usize])),
+            None => {
+                let slot = self.nodes.len();
+                (slot <= SLOT_MASK as usize).then(|| ProblemRef::new(slot as u32, 0))
+            }
+        }
     }
 
     /// The cached result of an already-solved problem.
@@ -347,7 +401,7 @@ impl SolverService {
 
     /// Pins a problem: its snapshot is never evicted. No-op on dead refs.
     pub fn pin(&mut self, r: ProblemRef) {
-        if let Some(node) = self.nodes.get_mut(r.0 as usize).and_then(Option::as_mut) {
+        if let Some(node) = self.raw_node_mut(r) {
             if !node.released {
                 node.pinned = true;
             }
@@ -356,16 +410,16 @@ impl SolverService {
 
     /// Unpins a problem (the root stays pinned regardless).
     pub fn unpin(&mut self, r: ProblemRef) {
-        if r.0 == 0 {
+        if r == self.root() {
             return;
         }
-        if let Some(node) = self.nodes.get_mut(r.0 as usize).and_then(Option::as_mut) {
+        if let Some(node) = self.raw_node_mut(r) {
             node.pinned = false;
             // Pinned entries are discarded from the LRU heap on pop, so
             // a freshly unpinned resident node needs a new candidacy.
             if node.snap.is_some() {
                 let stamp = node.last_use;
-                self.push_candidate(stamp, r.0);
+                self.push_candidate(stamp, r.slot() as u32);
             }
         }
     }
@@ -393,21 +447,30 @@ impl SolverService {
         snap
     }
 
+    /// A store get timed into the restore-latency histogram.
+    fn get_timed(&self, snap: SnapId) -> Option<Solver> {
+        let t0 = trace::now_ns();
+        let solver = self.store.get(snap);
+        trace::Registry::global()
+            .snap_get_ns
+            .record(trace::now_ns().saturating_sub(t0));
+        solver
+    }
+
     /// A solved solver for `r`, cloned from the resident snapshot or
     /// re-derived by replaying constraint edges from the nearest resident
     /// ancestor. Returns `None` for dead references.
     fn materialize(&mut self, r: ProblemRef) -> Option<(Solver, bool)> {
-        self.node(r)?;
+        let snap = self.node(r)?.snap;
         let stamp = self.next_stamp();
-        if let Some(snap) = self.nodes[r.0 as usize].as_ref().and_then(|n| n.snap) {
+        if let Some(snap) = snap {
             let solver = self
-                .store
-                .get(snap)
+                .get_timed(snap)
                 .expect("resident snapshot must be retrievable");
-            let node = self.nodes[r.0 as usize].as_mut().unwrap();
+            let node = self.raw_node_mut(r).expect("checked above");
             node.last_use = stamp;
             if !node.pinned {
-                self.push_candidate(stamp, r.0);
+                self.push_candidate(stamp, r.slot() as u32);
             }
             self.stats.snapshot_hits += 1;
             trace::instant(trace::Kind::SnapHit, r.0 as u64, 0);
@@ -430,7 +493,7 @@ impl SolverService {
             cur = node.parent?;
         }
         let ancestor_snap = self.raw_node(cur)?.snap?;
-        let mut solver = self.store.get(ancestor_snap)?;
+        let mut solver = self.get_timed(ancestor_snap)?;
         let before = solver.stats();
         let mut replayed = 0u64;
         // One solve per edge, not one solve at the end: each original
@@ -469,11 +532,11 @@ impl SolverService {
         // ancestor it was replayed from): the query touching it makes it
         // the most recently used node by definition.
         let snap = self.put_traced(Some(ancestor_snap), &solver, r.0);
-        let node = self.nodes[r.0 as usize].as_mut()?;
+        let node = self.raw_node_mut(r)?;
         node.snap = Some(snap);
         node.last_use = stamp;
         if !node.pinned {
-            self.push_candidate(stamp, r.0);
+            self.push_candidate(stamp, r.slot() as u32);
         }
         self.enforce_capacity(Some(r));
         Some((solver, true))
@@ -500,7 +563,7 @@ impl SolverService {
             if !is_candidate(&self.nodes, stamp, index) {
                 continue; // stale heap entry
             }
-            if protect == Some(ProblemRef(index)) {
+            if protect.is_some_and(|p| p.slot() == index as usize) {
                 // Still a valid candidate — put it back after the loop.
                 deferred = Some(Reverse((stamp, index)));
                 continue;
@@ -528,8 +591,12 @@ impl SolverService {
     /// it, so any number of divergent `q`s can be layered on the same `p`
     /// — the "multi-path" in the name. If the parent snapshot was evicted
     /// it is re-derived transparently (see the module docs).
+    ///
+    /// `None` for a dead `parent`, or when every one of the service's
+    /// 2^16 problem slots is taken.
     pub fn solve(&mut self, parent: ProblemRef, added: &[Vec<Lit>]) -> Option<Reply> {
         let parent_depth = self.node(parent)?.depth;
+        let problem = self.next_problem()?;
         // The lightweight snapshot: fork the solved parent state.
         let (mut solver, rederived) = self.materialize(parent)?;
         let before = solver.stats();
@@ -541,11 +608,10 @@ impl SolverService {
         let after = solver.stats();
         let conflicts = after.conflicts - before.conflicts;
         self.stats.queries += 1;
-        // The child problem will occupy the next node slot.
         trace::span(
             trace::Kind::SolverRun,
             solve_t0,
-            self.nodes.len() as u64,
+            problem.0 as u64,
             conflicts,
         );
         trace::Registry::global()
@@ -559,8 +625,8 @@ impl SolverService {
         // materialize() just touched (still resident — nothing evicts
         // between there and here), so a CoW store shares every page the
         // child did not dirty.
-        let parent_snap = self.nodes[parent.0 as usize].as_ref().and_then(|n| n.snap);
-        let snap = self.put_traced(parent_snap, &solver, self.nodes.len() as u32);
+        let parent_snap = self.raw_node(parent).and_then(|n| n.snap);
+        let snap = self.put_traced(parent_snap, &solver, problem.0);
         let node = ProblemNode {
             snap: Some(snap),
             parent: Some(parent),
@@ -572,12 +638,20 @@ impl SolverService {
             pinned: false,
             last_use: stamp,
         };
-        self.nodes.push(Some(node));
-        let problem = ProblemRef((self.nodes.len() - 1) as u32);
-        if let Some(parent_node) = self.nodes[parent.0 as usize].as_mut() {
+        // `problem` is still the next slot: nothing since `next_problem`
+        // reaped or took one.
+        if problem.slot() == self.nodes.len() {
+            self.nodes.push(Some(node));
+            self.gens.push(0);
+        } else {
+            debug_assert_eq!(self.free.last(), Some(&(problem.slot() as u32)));
+            self.free.pop();
+            self.nodes[problem.slot()] = Some(node);
+        }
+        if let Some(parent_node) = self.raw_node_mut(parent) {
             parent_node.children += 1;
         }
-        self.push_candidate(stamp, problem.0);
+        self.push_candidate(stamp, problem.slot() as u32);
         self.enforce_capacity(Some(problem));
         Some(Reply {
             problem,
@@ -596,10 +670,10 @@ impl SolverService {
     /// cascading up through released ancestors — so solve-then-release
     /// traffic does not accumulate per-query garbage.
     pub fn release(&mut self, r: ProblemRef) {
-        if r.0 == 0 {
+        if r == self.root() {
             return; // the root is permanent
         }
-        let freed = match self.nodes.get_mut(r.0 as usize).and_then(Option::as_mut) {
+        let freed = match self.raw_node_mut(r) {
             Some(node) if !node.released => {
                 node.released = true;
                 node.pinned = false;
@@ -616,25 +690,30 @@ impl SolverService {
     /// Frees `r`'s slot if it is a childless tombstone, then walks up
     /// freeing every released ancestor this leaves childless. Reaped
     /// nodes can never be needed again: replay only ever walks from a
-    /// live descendant, and they have none.
+    /// live descendant, and they have none. A freed slot's generation
+    /// moves on, so references to the reaped node stay dead once the
+    /// free list hands the slot out again.
     fn reap(&mut self, mut r: ProblemRef) {
         loop {
-            if r.0 == 0 {
+            if r == self.root() {
                 return; // the root is never reaped
             }
-            let Some(node) = self.nodes.get(r.0 as usize).and_then(Option::as_ref) else {
+            let Some(node) = self.raw_node(r) else {
                 return;
             };
             if !node.released || node.children > 0 {
                 return;
             }
             let parent = node.parent;
-            self.nodes[r.0 as usize] = None;
+            let slot = r.slot();
+            self.nodes[slot] = None;
+            self.gens[slot] += 1;
+            if self.gens[slot] <= MAX_GEN {
+                self.free.push(slot as u32);
+            }
             match parent {
                 Some(p) => {
-                    let Some(parent_node) =
-                        self.nodes.get_mut(p.0 as usize).and_then(Option::as_mut)
-                    else {
+                    let Some(parent_node) = self.raw_node_mut(p) else {
                         return;
                     };
                     parent_node.children -= 1;
@@ -1043,6 +1122,48 @@ mod tests {
         assert_eq!(svc.is_resident(leaf), Some(true));
         svc.set_snapshot_capacity(None);
         assert!(svc.lru.is_empty(), "disarmed");
+    }
+
+    /// Solve-then-release traffic reuses its slot instead of growing the
+    /// table, and a reference kept across its slot's reuse stays dead —
+    /// through the generation wrap too, where the slot is retired.
+    #[test]
+    fn released_slots_are_reused_and_stale_refs_stay_dead() {
+        let mut svc = SolverService::new();
+        let base = svc.solve(svc.root(), &[lits(&[1, 2])]).unwrap().problem;
+        let first = svc.solve(base, &[lits(&[3])]).unwrap().problem;
+        svc.release(first);
+        for v in 0..100_000i64 {
+            let q = svc.solve(base, &[lits(&[v % 7 + 3])]).unwrap().problem;
+            assert_eq!(svc.result_of(first), None, "round {v}");
+            svc.release(q);
+        }
+        // Peak live: the root, `base` and one leaf.
+        assert!(svc.nodes.len() <= 3 + 1, "{} slots", svc.nodes.len());
+
+        let stale = svc.solve(base, &[lits(&[3])]).unwrap().problem;
+        svc.release(stale);
+        let fresh = svc.solve(base, &[lits(&[4])]).unwrap().problem;
+        assert_eq!(fresh.slot(), stale.slot(), "slot reused");
+        assert_eq!(ProblemRef::from_index(fresh.index()), fresh);
+        assert!(svc.solve(stale, &[]).is_none());
+        assert_eq!(svc.result_of(stale), None);
+        svc.pin(stale);
+        assert!(!svc.raw_node(fresh).unwrap().pinned, "pin was a no-op");
+        svc.release(stale);
+        assert_eq!(svc.result_of(fresh), Some(SolveResult::Sat));
+    }
+
+    #[test]
+    fn a_full_slot_table_refuses_new_problems_until_one_is_released() {
+        let mut svc = SolverService::new();
+        let refs: Vec<ProblemRef> = (0..SLOT_MASK)
+            .map(|_| svc.solve(svc.root(), &[]).unwrap().problem)
+            .collect();
+        assert!(svc.solve(svc.root(), &[]).is_none(), "every slot taken");
+        svc.release(refs[7]);
+        let reused = svc.solve(svc.root(), &[]).unwrap().problem;
+        assert_eq!(reused.slot(), refs[7].slot());
     }
 
     #[test]

@@ -17,23 +17,25 @@
 //!
 //! [`encode`] serializes a [`Solver`] into [`NUM_SECTIONS`] independent
 //! byte sections, one per field, so a page-granular store can give each
-//! section its own fixed base address: a field that did not change
-//! between parent and child produces byte-identical pages at identical
-//! offsets, and the store's compare-before-write keeps them physically
-//! shared. Three layout rules protect that stability:
+//! section its own pages: a field that did not change between parent
+//! and child produces byte-identical pages at identical addresses, and
+//! the store's compare-before-write keeps them physically shared. Three
+//! layout rules protect that stability:
 //!
-//! * **Fixed section bases** — growth of one section never shifts
+//! * **Independent sections** — growth of one section never shifts
 //!   another's bytes.
 //! * **Essential state only** — purely derived state (watch lists, the
 //!   decision heap, the `seen` scratch array) is not serialized at all.
 //!   Those structures record the *search path*, not the state, and are
 //!   reshuffled wholesale by every solve; [`decode`] rebuilds them with
-//!   the solver's own normalization pass instead.
-//! * **Snapshot normal form** — the solver canonicalizes its derived
-//!   state after every solve (clause literals sorted, watches picked
-//!   deterministically, stale per-variable fields zeroed), so the
-//!   sections that *are* serialized differ between parent and child only
-//!   where the state genuinely differs.
+//!   the derived half of the solver's normalization pass instead.
+//! * **Snapshot normal form** — the solver canonicalizes its state after
+//!   every solve, an early UNSAT included (clause literals sorted,
+//!   watches picked deterministically, stale per-variable fields
+//!   zeroed), so the sections that *are* serialized differ between
+//!   parent and child only where the state genuinely differs. Every
+//!   image is therefore already canonical, and [`decode`] does not
+//!   canonicalize again: it returns the encoded solver itself.
 //!
 //! The encoding is exact for quiescent solvers (decision level 0,
 //! propagation complete — the only states the service snapshots): every
@@ -304,7 +306,7 @@ fn lbool_from_u8(b: u8) -> Option<Lbool> {
 /// Serializes `solver` into [`NUM_SECTIONS`] byte sections. Section 0
 /// is the header (its own length, the per-section length table, the
 /// scalar fields); the rest are one field each, at fixed indices, so a
-/// page-granular store can assign each a fixed base address.
+/// page-granular store can give each its own fixed pages.
 ///
 /// The solver must be quiescent (decision level 0, propagation
 /// complete) — the state every solve leaves behind and the only state
@@ -475,10 +477,11 @@ fn validate_crefs(arena: &[u32], refs: &[u32], learnt: bool, nvars: usize) -> bo
 /// corrupted store surfaces as a dead snapshot, never a panic or a
 /// silently wrong solver).
 ///
-/// Derived state — watch lists, the decision heap, the `seen` scratch
-/// array — is rebuilt by the solver's own normalization pass, which is
-/// deterministic and idempotent: a decoded solver is byte-identical to
-/// the (normalized) solver that was encoded.
+/// The image must be in snapshot normal form, as every solve leaves a
+/// solver (debug builds assert it). Only the derived state — watch
+/// lists, the decision heap, the `seen` scratch array — is rebuilt, by
+/// the derived half of the solver's normalization pass: a decoded
+/// solver is byte-identical to the solver that was encoded.
 pub fn decode(sections: &[Vec<u8>]) -> Option<Solver> {
     if sections.len() != NUM_SECTIONS {
         return None;
@@ -571,8 +574,8 @@ where
     // Cross-field sanity. Per-variable arrays must agree on the variable
     // count; the trail must be a quiescent level-0 prefix (encode only
     // accepts quiescent solvers); every clause reference must point at a
-    // well-formed arena record, since the normalization pass below walks
-    // them to rebuild the watch lists.
+    // well-formed arena record, since the rebuild below walks them to
+    // attach the watch lists.
     if solver.level.len() != nvars
         || solver.reason.len() != nvars
         || solver.activity.len() != nvars
@@ -586,9 +589,11 @@ where
     {
         return None;
     }
-    // Rebuild the derived state (watches, decision heap, seen) into the
-    // snapshot normal form — the same pass every solve ends with.
-    solver.normalize();
+    debug_assert!(
+        solver.is_canonical(),
+        "stored image is not in snapshot normal form"
+    );
+    solver.rebuild_derived();
     Some(solver)
 }
 

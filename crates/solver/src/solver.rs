@@ -60,10 +60,11 @@ pub enum SolveResult {
 pub struct Solver {
     // Clause storage: [header][lit...]* where header = len << 1 | learnt.
     // Fields are pub(crate) for the snapshot codec (`crate::snapshot`):
-    // essential state is serialized verbatim, while derived state
-    // (watches, decision heap, `seen`) is rebuilt by [`Solver::normalize`]
-    // — the same pass that runs after every solve — so a restored
-    // snapshot cannot diverge from the original.
+    // essential state is serialized verbatim, already canonical, while
+    // derived state (watches, decision heap, `seen`) is rebuilt by
+    // [`Solver::rebuild_derived`] — the derived half of the
+    // normalization every solve ends with — so a restored snapshot
+    // cannot diverge from the original.
     pub(crate) arena: Vec<u32>,
     pub(crate) clauses: Vec<u32>,
     pub(crate) learnts: Vec<u32>,
@@ -592,11 +593,18 @@ impl Solver {
     /// bit-equal, so a child's delta is proportional to what actually
     /// changed.
     ///
-    /// The snapshot codec calls the same pass on decode to rebuild the
-    /// derived state it does not serialize (watch lists, decision heap,
-    /// `seen`), which keeps restored snapshots bit-for-bit aligned with
-    /// live ones.
+    /// The pass has two halves: [`Solver::canonicalize`] rewrites the
+    /// essential state, [`Solver::rebuild_derived`] recomputes what
+    /// follows from it. Every stored snapshot image is the output of
+    /// this pass, so the codec's decode runs only the second half.
     pub(crate) fn normalize(&mut self) {
+        self.canonicalize();
+        self.rebuild_derived();
+    }
+
+    /// The essential half of [`Solver::normalize`]: stale per-variable
+    /// fields zeroed, and each clause's literals in canonical order.
+    fn canonicalize(&mut self) {
         debug_assert!(self.trail_lim.is_empty(), "normalize mid-solve");
         debug_assert_eq!(self.qhead, self.trail.len(), "normalize mid-propagation");
         // Stale per-variable fields: `cancel_until` resets assignment and
@@ -606,7 +614,6 @@ impl Solver {
                 self.level[v] = 0;
                 self.reason[v] = CREF_NONE;
             }
-            self.seen[v] = false;
         }
         // Canonical literal order and watch choice per clause.
         let crefs: Vec<u32> = self
@@ -618,7 +625,14 @@ impl Solver {
         for cref in crefs {
             self.canonicalize_clause(cref);
         }
-        // Watch lists: rebuilt from scratch in clause-database order.
+    }
+
+    /// The derived half of [`Solver::normalize`]: `seen` cleared, watch
+    /// lists rebuilt in clause-database order, and the decision heap
+    /// rebuilt from the activities. A pure function of the essential
+    /// state, so a decoded snapshot gets exactly the live solver's.
+    pub(crate) fn rebuild_derived(&mut self) {
+        self.seen.iter_mut().for_each(|s| *s = false);
         for ws in &mut self.watches {
             ws.clear();
         }
@@ -632,6 +646,17 @@ impl Solver {
         }
         // Decision heap: pure function of the activity array.
         self.order.rebuild(self.assigns.len(), &self.activity);
+    }
+
+    /// Whether the essential state is already canonical, i.e. whether
+    /// [`Solver::canonicalize`] would leave it as it is. What the codec
+    /// asserts of every image it decodes (debug builds).
+    pub(crate) fn is_canonical(&self) -> bool {
+        let mut canonical = self.clone();
+        canonical.canonicalize();
+        canonical.arena == self.arena
+            && canonical.level == self.level
+            && canonical.reason == self.reason
     }
 
     /// Sorts a clause's literals ascending and moves the canonical watch
@@ -759,6 +784,9 @@ impl Solver {
     pub fn solve_under(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.cancel_until(0);
         if !self.ok {
+            // `add_clause` can leave a level-0 conflict behind: every
+            // solve ends in normal form, this one too.
+            self.normalize();
             return SolveResult::Unsat;
         }
         for a in assumptions {

@@ -294,6 +294,8 @@ pub struct Registry {
     pub solve_ns: Histogram,
     /// Snapshot encode + store put latency, ns.
     pub snap_put_ns: Histogram,
+    /// Snapshot restore (store get + decode) latency, ns.
+    pub snap_get_ns: Histogram,
     /// Re-derivation (replay) latency, ns.
     pub rederive_ns: Histogram,
 }
@@ -306,6 +308,7 @@ impl Registry {
             queue_wait_ns: Histogram::new(),
             solve_ns: Histogram::new(),
             snap_put_ns: Histogram::new(),
+            snap_get_ns: Histogram::new(),
             rederive_ns: Histogram::new(),
         }
     }
@@ -328,6 +331,7 @@ impl Registry {
                 ("queue_wait_ns".into(), self.queue_wait_ns.snapshot()),
                 ("solve_ns".into(), self.solve_ns.snapshot()),
                 ("snap_put_ns".into(), self.snap_put_ns.snapshot()),
+                ("snap_get_ns".into(), self.snap_get_ns.snapshot()),
                 ("rederive_ns".into(), self.rederive_ns.snapshot()),
             ],
         }
@@ -590,6 +594,12 @@ lwsnap_snap_put_ns_bucket{le=\"+Inf\"} 0
 lwsnap_snap_put_ns{quantile=\"0.5\"} 0
 lwsnap_snap_put_ns{quantile=\"0.9\"} 0
 lwsnap_snap_put_ns{quantile=\"0.99\"} 0
+lwsnap_snap_get_ns_count 0
+lwsnap_snap_get_ns_sum 0
+lwsnap_snap_get_ns_bucket{le=\"+Inf\"} 0
+lwsnap_snap_get_ns{quantile=\"0.5\"} 0
+lwsnap_snap_get_ns{quantile=\"0.9\"} 0
+lwsnap_snap_get_ns{quantile=\"0.99\"} 0
 lwsnap_rederive_ns_count 0
 lwsnap_rederive_ns_sum 0
 lwsnap_rederive_ns_bucket{le=\"+Inf\"} 0
