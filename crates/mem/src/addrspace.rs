@@ -526,20 +526,15 @@ impl AddressSpace {
     fn cached_frame(&mut self, vpn: u64) -> Option<Frame> {
         let key = vpn >> FANOUT_SHIFT;
         let idx = (vpn & (crate::radix::FANOUT as u64 - 1)) as usize;
-        for (cached_key, node) in self.leaf_cache.iter().flatten() {
+        for (cached_key, leaf) in self.leaf_cache.iter().flatten() {
             if *cached_key == key {
                 self.stats.read_cache_hits += 1;
-                if let Node::Leaf(frames) = &**node {
-                    return frames[idx].clone();
-                }
+                return leaf.frame(idx).cloned();
             }
         }
         self.stats.read_cache_misses += 1;
         let leaf = self.table.leaf_for(vpn)?;
-        let frame = match &*leaf {
-            Node::Leaf(frames) => frames[idx].clone(),
-            Node::Interior(_) => None,
-        };
+        let frame = leaf.frame(idx).cloned();
         // Insert in slot 0, demoting the previous occupant (LRU of two).
         self.leaf_cache[1] = self.leaf_cache[0].take();
         self.leaf_cache[0] = Some((key, leaf));

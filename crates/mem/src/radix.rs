@@ -12,6 +12,13 @@
 //! copies at most one 4 KiB frame; untouched subtrees remain shared between
 //! all snapshots, byte-for-byte and pointer-for-pointer. This reproduces, in
 //! software, the CoW fault behaviour the paper gets from hardware paging.
+//!
+//! A node holds only its present entries (an occupancy bitmap plus a packed
+//! array, see `Slots`), so it costs 120 bytes plus 8 per entry rather
+//! than 512 slots of 8 bytes. Copying a path therefore costs the entries
+//! the copied nodes map — allocation, slot copies and reference-count
+//! bumps alike — and so does freeing one: a fault in a small address space
+//! copies a handful of entries next to its 4 KiB frame.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -46,42 +53,162 @@ fn span(level: u32) -> u64 {
     1u64 << (FANOUT_SHIFT * level)
 }
 
+/// Words in a node's occupancy bitmap.
+const WORDS: usize = FANOUT / 64;
+
+/// The entries of one node, sized to what it holds: a [`FANOUT`]-bit
+/// occupancy bitmap and the present entries packed in slot order. The
+/// entry for slot `i` sits at index [`Slots::rank`]`(i)`, the number of
+/// occupied slots below `i` (Bagwell's array-mapped trie). Cloning,
+/// growing and dropping a node cost the entries it holds, never the
+/// fan-out.
+#[derive(Clone)]
+pub(crate) struct Slots<T> {
+    bits: [u64; WORDS],
+    /// `below[w]`: occupied slots in the words before `w`, so a rank
+    /// costs one popcount however high its slot.
+    below: [u16; WORDS],
+    items: Box<[T]>,
+}
+
+impl<T> Slots<T> {
+    fn new() -> Self {
+        Slots {
+            bits: [0; WORDS],
+            below: [0; WORDS],
+            items: Box::default(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    fn has(&self, slot: usize) -> bool {
+        self.bits[slot / 64] >> (slot % 64) & 1 != 0
+    }
+
+    /// Number of occupied slots below `slot`; `slot` may be [`FANOUT`].
+    fn rank(&self, slot: usize) -> usize {
+        let (word, bit) = (slot / 64, slot % 64);
+        match self.bits.get(word) {
+            Some(w) => usize::from(self.below[word]) + (w & ((1 << bit) - 1)).count_ones() as usize,
+            None => self.items.len(),
+        }
+    }
+
+    /// Recomputes `below` after `bits` changed.
+    fn recount(&mut self) {
+        let mut n = 0;
+        for (below, word) in self.below.iter_mut().zip(self.bits) {
+            *below = n;
+            n += word.count_ones() as u16;
+        }
+    }
+
+    fn get(&self, slot: usize) -> Option<&T> {
+        self.has(slot).then(|| &self.items[self.rank(slot)])
+    }
+
+    /// The entry at `slot`, inserting `make()` there first if it is vacant.
+    fn get_or_insert_with(&mut self, slot: usize, make: impl FnOnce() -> T) -> &mut T {
+        let idx = self.rank(slot);
+        if !self.has(slot) {
+            self.insert_vacant(slot, idx, make());
+        }
+        &mut self.items[idx]
+    }
+
+    /// Puts `value` at `slot`, replacing any entry there.
+    fn insert(&mut self, slot: usize, value: T) {
+        let idx = self.rank(slot);
+        if self.has(slot) {
+            self.items[idx] = value;
+        } else {
+            self.insert_vacant(slot, idx, value);
+        }
+    }
+
+    /// Grows the item array by exactly one, putting `value` at `idx`.
+    fn insert_vacant(&mut self, slot: usize, idx: usize, value: T) {
+        self.bits[slot / 64] |= 1 << (slot % 64);
+        self.recount();
+        let mut items = Vec::with_capacity(self.items.len() + 1);
+        let mut old = std::mem::take(&mut self.items).into_vec().into_iter();
+        items.extend(old.by_ref().take(idx));
+        items.push(value);
+        items.extend(old);
+        self.items = items.into_boxed_slice();
+    }
+
+    /// Keeps only the entries for which `keep(slot, entry)` holds.
+    fn retain(&mut self, mut keep: impl FnMut(usize, &mut T) -> bool) {
+        let mut slots = occupied(self.bits);
+        let mut items = std::mem::take(&mut self.items).into_vec();
+        items.retain_mut(|item| {
+            let slot = slots.next().expect("one occupied slot per entry");
+            let kept = keep(slot, item);
+            if !kept {
+                self.bits[slot / 64] &= !(1 << (slot % 64));
+            }
+            kept
+        });
+        self.items = items.into_boxed_slice();
+        self.recount();
+    }
+
+    /// The entries with their slots, in slot order.
+    fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+        occupied(self.bits).zip(self.items.iter())
+    }
+}
+
+/// The set bits of `bits`, ascending.
+fn occupied(bits: [u64; WORDS]) -> impl Iterator<Item = usize> {
+    (0..WORDS).flat_map(move |word| {
+        let mut rest = bits[word];
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                word * 64 + bit
+            })
+        })
+    })
+}
+
 /// One node of the radix tree.
 #[derive(Clone)]
 pub(crate) enum Node {
     /// Levels 3..1: pointers to child nodes.
-    Interior(Box<[Option<Arc<Node>>]>),
+    Interior(Slots<Arc<Node>>),
     /// Level 0: pointers to frames.
-    Leaf(Box<[Option<Frame>]>),
+    Leaf(Slots<Frame>),
 }
 
 impl Node {
-    fn new_interior() -> Node {
-        Node::Interior(empty_slots())
-    }
-
-    fn new_leaf() -> Node {
-        Node::Leaf(empty_slots())
-    }
-
     fn new_for_level(level: u32) -> Node {
         if level == 0 {
-            Node::new_leaf()
+            Node::Leaf(Slots::new())
         } else {
-            Node::new_interior()
+            Node::Interior(Slots::new())
         }
     }
 
     fn is_empty(&self) -> bool {
         match self {
-            Node::Interior(slots) => slots.iter().all(Option::is_none),
-            Node::Leaf(frames) => frames.iter().all(Option::is_none),
+            Node::Interior(slots) => slots.is_empty(),
+            Node::Leaf(frames) => frames.is_empty(),
         }
     }
-}
 
-fn empty_slots<T>() -> Box<[Option<T>]> {
-    (0..FANOUT).map(|_| None).collect()
+    /// The frame a leaf maps at `slot`.
+    pub(crate) fn frame(&self, slot: usize) -> Option<&Frame> {
+        match self {
+            Node::Leaf(frames) => frames.get(slot),
+            Node::Interior(_) => unreachable!("frame lookup in an interior node"),
+        }
+    }
 }
 
 /// A persistent map from virtual page numbers to frames.
@@ -103,7 +230,7 @@ impl PageTable {
     /// Creates an empty page table.
     pub fn new() -> Self {
         PageTable {
-            root: Arc::new(Node::new_interior()),
+            root: Arc::new(Node::new_for_level(LEVELS - 1)),
         }
     }
 
@@ -112,22 +239,17 @@ impl PageTable {
         Arc::ptr_eq(&self.root, &other.root)
     }
 
-    /// The frame slots of the leaf covering `vpn`, if that leaf exists.
-    fn leaf_slots(&self, vpn: u64) -> Option<&[Option<Frame>]> {
+    /// The leaf covering `vpn`, if that leaf exists.
+    fn leaf(&self, vpn: u64) -> Option<&Arc<Node>> {
         debug_assert!(vpn <= MAX_VPN);
-        let mut node: &Node = &self.root;
+        let mut node: &Arc<Node> = &self.root;
         for level in (1..LEVELS).rev() {
-            match node {
-                Node::Interior(slots) => {
-                    node = slots[slot(vpn, level)].as_deref()?;
-                }
+            match &**node {
+                Node::Interior(slots) => node = slots.get(slot(vpn, level))?,
                 Node::Leaf(_) => unreachable!("leaf above level 0"),
             }
         }
-        match node {
-            Node::Leaf(frames) => Some(frames),
-            Node::Interior(_) => unreachable!("interior at level 0"),
-        }
+        Some(node)
     }
 
     /// Looks up the frame mapped at `vpn`, if one has been materialised.
@@ -135,21 +257,12 @@ impl PageTable {
     /// Demand-zero pages that were never written have no frame and return
     /// `None`; the caller reads zeroes for them.
     pub fn frame(&self, vpn: u64) -> Option<&Frame> {
-        self.leaf_slots(vpn)?[slot(vpn, 0)].as_ref()
+        self.leaf(vpn)?.frame(slot(vpn, 0))
     }
 
     /// Returns the leaf node covering `vpn`, for the read-side leaf cache.
     pub(crate) fn leaf_for(&self, vpn: u64) -> Option<Arc<Node>> {
-        let mut node: &Arc<Node> = &self.root;
-        for level in (1..LEVELS).rev() {
-            match &**node {
-                Node::Interior(slots) => {
-                    node = slots[slot(vpn, level)].as_ref()?;
-                }
-                Node::Leaf(_) => unreachable!("leaf above level 0"),
-            }
-        }
-        Some(node.clone())
+        self.leaf(vpn).cloned()
     }
 
     /// Gives mutable access to the frame at `vpn`, materialising the path
@@ -162,48 +275,29 @@ impl PageTable {
         stats: &mut MemStats,
         f: impl FnOnce(&mut PageBuf) -> R,
     ) -> R {
-        debug_assert!(vpn <= MAX_VPN);
-        let mut cur: &mut Arc<Node> = &mut self.root;
-        for level in (1..LEVELS).rev() {
-            if Arc::strong_count(cur) > 1 {
-                stats.node_copies += 1;
-            }
-            match Arc::make_mut(cur) {
-                Node::Interior(slots) => {
-                    cur = slots[slot(vpn, level)]
-                        .get_or_insert_with(|| Arc::new(Node::new_for_level(level - 1)));
-                }
-                Node::Leaf(_) => unreachable!("leaf above level 0"),
-            }
+        let frame = self
+            .leaf_mut(vpn, stats)
+            .get_or_insert_with(slot(vpn, 0), || {
+                stats.zero_fills += 1;
+                fresh_zero_frame()
+            });
+        if Arc::strong_count(frame) > 1 {
+            stats.cow_page_copies += 1;
         }
-        if Arc::strong_count(cur) > 1 {
-            stats.node_copies += 1;
-        }
-        match Arc::make_mut(cur) {
-            Node::Leaf(frames) => {
-                let entry = &mut frames[slot(vpn, 0)];
-                let frame = match entry {
-                    Some(frame) => {
-                        if Arc::strong_count(frame) > 1 {
-                            stats.cow_page_copies += 1;
-                        }
-                        frame
-                    }
-                    None => {
-                        stats.zero_fills += 1;
-                        entry.insert(fresh_zero_frame())
-                    }
-                };
-                f(Arc::make_mut(frame))
-            }
-            Node::Interior(_) => unreachable!("interior at level 0"),
-        }
+        f(Arc::make_mut(frame))
     }
 
     /// Maps `vpn` directly to `frame`, replacing any existing mapping.
     ///
     /// Used by loaders to install pre-built pages without a CoW copy.
     pub fn install(&mut self, vpn: u64, frame: Frame, stats: &mut MemStats) {
+        self.leaf_mut(vpn, stats).insert(slot(vpn, 0), frame);
+    }
+
+    /// The frames of the leaf covering `vpn`, private to this table:
+    /// materialises the path as needed and copies each shared node on it
+    /// (counted in `stats.node_copies`).
+    fn leaf_mut(&mut self, vpn: u64, stats: &mut MemStats) -> &mut Slots<Frame> {
         debug_assert!(vpn <= MAX_VPN);
         let mut cur: &mut Arc<Node> = &mut self.root;
         for level in (1..LEVELS).rev() {
@@ -212,8 +306,9 @@ impl PageTable {
             }
             match Arc::make_mut(cur) {
                 Node::Interior(slots) => {
-                    cur = slots[slot(vpn, level)]
-                        .get_or_insert_with(|| Arc::new(Node::new_for_level(level - 1)));
+                    cur = slots.get_or_insert_with(slot(vpn, level), || {
+                        Arc::new(Node::new_for_level(level - 1))
+                    });
                 }
                 Node::Leaf(_) => unreachable!("leaf above level 0"),
             }
@@ -222,7 +317,7 @@ impl PageTable {
             stats.node_copies += 1;
         }
         match Arc::make_mut(cur) {
-            Node::Leaf(frames) => frames[slot(vpn, 0)] = Some(frame),
+            Node::Leaf(frames) => frames,
             Node::Interior(_) => unreachable!("interior at level 0"),
         }
     }
@@ -315,11 +410,10 @@ fn slot_range(level: u32, base: u64, lo: u64, hi: u64) -> Range<usize> {
 fn any_mapped(node: &Node, level: u32, base: u64, lo: u64, hi: u64) -> bool {
     let range = slot_range(level, base, lo, hi);
     match node {
-        Node::Leaf(frames) => frames[range].iter().any(Option::is_some),
-        Node::Interior(slots) => range.into_iter().any(|i| {
-            slots[i].as_deref().is_some_and(|child| {
-                any_mapped(child, level - 1, base + i as u64 * span(level), lo, hi)
-            })
+        Node::Leaf(frames) => frames.rank(range.end) > frames.rank(range.start),
+        Node::Interior(slots) => slots.iter().any(|(i, child)| {
+            range.contains(&i)
+                && any_mapped(child, level - 1, base + i as u64 * span(level), lo, hi)
         }),
     }
 }
@@ -345,36 +439,33 @@ fn discard_rec(
     match Arc::make_mut(node) {
         Node::Interior(slots) => {
             let child_span = span(level);
-            for i in range {
-                let Some(child) = &mut slots[i] else {
-                    continue;
-                };
+            slots.retain(|i, child| {
+                if !range.contains(&i) {
+                    return true;
+                }
                 let child_lo = base + i as u64 * child_span;
                 if lo <= child_lo && child_lo + child_span <= hi {
                     discarded += count_rec(child);
-                    slots[i] = None;
-                } else {
-                    let n = discard_rec(child, level - 1, child_lo, lo, hi, stats);
-                    if n > 0 && child.is_empty() {
-                        slots[i] = None;
-                    }
-                    discarded += n;
+                    return false;
                 }
-            }
+                let n = discard_rec(child, level - 1, child_lo, lo, hi, stats);
+                discarded += n;
+                n == 0 || !child.is_empty()
+            });
         }
-        Node::Leaf(frames) => {
-            for entry in &mut frames[range] {
-                discarded += u64::from(entry.take().is_some());
-            }
-        }
+        Node::Leaf(frames) => frames.retain(|i, _| {
+            let dropped = range.contains(&i);
+            discarded += u64::from(dropped);
+            !dropped
+        }),
     }
     discarded
 }
 
 fn count_rec(node: &Node) -> u64 {
     match node {
-        Node::Interior(slots) => slots.iter().flatten().map(|child| count_rec(child)).sum(),
-        Node::Leaf(frames) => frames.iter().flatten().count() as u64,
+        Node::Interior(slots) => slots.items.iter().map(|child| count_rec(child)).sum(),
+        Node::Leaf(frames) => frames.items.len() as u64,
     }
 }
 
@@ -383,10 +474,10 @@ fn private_rec(node: &Arc<Node>) -> u64 {
         return 0;
     }
     match &**node {
-        Node::Interior(slots) => slots.iter().flatten().map(private_rec).sum(),
+        Node::Interior(slots) => slots.items.iter().map(private_rec).sum(),
         Node::Leaf(frames) => frames
+            .items
             .iter()
-            .flatten()
             .filter(|frame| Arc::strong_count(frame) == 1)
             .count() as u64,
     }
@@ -396,17 +487,13 @@ fn for_each_rec(node: &Arc<Node>, level: u32, base: u64, f: &mut impl FnMut(u64,
     match &**node {
         Node::Interior(slots) => {
             let child_span = span(level);
-            for (i, entry) in slots.iter().enumerate() {
-                if let Some(child) = entry {
-                    for_each_rec(child, level - 1, base + i as u64 * child_span, f);
-                }
+            for (i, child) in slots.iter() {
+                for_each_rec(child, level - 1, base + i as u64 * child_span, f);
             }
         }
         Node::Leaf(frames) => {
-            for (i, entry) in frames.iter().enumerate() {
-                if let Some(frame) = entry {
-                    f(base + i as u64, frame);
-                }
+            for (i, frame) in frames.iter() {
+                f(base + i as u64, frame);
             }
         }
     }

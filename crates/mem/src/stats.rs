@@ -22,9 +22,9 @@ pub struct MemStats {
     pub bytes_read: u64,
     /// Bytes written through the accessors.
     pub bytes_written: u64,
-    /// Read accesses that missed the one-entry leaf cache.
+    /// Read accesses that missed the two-entry leaf cache.
     pub read_cache_misses: u64,
-    /// Read accesses satisfied by the one-entry leaf cache.
+    /// Read accesses satisfied by the two-entry leaf cache.
     pub read_cache_hits: u64,
     /// Pages discarded by `unmap`/`brk` shrink.
     pub pages_discarded: u64,

@@ -5,13 +5,26 @@
 //! `AddressSpace` under a random operation sequence is a soundness bug in
 //! the page table or the region logic.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
-use lwsnap_mem::{AddressSpace, MemStats, PageTable, Prot, RegionKind, PAGE_SIZE};
+use lwsnap_mem::{AddressSpace, MemStats, PageBuf, PageTable, Prot, RegionKind, PAGE_SIZE};
 use proptest::prelude::*;
 
 const BASE: u64 = 0x10_0000;
 const PAGES: u64 = 64;
+
+/// Vpns just below a leaf boundary (512), a level-1 boundary (`1 << 18`),
+/// a level-2 boundary (`1 << 27`), and a word of a node's occupancy
+/// bitmap in a leaf (64) and in a level-1 node (`64 << 9`).
+const ORIGINS: [u64; 6] = [
+    0,
+    64 - 12,
+    512 - 12,
+    (64 << 9) - 12,
+    (1 << 18) - 12,
+    (1 << 27) - 12,
+];
 
 /// Operations the fuzzer can apply.
 #[derive(Debug, Clone)]
@@ -38,6 +51,50 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0..PAGES, 1..4u64).prop_map(|(page, pages)| Op::Unmap { page, pages }),
         1 => (0..PAGES, 1..4u64).prop_map(|(page, pages)| Op::Remap { page, pages }),
     ]
+}
+
+/// Vpns 4 below where a node's occupancy bitmap changes word: leaf
+/// slots 0, 63/64, 447/448 and 511 (then the next leaf), and level-1
+/// slots 63/64.
+const NODE_ORIGINS: [u64; 5] = [0, 64 - 4, 448 - 4, 512 - 4, (64 << 9) - 4];
+
+/// Page-table operations for the map-model test.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Write { vpn: u64, byte: u8 },
+    Install { vpn: u64, byte: u8 },
+    Discard { lo: u64, len: u64 },
+    Clone,
+}
+
+fn node_vpn() -> impl Strategy<Value = u64> {
+    (0..NODE_ORIGINS.len(), 0u64..8).prop_map(|(origin, off)| NODE_ORIGINS[origin] + off)
+}
+
+fn table_op_strategy() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        4 => (node_vpn(), any::<u8>()).prop_map(|(vpn, byte)| TableOp::Write { vpn, byte }),
+        2 => (node_vpn(), any::<u8>()).prop_map(|(vpn, byte)| TableOp::Install { vpn, byte }),
+        2 => (node_vpn(), 0u64..12).prop_map(|(lo, len)| TableOp::Discard { lo, len }),
+        1 => (node_vpn(), 0u64..(64 << 9)).prop_map(|(lo, len)| TableOp::Discard { lo, len }),
+        1 => Just(TableOp::Clone),
+    ]
+}
+
+/// Checks every frame's first byte, the walk order and the count.
+fn assert_table_is(table: &PageTable, model: &BTreeMap<u64, u8>) {
+    let mut walked = Vec::new();
+    table.for_each_frame(|vpn, frame| walked.push((vpn, frame.bytes()[0])));
+    let expected: Vec<(u64, u8)> = model.iter().map(|(&vpn, &byte)| (vpn, byte)).collect();
+    assert_eq!(walked, expected, "for_each_frame order or contents");
+    for (&vpn, &byte) in model {
+        assert_eq!(
+            table.frame(vpn).map(|f| f.bytes()[0]),
+            Some(byte),
+            "vpn {vpn}"
+        );
+    }
+    assert_eq!(table.count_frames(), model.len() as u64);
 }
 
 /// Flat model of memory + mapping state.
@@ -251,11 +308,10 @@ proptest! {
     /// can go wrong, and a clone taken first must not notice.
     #[test]
     fn discard_range_matches_a_frame_sweep(
-        pages in proptest::collection::vec((0usize..4, 0u64..24), 1..40),
-        lo in (0usize..4, 0u64..24),
+        pages in proptest::collection::vec((0..ORIGINS.len(), 0u64..24), 1..40),
+        lo in (0..ORIGINS.len(), 0u64..24),
         len in 0u64..(1 << 18) + 30,
     ) {
-        const ORIGINS: [u64; 4] = [0, 512 - 12, (1 << 18) - 12, (1 << 27) - 12];
         let at = |&(origin, off): &(usize, u64)| ORIGINS[origin] + off;
         let mut stats = MemStats::new();
         let mut table = PageTable::new();
@@ -279,5 +335,71 @@ proptest! {
             prop_assert_eq!(table.frame(vpn).is_some(), keep.contains(&vpn));
             prop_assert!(original.frame(vpn).is_some(), "the clone lost vpn {}", vpn);
         }
+    }
+
+    /// A node packs its entries by occupancy bitmap, so an entry's index
+    /// is the count of occupied slots below it. A `BTreeMap` model says
+    /// what every lookup and walk must see, at the slots where that count
+    /// crosses a bitmap word; clones taken along the way keep what they
+    /// saw, and the sharing queries agree with pointer identity.
+    #[test]
+    fn page_table_matches_a_map_model(
+        ops in proptest::collection::vec(table_op_strategy(), 1..80),
+    ) {
+        let mut stats = MemStats::new();
+        let mut table = PageTable::new();
+        let mut model = BTreeMap::new();
+        let mut clones: Vec<(PageTable, BTreeMap<u64, u8>)> = Vec::new();
+        for op in &ops {
+            match *op {
+                TableOp::Write { vpn, byte } => {
+                    table.with_frame_mut(vpn, &mut stats, |buf| buf.bytes_mut()[0] = byte);
+                    model.insert(vpn, byte);
+                }
+                TableOp::Install { vpn, byte } => {
+                    let mut buf = PageBuf::zeroed();
+                    buf.bytes_mut()[0] = byte;
+                    table.install(vpn, Arc::new(buf), &mut stats);
+                    model.insert(vpn, byte);
+                }
+                TableOp::Discard { lo, len } => {
+                    let gone = model.range(lo..lo + len).count() as u64;
+                    prop_assert_eq!(table.discard_range(lo, lo + len, &mut stats), gone);
+                    model.retain(|vpn, _| !(lo..lo + len).contains(vpn));
+                }
+                TableOp::Clone => clones.push((table.clone(), model.clone())),
+            }
+        }
+        assert_table_is(&table, &model);
+        for (clone, clone_model) in &clones {
+            assert_table_is(clone, clone_model);
+        }
+
+        // Every frame lives in some table, so a frame is private to
+        // `table` exactly when no clone maps the same storage.
+        let mut elsewhere = HashSet::new();
+        for (clone, _) in &clones {
+            clone.for_each_frame(|_, frame| {
+                elsewhere.insert(Arc::as_ptr(frame));
+            });
+        }
+        let private = model
+            .keys()
+            .filter(|&&vpn| !elsewhere.contains(&Arc::as_ptr(table.frame(vpn).unwrap())))
+            .count();
+        prop_assert_eq!(table.private_frames(), private as u64);
+        if let Some((last, _)) = clones.last() {
+            let shared = model
+                .keys()
+                .filter(|&&vpn| {
+                    last.frame(vpn)
+                        .is_some_and(|f| Arc::ptr_eq(f, table.frame(vpn).unwrap()))
+                })
+                .count();
+            prop_assert_eq!(table.shared_frames_with(last), shared as u64);
+        }
+        let fork = table.clone();
+        prop_assert_eq!(table.private_frames(), 0, "a fresh clone shares everything");
+        prop_assert_eq!(table.shared_frames_with(&fork), model.len() as u64);
     }
 }

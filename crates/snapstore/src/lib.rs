@@ -66,8 +66,9 @@
 //!   against it in debug builds.
 //!
 //! Table nodes are **not** priced: `resident_bytes` counts frames only,
-//! while every `put` also allocates the (4 KiB) nodes it path-copies —
-//! 4 for a small solver. `MemStats::node_copies` counts them.
+//! while every `put` also allocates the nodes it path-copies — 4 for a
+//! small solver, each 120 B plus 8 B per entry it maps, since a node
+//! holds only its present entries. `MemStats::node_copies` counts them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
