@@ -12,8 +12,8 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, TryLockError};
 use std::time::Duration;
 
@@ -491,11 +491,9 @@ fn unknown_node(node: NodeId) -> io::Error {
     )
 }
 
-/// One member node: its id, address (the heartbeat thread probes it on
-/// a dedicated connection) and the pipelined connection to it.
+/// One member node: its id and the pipelined connection to it.
 struct ClusterNode {
     id: NodeId,
-    addr: SocketAddr,
     client: PipelinedClient,
 }
 
@@ -508,67 +506,6 @@ fn failover_backoff(attempt: usize, buried: NodeId) {
     let base_ms = 1u64 << (attempt.saturating_sub(1)).min(5);
     let jitter_us = mix64(0xb0ff ^ ((buried as u64) << 32) ^ attempt as u64) % (base_ms * 500 + 1);
     std::thread::sleep(Duration::from_millis(base_ms) + Duration::from_micros(jitter_us));
-}
-
-/// Consecutive-miss failure accrual with ack-reset hysteresis: a node
-/// is condemned only after `threshold` misses *in a row* — any
-/// successful probe zeroes its counter, so a flapping node (slow, but
-/// alive) never trips a spurious failover, while a truly dead one is
-/// condemned in exactly `threshold` probe intervals.
-pub(crate) struct SuspicionTable {
-    threshold: u32,
-    counts: HashMap<NodeId, u32>,
-}
-
-impl SuspicionTable {
-    pub(crate) fn new(threshold: u32) -> SuspicionTable {
-        SuspicionTable {
-            threshold: threshold.max(1),
-            counts: HashMap::new(),
-        }
-    }
-
-    /// A successful probe: resets the node's consecutive-miss count.
-    pub(crate) fn ack(&mut self, node: NodeId) {
-        self.counts.insert(node, 0);
-    }
-
-    /// A missed probe; `true` when the node just crossed the threshold
-    /// and should be condemned.
-    pub(crate) fn miss(&mut self, node: NodeId) -> bool {
-        let count = self.counts.entry(node).or_insert(0);
-        *count += 1;
-        *count >= self.threshold
-    }
-
-    /// The node's consecutive un-acked misses.
-    pub(crate) fn misses(&self, node: NodeId) -> u32 {
-        self.counts.get(&node).copied().unwrap_or(0)
-    }
-
-    /// Drops a condemned (or departed) node's counter.
-    pub(crate) fn forget(&mut self, node: NodeId) {
-        self.counts.remove(&node);
-    }
-}
-
-/// One heartbeat interval plus up to +50% jitter seeded by `salt` (no
-/// wall-clock randomness, so a fleet's probes never phase-lock),
-/// slept in 10 ms chunks so a raised `stop` flag is noticed promptly.
-/// `false` when the flag cut the nap short.
-pub(crate) fn jittered_nap(interval: Duration, salt: u64, stop: &AtomicBool) -> bool {
-    let half = (interval.as_micros() as u64 / 2).max(1);
-    let nap = interval + Duration::from_micros(mix64(salt) % half);
-    let mut slept = Duration::ZERO;
-    while slept < nap {
-        if stop.load(Ordering::Acquire) {
-            return false;
-        }
-        let chunk = Duration::from_millis(10).min(nap - slept);
-        std::thread::sleep(chunk);
-        slept += chunk;
-    }
-    true
 }
 
 /// Whether an error means the node itself is gone (dead, partitioned,
@@ -658,12 +595,6 @@ struct ClusterState {
     /// Read timeout applied to every connection (including ones added
     /// later by [`ClusterBackend::add_node`]).
     timeout: Option<Duration>,
-    /// This client's membership-epoch view: bumped on every failover
-    /// and planned membership change, raised to any higher epoch a
-    /// `Pong` carries. A higher epoch on the wire means some *other*
-    /// router already buried a node this client still believes in —
-    /// the heartbeat thread reacts by fast-tracking its own probes.
-    epoch: u64,
 }
 
 /// Chases `id` through the failover remap (bounded — chains are as
@@ -711,15 +642,14 @@ fn resolve(remap: &HashMap<u64, u64>, mut id: u64) -> u64 {
 ///   Only sessions with no survivor left (1-node clusters, every other
 ///   node dead) still surface the typed [`NodeError`], which carries
 ///   the attempt count.
-/// * **Heartbeats** — opt-in ([`ClusterBackend::start_heartbeat`]): a
-///   probe thread pings every node on dedicated connections (so a
-///   half-dead node that still answers pings while its solves stall is
-///   NOT condemned here — the per-request read timeout catches that)
-///   and fails over any node that misses enough consecutive probes,
-///   promoting its sessions *before* a request trips over the corpse.
-///   `Pong`s carry the membership epoch; seeing a higher one than our
-///   own fast-tracks suspicion, so routers learn of deaths from their
-///   peers' failovers instead of waiting out their own thresholds.
+/// * **Failure detection** — the backend runs no detector of its own
+///   and opens no connection beyond one per member. It learns of a
+///   death when a request to the node fails or outlives the read
+///   timeout ([`ClusterBackend::set_read_timeout`]) — the only signal
+///   that can unblock a request already waiting on that node. The
+///   servers' peer heartbeat is the cluster's one failure detector: it
+///   self-promotes a dead node's sessions on their replicas, often
+///   before any client asks ([`crate::Server::set_peers`]).
 /// * **Membership** — [`ClusterBackend::add_node`] joins a node
 ///   mid-run; [`ClusterBackend::remove_node`] drains one gracefully
 ///   (sessions promoted onto their replicas — which the rendezvous
@@ -729,38 +659,13 @@ fn resolve(remap: &HashMap<u64, u64>, mut id: u64) -> u64 {
 ///   [`SolverBackend::node_stats`] keeps the per-node split, including
 ///   the `failovers` / `replica_promotions` / `replica_bytes` counters.
 pub struct ClusterBackend {
-    /// The shared guts; the heartbeat thread holds its own `Arc`.
-    core: Arc<ClusterCore>,
-}
-
-impl Drop for ClusterBackend {
-    fn drop(&mut self) {
-        // The heartbeat thread (if started) holds its own Arc to the
-        // core; this flag is how it learns the user-facing handle died.
-        self.core.hb_stop.store(true, Ordering::Release);
-    }
-}
-
-/// Everything behind a [`ClusterBackend`], shareable with the
-/// heartbeat thread: the member table, the routing state and the
-/// failure-detection counters.
-struct ClusterCore {
     /// Member nodes, sorted by id (binary-searchable). `Arc` so a
     /// connection can be used after the lock is dropped — waits must
     /// not serialize behind membership changes.
     nodes: RwLock<Vec<Arc<ClusterNode>>>,
     state: Mutex<ClusterState>,
-    /// Heartbeat probes that went unanswered.
-    hb_misses: AtomicU64,
-    /// Failovers the heartbeat thread triggered (vs. a request path
-    /// tripping over the dead node first).
-    hb_failovers: AtomicU64,
     /// Failover retries burned by request paths.
     retries: AtomicU64,
-    /// Single-spawn guard for the heartbeat thread.
-    hb_started: AtomicBool,
-    /// Tells the heartbeat thread to exit.
-    hb_stop: AtomicBool,
 }
 
 impl ClusterBackend {
@@ -779,22 +684,8 @@ impl ClusterBackend {
     ) -> io::Result<ClusterBackend> {
         let mut nodes = Vec::with_capacity(addrs.len());
         for (id, addr) in addrs {
-            let addr = addr
-                .to_socket_addrs()
-                .map_err(|e| node_error(*id, e))?
-                .next()
-                .ok_or_else(|| {
-                    node_error(
-                        *id,
-                        io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"),
-                    )
-                })?;
             let client = PipelinedClient::connect(addr).map_err(|e| node_error(*id, e))?;
-            nodes.push(Arc::new(ClusterNode {
-                id: *id,
-                addr,
-                client,
-            }));
+            nodes.push(Arc::new(ClusterNode { id: *id, client }));
         }
         nodes.sort_by_key(|n| n.id);
         if nodes.windows(2).any(|w| w[0].id == w[1].id) {
@@ -805,47 +696,34 @@ impl ClusterBackend {
         }
         let ring = Ring::new(nodes.iter().map(|n| n.id), seed);
         Ok(ClusterBackend {
-            core: Arc::new(ClusterCore {
-                nodes: RwLock::new(nodes),
-                state: Mutex::new(ClusterState {
-                    ring,
-                    sessions: HashMap::new(),
-                    owner: HashMap::new(),
-                    roots: HashMap::new(),
-                    remap: HashMap::new(),
-                    timeout: None,
-                    epoch: 0,
-                }),
-                hb_misses: AtomicU64::new(0),
-                hb_failovers: AtomicU64::new(0),
-                retries: AtomicU64::new(0),
-                hb_started: AtomicBool::new(false),
-                hb_stop: AtomicBool::new(false),
+            nodes: RwLock::new(nodes),
+            state: Mutex::new(ClusterState {
+                ring,
+                sessions: HashMap::new(),
+                owner: HashMap::new(),
+                roots: HashMap::new(),
+                remap: HashMap::new(),
+                timeout: None,
             }),
+            retries: AtomicU64::new(0),
         })
     }
 
     /// Number of member nodes.
     pub fn num_nodes(&self) -> usize {
-        self.core.num_nodes()
+        self.nodes.read().unwrap().len()
     }
 
     /// The member node ids, sorted.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.core
-            .nodes
-            .read()
-            .unwrap()
-            .iter()
-            .map(|n| n.id)
-            .collect()
+        self.nodes.read().unwrap().iter().map(|n| n.id).collect()
     }
 
     /// A snapshot of the routing ring (e.g. to predict placements in
     /// tests). A *copy* — the live ring shrinks and grows with
     /// failovers and membership changes.
     pub fn ring(&self) -> Ring {
-        self.core.state.lock().unwrap().ring.clone()
+        self.state.lock().unwrap().ring.clone()
     }
 
     /// Bounds how long any wait on any node connection may block
@@ -853,47 +731,17 @@ impl ClusterBackend {
     /// exceeds it is treated as DEAD — its sessions fail over — so set
     /// it comfortably above the slowest expected solve.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.core.state.lock().unwrap().timeout = timeout;
-        for n in self.core.nodes.read().unwrap().iter() {
+        self.state.lock().unwrap().timeout = timeout;
+        for n in self.nodes.read().unwrap().iter() {
             n.client.set_read_timeout(timeout)?;
         }
         Ok(())
     }
 
-    /// Starts the heartbeat thread (idempotent): every `interval` (plus
-    /// seeded jitter) it pings each member on a short-lived dedicated
-    /// connection and fails over any node that misses `threshold`
-    /// consecutive probes — promoting its sessions onto their replicas
-    /// *before* a request path trips over the dead node. The thread
-    /// exits when the backend is dropped.
-    pub fn start_heartbeat(&self, interval: Duration, threshold: u32) {
-        if self.core.hb_started.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let core = Arc::clone(&self.core);
-        std::thread::spawn(move || heartbeat_loop(core, interval, threshold.max(1)));
-    }
-
-    /// Heartbeat probes that went unanswered so far.
-    pub fn heartbeat_misses(&self) -> u64 {
-        self.core.hb_misses.load(Ordering::Relaxed)
-    }
-
-    /// Failovers triggered by the heartbeat thread (not by a request
-    /// path hitting the dead node).
-    pub fn heartbeat_failovers(&self) -> u64 {
-        self.core.hb_failovers.load(Ordering::Relaxed)
-    }
-
     /// Failover retries burned by request paths so far (each one is a
     /// solve or root call re-issued against a surviving node).
     pub fn failover_retries(&self) -> u64 {
-        self.core.retries.load(Ordering::Relaxed)
-    }
-
-    /// This client's membership-epoch view.
-    pub fn epoch(&self) -> u64 {
-        self.core.state.lock().unwrap().epoch
+        self.retries.load(Ordering::Relaxed)
     }
 
     /// Joins a NEW node to the cluster map and the ring mid-run.
@@ -902,31 +750,20 @@ impl ClusterBackend {
     /// route by their recorded placement); new sessions and future
     /// replica picks may land on it.
     pub fn add_node<A: ToSocketAddrs>(&self, id: NodeId, addr: A) -> io::Result<()> {
-        let addr = addr
-            .to_socket_addrs()
-            .map_err(|e| node_error(id, e))?
-            .next()
-            .ok_or_else(|| {
-                node_error(
-                    id,
-                    io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"),
-                )
-            })?;
         let client = PipelinedClient::connect(addr).map_err(|e| node_error(id, e))?;
-        let mut st = self.core.state.lock().unwrap();
+        let mut st = self.state.lock().unwrap();
         client
             .set_read_timeout(st.timeout)
             .map_err(|e| node_error(id, e))?;
-        let mut nodes = self.core.nodes.write().unwrap();
+        let mut nodes = self.nodes.write().unwrap();
         match nodes.binary_search_by_key(&id, |n| n.id) {
             Ok(_) => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "duplicate node id in cluster map",
             )),
             Err(at) => {
-                nodes.insert(at, Arc::new(ClusterNode { id, addr, client }));
+                nodes.insert(at, Arc::new(ClusterNode { id, client }));
                 st.ring.add_node(id);
-                st.epoch += 1;
                 Ok(())
             }
         }
@@ -940,19 +777,18 @@ impl ClusterBackend {
     /// Callers should quiesce their own in-flight solves on the node
     /// first; later requests against old ids are remapped transparently.
     pub fn remove_node(&self, node: NodeId) -> io::Result<StatsSummary> {
-        let member = self.core.node(node)?;
+        let member = self.node(node)?;
         {
-            let mut st = self.core.state.lock().unwrap();
+            let mut st = self.state.lock().unwrap();
             if st.ring.remove_node(node) {
-                st.epoch += 1;
-                self.core.migrate_locked(&mut st, node);
+                self.migrate_locked(&mut st, node);
             }
         }
         let stats = member
             .client
             .shutdown_server()
             .map_err(|e| node_error(node, e))?;
-        let mut nodes = self.core.nodes.write().unwrap();
+        let mut nodes = self.nodes.write().unwrap();
         if let Ok(at) = nodes.binary_search_by_key(&node, |n| n.id) {
             nodes.remove(at);
         }
@@ -966,7 +802,7 @@ impl ClusterBackend {
     /// survivors' clean drain. Nodes already failed over are not
     /// listed — they are no longer members.
     pub fn shutdown(&self) -> Vec<(NodeId, io::Result<StatsSummary>)> {
-        let nodes: Vec<Arc<ClusterNode>> = self.core.nodes.read().unwrap().to_vec();
+        let nodes: Vec<Arc<ClusterNode>> = self.nodes.read().unwrap().to_vec();
         nodes
             .iter()
             .map(|n| {
@@ -984,7 +820,7 @@ impl ClusterBackend {
     /// latencies and the merge counts them N×; across real daemon
     /// processes each node records its own.
     pub fn fleet_metrics(&self) -> io::Result<MetricsSnapshot> {
-        let members: Vec<Arc<ClusterNode>> = self.core.nodes.read().unwrap().to_vec();
+        let members: Vec<Arc<ClusterNode>> = self.nodes.read().unwrap().to_vec();
         let mut fleet = MetricsSnapshot::default();
         for n in &members {
             fleet.absorb(&n.client.metrics().map_err(|e| node_error(n.id, e))?);
@@ -999,30 +835,13 @@ impl ClusterBackend {
     /// in-process-cluster caveat of [`ClusterBackend::fleet_metrics`]
     /// applies here too — shared rings mean the first node drains all.
     pub fn fleet_trace(&self) -> io::Result<Vec<Event>> {
-        let members: Vec<Arc<ClusterNode>> = self.core.nodes.read().unwrap().to_vec();
+        let members: Vec<Arc<ClusterNode>> = self.nodes.read().unwrap().to_vec();
         let mut events: Vec<Event> = Vec::new();
         for n in &members {
             events.extend(n.client.trace_dump().map_err(|e| node_error(n.id, e))?);
         }
         events.sort_by_key(|e| (e.ts_ns, e.tid));
         Ok(events)
-    }
-}
-
-impl ClusterCore {
-    fn num_nodes(&self) -> usize {
-        self.nodes.read().unwrap().len()
-    }
-
-    /// The members' `(id, address)` pairs — what the heartbeat thread
-    /// probes.
-    fn members(&self) -> Vec<(NodeId, SocketAddr)> {
-        self.nodes
-            .read()
-            .unwrap()
-            .iter()
-            .map(|n| (n.id, n.addr))
-            .collect()
     }
 
     /// The connection that owns `node`, or the typed unknown-node error.
@@ -1048,13 +867,13 @@ impl ClusterCore {
         self.bury_locked(&mut st, dead)
     }
 
-    /// [`ClusterCore::failover`] under an already-held state lock.
+    /// [`ClusterBackend::failover`] under an already-held state lock.
     fn bury_locked(&self, st: &mut ClusterState, dead: NodeId) -> bool {
         if !st.ring.remove_node(dead) {
             return false; // already handled (or never a member)
         }
-        st.epoch += 1;
-        trace::instant(trace::Kind::Failover, dead as u64, st.epoch);
+        let homed = st.sessions.values().filter(|s| s.home == dead).count();
+        trace::instant(trace::Kind::Failover, dead as u64, homed as u64);
         {
             let mut nodes = self.nodes.write().unwrap();
             if let Ok(at) = nodes.binary_search_by_key(&dead, |n| n.id) {
@@ -1125,10 +944,10 @@ impl ClusterCore {
             match member.client.call(&request) {
                 Ok(Response::Promoted { mapping }) => break (member.id, mapping),
                 // The replica is dead too. This client sends it nothing
-                // in steady state, so without heartbeats this is where
-                // it finds out. Bury it: that re-picks this session's
-                // replica among the survivors, and the next round heals
-                // and promotes there.
+                // in steady state, so this is where it finds out. Bury
+                // it: that re-picks this session's replica among the
+                // survivors, and the next round heals and promotes
+                // there.
                 Err(e) if is_node_death(&e) && self.bury_locked(st, member.id) => {}
                 _ => {
                     // The replica answered garbage: unrecoverable.
@@ -1172,8 +991,7 @@ impl ClusterCore {
 
     /// Re-ships a session's whole path log to its current replica
     /// (fire-and-forget; a send failure means the replica is dying —
-    /// the heartbeat thread, or the next promotion that needs it,
-    /// buries it and re-picks).
+    /// the next promotion that needs it buries it and re-picks).
     fn ship_log(&self, st: &ClusterState, session: u64) {
         let sess = &st.sessions[&session];
         let Some(member) = sess.replica.and_then(|r| self.node_opt(r)) else {
@@ -1262,79 +1080,6 @@ impl ClusterCore {
     }
 }
 
-/// One heartbeat probe on a dedicated, short-lived connection: never
-/// the pipelined data connection, whose queue a stalled solve could
-/// block. Returns the peer's epoch, or `None` for any kind of miss.
-fn probe(addr: SocketAddr, epoch: u64, timeout: Duration) -> Option<u64> {
-    let client = PipelinedClient::connect(addr).ok()?;
-    client.set_read_timeout(Some(timeout)).ok()?;
-    match client.call(&Request::Ping {
-        sender: u64::MAX,
-        epoch,
-    }) {
-        Ok(Response::Pong { epoch, .. }) => Some(epoch),
-        _ => None,
-    }
-}
-
-/// The client-side failure detector (see
-/// [`ClusterBackend::start_heartbeat`]). Probe timeouts are a few
-/// intervals long, clamped to [100 ms, 1 s] — long enough that a busy
-/// node is a *suspicion*, not a verdict; the [`SuspicionTable`]'s
-/// consecutive-miss hysteresis does the rest.
-fn heartbeat_loop(core: Arc<ClusterCore>, interval: Duration, threshold: u32) {
-    let timeout = (interval * 4)
-        .max(Duration::from_millis(100))
-        .min(Duration::from_secs(1));
-    let mut suspicion = SuspicionTable::new(threshold);
-    let mut tick = 0u64;
-    while jittered_nap(interval, 0xbea7 ^ tick, &core.hb_stop) {
-        tick += 1;
-        let members = core.members();
-        if members.is_empty() {
-            continue;
-        }
-        let my_epoch = core.state.lock().unwrap().epoch;
-        let mut max_seen = my_epoch;
-        let mut condemned: Vec<NodeId> = Vec::new();
-        for &(id, addr) in &members {
-            match probe(addr, my_epoch, timeout) {
-                Some(epoch) => {
-                    suspicion.ack(id);
-                    max_seen = max_seen.max(epoch);
-                }
-                None => {
-                    core.hb_misses.fetch_add(1, Ordering::Relaxed);
-                    if suspicion.miss(id) {
-                        condemned.push(id);
-                    }
-                }
-            }
-        }
-        if max_seen > my_epoch {
-            // Gossip: some router already buried a node we may still
-            // believe in. Adopt the epoch and fast-track — one more
-            // probe, and any *already-suspected* node that misses it
-            // is condemned without waiting out the full threshold.
-            core.state.lock().unwrap().epoch = max_seen;
-            for &(id, addr) in &members {
-                if !condemned.contains(&id)
-                    && suspicion.misses(id) > 0
-                    && probe(addr, max_seen, timeout).is_none()
-                {
-                    condemned.push(id);
-                }
-            }
-        }
-        for id in condemned {
-            if core.failover(id) {
-                core.hb_failovers.fetch_add(1, Ordering::Relaxed);
-            }
-            suspicion.forget(id);
-        }
-    }
-}
-
 impl SolverBackend for ClusterBackend {
     /// The ring places the session on a node; that node's Fibonacci
     /// shard hash places it inside the node. The returned id must carry
@@ -1348,7 +1093,7 @@ impl SolverBackend for ClusterBackend {
         let mut attempt = 0usize;
         loop {
             let home = {
-                let st = self.core.state.lock().unwrap();
+                let st = self.state.lock().unwrap();
                 match st.sessions.get(&session) {
                     Some(s) => s.home,
                     None => st.ring.node_for(session).ok_or_else(|| {
@@ -1356,7 +1101,7 @@ impl SolverBackend for ClusterBackend {
                     })?,
                 }
             };
-            let member = self.core.node(home)?;
+            let member = self.node(home)?;
             match member.client.session_root(session) {
                 Ok(root) => {
                     if root.node() != home {
@@ -1369,7 +1114,7 @@ impl SolverBackend for ClusterBackend {
                             .into(),
                         ));
                     }
-                    let mut st = self.core.state.lock().unwrap();
+                    let mut st = self.state.lock().unwrap();
                     let replica = st.ring.replica_for(session, home);
                     st.sessions.entry(session).or_insert(SessionState {
                         home,
@@ -1383,8 +1128,8 @@ impl SolverBackend for ClusterBackend {
                 }
                 Err(e) if is_node_death(&e) && attempt < budget => {
                     attempt += 1;
-                    self.core.retries.fetch_add(1, Ordering::Relaxed);
-                    self.core.failover(home);
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                    self.failover(home);
                     failover_backoff(attempt, home);
                 }
                 Err(e) => return Err(node_error_after(home, e, attempt as u32 + 1)),
@@ -1393,8 +1138,7 @@ impl SolverBackend for ClusterBackend {
     }
 
     fn submit(&self, parent: ProblemId, clauses: Vec<Vec<Lit>>) -> io::Result<Ticket> {
-        self.core
-            .cluster_submit(parent.to_wire(), lits_to_clauses(&clauses))
+        self.cluster_submit(parent.to_wire(), lits_to_clauses(&clauses))
     }
 
     /// Redeems a cluster ticket. If the ticket's node died before
@@ -1413,7 +1157,7 @@ impl SolverBackend for ClusterBackend {
         else {
             return Err(foreign_ticket());
         };
-        let outcome = match self.core.node_opt(node) {
+        let outcome = match self.node_opt(node) {
             Some(member) => member.client.wait_response(tag),
             // A concurrent failover already removed the node; treat the
             // ticket as lost in the crash and go straight to the retry.
@@ -1426,16 +1170,15 @@ impl SolverBackend for ClusterBackend {
             Ok(response) => {
                 let reply = solved_reply(response).map_err(|e| node_error(node, e))?;
                 if let (Some(session), Some(r)) = (session, reply.as_ref()) {
-                    self.core
-                        .record(session, r.problem.to_wire(), parent, &clauses);
+                    self.record(session, r.problem.to_wire(), parent, &clauses);
                 }
                 Ok(reply)
             }
             Err(e) if is_node_death(&e) => {
-                self.core.failover(node);
+                self.failover(node);
                 // The remap now covers the parent iff the session was
                 // recoverable; an unrecoverable one fails typed below.
-                let retry = self.core.cluster_submit(parent, clauses)?;
+                let retry = self.cluster_submit(parent, clauses)?;
                 if let TicketInner::Cluster { node: new_node, .. } = &retry.0 {
                     trace::instant(trace::Kind::Rerouted, node as u64, *new_node as u64);
                 }
@@ -1446,14 +1189,14 @@ impl SolverBackend for ClusterBackend {
     }
 
     fn release(&self, id: ProblemId) -> io::Result<()> {
-        let (resolved, session) = self.core.locate(id.to_wire());
+        let (resolved, session) = self.locate(id.to_wire());
         // A released problem will never be promoted: prune the
         // client-side path log (child-aware — entries a live
         // descendant still replays through are kept). The home node
         // tells the session's replica to GC its copy of the dead edges
         // when the `Release` below reaches it.
         if let Some(session) = session {
-            let mut st = self.core.state.lock().unwrap();
+            let mut st = self.state.lock().unwrap();
             st.owner.remove(&resolved);
             if let Some(sess) = st.sessions.get_mut(&session) {
                 sess.released.insert(resolved);
@@ -1462,12 +1205,12 @@ impl SolverBackend for ClusterBackend {
         }
         // Releasing something whose home is gone is a no-op, not an
         // error: the snapshot died with the node.
-        let Some(member) = self.core.node_opt(ProblemId::from_wire(resolved).node()) else {
+        let Some(member) = self.node_opt(ProblemId::from_wire(resolved).node()) else {
             return Ok(());
         };
         match member.client.release(ProblemId::from_wire(resolved)) {
             Err(e) if is_node_death(&e) => {
-                self.core.failover(member.id);
+                self.failover(member.id);
                 Ok(())
             }
             other => other.map_err(|e| node_error(member.id, e)),
@@ -1479,7 +1222,7 @@ impl SolverBackend for ClusterBackend {
     }
 
     fn node_stats(&self) -> io::Result<FleetStats> {
-        let members: Vec<Arc<ClusterNode>> = self.core.nodes.read().unwrap().to_vec();
+        let members: Vec<Arc<ClusterNode>> = self.nodes.read().unwrap().to_vec();
         let nodes = members
             .iter()
             .map(|n| {
@@ -1505,14 +1248,14 @@ impl SolverBackend for ClusterBackend {
         let resolved: Vec<(u64, Option<u64>, Vec<Vec<i64>>)> = requests
             .iter()
             .map(|(parent, clauses)| {
-                let (wire, session) = self.core.locate(parent.to_wire());
+                let (wire, session) = self.locate(parent.to_wire());
                 (wire, session, lits_to_clauses(clauses))
             })
             .collect();
         let mut windows: Vec<(NodeId, Vec<usize>, Vec<Request>)> = Vec::new();
         for (pos, (wire, _, clauses)) in resolved.iter().enumerate() {
             let node = ProblemId::from_wire(*wire).node();
-            self.core.node(node)?; // unknown nodes fail before any write
+            self.node(node)?; // unknown nodes fail before any write
             let request = Request::Solve {
                 parent: *wire,
                 clauses: clauses.clone(),
@@ -1529,7 +1272,7 @@ impl SolverBackend for ClusterBackend {
         let mut tickets: Vec<Option<Ticket>> = Vec::with_capacity(resolved.len());
         tickets.resize_with(resolved.len(), || None);
         for (node, positions, window) in windows {
-            let member = self.core.node(node)?;
+            let member = self.node(node)?;
             match member.client.submit_batch(&window) {
                 Ok(tags) => {
                     for (&pos, tag) in positions.iter().zip(tags) {
@@ -1546,10 +1289,10 @@ impl SolverBackend for ClusterBackend {
                 Err(e) if is_node_death(&e) => {
                     // The whole window is lost; re-route each request
                     // individually through the failover machinery.
-                    self.core.failover(node);
+                    self.failover(node);
                     for &pos in &positions {
                         let (wire, _, clauses) = &resolved[pos];
-                        tickets[pos] = Some(self.core.cluster_submit(*wire, clauses.clone())?);
+                        tickets[pos] = Some(self.cluster_submit(*wire, clauses.clone())?);
                     }
                 }
                 Err(e) => return Err(node_error(node, e)),
@@ -1565,45 +1308,6 @@ impl SolverBackend for ClusterBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn suspicion_trips_after_consecutive_misses_only() {
-        let mut table = SuspicionTable::new(3);
-        assert!(!table.miss(7));
-        assert!(!table.miss(7));
-        assert!(table.miss(7), "third consecutive miss condemns");
-    }
-
-    #[test]
-    fn a_flapping_node_never_trips() {
-        // Miss, ack, miss, ack ... — the ack-reset hysteresis means a
-        // node that answers at least one probe per window is never
-        // condemned, no matter how long the flapping goes on.
-        let mut table = SuspicionTable::new(3);
-        for _ in 0..100 {
-            assert!(!table.miss(7));
-            assert!(!table.miss(7));
-            table.ack(7);
-        }
-        assert_eq!(table.misses(7), 0);
-    }
-
-    #[test]
-    fn suspicion_is_per_node() {
-        let mut table = SuspicionTable::new(2);
-        assert!(!table.miss(1));
-        assert!(!table.miss(2));
-        assert!(table.miss(1), "node 1 is condemned on ITS second miss");
-        assert_eq!(table.misses(2), 1);
-        table.forget(1);
-        assert_eq!(table.misses(1), 0);
-    }
-
-    #[test]
-    fn a_zero_threshold_is_clamped_to_one() {
-        let mut table = SuspicionTable::new(0);
-        assert!(table.miss(3), "threshold 0 would condemn nobody ever");
-    }
 
     #[test]
     fn node_errors_surface_the_attempt_count() {

@@ -62,13 +62,13 @@
 //!   replicator, so a session stays replicated however many clients
 //!   drive it; clients keep their own copy of the log and re-ship it
 //!   before asking for a promotion.
-//! * **Heartbeats** — a detached thread pings every peer on a jittered
-//!   timer ([`Request::Ping`]/[`Response::Pong`], carrying the
-//!   membership epoch). Three consecutive misses declare a peer dead:
-//!   the survivor promotes every session whose home was the dead node
-//!   and whose replica it holds — *before* any client request trips
-//!   over the corpse — and bumps the epoch so stale routers learn of
-//!   the change from the next `Pong` they see.
+//! * **Heartbeats** — the cluster's one failure detector. A detached
+//!   thread pings every peer on a jittered timer
+//!   ([`Request::Ping`]/[`Response::Pong`]). Three consecutive misses
+//!   declare a peer dead: the survivor promotes the edges the dead node
+//!   minted that it holds as replica — often *before* any client
+//!   request trips over the corpse. Clients run no detector; they learn
+//!   of a death when a request of their own fails or times out.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Write};
@@ -83,11 +83,11 @@ use polling::{Event, Poller};
 
 use crate::bufpool::{BufferPool, FrameAssembler};
 use crate::chaos::{root_key, stable_key, ChaosAction, ChaosPolicy};
-use crate::client::{jittered_nap, PipelinedClient, SuspicionTable};
+use crate::client::PipelinedClient;
 use crate::pool::{CompletionQueue, PoolClient, WorkerPool};
 use crate::protocol::{clauses_to_lits, Request, Response, CONNECTION_TAG, TAGGED};
 use crate::replica::ReplicaStore;
-use crate::router::{NodeId, Ring};
+use crate::router::{mix64, NodeId, Ring};
 use crate::sharded::{ProblemId, ServiceConfig, ShardedService, SolveReply};
 use crate::stats::WorkerStats;
 
@@ -124,6 +124,60 @@ const SUSPICION_THRESHOLD: u32 = 3;
 // The server-to-server replication/heartbeat plane.
 // ---------------------------------------------------------------------
 
+/// Consecutive-miss failure accrual with ack-reset hysteresis: a peer
+/// is condemned only after [`SUSPICION_THRESHOLD`] misses *in a row* —
+/// any answered ping zeroes its counter, so a flapping peer (slow, but
+/// alive) never trips a spurious failover, while a truly dead one is
+/// condemned in exactly that many heartbeat rounds.
+#[derive(Default)]
+struct SuspicionTable {
+    counts: HashMap<NodeId, u32>,
+}
+
+impl SuspicionTable {
+    /// An answered ping: resets the peer's consecutive-miss count.
+    fn ack(&mut self, node: NodeId) {
+        self.counts.insert(node, 0);
+    }
+
+    /// A missed ping; `true` when the peer just crossed the threshold
+    /// and should be condemned.
+    fn miss(&mut self, node: NodeId) -> bool {
+        let count = self.counts.entry(node).or_insert(0);
+        *count += 1;
+        *count >= SUSPICION_THRESHOLD
+    }
+
+    /// The peer's consecutive unanswered pings.
+    fn misses(&self, node: NodeId) -> u32 {
+        self.counts.get(&node).copied().unwrap_or(0)
+    }
+
+    /// Drops a condemned (or departed) peer's counter.
+    fn forget(&mut self, node: NodeId) {
+        self.counts.remove(&node);
+    }
+}
+
+/// One heartbeat interval plus up to +50% jitter seeded by `salt` (no
+/// wall-clock randomness, so a fleet's probes never phase-lock),
+/// slept in 10 ms chunks so a raised `stop` flag is noticed promptly.
+/// `false` when the flag cut the nap short.
+fn jittered_nap(interval: Duration, salt: u64, stop: &AtomicBool) -> bool {
+    let half = (interval.as_micros() as u64 / 2).max(1);
+    let nap = interval + Duration::from_micros(mix64(salt) % half);
+    let mut slept = Duration::ZERO;
+    while slept < nap {
+        if stop.load(Ordering::Acquire) {
+            return false;
+        }
+        let chunk = Duration::from_millis(10).min(nap - slept);
+        std::thread::sleep(chunk);
+        slept += chunk;
+    }
+    true
+}
+
 /// Peer-facing state of one node: the cluster map, lazy pipelined
 /// connections to each peer, the session registry that attributes this
 /// node's problems to their sessions, and the suspicion counters the
@@ -140,11 +194,6 @@ const SUSPICION_THRESHOLD: u32 = 3;
 pub(crate) struct Forwarder {
     node: NodeId,
     inner: Mutex<ForwardInner>,
-    /// Highest membership epoch seen anywhere: bumped locally when this
-    /// node declares a peer dead, raised to the max carried by any
-    /// `Ping` it receives, echoed in every `Pong`. A router holding a
-    /// lower epoch knows its membership view is stale.
-    epoch: AtomicU64,
     /// Whether the heartbeat thread has been spawned.
     hb_started: AtomicBool,
 }
@@ -260,11 +309,10 @@ impl Forwarder {
                 peers: HashMap::new(),
                 conns: HashMap::new(),
                 sessions: HashMap::new(),
-                suspicion: SuspicionTable::new(SUSPICION_THRESHOLD),
+                suspicion: SuspicionTable::default(),
                 chaos: None,
                 stats: StatsSummary::default(),
             }),
-            epoch: AtomicU64::new(0),
             hb_started: AtomicBool::new(false),
         }
     }
@@ -383,11 +431,22 @@ impl Forwarder {
         }
     }
 
-    /// Folds an epoch seen on the wire into the local max; returns the
-    /// (possibly raised) current value.
-    fn observe_epoch(&self, seen: u64) -> u64 {
-        self.epoch.fetch_max(seen, Ordering::AcqRel);
-        self.epoch.load(Ordering::Acquire)
+    /// Promotes `session`'s replica log on this node and attributes the
+    /// promoted problems to the session, so their future derivations
+    /// forward to its new replica. The one promotion path: a client's
+    /// `Promote` and this node's own heartbeat both come through here.
+    fn promote(
+        &self,
+        service: &ShardedService,
+        replicas: &ReplicaStore,
+        session: u64,
+        problems: &[u64],
+    ) -> Vec<(u64, u64)> {
+        let mapping = replicas.promote(service, session, problems);
+        for &(_, new) in &mapping {
+            self.register_root(new, session);
+        }
+        mapping
     }
 
     /// The counters the forwarder owns.
@@ -405,23 +464,14 @@ impl Forwarder {
             ids.sort_unstable();
             ids
         };
-        let my_epoch = self.epoch.load(Ordering::Acquire);
         for peer in peers {
             let conn = {
                 let mut inner = self.inner.lock().unwrap();
                 peer_conn(&mut inner, peer)
             };
-            let pong = conn.and_then(|c| {
-                c.call(&Request::Ping {
-                    sender: self.node as u64,
-                    epoch: my_epoch,
-                })
-                .ok()
-            });
-            match pong {
-                Some(Response::Pong { epoch, .. }) => {
-                    trace::instant(trace::Kind::HbPong, peer as u64, epoch);
-                    self.observe_epoch(epoch);
+            match conn.and_then(|c| c.call(&Request::Ping).ok()) {
+                Some(Response::Pong { .. }) => {
+                    trace::instant(trace::Kind::HbPong, peer as u64, 0);
                     self.inner.lock().unwrap().suspicion.ack(peer);
                 }
                 _ => {
@@ -443,24 +493,19 @@ impl Forwarder {
 
     /// Removes a dead peer from the membership, re-picks the replica of
     /// the sessions that were replicated on it, and promotes, by path
-    /// replay, every session that was homed on it and replicated here.
-    /// The victims are computed against the PRE-removal ring (only it
-    /// can still say which sessions the dead node owned); the
-    /// rendezvous successor property guarantees each one's post-removal
-    /// owner is exactly the node holding its replica — this node.
+    /// replay, the recorded edges the dead node minted. Victims go by
+    /// who minted the edges, not by where the ring placed the session:
+    /// a session another survivor already promoted forwards edges its
+    /// new home minted, and replaying it here too would give it a
+    /// second, orphaned home.
     fn declare_dead(
         &self,
         dead: NodeId,
         service: &Arc<ShardedService>,
         replicas: &Arc<ReplicaStore>,
     ) {
-        let victims: Vec<u64> = {
+        {
             let mut inner = self.inner.lock().unwrap();
-            let victims = replicas
-                .sessions()
-                .into_iter()
-                .filter(|&s| inner.ring.node_for(s) == Some(dead))
-                .collect();
             if !inner.ring.remove_node(dead) {
                 return; // already handled
             }
@@ -469,13 +514,20 @@ impl Forwarder {
             inner.suspicion.forget(dead);
             rehome_replicas(&mut inner, self.node);
             inner.stats.dead_peers += 1;
-            victims
-        };
+        }
+        let victims: Vec<(u64, Vec<u64>)> = replicas
+            .sessions()
+            .into_iter()
+            .map(|session| {
+                let mut minted = replicas.session_problems(session);
+                minted.retain(|&p| ProblemId::from_wire(p).node() == dead);
+                (session, minted)
+            })
+            .filter(|(_, minted)| !minted.is_empty())
+            .collect();
         trace::instant(trace::Kind::NodeDead, dead as u64, victims.len() as u64);
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        for session in victims {
-            let problems = replicas.session_problems(session);
-            let _ = replicas.promote(service, session, &problems);
+        for (session, problems) in victims {
+            self.promote(service, replicas, session, &problems);
         }
     }
 }
@@ -761,11 +813,6 @@ impl Server {
     /// outgoing replication-plane frames.
     pub fn set_chaos(&self, chaos: Option<Arc<ChaosPolicy>>) {
         self.forwarder.set_chaos(chaos);
-    }
-
-    /// This node's current view of the membership epoch.
-    pub fn epoch(&self) -> u64 {
-        self.forwarder.epoch.load(Ordering::Acquire)
     }
 
     /// This node's counters now — what a `Stats` request answers.
@@ -1349,23 +1396,13 @@ impl Reactor {
                 // Failover/drain replay: rare and latency-insensitive
                 // next to a node death, so it runs inline on the
                 // reactor rather than complicating the pool path.
-                let mapping = self.replicas.promote(&self.service, session, &problems);
-                // The promoted problems live HERE now: attribute them
-                // so their future derivations forward to the session's
-                // new successor.
-                for &(_, new) in &mapping {
-                    self.forwarder.register_root(new, session);
-                }
+                let mapping =
+                    self.forwarder
+                        .promote(&self.service, &self.replicas, session, &problems);
                 self.complete_inline(idx, tag, Response::Promoted { mapping });
             }
-            Request::Ping { sender, epoch } => {
-                let _ = sender; // diagnostic only; clients send u64::MAX
-                let epoch = self.forwarder.observe_epoch(epoch);
-                let response = Response::Pong {
-                    node: node as u64,
-                    epoch,
-                };
-                self.complete_inline(idx, tag, response);
+            Request::Ping => {
+                self.complete_inline(idx, tag, Response::Pong { node: node as u64 });
             }
             Request::Solve { parent, clauses } => {
                 let parent_wire = parent;
@@ -1572,8 +1609,8 @@ impl Cluster {
             .map(Server::service)
     }
 
-    /// The [`Server`] behind node `node` (replica counters, epoch and
-    /// heartbeat introspection for tests and the chaos harness).
+    /// The [`Server`] behind node `node` (replica and heartbeat
+    /// counters for tests and the chaos harness).
     pub fn server(&self, node: u16) -> Option<&Server> {
         self.servers.get(node as usize)?.as_ref()
     }
@@ -1700,6 +1737,69 @@ mod tests {
         let replicas = Arc::new(ReplicaStore::new());
         home.declare_dead(1, &service, &replicas);
         assert_eq!(replica_of(&home, ROOT_A), Some(2));
-        assert_eq!(home.epoch.load(Ordering::Acquire), 1);
+        assert_eq!(home.stats().dead_peers, 1);
+    }
+
+    #[test]
+    fn a_late_survivor_leaves_a_session_another_survivor_promoted() {
+        // Node 0 homed the session and node 1 replicated it. Node 1 has
+        // already promoted it and now forwards edges it minted to node
+        // 2; only then does node 2 declare node 0 dead.
+        let session = session_ranked([0, 1, 2]);
+        let late = Forwarder::new(2);
+        late.set_peers(&cluster_map(&[0, 1, 2]), 0);
+        let service = Arc::new(ShardedService::new(ServiceConfig::new(1).with_node_id(2)));
+        let replicas = Arc::new(ReplicaStore::new());
+        replicas.record(session, 1 << 48 | 1, 1 << 48, vec![vec![1]]);
+
+        late.declare_dead(0, &service, &replicas);
+        assert_eq!(
+            replicas.stats().replica_promotions,
+            0,
+            "re-promoted a live session"
+        );
+        assert_eq!(
+            service.stats().live_problems,
+            1,
+            "re-promoted a live session"
+        );
+        assert_eq!(late.stats().dead_peers, 1);
+    }
+
+    #[test]
+    fn suspicion_trips_after_consecutive_misses_only() {
+        let mut table = SuspicionTable::default();
+        for _ in 1..SUSPICION_THRESHOLD {
+            assert!(!table.miss(7));
+        }
+        assert!(table.miss(7), "the threshold-th consecutive miss condemns");
+    }
+
+    #[test]
+    fn a_flapping_node_never_trips() {
+        // Miss, ack, miss, ack ... — the ack-reset hysteresis means a
+        // node that answers at least one probe per window is never
+        // condemned, no matter how long the flapping goes on.
+        let mut table = SuspicionTable::default();
+        for _ in 0..100 {
+            for _ in 1..SUSPICION_THRESHOLD {
+                assert!(!table.miss(7));
+            }
+            table.ack(7);
+        }
+        assert_eq!(table.misses(7), 0);
+    }
+
+    #[test]
+    fn suspicion_is_per_node() {
+        let mut table = SuspicionTable::default();
+        for _ in 1..SUSPICION_THRESHOLD {
+            assert!(!table.miss(1));
+        }
+        assert!(!table.miss(2));
+        assert!(table.miss(1), "node 1 is condemned on ITS own misses");
+        assert_eq!(table.misses(2), 1);
+        table.forget(1);
+        assert_eq!(table.misses(1), 0);
     }
 }

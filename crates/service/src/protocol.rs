@@ -171,22 +171,13 @@ pub enum Request {
         /// Home-node wire ids of the released problems.
         problems: Vec<u64>,
     },
-    /// Liveness probe for the heartbeat/gossip layer. Sent on a
-    /// jittered timer by peers (server-to-server) and routers
-    /// (client-to-server) over dedicated lightweight connections, so a
-    /// stalled solve pipeline never masks — or fakes — liveness.
-    /// Carries the sender's membership epoch; the receiver remembers
-    /// the highest epoch it has seen and echoes it in
-    /// [`Response::Pong`], which is how a stale router learns the
-    /// membership moved on without it.
-    Ping {
-        /// Sender identity: a node id for server peers, `u64::MAX` for
-        /// client routers.
-        sender: u64,
-        /// The sender's membership epoch (bumped on every add, remove
-        /// or failover the sender has locally applied).
-        epoch: u64,
-    },
+    /// Liveness probe of the server-to-server heartbeat, sent on a
+    /// jittered timer over the same per-peer connection that carries
+    /// [`Request::Replicate`]. The reactor answers it inline with
+    /// [`Response::Pong`], so a busy worker pool does not delay it — and
+    /// a node that answers pings while its solves stall still looks
+    /// alive (clients catch that with their read deadline).
+    Ping,
     /// Drain the node's trace rings and ship the merged event stream,
     /// answered with [`Response::Trace`]. Draining is consuming: each
     /// event is exported once, to one caller.
@@ -225,15 +216,10 @@ pub enum Response {
         /// Old-to-new wire id pairs, in the request's problem order.
         mapping: Vec<(u64, u64)>,
     },
-    /// Reply to [`Request::Ping`]: the responder is alive. `epoch` is
-    /// the highest membership epoch the responder has observed from any
-    /// pinger — a router seeing an epoch above its own knows its
-    /// membership view is stale and must re-verify every member.
+    /// Reply to [`Request::Ping`]: the responder is alive.
     Pong {
         /// Responder identity (its cluster node id).
         node: u64,
-        /// Highest membership epoch the responder has observed.
-        epoch: u64,
     },
     /// Reply to [`Request::Stats`] and [`Request::Shutdown`]: the
     /// answering node's id, its counters and the process's latency
@@ -590,11 +576,7 @@ impl Request {
                     put_u64(&mut out, p);
                 }
             }
-            Request::Ping { sender, epoch } => {
-                out.push(10);
-                put_u64(&mut out, *sender);
-                put_u64(&mut out, *epoch);
-            }
+            Request::Ping => out.push(10),
             Request::TraceDump => out.push(12),
         }
         out
@@ -632,10 +614,7 @@ impl Request {
                     (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?
                 },
             },
-            10 => Request::Ping {
-                sender: d.u64()?,
-                epoch: d.u64()?,
-            },
+            10 => Request::Ping,
             12 => Request::TraceDump,
             t => return Err(ProtoError::BadTag(t)),
         };
@@ -681,10 +660,9 @@ impl Response {
                     put_u64(&mut out, new);
                 }
             }
-            Response::Pong { node, epoch } => {
+            Response::Pong { node } => {
                 out.push(7);
                 put_u64(&mut out, *node);
-                put_u64(&mut out, *epoch);
             }
             Response::Metrics { node, metrics } => {
                 out.push(8);
@@ -729,10 +707,7 @@ impl Response {
                         .collect::<Result<_, ProtoError>>()?
                 },
             },
-            7 => Response::Pong {
-                node: d.u64()?,
-                epoch: d.u64()?,
-            },
+            7 => Response::Pong { node: d.u64()? },
             8 => Response::Metrics {
                 node: d.u64()?,
                 metrics: Box::new(decode_metrics(&mut d)?),
@@ -917,14 +892,7 @@ mod tests {
             session: 1,
             problems: vec![],
         });
-        roundtrip_request(Request::Ping {
-            sender: 3,
-            epoch: 12,
-        });
-        roundtrip_request(Request::Ping {
-            sender: u64::MAX,
-            epoch: 0,
-        });
+        roundtrip_request(Request::Ping);
         roundtrip_request(Request::TraceDump);
     }
 
@@ -953,7 +921,8 @@ mod tests {
             mapping: vec![(1 << 48 | 3, 2 << 48 | 11), (7, 8)],
         });
         roundtrip_response(Response::Promoted { mapping: vec![] });
-        roundtrip_response(Response::Pong { node: 2, epoch: 9 });
+        roundtrip_response(Response::Pong { node: 2 });
+        roundtrip_response(Response::Pong { node: u64::MAX });
         roundtrip_response(Response::Metrics {
             node: 3,
             metrics: Box::new(MetricsSnapshot {

@@ -124,7 +124,7 @@ pub enum Kind {
     /// b = problems promoted.
     ReplPromote = 9,
     /// Instant: heartbeat pong received. a = peer that answered,
-    /// b = membership epoch the probe carried.
+    /// b = 0.
     HbPong = 10,
     /// Instant: heartbeat probe missed. a = peer, b = consecutive
     /// misses (suspicion level).
@@ -133,7 +133,7 @@ pub enum Kind {
     /// a = peer, b = sessions owed replica promotion.
     NodeDead = 12,
     /// Instant: client-side failover began for a dead node. a = dead
-    /// node id, b = ring epoch.
+    /// node id, b = this client's sessions homed on it.
     Failover = 13,
     /// Instant: a request was re-issued after failover. a = dead node
     /// id, b = the new home node.
