@@ -5,7 +5,7 @@
 //!         [--reactors R] [--capacity K] [--budget BYTES] \
 //!         [--node-id ID] \
 //!         [--peer ID=HOST:PORT ...] [--ring-seed SEED] \
-//!         [--replica-budget BYTES] [--metrics-addr HOST:PORT]
+//!         [--metrics-addr HOST:PORT]
 //! ```
 //!
 //! Serves the `lwsnap-service` wire protocol (pipelined tagged frames,
@@ -34,9 +34,12 @@
 //! by the home node to the session's replica (its first ring-ranked
 //! peer — a session stays replicated however many clients drive it),
 //! and a heartbeat thread probes the peers, promoting a dead node's
-//! sessions from their replicas before clients notice. `--ring-seed` must match the
-//! clients' seed; `--replica-budget` bounds the replica store, above
-//! which linear path-log chains are compacted in place.
+//! sessions from their replicas before clients notice. `--ring-seed`
+//! must match the clients' seed. A replica holds one path-log edge per
+//! solve of each session it replicates; an edge goes once the home has
+//! relayed the release of its problem and of every problem derived
+//! from it. A relay the network loses leaks its edge, and
+//! `lwsnap_replica_bytes` counts it.
 //!
 //! ## Observability
 //!
@@ -55,8 +58,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: lwsnapd [--addr HOST:PORT] [--shards N] [--workers M] \
          [--reactors R] [--capacity K] [--budget BYTES] [--node-id ID] \
-         [--peer ID=HOST:PORT ...] [--ring-seed SEED] [--replica-budget BYTES] \
-         [--metrics-addr HOST:PORT]\n\
+         [--peer ID=HOST:PORT ...] [--ring-seed SEED] [--metrics-addr HOST:PORT]\n\
          \n\
          --addr      listen address (default 127.0.0.1:7557)\n\
          --shards    independently locked problem-tree shards (default 8)\n\
@@ -72,8 +74,6 @@ fn usage() -> ! {
          \u{20}           peer); turns on server-side edge forwarding + heartbeats\n\
          --ring-seed consistent-hash ring seed (default 0) — must match every\n\
          \u{20}           client and peer of this cluster\n\
-         --replica-budget  replica-store byte budget; past it, linear path-log\n\
-         \u{20}           chains are compacted (default: unbounded)\n\
          --metrics-addr  serve GET /metrics (plaintext scrape) and GET /trace\n\
          \u{20}           (chrome://tracing JSON) on this address (default: off)"
     );
@@ -96,7 +96,6 @@ fn main() {
     let mut node_id: u16 = 0;
     let mut peers: Vec<(NodeId, SocketAddr)> = Vec::new();
     let mut ring_seed: u64 = 0;
-    let mut replica_budget: Option<usize> = None;
     let mut metrics_addr: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
@@ -119,13 +118,6 @@ fn main() {
             "--node-id" => node_id = value("--node-id").parse().unwrap_or_else(|_| usage()),
             "--peer" => peers.push(parse_peer(&value("--peer")).unwrap_or_else(|| usage())),
             "--ring-seed" => ring_seed = value("--ring-seed").parse().unwrap_or_else(|_| usage()),
-            "--replica-budget" => {
-                replica_budget = Some(
-                    value("--replica-budget")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
             "--metrics-addr" => metrics_addr = Some(value("--metrics-addr")),
             "--help" | "-h" => usage(),
             _ => usage(),
@@ -135,7 +127,6 @@ fn main() {
     let mut config = ServiceConfig::new(shards).with_node_id(node_id);
     config.snapshot_capacity = capacity;
     config.snapshot_budget_bytes = budget;
-    config.replica_budget_bytes = replica_budget;
     let server = match Server::start_with(&addr, config, workers, reactors) {
         Ok(server) => server,
         Err(e) => {

@@ -25,6 +25,7 @@ use crate::protocol::{
     lits_to_clauses, put_tagged_frame, read_any_frame, write_tagged_frame, ProtoError, Request,
     Response,
 };
+use crate::replica::PathLog;
 use crate::router::{mix64, NodeId, Ring};
 use crate::sharded::{ProblemId, SolveReply};
 use crate::stats::FleetStats;
@@ -525,17 +526,6 @@ fn is_node_death(e: &io::Error) -> bool {
     )
 }
 
-/// One recorded derivation of a tracked session: `problem` was derived
-/// from `parent` (current-coordinate wire ids) by adding `clauses`.
-/// The client-side copy of the path log — the copy of last resort,
-/// re-shipped to the replica before a promotion and after membership
-/// changes.
-struct LogEntry {
-    problem: u64,
-    parent: u64,
-    clauses: Vec<Vec<i64>>,
-}
-
 /// Where one tracked session lives.
 struct SessionState {
     /// The node serving the session right now.
@@ -548,34 +538,10 @@ struct SessionState {
     replica: Option<NodeId>,
     /// The session root's wire id, in current coordinates.
     root: u64,
-    /// The session's path log, in derivation order.
-    log: Vec<LogEntry>,
-    /// Released problems whose log entries are *retained* because a
-    /// live descendant's replay path runs through them; pruned (with
-    /// cascade) by [`prune_log`] when the descendants go too.
-    released: HashSet<u64>,
-}
-
-/// Drops released problems' log entries once no live entry replays
-/// through them (child-aware, cascading): the client-side mirror of
-/// the server's replica GC ([`crate::ReplicaStore::forget`]). Keeps
-/// the log — the source of truth for re-shipping replicas — from
-/// growing without bound under a solve/release working-set pattern.
-fn prune_log(sess: &mut SessionState) {
-    loop {
-        let live_parents: HashSet<u64> = sess.log.iter().map(|e| e.parent).collect();
-        let victim = sess
-            .released
-            .iter()
-            .copied()
-            .find(|p| !live_parents.contains(p) && sess.log.iter().any(|e| e.problem == *p));
-        let Some(victim) = victim else { break };
-        sess.log.retain(|e| e.problem != victim);
-        sess.released.remove(&victim);
-    }
-    // Tombstones for ids with no log entry at all are dead weight.
-    sess.released
-        .retain(|p| sess.log.iter().any(|e| e.problem == *p));
+    /// The session's path log, in current coordinates: the copy of
+    /// last resort, re-shipped to the replica before a promotion and
+    /// after membership changes.
+    log: PathLog,
 }
 
 /// The mutable routing state behind a [`ClusterBackend`].
@@ -914,10 +880,7 @@ impl ClusterBackend {
     fn promote_session(&self, st: &mut ClusterState, session: u64) {
         let (problems, old_root) = {
             let s = &st.sessions[&session];
-            (
-                s.log.iter().map(|e| e.problem).collect::<Vec<u64>>(),
-                s.root,
-            )
+            (s.log.problems(), s.root)
         };
         let (new_home, mapping) = loop {
             let replica = st.sessions[&session].replica;
@@ -975,15 +938,7 @@ impl ClusterBackend {
             let sess = st.sessions.get_mut(&session).unwrap();
             sess.home = new_home;
             sess.root = new_root;
-            for e in &mut sess.log {
-                e.problem = resolve(&st.remap, e.problem);
-                e.parent = resolve(&st.remap, e.parent);
-            }
-            sess.released = sess
-                .released
-                .iter()
-                .map(|&p| resolve(&st.remap, p))
-                .collect();
+            sess.log.rename(|p| resolve(&st.remap, p));
             sess.replica = st.ring.replica_for(session, new_home);
         }
         self.ship_log(st, session);
@@ -997,12 +952,12 @@ impl ClusterBackend {
         let Some(member) = sess.replica.and_then(|r| self.node_opt(r)) else {
             return;
         };
-        for e in &sess.log {
+        for (problem, parent, clauses) in sess.log.edges() {
             let _ = member.client.submit_forgotten(&Request::Replicate {
                 session,
-                problem: e.problem,
-                parent: e.parent,
-                clauses: e.clauses.clone(),
+                problem,
+                parent,
+                clauses: clauses.to_vec(),
             });
         }
     }
@@ -1020,11 +975,7 @@ impl ClusterBackend {
         if ProblemId::from_wire(problem).node() != sess.home {
             return;
         }
-        sess.log.push(LogEntry {
-            problem,
-            parent,
-            clauses: clauses.to_vec(),
-        });
+        sess.log.record(problem, parent, clauses.to_vec());
         st.owner.insert(problem, session);
     }
 
@@ -1120,8 +1071,7 @@ impl SolverBackend for ClusterBackend {
                         home,
                         replica,
                         root: root.to_wire(),
-                        log: Vec::new(),
-                        released: HashSet::new(),
+                        log: PathLog::default(),
                     });
                     st.roots.insert(root.to_wire(), session);
                     return Ok(root);
@@ -1190,17 +1140,16 @@ impl SolverBackend for ClusterBackend {
 
     fn release(&self, id: ProblemId) -> io::Result<()> {
         let (resolved, session) = self.locate(id.to_wire());
-        // A released problem will never be promoted: prune the
-        // client-side path log (child-aware — entries a live
-        // descendant still replays through are kept). The home node
-        // tells the session's replica to GC its copy of the dead edges
-        // when the `Release` below reaches it.
+        // A released problem will never be promoted: reap it from the
+        // client-side path log (child-aware — edges a live descendant
+        // still replays through are kept). The home node tells the
+        // session's replica to reap its copy when the `Release` below
+        // reaches it.
         if let Some(session) = session {
             let mut st = self.state.lock().unwrap();
             st.owner.remove(&resolved);
             if let Some(sess) = st.sessions.get_mut(&session) {
-                sess.released.insert(resolved);
-                prune_log(sess);
+                sess.log.release(resolved);
             }
         }
         // Releasing something whose home is gone is a no-op, not an

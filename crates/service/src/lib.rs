@@ -34,9 +34,9 @@
 //!   tags let one connection pipeline many in-flight solves with
 //!   out-of-order completions.
 //! * [`replica`] — the passive replica store: path logs forwarded by a
-//!   session's home node to the session's replica, compacted under a
-//!   byte budget, promoted by bit-identical replay when the home node
-//!   dies or drains out.
+//!   session's home node to the session's replica, reaped as the home's
+//!   problems are released, promoted by bit-identical replay when the
+//!   home node dies or drains out.
 //! * [`bufpool`] — pooled 64 KiB receive blocks and the zero-copy
 //!   [`bufpool::FrameAssembler`] that parses frames in place, spilling
 //!   (and counting) only the rare block-boundary bytes.

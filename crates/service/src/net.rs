@@ -684,9 +684,7 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts serving a fresh [`ShardedService`] built from `config`
-    /// with a `workers`-thread pool and one reactor per core. The
-    /// config's [`ServiceConfig::replica_budget_bytes`] becomes the
-    /// replica store's compaction budget.
+    /// with a `workers`-thread pool and one reactor per core.
     pub fn start(addr: &str, config: ServiceConfig, workers: usize) -> io::Result<Server> {
         Server::start_with(addr, config, workers, default_reactors())
     }
@@ -701,29 +699,26 @@ impl Server {
         workers: usize,
         reactors: usize,
     ) -> io::Result<Server> {
-        let budget = config.replica_budget_bytes.map(|b| b as u64);
         let service = Arc::new(ShardedService::new(config));
-        Server::serve_inner(addr, service, workers, budget, reactors)
+        Server::serve_inner(addr, service, workers, reactors)
     }
 
-    /// Like [`Server::start`] but over an existing service instance
-    /// (no replica budget — the config already went into the service).
+    /// Like [`Server::start`] but over an existing service instance.
     pub fn serve(addr: &str, service: Arc<ShardedService>, workers: usize) -> io::Result<Server> {
-        Server::serve_inner(addr, service, workers, None, default_reactors())
+        Server::serve_inner(addr, service, workers, default_reactors())
     }
 
     fn serve_inner(
         addr: &str,
         service: Arc<ShardedService>,
         workers: usize,
-        replica_budget: Option<u64>,
         reactors: usize,
     ) -> io::Result<Server> {
         let (addr, listeners) = bind_front_end(addr, reactors.max(1))?;
         let pool = WorkerPool::new(Arc::clone(&service), workers);
         let hard_stop = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
-        let replicas = Arc::new(ReplicaStore::with_budget(replica_budget));
+        let replicas = Arc::new(ReplicaStore::new());
         let forwarder = Arc::new(Forwarder::new(service.node_id()));
         // Pollers come first so every reactor can wake all its siblings
         // on a drain.

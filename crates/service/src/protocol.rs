@@ -1024,7 +1024,7 @@ mod tests {
             shared_pages: 5,
             private_pages: 7,
             heartbeat_misses: 4,
-            compactions: 2,
+            dead_peers: 2,
             ..Default::default()
         };
         let b = StatsSummary {
@@ -1036,7 +1036,7 @@ mod tests {
             shared_pages: 1,
             private_pages: 2,
             heartbeat_misses: 1,
-            compactions: 3,
+            dead_peers: 3,
             ..Default::default()
         };
         a.absorb(&b);
@@ -1048,7 +1048,7 @@ mod tests {
         assert_eq!(a.shared_pages, 6);
         assert_eq!(a.private_pages, 9);
         assert_eq!(a.heartbeat_misses, 5);
-        assert_eq!(a.compactions, 5);
+        assert_eq!(a.dead_peers, 5);
     }
 
     #[test]

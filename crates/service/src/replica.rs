@@ -1,6 +1,7 @@
 //! The passive replica store: each node's copy of the constraint path
 //! logs shipped to it by the home nodes of sessions placed elsewhere on
-//! the ring.
+//! the ring — and `PathLog`, the one path-log type the store and the
+//! cluster client both keep.
 //!
 //! Replication rides on the same observation that powers in-node
 //! eviction: a solver snapshot is a **pure function of the clause path
@@ -22,24 +23,23 @@
 //! each requested problem's parent chain back to a session root (local
 //! index 0 — every node's fresh root solver is identical) or to an
 //! already-promoted ancestor, and replays the edges downward through
-//! the node's own [`ShardedService`]. Because the solver is
-//! deterministic in the clause path, the promoted problems answer
-//! **bit-identical verdicts and models** to the originals — the
-//! property `tests/replication.rs` proptests.
+//! the node's own [`ShardedService`], one solve per recorded edge.
+//! Because the solver is deterministic in the clause path, the
+//! promoted problems answer **bit-identical verdicts and models** to
+//! the originals — the property `tests/replication.rs` proptests.
 //!
-//! ## Bounded `replica_bytes`: compaction
+//! ## What bounds a replica: its home's releases
 //!
-//! A long-lived session's path log grows without bound. When a byte
-//! budget is configured ([`ReplicaStore::set_budget`]) and the store
-//! exceeds it, linear parent chains are collapsed into single
-//! **composite edges**: an edge whose sole child extends its tail is
-//! merged into that child, concatenating their segment lists. Each
-//! segment keeps its original wire id and its original clause batch, so
-//! replay still issues **one solve per original solve** — the exact
-//! trajectory — and promotion stays bit-identical for verdicts AND
-//! witness models (proptested). What compaction reclaims is the
-//! per-edge bookkeeping overhead; the clause bytes themselves are the
-//! irreducible replay input.
+//! Every `Release` a home node serves is mirrored to the session's
+//! replica as [`crate::Request::Unreplicate`], and the store reaps the
+//! released edges **child-aware** (`PathLog::release`): an edge some
+//! live problem's replay path still runs through stays until its last
+//! descendant is released too. So a replica holds exactly the edges of
+//! the problems its home still holds — live, or a released ancestor of
+//! a live one. An `Unreplicate` the network loses (or a home that dies
+//! before sending it) leaks its edge for the session's lifetime, and a
+//! node keeps the log of a session it promoted; `replica_bytes` counts
+//! both.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
@@ -49,85 +49,149 @@ use lwsnap_trace::{self as trace, StatsSummary};
 use crate::protocol::clauses_to_lits;
 use crate::sharded::{ProblemId, ShardedService};
 
-/// Accounted bookkeeping overhead per stored edge (hash-map slots,
-/// parent pointer, segment vector) — what compaction reclaims.
-const EDGE_OVERHEAD: u64 = 64;
+/// Accounted bookkeeping per stored edge (map slots, parent pointer,
+/// release flag, clause vector headers), on top of 4 B per clause and
+/// 8 B per literal.
+const EDGE_OVERHEAD: u64 = 96;
 
-/// Accounted bookkeeping overhead per segment inside an edge (wire id,
-/// index entry, clause vector header) — irreducible, like the clauses.
-const SEGMENT_OVERHEAD: u64 = 32;
+/// The accounted footprint of one edge adding `clauses`.
+fn price(clauses: &[Vec<i64>]) -> u64 {
+    EDGE_OVERHEAD + clauses.iter().map(|c| 4 + 8 * c.len() as u64).sum::<u64>()
+}
 
-/// One original derivation step: `problem` was derived from the
-/// previous segment (or the edge's parent) by adding `clauses`.
-struct Segment {
-    /// Wire id (home-node coordinates) of the derived problem.
-    problem: u64,
+/// One derivation step of a [`PathLog`].
+struct Edge {
+    /// Wire id of the problem this one was derived from.
+    parent: u64,
     /// The incremental constraint, DIMACS literals.
     clauses: Vec<Vec<i64>>,
+    /// The problem was released: the edge stays only while a stored
+    /// edge names it as parent.
+    released: bool,
 }
 
-impl Segment {
-    fn bytes(&self) -> u64 {
-        SEGMENT_OVERHEAD
-            + self
-                .clauses
-                .iter()
-                .map(|c| 4 + 8 * c.len() as u64)
-                .sum::<u64>()
-    }
-}
-
-/// One stored path-log edge: possibly composite (several original
-/// derivation steps chained tail-to-head by compaction).
-struct Edge {
-    /// Wire id of the problem the FIRST segment was derived from.
-    parent: u64,
-    /// The derivation steps, oldest first; never empty.
-    segments: Vec<Segment>,
-}
-
-impl Edge {
-    /// Accounted footprint, for the `replica_bytes` counter.
-    fn bytes(&self) -> u64 {
-        EDGE_OVERHEAD + self.segments.iter().map(Segment::bytes).sum::<u64>()
-    }
-
-    /// The last segment's problem id — the edge's key in the log.
-    fn tail(&self) -> u64 {
-        self.segments.last().expect("edges are never empty").problem
-    }
-}
-
-/// One replicated session's path log.
+/// One session's path log: derived problem → `(parent, clauses,
+/// released)`, plus its one garbage collector. The replica store keeps
+/// one per replicated session, the cluster client one per tracked
+/// session. Edges may arrive in any order — a child before its parent
+/// when a lossy network ate the parent's frame and a re-ship brings it
+/// later — and the GC does not depend on that order.
 #[derive(Default)]
-struct SessionLog {
-    /// Stored edges, keyed by their tail segment's wire id.
+pub(crate) struct PathLog {
     edges: HashMap<u64, Edge>,
-    /// Every recorded segment's wire id → the key of the edge holding
-    /// it. Survives compaction, so parent pointers and promotions keep
-    /// resolving interior ids of composite edges.
-    index: HashMap<u64, u64>,
-    /// Released problems whose segments are *retained* because a live
-    /// descendant's replay path still runs through them. When the
-    /// descendants are forgotten too, their edges cascade out
-    /// ([`ReplicaStore::forget`]).
-    tombstones: HashSet<u64>,
+    /// How many stored edges name each id as parent, counted whether
+    /// or not that parent is stored yet.
+    children: HashMap<u64, usize>,
+    /// Sum of the stored edges' prices.
+    bytes: u64,
+}
+
+impl PathLog {
+    /// Records that `problem` was derived from `parent` by adding
+    /// `clauses`. Idempotent per problem id: an edge already stored
+    /// (released or not) is left untouched.
+    pub(crate) fn record(&mut self, problem: u64, parent: u64, clauses: Vec<Vec<i64>>) {
+        if self.edges.contains_key(&problem) {
+            return;
+        }
+        self.bytes += price(&clauses);
+        *self.children.entry(parent).or_default() += 1;
+        self.edges.insert(
+            problem,
+            Edge {
+                parent,
+                clauses,
+                released: false,
+            },
+        );
+    }
+
+    /// Marks `problem` released and reaps: walking up from it, an edge
+    /// is dropped once it is released and no stored edge names it as
+    /// parent, and then its parent is tried. An unknown id is a no-op.
+    /// Returns the number of edges dropped.
+    pub(crate) fn release(&mut self, problem: u64) -> usize {
+        let Some(edge) = self.edges.get_mut(&problem) else {
+            return 0;
+        };
+        edge.released = true;
+        let mut dropped = 0;
+        let mut cur = problem;
+        while self
+            .edges
+            .get(&cur)
+            .is_some_and(|e| e.released && !self.children.contains_key(&cur))
+        {
+            let edge = self.edges.remove(&cur).expect("checked above");
+            self.bytes -= price(&edge.clauses);
+            let siblings = self.children.get_mut(&edge.parent).expect("counted");
+            *siblings -= 1;
+            if *siblings == 0 {
+                self.children.remove(&edge.parent);
+            }
+            dropped += 1;
+            cur = edge.parent;
+        }
+        dropped
+    }
+
+    /// `problem`'s parent and clauses, if its edge is stored.
+    fn get(&self, problem: u64) -> Option<(u64, &[Vec<i64>])> {
+        self.edges.get(&problem).map(|e| (e.parent, &e.clauses[..]))
+    }
+
+    /// Number of stored edges.
+    pub(crate) fn len(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Sum of the stored edges' accounted prices.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Every stored problem id, sorted — so promotion requests and
+    /// replay order repeat run to run.
+    pub(crate) fn problems(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self.edges.keys().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The stored edges as `(problem, parent, clauses)`, by problem id.
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (u64, u64, &[Vec<i64>])> + '_ {
+        self.problems().into_iter().map(|p| {
+            let e = &self.edges[&p];
+            (p, e.parent, &e.clauses[..])
+        })
+    }
+
+    /// Rewrites every problem and parent id through `new_id` — the
+    /// client's move into a promoted home's coordinates.
+    pub(crate) fn rename(&mut self, new_id: impl Fn(u64) -> u64) {
+        self.edges = self
+            .edges
+            .drain()
+            .map(|(p, mut e)| {
+                e.parent = new_id(e.parent);
+                (new_id(p), e)
+            })
+            .collect();
+        self.children = self.children.drain().map(|(p, n)| (new_id(p), n)).collect();
+    }
 }
 
 #[derive(Default)]
 struct StoreInner {
     /// Path logs per replicated session.
-    sessions: HashMap<u64, SessionLog>,
+    sessions: HashMap<u64, PathLog>,
     /// Memo of already-replayed problems: old wire id → promoted wire
     /// id on THIS node. Shared across sessions (home-node wire ids are
     /// globally unique: the node id is packed into them), so chains
     /// promoted piecemeal replay each edge once.
     promoted: HashMap<u64, u64>,
-    /// Byte budget; exceeding it triggers compaction.
-    budget: Option<u64>,
-    /// The counters this store owns: `replica_bytes`,
-    /// `replica_promotions`, `promoted_problems`, `failovers` and
-    /// `compactions`.
+    /// The counters this store owns but does not derive from its logs:
+    /// `replica_promotions`, `promoted_problems` and `failovers`.
     stats: StatsSummary,
 }
 
@@ -144,57 +208,29 @@ pub struct ReplicaStore {
 pub type ReplicaCounters = (u64, u64, u64);
 
 impl ReplicaStore {
-    /// An empty store with no byte budget.
+    /// An empty store.
     pub fn new() -> ReplicaStore {
         ReplicaStore::default()
     }
 
-    /// An empty store that compacts whenever its accounted bytes exceed
-    /// `budget`.
-    pub fn with_budget(budget: Option<u64>) -> ReplicaStore {
-        let store = ReplicaStore::default();
-        store.inner.lock().unwrap().budget = budget;
-        store
-    }
-
-    /// Sets (or clears) the compaction byte budget.
-    pub fn set_budget(&self, budget: Option<u64>) {
-        self.inner.lock().unwrap().budget = budget;
-    }
-
     /// Records one path-log edge: on `session`'s home node, `problem`
     /// was derived from `parent` by adding `clauses`. Idempotent per
-    /// problem id — a problem already recorded (even inside a composite
-    /// edge) is left untouched, so a re-sent or duplicated frame never
+    /// problem id, so a re-sent or duplicated frame never
     /// double-counts.
     pub fn record(&self, session: u64, problem: u64, parent: u64, clauses: Vec<Vec<i64>>) {
         let mut inner = self.inner.lock().unwrap();
-        let st = &mut *inner;
-        let log = st.sessions.entry(session).or_default();
-        if log.index.contains_key(&problem) {
-            return;
-        }
-        let edge = Edge {
-            parent,
-            segments: vec![Segment { problem, clauses }],
-        };
-        st.stats.replica_bytes += edge.bytes();
-        log.index.insert(problem, problem);
-        log.edges.insert(problem, edge);
-        if st.budget.is_some_and(|b| st.stats.replica_bytes > b) {
-            compact_locked(st);
-        }
+        let log = inner.sessions.entry(session).or_default();
+        log.record(problem, parent, clauses);
     }
 
-    /// Number of stored edges for `session` (composite edges count
-    /// once).
+    /// Number of stored edges for `session`.
     pub fn session_edges(&self, session: u64) -> usize {
         self.inner
             .lock()
             .unwrap()
             .sessions
             .get(&session)
-            .map_or(0, |log| log.edges.len())
+            .map_or(0, PathLog::len)
     }
 
     /// Session ids with at least one stored edge — what a surviving
@@ -212,76 +248,39 @@ impl ReplicaStore {
         ids
     }
 
-    /// Every recorded problem id of `session`, interior segments of
-    /// composite edges included.
+    /// Every stored problem id of `session`, sorted.
     pub fn session_problems(&self, session: u64) -> Vec<u64> {
         let inner = self.inner.lock().unwrap();
-        let mut ids: Vec<u64> = inner
+        inner
             .sessions
             .get(&session)
-            .map_or_else(Vec::new, |log| log.index.keys().copied().collect());
-        ids.sort_unstable();
-        ids
+            .map_or_else(Vec::new, PathLog::problems)
     }
 
     /// Replica GC: the client released `problems` on the session's
-    /// home node, so their recorded edges will never be promoted —
-    /// drop them and reclaim their bytes. **Child-aware**: an edge
-    /// some *live* problem's replay path still runs through is kept
-    /// (tombstoned) and cascades out when its last descendant is
-    /// forgotten, so a release deep in a chain never breaks replay of
-    /// the problems derived from it. Returns the number of edges
-    /// dropped (now, including cascades from earlier tombstones).
+    /// home node, so their edges will never be promoted — reap them
+    /// child-aware (`PathLog::release`): an edge some live problem's
+    /// replay path still runs through stays until that problem goes
+    /// too. Returns the number of edges dropped.
     pub fn forget(&self, session: u64, problems: &[u64]) -> usize {
         let mut inner = self.inner.lock().unwrap();
-        let st = &mut *inner;
-        let Some(log) = st.sessions.get_mut(&session) else {
+        let Some(log) = inner.sessions.get_mut(&session) else {
             return 0;
         };
-        let SessionLog {
-            edges,
-            index,
-            tombstones,
-        } = log;
-        tombstones.extend(problems.iter().copied());
-        let mut removed = 0usize;
-        let mut freed = 0u64;
-        loop {
-            // An edge is removable once every segment in it is released
-            // AND no stored edge's parent pointer resolves into it.
-            let live_parent_keys: HashSet<u64> = edges
-                .values()
-                .filter_map(|e| index.get(&e.parent).copied())
-                .collect();
-            let victim = edges
-                .iter()
-                .find(|(key, e)| {
-                    !live_parent_keys.contains(*key)
-                        && e.segments.iter().all(|s| tombstones.contains(&s.problem))
-                })
-                .map(|(&key, _)| key);
-            let Some(victim) = victim else { break };
-            if let Some(edge) = edges.remove(&victim) {
-                freed += edge.bytes();
-                removed += 1;
-                for seg in &edge.segments {
-                    index.remove(&seg.problem);
-                    tombstones.remove(&seg.problem);
-                }
-            }
+        let dropped = problems.iter().map(|&p| log.release(p)).sum();
+        if log.len() == 0 {
+            inner.sessions.remove(&session);
         }
-        // Tombstones for ids with no recorded segment are dead weight.
-        tombstones.retain(|p| index.contains_key(p));
-        if log.edges.is_empty() {
-            st.sessions.remove(&session);
-        }
-        st.stats.replica_bytes -= freed;
-        removed
+        dropped
     }
 
     /// The counters this store owns (every other field zero).
     pub fn stats(&self) -> StatsSummary {
-        self.inner.lock().unwrap().stats
+        let inner = self.inner.lock().unwrap();
+        StatsSummary {
+            replica_bytes: inner.sessions.values().map(PathLog::bytes).sum(),
+            ..inner.stats
+        }
     }
 
     /// Current `(replica_bytes, replica_promotions, failovers)`: three
@@ -312,14 +311,7 @@ impl ReplicaStore {
         let mut requested: Vec<u64> = problems.to_vec();
         let mut seen: HashSet<u64> = problems.iter().copied().collect();
         if let Some(log) = inner.sessions.get(&session) {
-            let mut extras: Vec<u64> = log
-                .index
-                .keys()
-                .filter(|p| seen.insert(**p))
-                .copied()
-                .collect();
-            extras.sort_unstable();
-            requested.extend(extras);
+            requested.extend(log.problems().into_iter().filter(|p| seen.insert(*p)));
         }
         let mut mapping = Vec::with_capacity(requested.len());
         for &problem in &requested {
@@ -338,109 +330,47 @@ impl ReplicaStore {
     }
 }
 
-/// Collapses every mergeable linear link in every session: an edge
-/// whose SOLE child extends its tail is merged into that child
-/// (segments concatenated, the child inheriting the merged-away edge's
-/// parent). The segment index keeps resolving interior ids, so replay
-/// and GC semantics are unchanged — only the per-edge overhead is
-/// reclaimed.
-fn compact_locked(st: &mut StoreInner) {
-    let mut saved = 0u64;
-    let mut merges = 0u64;
-    for log in st.sessions.values_mut() {
-        loop {
-            // Child census: how many stored edges hang off each edge
-            // key, and (when unique) which one.
-            let mut children: HashMap<u64, (usize, u64)> = HashMap::new();
-            for (&ck, e) in &log.edges {
-                if let Some(&pk) = log.index.get(&e.parent) {
-                    let slot = children.entry(pk).or_insert((0, ck));
-                    slot.0 += 1;
-                    slot.1 = ck;
-                }
-            }
-            let target = children.iter().find_map(|(&pk, &(n, ck))| {
-                (n == 1 && log.edges[&ck].parent == log.edges[&pk].tail()).then_some((pk, ck))
-            });
-            let Some((pk, ck)) = target else { break };
-            let parent_edge = log.edges.remove(&pk).expect("census key is stored");
-            for seg in &parent_edge.segments {
-                log.index.insert(seg.problem, ck);
-            }
-            let child = log.edges.get_mut(&ck).expect("census child is stored");
-            child.parent = parent_edge.parent;
-            let mut segments = parent_edge.segments;
-            segments.append(&mut child.segments);
-            child.segments = segments;
-            saved += EDGE_OVERHEAD;
-            merges += 1;
-        }
-    }
-    st.stats.replica_bytes -= saved;
-    st.stats.compactions += merges;
-}
-
-/// Replays one problem's path onto `service`, memoizing every segment.
+/// Replays one problem's path onto `service`, memoizing every edge.
 fn promote_one(
     st: &mut StoreInner,
     service: &ShardedService,
     session: u64,
     problem: u64,
 ) -> Option<u64> {
-    // Walk up to a promoted ancestor or a root, collecting the edge
-    // keys of the unreplayed suffix (child-most first).
-    let mut chain: Vec<u64> = Vec::new();
-    {
-        let StoreInner {
-            sessions, promoted, ..
-        } = st;
-        let mut cur = problem;
-        loop {
-            if promoted.contains_key(&cur) {
-                break;
-            }
-            if cur as u32 == 0 {
-                // A session root: local index 0. Every node's fresh
-                // root solver is identical, so this node's root at the
-                // same shard index is the bit-identical replay base.
-                let shard = (cur >> 32) as u16 as usize % service.num_shards();
-                let root = service.root(shard)?.to_wire();
-                promoted.insert(cur, root);
-                break;
-            }
-            let log = sessions.get(&session)?;
-            let &key = log.index.get(&cur)?;
-            chain.push(key);
-            cur = log.edges.get(&key)?.parent;
+    let StoreInner {
+        sessions,
+        promoted,
+        stats,
+    } = st;
+    let log = sessions.get(&session);
+    // Walk up to a promoted ancestor or a root, collecting the
+    // unreplayed suffix (child-most first).
+    let mut chain: Vec<(u64, &[Vec<i64>])> = Vec::new();
+    let mut cur = problem;
+    while !promoted.contains_key(&cur) {
+        if cur as u32 == 0 {
+            // A session root: local index 0. Every node's fresh root
+            // solver is identical, so this node's root at the same
+            // shard index is the bit-identical replay base.
+            let shard = (cur >> 32) as u16 as usize % service.num_shards();
+            let root = service.root(shard)?.to_wire();
+            promoted.insert(cur, root);
+            break;
         }
+        let (parent, clauses) = log?.get(cur)?;
+        chain.push((cur, clauses));
+        cur = parent;
     }
-    // Replay downward, oldest edge first, one solve PER SEGMENT — the
-    // witness model depends on the exact solve trajectory, so composite
-    // edges must replay their original step boundaries, never a merged
-    // clause batch.
-    for &key in chain.iter().rev() {
-        let StoreInner {
-            sessions,
-            promoted,
-            stats,
-            ..
-        } = st;
-        let edge = sessions.get(&session)?.edges.get(&key)?;
-        let mut parent = *promoted.get(&edge.parent)?;
-        for seg in &edge.segments {
-            if let Some(&done) = promoted.get(&seg.problem) {
-                parent = done;
-                continue;
-            }
-            let lits = clauses_to_lits(&seg.clauses);
-            let reply = service.solve(ProblemId::from_wire(parent), &lits)?;
-            let new = reply.problem.to_wire();
-            promoted.insert(seg.problem, new);
-            stats.replica_promotions += 1;
-            parent = new;
-        }
+    // Replay downward, oldest edge first: one solve per original solve,
+    // since the witness model depends on the exact solve trajectory.
+    let mut base = promoted[&cur];
+    for &(old, clauses) in chain.iter().rev() {
+        let reply = service.solve(ProblemId::from_wire(base), &clauses_to_lits(clauses))?;
+        base = reply.problem.to_wire();
+        promoted.insert(old, base);
+        stats.replica_promotions += 1;
     }
-    st.promoted.get(&problem).copied()
+    Some(base)
 }
 
 #[cfg(test)]
@@ -448,6 +378,8 @@ mod tests {
     use super::*;
     use crate::sharded::ServiceConfig;
     use lwsnap_solver::SolveResult;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn wire(node: u16, shard: u16, local: u32) -> u64 {
         (node as u64) << 48 | (shard as u64) << 32 | local as u64
@@ -535,7 +467,7 @@ mod tests {
             svc.result_of(ProblemId::from_wire(promoted_c)),
             Some(SolveResult::Sat)
         );
-        // Releasing c cascades the whole tombstoned chain out.
+        // Releasing c cascades the whole released chain out.
         assert_eq!(store.forget(9, &[c]), 3);
         assert_eq!(store.session_edges(9), 0);
         assert_eq!(store.counters().0, 0);
@@ -546,7 +478,11 @@ mod tests {
         let store = ReplicaStore::new();
         store.record(1, wire(0, 0, 1), wire(0, 0, 0), vec![vec![1, -2]]);
         let (bytes, ..) = store.counters();
-        assert!(bytes > 0);
+        assert_eq!(
+            bytes,
+            96 + 4 + 2 * 8,
+            "96 B + 4 B per clause + 8 B per literal"
+        );
         // Re-recording the same problem replaces, not accumulates.
         store.record(1, wire(0, 0, 1), wire(0, 0, 0), vec![vec![1, -2]]);
         assert_eq!(store.counters().0, bytes);
@@ -554,49 +490,14 @@ mod tests {
     }
 
     #[test]
-    fn budget_compaction_collapses_linear_chains() {
-        let store = ReplicaStore::with_budget(Some(1));
-        let session = 11u64;
-        let chain: Vec<u64> = (0..=16).map(|i| wire(0, 1, i)).collect();
-        for i in 1..chain.len() {
-            store.record(session, chain[i], chain[i - 1], vec![vec![i as i64]]);
-        }
-        // The whole linear chain lives in ONE composite edge, and the
-        // byte counter reflects only per-segment + clause costs plus a
-        // single edge overhead.
-        assert_eq!(store.session_edges(session), 1);
-        assert!(store.stats().compactions > 0);
-        let (bytes, ..) = store.counters();
-        let floor = EDGE_OVERHEAD + 16 * (SEGMENT_OVERHEAD + 4 + 8);
-        assert_eq!(bytes, floor, "compacted to the accounting floor");
-        // Promotion still replays per ORIGINAL step: 16 promotions, and
-        // every interior id resolves.
-        let svc = ShardedService::new(ServiceConfig::new(2).with_node_id(1));
-        let mapping = store.promote(&svc, session, &[chain[8], *chain.last().unwrap()]);
-        assert_eq!(store.counters().1, 16, "one solve per original step");
-        for (_, new) in &mapping {
-            assert_eq!(
-                svc.result_of(ProblemId::from_wire(*new)),
-                Some(SolveResult::Sat)
-            );
-        }
-        assert_eq!(mapping.len(), 16, "full session mapping returned");
-    }
-
-    #[test]
-    fn late_children_replay_through_compacted_interiors() {
-        let store = ReplicaStore::with_budget(Some(1));
+    fn late_children_replay_through_their_parent() {
+        let store = ReplicaStore::new();
         let (root, a, b, c) = (wire(0, 1, 0), wire(0, 1, 1), wire(0, 1, 2), wire(0, 1, 3));
         store.record(9, a, root, vec![vec![1]]);
-        // `a` and `b` form a linear link and compact into one composite
-        // edge before `c` (a second child of `a`) ever arrives.
         store.record(9, b, a, vec![vec![2]]);
-        assert_eq!(store.session_edges(9), 1);
+        // `c`, a second child of `a`, arrives after `a` already has one.
         store.record(9, c, a, vec![vec![-2]]);
-        // `c` parents on an INTERIOR segment of the composite; the
-        // segment index resolves it, so the fork is representable and
-        // no further merge happens across it.
-        assert_eq!(store.session_edges(9), 2);
+        assert_eq!(store.session_edges(9), 3);
         let svc = ShardedService::new(ServiceConfig::new(2).with_node_id(1));
         let mapping = store.promote(&svc, 9, &[b, c]);
         assert_eq!(mapping.len(), 3, "a, b and c all promoted");
@@ -622,5 +523,123 @@ mod tests {
         assert_eq!(mapping.len(), 2);
         assert!(mapping.iter().any(|&(old, _)| old == a));
         assert!(mapping.iter().any(|&(old, _)| old == b));
+    }
+
+    /// Problems in the GC model's tree: local ids `1..=TREE` on home
+    /// node 0, shard 1; a problem's parent has a smaller id (0 = root).
+    const TREE: u32 = 12;
+
+    /// Problem `i`'s clauses: `k` clauses over variables no other
+    /// problem uses, so every path stays satisfiable.
+    fn clauses_of(i: u32, k: u32) -> Vec<Vec<i64>> {
+        (0..k)
+            .map(|j| (0..=j).map(|t| ((i * 4 + j) * 4 + t + 1) as i64).collect())
+            .collect()
+    }
+
+    /// One step of the GC model: `kind` picks record (0–4), release
+    /// (5–7), release of an id never recorded (8) or a leaf-first
+    /// release of a problem's whole chain (9); `pick` names the problem.
+    fn steps() -> impl Strategy<Value = Vec<(u8, u32)>> {
+        proptest::collection::vec((0u8..10, 1u32..=TREE), 1..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The child-aware GC against a brute-force model: after every
+        /// record or release, in any arrival order, the store keeps
+        /// exactly the unreleased edges and their ancestors, prices
+        /// them at 96 B + 4 B per clause + 8 B per literal, and still
+        /// promotes every unreleased problem whose chain it holds.
+        #[test]
+        fn path_log_gc_matches_its_model(
+            parents in proptest::collection::vec(any::<u32>(), TREE as usize),
+            widths in proptest::collection::vec(1u32..4, TREE as usize),
+            steps in steps(),
+        ) {
+            let session = 3;
+            let id = |i: u32| wire(0, 1, i);
+            let parent = |i: u32| parents[i as usize - 1] % i;
+            let clauses = |i: u32| clauses_of(i, widths[i as usize - 1]);
+            let store = ReplicaStore::new();
+            // The model: every recorded problem → (parent, released),
+            // reaped by recomputing the kept set from scratch.
+            let mut model: BTreeMap<u32, (u32, bool)> = BTreeMap::new();
+            for &(kind, pick) in &steps {
+                let mut releases = Vec::new();
+                match kind {
+                    0..=4 => {
+                        store.record(session, id(pick), id(parent(pick)), clauses(pick));
+                        model.entry(pick).or_insert((parent(pick), false));
+                    }
+                    5..=7 => releases.push(pick),
+                    8 => releases.push(TREE + pick),
+                    _ => {
+                        let mut cur = pick;
+                        while cur != 0 {
+                            releases.push(cur);
+                            cur = parent(cur);
+                        }
+                    }
+                }
+                for p in releases {
+                    store.forget(session, &[id(p)]);
+                    if let Some(edge) = model.get_mut(&p) {
+                        edge.1 = true;
+                    }
+                    let mut kept = BTreeMap::new();
+                    for (&p, &(_, released)) in &model {
+                        let mut cur = p;
+                        while !released && cur != 0 && !kept.contains_key(&cur) {
+                            let Some(&(up, _)) = model.get(&cur) else { break };
+                            kept.insert(cur, ());
+                            cur = up;
+                        }
+                    }
+                    model.retain(|p, _| kept.contains_key(p));
+                }
+
+                let want: Vec<u64> = model.keys().map(|&p| id(p)).collect();
+                prop_assert_eq!(store.session_problems(session), want);
+                let bytes: u64 = model
+                    .keys()
+                    .map(|&p| {
+                        let c = clauses(p);
+                        96 + 4 * c.len() as u64 + 8 * c.iter().map(Vec::len).sum::<usize>() as u64
+                    })
+                    .sum();
+                prop_assert_eq!(store.counters().0, bytes);
+
+                // Promote a copy of the log on a fresh node: every
+                // unreleased problem whose chain the model holds.
+                let promotable: Vec<u64> = model
+                    .iter()
+                    .filter(|&(&p, &(_, released))| {
+                        let mut cur = p;
+                        while let Some(&(up, _)) = model.get(&cur) {
+                            cur = up;
+                        }
+                        !released && cur == 0
+                    })
+                    .map(|(&p, _)| id(p))
+                    .collect();
+                let copy = ReplicaStore::new();
+                if let Some(log) = store.inner.lock().unwrap().sessions.get(&session) {
+                    for (p, up, c) in log.edges() {
+                        copy.record(session, p, up, c.to_vec());
+                    }
+                }
+                let svc = ShardedService::new(ServiceConfig::new(2).with_node_id(1));
+                let promoted: HashSet<u64> = copy
+                    .promote(&svc, session, &promotable)
+                    .into_iter()
+                    .map(|(old, _)| old)
+                    .collect();
+                for p in &promotable {
+                    prop_assert!(promoted.contains(p), "{:#x} did not promote", p);
+                }
+            }
+        }
     }
 }

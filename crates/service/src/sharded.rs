@@ -23,7 +23,9 @@ use lwsnap_trace::StatsSummary;
 
 use crate::router::NodeId;
 
-/// Configuration for a [`ShardedService`].
+/// Configuration for a [`ShardedService`]: its shards, their snapshot
+/// bounds and its node id. A server's [`crate::ReplicaStore`] takes no
+/// setting: the releases of the sessions it replicates bound it.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Number of shards (independently locked problem trees).
@@ -45,12 +47,6 @@ pub struct ServiceConfig {
     /// rejects them with a typed error, the in-process API answers
     /// `None`.
     pub node_id: NodeId,
-    /// Byte budget for this node's passive [`crate::ReplicaStore`]
-    /// (`None` = unbounded): exceeding it collapses linear path-log
-    /// chains into composite edges (replay-equivalent compaction; see
-    /// the replica module docs). Only meaningful for servers — the
-    /// in-process service never holds replicas.
-    pub replica_budget_bytes: Option<usize>,
 }
 
 impl ServiceConfig {
@@ -62,7 +58,6 @@ impl ServiceConfig {
             snapshot_capacity: None,
             snapshot_budget_bytes: None,
             node_id: 0,
-            replica_budget_bytes: None,
         }
     }
 
@@ -81,12 +76,6 @@ impl ServiceConfig {
     /// Sets the per-shard resident-snapshot byte budget.
     pub fn with_snapshot_budget(mut self, bytes: usize) -> Self {
         self.snapshot_budget_bytes = Some(bytes);
-        self
-    }
-
-    /// Sets the per-node replica-store byte budget (compaction bound).
-    pub fn with_replica_budget(mut self, bytes: usize) -> Self {
-        self.replica_budget_bytes = Some(bytes);
         self
     }
 }

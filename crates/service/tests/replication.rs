@@ -60,17 +60,11 @@ proptest! {
     ) {
         let origin = ShardedService::new(ServiceConfig::new(2));
         let replica = ShardedService::new(ServiceConfig::new(2).with_node_id(1));
-        let compacted = ShardedService::new(ServiceConfig::new(2).with_node_id(2));
         let store = ReplicaStore::new();
-        // The same log under MAXIMUM compaction pressure: a 1-byte
-        // budget forces every record to collapse whatever linear chain
-        // it can — promotion from composite edges must be exactly as
-        // lossless as from pristine ones.
-        let tight = ReplicaStore::with_budget(Some(1));
 
         // Grow an arbitrary derivation tree on the origin, recording
-        // every edge into the replica stores — exactly what the cluster
-        // backend streams to the ring successor.
+        // every edge into the replica store — exactly what the home
+        // node streams to the session's replica.
         let root = origin.session_root(session);
         let mut problems = vec![root];
         for (pick, clauses) in &steps {
@@ -78,55 +72,37 @@ proptest! {
             let reply = origin
                 .solve(parent, &clauses_to_lits(clauses))
                 .expect("origin chain stays live");
-            for s in [&store, &tight] {
-                s.record(
-                    session,
-                    reply.problem.to_wire(),
-                    parent.to_wire(),
-                    clauses.clone(),
-                );
-            }
+            store.record(
+                session,
+                reply.problem.to_wire(),
+                parent.to_wire(),
+                clauses.clone(),
+            );
             problems.push(reply.problem);
         }
 
-        // Promote EVERY derived problem onto both replica nodes.
+        // Promote EVERY derived problem onto the replica node.
         let wires: Vec<u64> = problems[1..].iter().map(|p| p.to_wire()).collect();
         let mapping = store.promote(&replica, session, &wires);
         prop_assert_eq!(mapping.len(), wires.len(), "complete logs promote completely");
-        let tight_mapping = tight.promote(&compacted, session, &wires);
-        prop_assert_eq!(
-            tight_mapping.len(),
-            wires.len(),
-            "compacted logs promote completely"
-        );
 
-        for (&(old, new), &(t_old, t_new)) in mapping.iter().zip(&tight_mapping) {
-            prop_assert_eq!(old, t_old, "both stores promote the same problems in order");
+        for &(old, new) in &mapping {
             let old_id = ProblemId::from_wire(old);
             let new_id = ProblemId::from_wire(new);
-            let tight_id = ProblemId::from_wire(t_new);
             prop_assert_eq!(new_id.node(), 1, "promoted ids live on the replica");
             prop_assert_eq!(
                 origin.result_of(old_id),
                 replica.result_of(new_id),
                 "verdicts split after promotion"
             );
-            prop_assert_eq!(
-                origin.result_of(old_id),
-                compacted.result_of(tight_id),
-                "verdicts split after compacted promotion"
-            );
-            // Witnesses: probe all sides with the same extension; the
+            // Witnesses: probe both sides with the same extension; the
             // solver is deterministic in the clause path, so models
             // must agree bit for bit.
             let probe = lits(&[7, -7]);
             let lhs = origin.solve(old_id, &probe).expect("origin probe");
             let rhs = replica.solve(new_id, &probe).expect("replica probe");
-            let via_tight = compacted.solve(tight_id, &probe).expect("compacted probe");
             prop_assert_eq!(lhs.result, rhs.result, "probe verdicts split");
             prop_assert_eq!(&lhs.model, &rhs.model, "probe witnesses split");
-            prop_assert_eq!(via_tight.result, lhs.result, "compacted probe verdicts split");
-            prop_assert_eq!(&via_tight.model, &lhs.model, "compacted probe witnesses split");
         }
     }
 }
@@ -340,7 +316,7 @@ fn release_garbage_collects_the_replica() {
         .replica_bytes;
     assert_eq!(after_interior, full, "interior edge retained for replay");
 
-    // Releasing the leaves cascades the whole tombstoned chain out.
+    // Releasing the leaves cascades the whole released chain out.
     backend.release(chain[3]).unwrap();
     backend.release(chain[2]).unwrap();
     await_replica_edges(&cluster, successor, session, 0);

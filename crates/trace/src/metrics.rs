@@ -84,7 +84,6 @@ stats_table! {
     replica_promotions, "replica_promotions_total", "Problems re-solved by promotion replay.";
     promoted_problems, "promoted_problems_total", "Problems remapped by `Promote` replies, memo hits too.";
     failovers, "failovers_total", "`Promote` requests served: sessions failed over onto this node.";
-    compactions, "replica_compactions_total", "Path-log chains collapsed by the replica byte budget.";
     forwards, "forwards_total", "Derivation edges forwarded to session replicas.";
     heartbeat_misses, "heartbeat_misses_total", "Heartbeat probes to peers that went unanswered.";
     dead_peers, "peers_declared_dead_total", "Peers declared dead after consecutive missed probes.";
@@ -560,7 +559,6 @@ lwsnap_replica_bytes 0
 lwsnap_replica_promotions_total 0
 lwsnap_promoted_problems_total 0
 lwsnap_failovers_total 0
-lwsnap_replica_compactions_total 0
 lwsnap_forwards_total 0
 lwsnap_heartbeat_misses_total 0
 lwsnap_peers_declared_dead_total 0

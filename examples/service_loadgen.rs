@@ -27,18 +27,15 @@
 //!    path-log replay, and the verdict/witness streams must still be
 //!    bit-identical to the sequential baseline;
 //! 8. the seeded **fault-injection harness**: a fresh 3-node cluster
-//!    with a replica-store byte budget, running a fixed compaction-heavy
-//!    workload (many small incremental steps, so the byte bound sits in
-//!    a wide deterministic band) under a [`ChaosPlan`] (`--chaos-seed`
-//!    × `--chaos-mode`) — the home nodes' replication frames are
-//!    dropped/duplicated/delayed content-keyed, and in `kill` mode the
-//!    seeded victim dies at the midpoint barrier with **no request in
-//!    flight**, and the sessions resume only once every survivor's
-//!    heartbeat — the servers' one failure detector — has declared it
-//!    dead. The phase asserts verdict bit-identity against its own
-//!    sequential baseline, per-node `replica_bytes` ≤ the configured
-//!    bound, and — under kill — `failovers > 0`, `dead_peers ≥ 1` on
-//!    every survivor, and `compactions > 0`.
+//!    running a fixed workload of many small incremental steps under a
+//!    [`ChaosPlan`] (`--chaos-seed` × `--chaos-mode`) — the home nodes'
+//!    replication frames are dropped/duplicated/delayed content-keyed,
+//!    and in `kill` mode the seeded victim dies at the midpoint barrier
+//!    with **no request in flight**, and the sessions resume only once
+//!    every survivor's heartbeat — the servers' one failure detector —
+//!    has declared it dead. The phase asserts verdict bit-identity
+//!    against its own sequential baseline and — under kill —
+//!    `failovers > 0` and `dead_peers ≥ 1` on every survivor.
 //!
 //! Every SAT model returned in any phase is re-checked against the full
 //! constraint path of its problem, and the SAT/UNSAT verdict streams of
@@ -52,8 +49,10 @@
 //!     [--sessions M] [--queries Q] [--vars V] [--shards S] [--workers W] \
 //!     [--reactors R] [--connections C] [--nodes N] [--budget BYTES] [--smoke] \
 //!     [--chaos-seed SEED] [--chaos-mode kill,drop,duplicate,delay] \
-//!     [--replica-budget BYTES] [--metrics-addr HOST:PORT] [--trace-out PATH]
+//!     [--metrics-addr HOST:PORT] [--trace-out PATH]
 //! ```
+//!
+//! An argument not listed above exits with status 2.
 //!
 //! `--reactors` fans every in-process daemon (the single server of
 //! phases 4–5 and every cluster node) across R `SO_REUSEPORT` epoll
@@ -85,9 +84,36 @@ use lwsnap_bench::service_workload::{RunOutcome, Workload};
 use lwsnap_service::{ChaosPlan, Cluster, PipelinedClient, Server, ServiceConfig, SolverBackend};
 use lwsnap_trace::{export, Event, Kind, Registry};
 
-/// The replica-store byte budget the chaos harness is calibrated for
-/// (see its use in `main`).
-const CALIBRATED_REPLICA_BUDGET: usize = 80 * 1024;
+/// Every flag that takes a value; `--smoke` is the only bare one.
+const VALUE_FLAGS: [&str; 13] = [
+    "--sessions",
+    "--queries",
+    "--vars",
+    "--shards",
+    "--workers",
+    "--reactors",
+    "--connections",
+    "--nodes",
+    "--budget",
+    "--chaos-seed",
+    "--chaos-mode",
+    "--metrics-addr",
+    "--trace-out",
+];
+
+/// Exits with status 2 on an argument this program does not take, so
+/// a stale or misspelt flag fails loudly instead of being ignored.
+fn reject_unknown_flags(args: &[String]) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            rest.next();
+        } else if arg != "--smoke" {
+            eprintln!("service_loadgen: unknown argument {arg:?}");
+            std::process::exit(2);
+        }
+    }
+}
 
 fn parse_flag(args: &[String], name: &str, default: usize) -> usize {
     args.iter()
@@ -204,6 +230,7 @@ fn report(label: &str, outcome: &RunOutcome) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown_flags(&args);
     let smoke = args.iter().any(|a| a == "--smoke");
     let sessions = parse_flag(&args, "--sessions", 8);
     let queries = parse_flag(&args, "--queries", if smoke { 6 } else { 24 });
@@ -228,12 +255,6 @@ fn main() {
         .and_then(|v| v.parse().ok());
     let chaos_seed = parse_flag(&args, "--chaos-seed", 0xc4a0) as u64;
     let chaos_mode = parse_str_flag(&args, "--chaos-mode", "kill,drop,duplicate");
-    // Default sits in the measured deterministic band for the fixed
-    // harness workload under a midpoint kill: the smallest 8 KiB step
-    // above the worst survivor's compacted replica (~76 KiB; 72 KiB is
-    // too tight) and below its uncompacted peak (~89 KiB), so compaction MUST
-    // both trigger and suffice.
-    let replica_budget = parse_flag(&args, "--replica-budget", CALIBRATED_REPLICA_BUDGET);
     let metrics_addr = args
         .iter()
         .position(|a| a == "--metrics-addr")
@@ -468,14 +489,13 @@ fn main() {
 
     // Phase 8: the seeded fault-injection harness. A fresh 3-node
     // cluster runs a FIXED workload shape (many small incremental
-    // steps over a small base, so path logs are compaction-heavy and
-    // the replica byte bound sits in a wide deterministic band) with a
-    // replica-store byte budget and the chaos plan derived from
-    // --chaos-seed × --chaos-mode: the home nodes' replication frames
-    // are dropped / duplicated / delayed content-keyed (a client's
-    // re-ship of its own log before a promotion is the healing path
-    // and is exempt), and in `kill` mode the seeded victim dies at the midpoint
-    // barrier while every session is parked — no request is in flight,
+    // steps over a small base, so path logs are long) under the chaos
+    // plan derived from --chaos-seed × --chaos-mode: the home nodes'
+    // replication frames are dropped / duplicated / delayed
+    // content-keyed (a client's re-ship of its own log before a
+    // promotion is the healing path and is exempt), and in `kill` mode
+    // the seeded victim dies at the midpoint barrier while every
+    // session is parked — no request is in flight,
     // so only the survivors' heartbeat can notice, and the sessions
     // resume once every survivor has declared the victim dead.
     // Verdicts and witnesses are checked against this workload's own
@@ -486,13 +506,8 @@ fn main() {
     });
     let harness_workload = Workload::build(8, 48, 24, 0x5eed);
     let harness_baseline = lwsnap_bench::service_workload::run_sequential(&harness_workload);
-    let harness_config = || {
-        let mut config = remote_config();
-        config.replica_budget_bytes = Some(replica_budget);
-        config
-    };
     let mut harness_cluster =
-        Cluster::start_local_with(3, harness_config(), workers, reactors).expect("start");
+        Cluster::start_local_with(3, remote_config(), workers, reactors).expect("start");
     let harness_backend = harness_cluster.connect().expect("connect cluster");
     let policy = plan.policy();
     if policy.is_active() {
@@ -541,12 +556,11 @@ fn main() {
     for (node, s) in &fleet.nodes {
         println!(
             "    node {node}: {} queries, {} failovers, {} promotions, {} replica bytes, \
-             {} compactions, {} heartbeat misses, {} dead peers",
+             {} heartbeat misses, {} dead peers",
             s.queries,
             s.failovers,
             s.replica_promotions,
             s.replica_bytes,
-            s.compactions,
             s.heartbeat_misses,
             s.dead_peers,
         );
@@ -560,10 +574,9 @@ fn main() {
         harness_backend.failover_retries(),
     );
     // The harness assertions from the acceptance bar: bit-identical
-    // verdicts against this workload's own in-process baseline, the
-    // replica store never ending above its bound (and, under kill
-    // pressure, compacting to get there), and the kill detected by
-    // every survivor's heartbeat — not by a client request error.
+    // verdicts against this workload's own in-process baseline, and
+    // the kill detected by every survivor's heartbeat — not by a
+    // client request error.
     let mut harness_mismatches = 0usize;
     for (s, base_session) in harness_baseline.verdicts.iter().enumerate() {
         if harness.verdicts[s] != *base_session {
@@ -575,27 +588,6 @@ fn main() {
         harness_mismatches == 0,
         "{harness_mismatches} chaos-harness verdict mismatches — the service is WRONG"
     );
-    for (node, s) in &fleet.nodes {
-        assert!(
-            s.replica_bytes <= replica_budget as u64,
-            "node {node} replica store ({} bytes) exceeds the {replica_budget}-byte bound",
-            s.replica_bytes,
-        );
-    }
-    // Compaction pressure depends on HOW MUCH the kill redistributes
-    // (a victim homing one session never pushes a survivor over the
-    // bound), so `compactions > 0` is asserted for the calibrated
-    // default configuration — the acceptance run, and what CI's kill
-    // leg uses. Exotic seeds/bounds still get the invariant that
-    // matters (`replica_bytes` ≤ bound, asserted above), just not a
-    // guarantee that the bound was stressed.
-    let calibrated = chaos_seed == 0xc4a0 && replica_budget == CALIBRATED_REPLICA_BUDGET;
-    if plan.kill && calibrated {
-        assert!(
-            harness_total.compactions > 0,
-            "the replica budget never forced a compaction — bound too loose for this workload"
-        );
-    }
     if plan.kill {
         assert!(
             harness_total.failovers > 0,
