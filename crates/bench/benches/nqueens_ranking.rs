@@ -5,7 +5,7 @@
 //!
 //! Reproduce with: `cargo bench --bench nqueens_ranking`
 //! Expected shape: hand-coded ≪ snapshot engine < Prolog; the
-//! snapshot/Prolog gap widens with N (see EXPERIMENTS.md).
+//! snapshot/Prolog gap widens with N (see `ledger/README.md`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lwsnap_core::{replay_dfs, strategy::Dfs, Engine, Outcome};

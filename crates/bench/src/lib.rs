@@ -1,8 +1,9 @@
 //! Shared helpers for the lwsnap benchmark and example harness.
 //!
 //! The real content of this crate lives in `benches/` (one Criterion
-//! harness per experiment in `EXPERIMENTS.md`) and in the workspace
-//! `examples/` directory, which this package hosts. The
+//! harness per experiment; the measured numbers live in the perf ledger,
+//! `ledger/README.md`) and in the workspace `examples/` directory, which
+//! this package hosts. The
 //! [`service_workload`] module is the shared closed-loop workload used
 //! by both `examples/service_loadgen.rs` and the `service_throughput`
 //! bench, so the numbers they report describe the same traffic.

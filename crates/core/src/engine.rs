@@ -9,9 +9,12 @@
 //!
 //! The engine adds one optimisation the paper implies for DFS: when the
 //! strategy's [`expand`](crate::strategy::Strategy::expand) elects an
-//! inline extension, the current (already materialised) state continues
-//! directly — no restore. Backtracking to any *other* extension restores
-//! its parent snapshot in O(1).
+//! inline extension, the current state continues directly — no restore.
+//! Backtracking to any *other* extension restores its parent snapshot in
+//! O(1), in place: the finished path's state is the one the restore
+//! writes into ([`Snapshot::restore_into`]), so a restore re-points only
+//! what the path changed and a read-only path's sibling costs no
+//! reference-count traffic at all.
 
 use crate::guest::{Exit, Guest, GuestFault, GuestState};
 use crate::registers::Reg;
@@ -60,7 +63,8 @@ pub struct EngineStats {
     pub snapshots_created: u64,
     /// High-water mark of live snapshots.
     pub snapshots_peak: usize,
-    /// Snapshot restores (materialisations from the tree).
+    /// Snapshot restores: extensions resumed from a snapshot in the tree
+    /// rather than continued inline.
     pub restores: u64,
     /// Inline depth-first continuations (no restore needed).
     pub inline_continues: u64,
@@ -78,11 +82,10 @@ pub struct EngineStats {
     pub dropped_extensions: u64,
 }
 
-/// A solution event (`sys_emit`).
+/// A solution event (`sys_emit`). Its 0-based index in discovery order
+/// is its position in [`RunResult::solutions`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Solution {
-    /// 0-based solution index in discovery order.
-    pub index: u64,
     /// Guess depth of the emitting path.
     pub depth: u64,
     /// Transcript length at emission; `transcript[prev..here]` is the
@@ -170,32 +173,32 @@ impl<S: Strategy> Engine<S> {
         let mut solutions: Vec<Solution> = Vec::new();
         let mut exit_codes: Vec<i64> = Vec::new();
 
-        // The currently executing state, if any, and the snapshot it was
-        // materialised from (its parent candidate).
-        let mut current: Option<(GuestState, Option<SnapshotId>)> = Some((root, None));
+        // The one guest state of the run: the root first, then whatever
+        // path runs next. A finished path's state is restored into in
+        // place rather than dropped for a fresh one.
+        let mut state = root;
+        // The snapshot `state` descends from (its parent candidate), and
+        // whether `state` is a path still to run — the root, or an inline
+        // continuation — rather than a finished one.
+        let mut parent: Option<SnapshotId> = None;
+        let mut live = true;
         let stop;
 
         'outer: loop {
-            let (mut state, parent) = match current.take() {
-                Some(live) => live,
-                None => match self.strategy.next() {
-                    Some(ext) => {
-                        let snap = tree
-                            .get(ext.snapshot)
-                            .expect("queued snapshot must be live");
-                        let mut st = snap.materialize();
-                        st.regs.set(Reg::Rax, ext.index);
-                        stats.restores += 1;
-                        let pid = ext.snapshot;
-                        tree.release(pid);
-                        (st, Some(pid))
-                    }
-                    None => {
-                        stop = StopReason::Exhausted;
-                        break 'outer;
-                    }
-                },
-            };
+            if !live {
+                let Some(ext) = self.strategy.next() else {
+                    stop = StopReason::Exhausted;
+                    break 'outer;
+                };
+                tree.get(ext.snapshot)
+                    .expect("queued snapshot must be live")
+                    .restore_into(&mut state);
+                state.regs.set(Reg::Rax, ext.index);
+                stats.restores += 1;
+                tree.release(ext.snapshot);
+                parent = Some(ext.snapshot);
+            }
+            live = false;
 
             if let Some(max) = self.config.max_extensions {
                 if stats.extensions_evaluated >= max {
@@ -223,7 +226,6 @@ impl<S: Strategy> Engine<S> {
                     }
                     Exit::Emit => {
                         let sol = Solution {
-                            index: stats.solutions,
                             depth: state.depth,
                             transcript_mark: transcript.len(),
                         };
@@ -274,7 +276,8 @@ impl<S: Strategy> Engine<S> {
                                 state.regs.set(Reg::Rax, ext);
                                 tree.release(id);
                                 stats.inline_continues += 1;
-                                current = Some((state, Some(id)));
+                                parent = Some(id);
+                                live = true;
                             }
                             None => {
                                 // The strategy queued everything; the next

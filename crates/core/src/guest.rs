@@ -29,7 +29,7 @@ pub struct GuestState {
     pub depth: u64,
     /// Accumulated path cost reported via guess hints (informed search).
     pub gcost: u64,
-    /// Steps executed since the last materialisation (budget accounting).
+    /// Steps executed since the last restore (budget accounting).
     pub steps: u64,
 }
 

@@ -25,6 +25,10 @@
 //!   to the **condvar slow path**: it registers in the idle count and
 //!   parks on a timed wait, so an idle fleet sleeps instead of spinning.
 //!   Producers skip the wakeup lock entirely while nobody is parked.
+//! * A worker keeps the state of the path it just finished and restores
+//!   the next item's snapshot into it in place
+//!   ([`Snapshot::restore_into`]); only its first restore builds a fresh
+//!   state.
 //! * Termination: a shared count of unevaluated paths; the run is over
 //!   when it reaches zero.
 //!
@@ -450,12 +454,18 @@ fn worker_loop(
 ) -> (EngineStats, Vec<PathEvent>) {
     let mut stats = EngineStats::default();
     let mut events: Vec<PathEvent> = Vec::new();
+    // The state of the last path this worker finished: the next path's
+    // snapshot is restored into it in place.
+    let mut spare: Option<GuestState> = None;
     loop {
         if shared.done() {
             break;
         }
         match shared.find_work(id, own) {
-            Some(item) => evaluate_path(shared, own, guest, item, &mut stats, &mut events),
+            Some(item) => {
+                let state = evaluate_path(shared, own, guest, item, spare, &mut stats, &mut events);
+                spare = Some(state);
+            }
             None => {
                 let guard = shared.idle_lock.lock().unwrap();
                 if shared.done() {
@@ -476,16 +486,19 @@ fn worker_loop(
     (stats, events)
 }
 
-/// Evaluates one path to completion: materialise, resume, fork siblings
-/// at guesses, continue extension 0 inline until the path dies.
+/// Evaluates one path to completion: restore, resume, fork siblings at
+/// guesses, continue extension 0 inline until the path dies. Restores
+/// into `spare` in place when the worker has one, and returns the
+/// finished path's state as the next spare.
 fn evaluate_path(
     shared: &SharedState,
     own: &mut Deque<WorkItem>,
     guest: &mut dyn Guest,
     item: WorkItem,
+    spare: Option<GuestState>,
     stats: &mut EngineStats,
     events: &mut Vec<PathEvent>,
-) {
+) -> GuestState {
     // Retire the path on every exit from this function — including an
     // unwind out of the guest or the engine itself. Without this, a
     // panicking worker would leave `pending` above zero and the
@@ -503,7 +516,13 @@ fn evaluate_path(
     let mut state = match item.kind {
         ItemKind::Root(state) => *state,
         ItemKind::Ext { snap, index } => {
-            let mut st = snap.snap.materialize();
+            let mut st = match spare {
+                Some(mut st) => {
+                    snap.snap.restore_into(&mut st);
+                    st
+                }
+                None => snap.snap.materialize(),
+            };
             st.regs.set(Reg::Rax, index);
             stats.restores += 1;
             st
@@ -639,6 +658,7 @@ fn evaluate_path(
             }
         }
     }
+    state
 }
 
 /// Merges per-worker event logs into a deterministic result.
@@ -676,7 +696,6 @@ fn finalize(
             EventKind::Output(data) => transcript.extend_from_slice(&data),
             EventKind::Solution { depth } => {
                 solutions.push(Solution {
-                    index: solutions.len() as u64,
                     depth,
                     transcript_mark: transcript.len(),
                 });

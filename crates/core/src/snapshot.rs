@@ -30,8 +30,9 @@ pub struct SnapshotId(pub u32);
 
 /// An immutable partial candidate.
 ///
-/// All fields are private: a snapshot can only be *materialised* into a
-/// fresh mutable [`GuestState`], never mutated in place.
+/// All fields are private: a snapshot can only be *restored* into a
+/// mutable [`GuestState`] — a fresh one ([`Snapshot::materialize`]) or an
+/// existing one, in place ([`Snapshot::restore_into`]) — never mutated.
 #[derive(Clone)]
 pub struct Snapshot {
     regs: RegisterFile,
@@ -47,7 +48,9 @@ impl Snapshot {
     /// Captures the current guest state as an immutable snapshot.
     ///
     /// Capture is O(1): the address space and file view are structurally
-    /// shared, and divergence is paid lazily via copy-on-write.
+    /// shared, and divergence is paid lazily via copy-on-write. The
+    /// address space's read caches are not captured, since no restore
+    /// reads them.
     pub fn capture(state: &GuestState, parent: Option<SnapshotId>) -> Snapshot {
         Snapshot {
             regs: state.regs,
@@ -61,6 +64,9 @@ impl Snapshot {
     }
 
     /// Produces a fresh mutable guest state starting from this snapshot.
+    ///
+    /// This is the constructor for a first restore; once a state exists,
+    /// [`Snapshot::restore_into`] reuses it.
     pub fn materialize(&self) -> GuestState {
         GuestState {
             regs: self.regs,
@@ -71,6 +77,26 @@ impl Snapshot {
             gcost: self.gcost,
             steps: 0,
         }
+    }
+
+    /// Makes `state` what [`Snapshot::materialize`] would return, in place.
+    ///
+    /// Every shared part — table root, region map, volume, descriptors,
+    /// console buffers, extension — is re-pointed only if `state` does not
+    /// already share it with this snapshot, and the address space keeps
+    /// whichever read caches are still valid. Restoring a sibling of a
+    /// read-only path therefore moves no reference count at all.
+    pub fn restore_into(&self, state: &mut GuestState) {
+        state.regs = self.regs;
+        state.mem.restore_from(&self.mem);
+        state.fs.restore_from(&self.fs);
+        match (&state.ext, &self.ext) {
+            (Some(have), Some(want)) if Arc::ptr_eq(have, want) => {}
+            _ => state.ext = self.ext.clone(),
+        }
+        state.depth = self.depth;
+        state.gcost = self.gcost;
+        state.steps = 0;
     }
 
     /// The captured register file.
@@ -295,6 +321,32 @@ mod tests {
         assert_eq!(st2.mem.read_u64(0x1000).unwrap(), 7);
         assert_eq!(st2.depth, 3);
         assert_eq!(st2.steps, 0, "step budget resets per materialisation");
+    }
+
+    #[test]
+    fn restore_into_matches_materialize() {
+        let mut st = state();
+        st.regs.set(crate::registers::Reg::Rbx, 99);
+        st.depth = 3;
+        st.gcost = 8;
+        st.ext = Some(Arc::new(5u32));
+        let snap = Snapshot::capture(&st, None);
+        // Diverge everywhere the snapshot shares structure.
+        st.mem.write_u64(0x1000, 999).unwrap();
+        st.fs.write(1, b"later").unwrap();
+        st.ext = None;
+        st.regs.set(crate::registers::Reg::Rbx, 1);
+        st.depth = 9;
+        st.steps = 77;
+
+        snap.restore_into(&mut st);
+        let fresh = snap.materialize();
+        assert_eq!(st.regs, fresh.regs);
+        assert_eq!(st.mem.read_u64(0x1000).unwrap(), 7);
+        assert!(st.mem.same_table_root(snap.mem()));
+        assert_eq!(st.fs.stdout_bytes(), b"");
+        assert!(Arc::ptr_eq(st.ext.as_ref().unwrap(), snap.ext().unwrap()));
+        assert_eq!((st.depth, st.gcost, st.steps), (3, 8, 0));
     }
 
     #[test]

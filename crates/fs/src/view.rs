@@ -103,6 +103,13 @@ impl ConsoleBuf {
     }
 }
 
+/// Points `dst` at `src`'s value, moving no count if it already does.
+pub(crate) fn repoint<T>(dst: &mut Arc<T>, src: &Arc<T>) {
+    if !Arc::ptr_eq(dst, src) {
+        *dst = Arc::clone(src);
+    }
+}
+
 /// The filesystem state of one execution branch.
 ///
 /// Cloning an `FsView` is the file-side snapshot operation.
@@ -134,6 +141,16 @@ impl FsView {
             stdout: ConsoleBuf::default(),
             stderr: ConsoleBuf::default(),
         }
+    }
+
+    /// Makes this view `snap`'s files, descriptors and console output, in
+    /// place: each part this view still shares with `snap` is kept as is,
+    /// so restoring an untouched branch moves no reference count.
+    pub fn restore_from(&mut self, snap: &FsView) {
+        self.vol.restore_from(&snap.vol);
+        repoint(&mut self.fds, &snap.fds);
+        repoint(&mut self.stdout.0, &snap.stdout.0);
+        repoint(&mut self.stderr.0, &snap.stderr.0);
     }
 
     /// The underlying volume (read access).

@@ -99,6 +99,12 @@ impl Volume {
         }
     }
 
+    /// Makes this volume `other`'s contents, in place; a volume that
+    /// already shares them moves no reference count.
+    pub fn restore_from(&mut self, other: &Volume) {
+        crate::view::repoint(&mut self.inner, &other.inner);
+    }
+
     fn get(&self, id: InodeId) -> Result<&Arc<Inode>, FsError> {
         self.inner
             .table

@@ -52,8 +52,10 @@ impl Default for AsLayout {
 ///
 /// Cloning (or calling [`AddressSpace::snapshot`]) is O(1): the region map
 /// and the page-table root are reference-shared, and copy-on-write keeps
-/// every clone's view independent from that point on.
-#[derive(Clone)]
+/// every clone's view independent from that point on. A clone starts with
+/// cold read caches: only a handle that reads fills them, and
+/// [`AddressSpace::restore_from`] keeps a handle's own caches where they
+/// still hold.
 pub struct AddressSpace {
     table: PageTable,
     regions: Arc<RegionMap>,
@@ -79,6 +81,21 @@ impl Default for AddressSpace {
     }
 }
 
+impl Clone for AddressSpace {
+    fn clone(&self) -> Self {
+        AddressSpace {
+            table: self.table.clone(),
+            regions: Arc::clone(&self.regions),
+            layout: self.layout,
+            heap_base: self.heap_base,
+            brk: self.brk,
+            stats: self.stats,
+            leaf_cache: [None, None],
+            region_cache: [None; 3],
+        }
+    }
+}
+
 impl AddressSpace {
     /// Creates an empty address space with the default layout.
     pub fn new() -> Self {
@@ -99,9 +116,33 @@ impl AddressSpace {
         }
     }
 
-    /// Takes a lightweight immutable snapshot: an O(1) structural clone.
+    /// Takes a lightweight immutable snapshot: an O(1) structural clone
+    /// that captures no read cache, since no restore reads one.
     pub fn snapshot(&self) -> AddressSpace {
         self.clone()
+    }
+
+    /// Makes this handle read exactly what `snap` reads, in place.
+    ///
+    /// Only a field whose `Arc` differs from `snap`'s is re-pointed, so
+    /// restoring a handle that still shares `snap`'s table root and
+    /// region map moves no reference count. The leaf cache survives only
+    /// a shared root and the region cache only a shared region map: a
+    /// node held by two owners is copied before any write, so the same
+    /// root means the same immutable tree the cache was filled from.
+    pub fn restore_from(&mut self, snap: &AddressSpace) {
+        if !self.table.same_root(&snap.table) {
+            self.table = snap.table.clone();
+            self.invalidate_leaf();
+        }
+        if !Arc::ptr_eq(&self.regions, &snap.regions) {
+            self.regions = Arc::clone(&snap.regions);
+            self.region_cache = [None; 3];
+        }
+        self.layout = snap.layout;
+        self.heap_base = snap.heap_base;
+        self.brk = snap.brk;
+        self.stats = snap.stats;
     }
 
     /// The layout this space was created with.
@@ -281,6 +322,7 @@ impl AddressSpace {
         self.check_fast(va, 1, Access::Exec)?;
         Ok(self
             .cached_frame(vpn_of(va))
+            .cloned()
             .unwrap_or_else(crate::page::zero_frame))
     }
 
@@ -522,23 +564,32 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Resolves `vpn` to its frame through the two-entry leaf cache.
-    fn cached_frame(&mut self, vpn: u64) -> Option<Frame> {
+    /// Resolves `vpn` to its frame through the two-entry leaf cache,
+    /// lending it: a read copies bytes out of the borrow and moves no
+    /// reference count.
+    fn cached_frame(&mut self, vpn: u64) -> Option<&Frame> {
         let key = vpn >> FANOUT_SHIFT;
         let idx = (vpn & (crate::radix::FANOUT as u64 - 1)) as usize;
-        for (cached_key, leaf) in self.leaf_cache.iter().flatten() {
-            if *cached_key == key {
+        let hit = self
+            .leaf_cache
+            .iter()
+            .position(|entry| matches!(entry, Some((cached, _)) if *cached == key));
+        let slot = match hit {
+            Some(slot) => {
                 self.stats.read_cache_hits += 1;
-                return leaf.frame(idx).cloned();
+                slot
             }
-        }
-        self.stats.read_cache_misses += 1;
-        let leaf = self.table.leaf_for(vpn)?;
-        let frame = leaf.frame(idx).cloned();
-        // Insert in slot 0, demoting the previous occupant (LRU of two).
-        self.leaf_cache[1] = self.leaf_cache[0].take();
-        self.leaf_cache[0] = Some((key, leaf));
-        frame
+            None => {
+                self.stats.read_cache_misses += 1;
+                let leaf = self.table.leaf_for(vpn)?;
+                // Insert in slot 0, demoting the previous occupant (LRU of two).
+                self.leaf_cache[1] = self.leaf_cache[0].take();
+                self.leaf_cache[0] = Some((key, leaf));
+                0
+            }
+        };
+        let (_, leaf) = self.leaf_cache[slot].as_ref()?;
+        leaf.frame(idx)
     }
 
     // ---------------------------------------------------------------
@@ -880,6 +931,46 @@ mod tests {
             d.read_cache_hits >= 63,
             "sequential reads should hit the leaf cache"
         );
+    }
+
+    #[test]
+    fn reads_borrow_the_frame() {
+        let mut asp = space_with_ram(1);
+        asp.write_u64(0x1_0000, 7).unwrap();
+        let vpn = vpn_of(0x1_0000);
+        let before = Arc::strong_count(asp.table.frame(vpn).unwrap());
+        assert_eq!(asp.read_u64(0x1_0000).unwrap(), 7);
+        let mut buf = [0u8; 16];
+        asp.read_bytes(0x1_0000, &mut buf).unwrap();
+        assert_eq!(Arc::strong_count(asp.table.frame(vpn).unwrap()), before);
+        // The lookup behind both lends the table's own frame.
+        let lent = asp.cached_frame(vpn).unwrap();
+        assert_eq!(Arc::strong_count(lent), 1, "only the table holds the frame");
+    }
+
+    #[test]
+    fn restore_from_keeps_caches_only_while_shared() {
+        let mut asp = space_with_ram(2);
+        asp.write_u64(0x1_0000, 1).unwrap();
+        let snap = asp.snapshot();
+        asp.read_u64(0x1_0000).unwrap();
+        asp.restore_from(&snap);
+        let before = *asp.stats();
+        asp.read_u64(0x1_0000).unwrap();
+        let d = asp.stats().delta(&before);
+        assert_eq!(
+            (d.read_cache_hits, d.read_cache_misses),
+            (1, 0),
+            "same root: the warm leaf is still valid"
+        );
+
+        asp.write_u64(0x1_0000, 2).unwrap();
+        asp.read_u64(0x1_0000).unwrap();
+        asp.restore_from(&snap);
+        let before = *asp.stats();
+        assert!(asp.same_table_root(&snap));
+        assert_eq!(asp.read_u64(0x1_0000).unwrap(), 1, "the stale leaf is gone");
+        assert_eq!(asp.stats().delta(&before).read_cache_misses, 1);
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! ```
 //!
 //! Snapshot cost is O(1); divergence cost is O(pages actually touched) —
-//! the property every experiment in `EXPERIMENTS.md` builds on.
+//! the property every workload of the perf ledger (`ledger/README.md`)
+//! builds on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use lwsnap_mem::{AddressSpace, MemStats, PageBuf, PageTable, Prot, RegionKind, PAGE_SIZE};
+use lwsnap_mem::{AddressSpace, Fault, MemStats, PageBuf, PageTable, Prot, RegionKind, PAGE_SIZE};
 use proptest::prelude::*;
 
 const BASE: u64 = 0x10_0000;
@@ -219,6 +219,56 @@ fn apply(
     }
 }
 
+/// A fresh 64-page space and the model that matches it.
+fn fresh_ram() -> (AddressSpace, Model) {
+    let mut asp = AddressSpace::new();
+    asp.map_fixed(
+        BASE,
+        PAGES * PAGE_SIZE as u64,
+        Prot::RW,
+        RegionKind::Anon,
+        "ram",
+    )
+    .unwrap();
+    (asp, Model::new())
+}
+
+/// Every page of the range reads through `read` what the model says:
+/// its bytes where mapped, a fault where not.
+fn assert_pages_match(model: &Model, mut read: impl FnMut(u64, &mut [u8]) -> Result<(), Fault>) {
+    let mut image = vec![0u8; (PAGES as usize) * PAGE_SIZE];
+    for (&va, &b) in &model.bytes {
+        image[(va - BASE) as usize] = b;
+    }
+    let mut buf = vec![0u8; PAGE_SIZE];
+    for (p, expected) in image.chunks(PAGE_SIZE).enumerate() {
+        let res = read(BASE + (p * PAGE_SIZE) as u64, &mut buf);
+        assert_eq!(res.is_ok(), model.mapped[p], "page {p} mapped-ness");
+        if res.is_ok() {
+            assert!(buf == expected, "page {p} contents");
+        }
+    }
+}
+
+/// Checks `asp` against the model both ways: by peeking, which reads
+/// the page table alone, and by the guest's reads, which go through the
+/// leaf and region caches (and leave them warm).
+fn assert_matches(asp: &mut AddressSpace, model: &Model) {
+    assert_pages_match(model, |va, buf| asp.peek_bytes(va, buf));
+    assert_pages_match(model, |va, buf| asp.read_bytes(va, buf));
+}
+
+/// The counters two handles must agree on after the same operations.
+/// Read-cache hits and misses are left out: a restored handle may keep a
+/// warm cache where a fresh clone starts cold.
+fn work_done(asp: &AddressSpace) -> MemStats {
+    MemStats {
+        read_cache_hits: 0,
+        read_cache_misses: 0,
+        ..*asp.stats()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -401,5 +451,56 @@ proptest! {
         let fork = table.clone();
         prop_assert_eq!(table.private_frames(), 0, "a fresh clone shares everything");
         prop_assert_eq!(table.shared_frames_with(&fork), model.len() as u64);
+    }
+
+    /// Restoring a live handle in place from a snapshot leaves it
+    /// indistinguishable from a fresh clone of that snapshot: same bytes,
+    /// maps, break and counters, and the same behaviour under whatever
+    /// comes next. Reads in the last sequence go through the caches the
+    /// restore chose to keep, so a stale leaf or region cache shows as
+    /// a byte mismatch against the model.
+    #[test]
+    fn restore_from_matches_a_fresh_clone(
+        before in proptest::collection::vec(op_strategy(), 0..40),
+        between in proptest::collection::vec(op_strategy(), 0..40),
+        after in proptest::collection::vec(op_strategy(), 0..40),
+    ) {
+        let (mut live, mut model) = fresh_ram();
+        let mut snaps = Vec::new();
+        for op in &before {
+            apply(&mut live, &mut model, &mut snaps, op);
+        }
+        let snap = live.snapshot();
+        let snap_model = model.clone();
+        let (snap_maps, snap_stats) = (snap.render_maps(), *snap.stats());
+        for op in &between {
+            apply(&mut live, &mut model, &mut snaps, op);
+        }
+        // Warm the live handle's caches on what it maps now.
+        assert_matches(&mut live, &model);
+
+        live.restore_from(&snap);
+        let mut clone = snap.clone();
+        prop_assert_eq!(live.render_maps(), clone.render_maps());
+        prop_assert_eq!(live.current_brk(), clone.current_brk());
+        prop_assert_eq!(live.stats(), clone.stats());
+        assert_matches(&mut live, &snap_model);
+        assert_matches(&mut clone, &snap_model);
+
+        let (mut live_model, mut clone_model) = (snap_model.clone(), snap_model.clone());
+        let (mut live_snaps, mut clone_snaps) = (Vec::new(), Vec::new());
+        for op in &after {
+            apply(&mut live, &mut live_model, &mut live_snaps, op);
+            apply(&mut clone, &mut clone_model, &mut clone_snaps, op);
+        }
+        assert_matches(&mut live, &live_model);
+        assert_matches(&mut clone, &clone_model);
+        prop_assert_eq!(live.render_maps(), clone.render_maps());
+        prop_assert_eq!(live.current_brk(), clone.current_brk());
+        prop_assert_eq!(work_done(&live), work_done(&clone));
+
+        assert_pages_match(&snap_model, |va, buf| snap.peek_bytes(va, buf));
+        prop_assert_eq!(snap.render_maps(), snap_maps);
+        prop_assert_eq!(*snap.stats(), snap_stats);
     }
 }

@@ -44,6 +44,10 @@ pub struct Interp {
     pub total_steps: u64,
     /// Decoded code pages keyed by frame address (content-stable).
     decoded: HashMap<usize, Rc<DecodedPage>>,
+    /// The last page [`Interp::decode_page`] returned, with its key,
+    /// checked before `decoded`: a search restarts every path on the
+    /// page it left, so most resumes find their page here.
+    last: Option<(usize, Rc<DecodedPage>)>,
 }
 
 impl Default for Interp {
@@ -60,17 +64,27 @@ impl Interp {
             max_steps: DEFAULT_MAX_STEPS,
             total_steps: 0,
             decoded: HashMap::new(),
+            last: None,
         }
     }
 
     /// Returns the decoded form of the code page behind `frame`.
+    ///
+    /// The key is the frame's address, which a decoded page keeps for its
+    /// content by pinning the frame — in the memo as in the map.
     fn decode_page(&mut self, frame: Frame) -> Rc<DecodedPage> {
         let key = std::sync::Arc::as_ptr(&frame) as usize;
+        if let Some((last, page)) = &self.last {
+            if *last == key {
+                return Rc::clone(page);
+            }
+        }
         if self.decoded.len() > 4096 {
             // Backstop against pathological code-patching guests.
             self.decoded.clear();
         }
-        self.decoded
+        let page = self
+            .decoded
             .entry(key)
             .or_insert_with(|| {
                 let bytes = frame.bytes();
@@ -87,7 +101,9 @@ impl Interp {
                     instrs,
                 })
             })
-            .clone()
+            .clone();
+        self.last = Some((key, Rc::clone(&page)));
+        page
     }
 
     /// Creates an interpreter with an explicit policy.
@@ -137,6 +153,11 @@ fn cond_holds(op: Opcode, st: &GuestState) -> bool {
 
 enum Step {
     Continue,
+    /// Continue; the instruction stored `len` bytes at `va`.
+    Stored {
+        va: u64,
+        len: u64,
+    },
     Trap(Exit),
 }
 
@@ -174,13 +195,14 @@ impl Interp {
             Opcode::St1 | Opcode::St2 | Opcode::St4 | Opcode::St8 => {
                 let addr = st.regs.get(ins.dst).wrapping_add(immu);
                 let v = st.regs.get(ins.src);
-                match ins.op {
-                    Opcode::St1 => st.mem.write_u8(addr, v as u8),
-                    Opcode::St2 => st.mem.write_u16(addr, v as u16),
-                    Opcode::St4 => st.mem.write_u32(addr, v as u32),
-                    _ => st.mem.write_u64(addr, v),
+                let len = match ins.op {
+                    Opcode::St1 => st.mem.write_u8(addr, v as u8).map(|()| 1),
+                    Opcode::St2 => st.mem.write_u16(addr, v as u16).map(|()| 2),
+                    Opcode::St4 => st.mem.write_u32(addr, v as u32).map(|()| 4),
+                    _ => st.mem.write_u64(addr, v).map(|()| 8),
                 }
                 .map_err(mem_fault)?;
+                return Ok(Step::Stored { va: addr, len });
             }
 
             Opcode::Add
@@ -302,6 +324,7 @@ impl Interp {
                 st.mem.write_u64(sp, ret).map_err(mem_fault)?;
                 st.regs.set(Reg::Rsp, sp);
                 st.regs.rip = immu;
+                return Ok(Step::Stored { va: sp, len: 8 });
             }
             Opcode::Ret => {
                 let sp = st.regs.get(Reg::Rsp);
@@ -314,6 +337,7 @@ impl Interp {
                 let v = st.regs.get(ins.src);
                 st.mem.write_u64(sp, v).map_err(mem_fault)?;
                 st.regs.set(Reg::Rsp, sp);
+                return Ok(Step::Stored { va: sp, len: 8 });
             }
             Opcode::Pop => {
                 let sp = st.regs.get(Reg::Rsp);
@@ -337,7 +361,9 @@ impl Guest for Interp {
         // Instruction cache: the decoded form of the current code page.
         // Sound because decoded pages pin their frame (content-stable
         // addresses); the mapping itself can only change across a guest
-        // syscall, so the per-resume mapping cache is dropped there.
+        // syscall, so the per-resume mapping cache is dropped there, and
+        // a store into the cached page (made writable by `mprotect`)
+        // lands on a CoW copy of its frame, so it is dropped there too.
         let mut icache: Option<(u64, Rc<DecodedPage>)> = None;
         loop {
             if st.steps >= self.max_steps {
@@ -374,6 +400,12 @@ impl Guest for Interp {
             }
             match self.exec(st, ins) {
                 Ok(Step::Continue) => {}
+                Ok(Step::Stored { va, len }) => {
+                    let hit = |addr: u64| addr & !(PAGE_SIZE as u64 - 1) == page_base;
+                    if hit(va) || hit(va.wrapping_add(len - 1)) {
+                        icache = None;
+                    }
+                }
                 Ok(Step::Trap(exit)) => return exit,
                 Err(fault) => return Exit::Fault(fault),
             }
@@ -656,6 +688,58 @@ mod tests {
                 syscall
             "#);
         assert_eq!(code, 0);
+    }
+
+    /// Branch 0 runs `site`, makes its text page writable, copies the
+    /// instruction at `patch` over `site` and jumps back; branch 1 is
+    /// restored from the snapshot taken at the guess, before the patch.
+    const SELF_PATCHING: &str = r#"
+        _start:
+            mov  rdi, 2
+            mov  rax, 1000        ; which = sys_guess(2)
+            syscall
+            mov  r15, rax
+            mov  r12, 0           ; patched yet?
+        site:
+            mov  rbx, 1           ; branch 0 turns this into `mov rbx, 2`
+            mov  rdi, rbx
+            mov  rax, 1005        ; putint(rbx)
+            syscall
+            cmp  r15, 0
+            jnz  done
+            cmp  r12, 0
+            jnz  done
+            mov  r12, 1
+            mov  rdi, _start
+            mov  rsi, 4096
+            mov  rdx, 7           ; mprotect(text, 4096, R|W|X)
+            mov  rax, 10
+            syscall
+            mov  r13, patch
+            mov  r14, site
+            ld8  rcx, [r13]
+            st8  [r14], rcx
+            ld8  rcx, [r13+8]
+            st8  [r14+8], rcx
+            jmp  site
+        done:
+            mov  rax, 1001        ; sys_guess_fail
+            syscall
+        patch:
+            mov  rbx, 2
+        "#;
+
+    #[test]
+    fn patched_code_runs_and_siblings_run_the_original() {
+        use lwsnap_core::{strategy::Dfs, Engine, ParallelEngine, StopReason};
+        let prog = assemble_source(SELF_PATCHING).unwrap();
+        // The patching branch prints the site before and after the patch;
+        // its sibling, restored from before it, prints the original.
+        let sequential = Engine::new(Dfs::new()).run(&mut Interp::new(), prog.boot().unwrap());
+        assert_eq!(sequential.stop, StopReason::Exhausted);
+        assert_eq!(sequential.transcript_str(), "121");
+        let parallel = ParallelEngine::new(2).run(Interp::new, prog.boot().unwrap());
+        assert_eq!(parallel.transcript_str(), "121");
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! scribbles its own content, and prints what it reads back. Because
 //! every extension runs against a CoW file view captured in the
 //! snapshot, the branches never see each other's writes — no cleanup
-//! code, no temp files, no locking.
+//! code, no temp files, no locking. The example asserts the transcript,
+//! so it exits non-zero unless each branch reads back exactly its own
+//! write.
 //!
 //! ```sh
 //! cargo run --release --example contained_sideeffects
@@ -93,6 +95,15 @@ fn main() {
 
     println!("each branch saw its own private copy of /scratch.txt:\n");
     print!("{}", result.transcript_str());
+    let expected: String = (0..3)
+        .map(|branch| format!("branch-{branch}\n\n"))
+        .collect();
+    assert_eq!(
+        result.transcript_str(),
+        expected,
+        "each branch must read back exactly its own write"
+    );
+    assert_eq!(result.stats.failures, 3, "every branch backtracks");
     println!(
         "\n3 branches, {} snapshots, {} failures — and zero cross-branch interference.",
         result.stats.snapshots_created, result.stats.failures

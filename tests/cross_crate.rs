@@ -63,6 +63,19 @@ _start:
     mov  rax, 1000        ; which = sys_guess(3)
     syscall
     mov  r15, rax
+    ; a sibling's /out.txt must not show through: echo '!' if it does
+    mov  rdi, outpath
+    mov  rsi, 0           ; O_RDONLY
+    mov  rax, 2
+    syscall
+    cmp  rax, 0
+    jl   fresh            ; negative errno: no such file here
+    mov  rdi, 1
+    mov  rsi, leak
+    mov  rdx, 1
+    mov  rax, 1
+    syscall
+fresh:
     ; read the 1-byte input file
     mov  rdi, inpath
     mov  rsi, 0           ; O_RDONLY
@@ -100,6 +113,7 @@ _start:
 .data
 inpath:  .asciz "/in.txt"
 outpath: .asciz "/out.txt"
+leak:    .asciz "!"
 buf:     .space 1
 "#;
     let program = assemble_source(source).unwrap();

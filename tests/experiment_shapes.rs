@@ -1,8 +1,9 @@
 //! Fast, deterministic assertions of every experiment's *shape*.
 //!
-//! `EXPERIMENTS.md` reports wall-clock measurements from the Criterion
-//! benches; these tests pin the underlying invariants so a regression
-//! that would flip an experiment's conclusion fails CI immediately.
+//! The perf ledger (`ledger/README.md`) and the Criterion benches report
+//! wall-clock measurements; these tests pin the underlying invariants so
+//! a regression that would flip an experiment's conclusion fails CI
+//! immediately.
 
 use lwsnap_core::strategy::{BestFirst, Bfs, Dfs, SmaStar};
 use lwsnap_core::{Engine, EngineStats};
