@@ -6,6 +6,13 @@
 //! is greater than one. This mirrors what the paper's libOS does with nested
 //! page tables: a snapshot shares every frame read-only, and the first write
 //! through any descendant copies exactly one 4 KiB page.
+//!
+//! A mapped page with no frame is demand-zero: it reads as zeros (the
+//! shared [`zero_frame`] on the execute path) and gets a fresh frame on
+//! its first write. The stack, the heap and `map_anon` start out that
+//! way, and so does every all-zero page of a program image: the guest
+//! loader (`lwsnap_vm::Program::load`) gives a frame only to a page that
+//! holds a non-zero byte.
 
 use std::sync::{Arc, OnceLock};
 

@@ -15,6 +15,7 @@ use std::process::ExitCode;
 
 use lwsnap_core::strategy::{BestFirst, Bfs, Dfs, SmaStar, Strategy};
 use lwsnap_core::{Engine, EngineConfig, StopReason};
+use lwsnap_mem::{round_up_pages, PAGE_SIZE};
 use lwsnap_vm::{assemble_source, disassemble, run_to_exit, Interp, Program};
 
 fn usage() -> ExitCode {
@@ -61,8 +62,10 @@ fn cmd_asm(program: &Program) -> ExitCode {
         program.text_base
     );
     println!(
-        "data: {} bytes at {:#x}",
+        "data: {} bytes ({} of {} pages resident) at {:#x}",
         program.data.len(),
+        program.resident_data_pages(),
+        round_up_pages(program.data.len() as u64) / PAGE_SIZE as u64,
         program.data_base
     );
     println!("entry: {:#x}", program.entry);

@@ -4,7 +4,8 @@
 //! data, a symbol table, and an entry point. [`Program::boot`] materialises
 //! it into a runnable [`GuestState`] — text mapped read-execute, data
 //! read-write, a stack, and registers pointing at the entry — which is the
-//! root state handed to the backtracking engine.
+//! root state handed to the backtracking engine. Loading is demand-zero:
+//! an all-zero page of the image gets no frame until the guest writes it.
 
 use std::collections::BTreeMap;
 
@@ -284,6 +285,15 @@ pub fn assemble_with_layout(items: &[Item], layout: &AsLayout) -> Result<Program
 
 impl Program {
     /// Loads the program into a fresh address space.
+    ///
+    /// Loading is demand-zero: `.text` and `.data` are mapped in full,
+    /// but only a page holding a non-zero byte of the image gets a frame.
+    /// An all-zero page (a `.space` buffer, alignment padding) stays
+    /// frameless, reads as zeros, and is zero-filled on its first write,
+    /// exactly like the stack and the heap. Guest-visible bytes,
+    /// protections and regions are those of a full copy; only
+    /// [`AddressSpace::resident_pages`] and the [`lwsnap_mem::MemStats`]
+    /// counters differ.
     pub fn load(&self, layout: &AsLayout) -> Result<(AddressSpace, RegisterFile), AsmError> {
         let mut mem = AddressSpace::with_layout(*layout);
         let map_err = |e: lwsnap_mem::MemError| AsmError::Load { msg: e.to_string() };
@@ -296,8 +306,7 @@ impl Program {
             ".text",
         )
         .map_err(map_err)?;
-        mem.poke_bytes(self.text_base, &self.text)
-            .map_err(|e| AsmError::Load { msg: e.to_string() })?;
+        poke_nonzero_pages(&mut mem, self.text_base, &self.text)?;
         if !self.data.is_empty() {
             let data_span = round_up_pages(self.data.len() as u64);
             mem.map_fixed(
@@ -308,8 +317,7 @@ impl Program {
                 ".data",
             )
             .map_err(map_err)?;
-            mem.poke_bytes(self.data_base, &self.data)
-                .map_err(|e| AsmError::Load { msg: e.to_string() })?;
+            poke_nonzero_pages(&mut mem, self.data_base, &self.data)?;
         }
         let sp = mem.map_stack().map_err(map_err)?;
         let mut regs = RegisterFile::new();
@@ -319,6 +327,10 @@ impl Program {
     }
 
     /// Boots the program: loaded address space + default file view.
+    ///
+    /// The image is loaded demand-zero (see [`Program::load`]): the root
+    /// state holds frames only for the pages the image initialises, so a
+    /// zero-initialised buffer costs nothing until the guest writes it.
     pub fn boot(&self) -> Result<GuestState, AsmError> {
         let layout = AsLayout::default();
         let (mem, regs) = self.load(&layout)?;
@@ -336,6 +348,33 @@ impl Program {
     pub fn instr_count(&self) -> u64 {
         self.text.len() as u64 / INSTR_SIZE
     }
+
+    /// Number of `.data` pages [`Program::load`] gives a frame: those
+    /// holding a non-zero byte.
+    pub fn resident_data_pages(&self) -> u64 {
+        nonzero_pages(&self.data).count() as u64
+    }
+}
+
+/// The pages of `image` that hold a non-zero byte, as (offset, bytes):
+/// the only pages [`Program::load`] gives a frame.
+fn nonzero_pages(image: &[u8]) -> impl Iterator<Item = (u64, &[u8])> {
+    image
+        .chunks(PAGE_SIZE)
+        .enumerate()
+        .filter(|(_, page)| page.iter().any(|&b| b != 0))
+        .map(|(i, page)| ((i * PAGE_SIZE) as u64, page))
+}
+
+/// Copies the non-zero pages of `image` to `base`, which `map_fixed` has
+/// already mapped and so checked to be page-aligned; a frameless page
+/// reads as zeros.
+fn poke_nonzero_pages(mem: &mut AddressSpace, base: u64, image: &[u8]) -> Result<(), AsmError> {
+    for (off, page) in nonzero_pages(image) {
+        mem.poke_bytes(base + off, page)
+            .map_err(|e| AsmError::Load { msg: e.to_string() })?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -467,6 +506,75 @@ mod tests {
         let mut buf = [0u8; 16];
         st.mem.fetch_bytes(prog.text_base, &mut buf).unwrap();
         assert_eq!(Instr::decode(&buf).unwrap().op, Opcode::Nop);
+    }
+
+    /// Loads `prog`, then copies its whole image in, zeros included:
+    /// the eager loader the demand-zero one must be indistinguishable from.
+    fn eager_load(prog: &Program) -> AddressSpace {
+        let (mut mem, _) = prog.load(&AsLayout::default()).unwrap();
+        mem.poke_bytes(prog.text_base, &prog.text).unwrap();
+        mem.poke_bytes(prog.data_base, &prog.data).unwrap();
+        mem
+    }
+
+    #[test]
+    fn load_gives_frames_only_to_nonzero_pages() {
+        const P: u64 = PAGE_SIZE as u64;
+        let prog = crate::parse::assemble_source(
+            "_start: nop\n\
+             .data\n\
+             x: .quad 7\n\
+             .align 4096\n\
+             buf: .space 12288\n\
+             last: .space 4095\n\
+             .byte 1\n",
+        )
+        .unwrap();
+        let buf = prog.symbols["buf"];
+        let last = prog.symbols["last"];
+        assert_eq!(buf, prog.data_base + P);
+        assert_eq!(last, buf + 3 * P);
+        assert_eq!(prog.data.len() as u64, 5 * P, "data still holds every byte");
+        assert_eq!(prog.resident_data_pages(), 2);
+
+        let layout = AsLayout::default();
+        let (mut mem, _) = prog.load(&layout).unwrap();
+        let eager = eager_load(&prog);
+        // Text, `x`'s page and `last`'s page; the three `buf` pages are
+        // frameless.
+        assert_eq!(mem.resident_pages(), 3);
+        assert_eq!(eager.resident_pages(), 6);
+        assert_eq!(mem.render_maps(), eager.render_maps());
+
+        // Which pages got a frame: a write zero-fills exactly the
+        // frameless ones.
+        for (page, resident) in [(0, true), (1, false), (2, false), (3, false), (4, true)] {
+            let (mut m, _) = prog.load(&layout).unwrap();
+            let before = *m.stats();
+            m.write_u8(prog.data_base + page * P, 0xaa).unwrap();
+            let d = m.stats().delta(&before);
+            assert_eq!(d.zero_fills, u64::from(!resident), "page {page}");
+            assert_eq!(d.cow_page_copies, 0, "page {page}");
+        }
+
+        // Every byte reads as the image says, and reading allocates
+        // nothing.
+        let mut got = vec![0u8; prog.data.len()];
+        mem.read_bytes(prog.data_base, &mut got).unwrap();
+        assert_eq!(got, prog.data);
+        assert_eq!(mem.read_u64(prog.symbols["x"]).unwrap(), 7);
+        assert_eq!(mem.read_u8(last + P - 1).unwrap(), 1, "last byte loaded");
+        assert_eq!(mem.read_u64(buf + P).unwrap(), 0);
+        assert_eq!(mem.resident_pages(), 3, "reads allocate no frame");
+
+        // The first write into `buf` is a zero fill, not a copy.
+        let before = *mem.stats();
+        mem.write_u64(buf + 8, 42).unwrap();
+        let d = mem.stats().delta(&before);
+        assert_eq!((d.zero_fills, d.cow_page_copies), (1, 0));
+        assert_eq!(mem.resident_pages(), 4);
+        assert_eq!(mem.read_u64(buf + 8).unwrap(), 42);
+        assert_eq!(mem.read_u64(buf).unwrap(), 0);
     }
 
     #[test]

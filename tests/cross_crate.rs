@@ -1,11 +1,19 @@
 //! Cross-crate integration: the full stack working together.
 
+use std::sync::Arc;
+
 use lwsnap_core::strategy::Dfs;
-use lwsnap_core::{replay_dfs, Engine, InterposePolicy, Outcome, StopReason};
+use lwsnap_core::{
+    replay_dfs, Engine, GuestState, InterposePolicy, Outcome, ParallelConfig, ParallelEngine,
+    StopReason,
+};
 use lwsnap_fs::{FsView, Volume};
 use lwsnap_prolog::{Machine, NQUEENS_PROGRAM};
-use lwsnap_symex::{PathEnd, SymExec};
-use lwsnap_vm::{assemble_source, Interp};
+use lwsnap_service::{ServiceConfig, ShardedService};
+use lwsnap_symex::programs::branch_tree_with_state_source;
+use lwsnap_symex::{par_explore_on, PathEnd, SymExec};
+use lwsnap_vm::programs::{nqueens_source, search_workload_source};
+use lwsnap_vm::{assemble_source, Interp, Program};
 
 /// The three backtracking implementations agree on solution counts.
 #[test]
@@ -214,4 +222,64 @@ fn prolog_vs_engine_map_coloring() {
         None,
     );
     assert_eq!(replay.stats.solutions, 24);
+}
+
+/// Boots `program` with every page of its data image given a frame,
+/// zeros included: the eager reference the demand-zero loader must be
+/// indistinguishable from.
+fn eager_boot(program: &Program) -> GuestState {
+    let mut state = program.boot().unwrap();
+    state
+        .mem
+        .poke_bytes(program.data_base, &program.data)
+        .unwrap();
+    state
+}
+
+/// A demand-zero boot and an eager one run every engine to the same
+/// transcripts, solutions, step counts and symbolic verdicts; only the
+/// root's resident page count differs.
+#[test]
+fn demand_zero_boot_matches_eager_boot() {
+    // Figure 1's n-queens, sequential and parallel.
+    let program = assemble_source(&nqueens_source(6, true, true)).unwrap();
+    let seq = |root| Engine::new(Dfs::new()).run(&mut Interp::new(), root);
+    let (demand, eager) = (seq(program.boot().unwrap()), seq(eager_boot(&program)));
+    assert_eq!(demand.stats.solutions, 4);
+    assert_eq!(demand.stats.solutions, eager.stats.solutions);
+    assert_eq!(demand.transcript, eager.transcript);
+    assert_eq!(demand.solutions, eager.solutions);
+    let par = |root| ParallelEngine::new(2).run(Interp::new, root);
+    let (demand, eager) = (par(program.boot().unwrap()), par(eager_boot(&program)));
+    assert_eq!(demand.stats.solutions, 4);
+    assert_eq!(demand.stats.solutions, eager.stats.solutions);
+    assert_eq!(demand.transcript, eager.transcript);
+    assert_eq!(demand.solutions, eager.solutions);
+
+    // The locality workload: a 64-page zero buffer, 8 pages dirtied per
+    // step.
+    let program = assemble_source(&search_workload_source(3, 3, 0, 8, 64)).unwrap();
+    let (demand_root, eager_root) = (program.boot().unwrap(), eager_boot(&program));
+    assert!(demand_root.mem.resident_pages() + 64 <= eager_root.mem.resident_pages());
+    let (demand, eager) = (seq(demand_root), seq(eager_root));
+    assert!(demand.stats.extensions_evaluated > 0);
+    assert_eq!(
+        demand.stats.extensions_evaluated,
+        eager.stats.extensions_evaluated
+    );
+    assert_eq!(demand.transcript, eager.transcript);
+
+    // The parallel symbolic executor over 8 pages of zero-initialised
+    // state.
+    let program = assemble_source(&branch_tree_with_state_source(4, 8)).unwrap();
+    let explore = |root| {
+        let backend = Arc::new(ShardedService::new(ServiceConfig::new(4)));
+        par_explore_on(ParallelConfig::new(2), root, backend).cases
+    };
+    let (demand, eager) = (
+        explore(program.boot().unwrap()),
+        explore(eager_boot(&program)),
+    );
+    assert_eq!(demand.len(), 16, "2^4 paths");
+    assert_eq!(demand, eager);
 }
