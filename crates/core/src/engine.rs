@@ -15,8 +15,14 @@
 //! writes into ([`Snapshot::restore_into`]), so a restore re-points only
 //! what the path changed and a read-only path's sibling costs no
 //! reference-count traffic at all.
+//!
+//! Acting on how the guest stopped is shared with [`crate::parallel`]:
+//! both engines call this module's `step`, the one place a guest [`Exit`]
+//! is handled. What stays here is the frontier policy: the extension
+//! budget, the restore from the [`SnapshotTree`], and at a fork the
+//! capture, [`Strategy::expand`] and the inline-or-queue choice.
 
-use crate::guest::{Exit, Guest, GuestFault, GuestState};
+use crate::guest::{Exit, GuessHint, Guest, GuestFault, GuestState};
 use crate::registers::Reg;
 use crate::snapshot::{Snapshot, SnapshotId, SnapshotTree};
 use crate::strategy::Strategy;
@@ -139,6 +145,122 @@ impl RunResult {
     }
 }
 
+/// How a path segment run by [`step`] ended.
+pub(crate) enum Segment {
+    /// The path is over: it failed, exited, faulted under
+    /// [`FaultPolicy::FailPath`], or the sink reported the run stopped.
+    Died,
+    /// The guest guessed `n` (1..=[`MAX_FANOUT`]) extensions. The state
+    /// is the new partial candidate: its depth and `gcost` are updated.
+    Forked { n: u64, hint: Option<GuessHint> },
+    /// The run must stop for this reason.
+    Stop(StopReason),
+}
+
+/// Where a path segment's results go. Each engine supplies its own.
+pub(crate) trait Sink {
+    /// Console output from file descriptor `fd`.
+    fn output(&mut self, fd: u32, data: Vec<u8>);
+    /// A solution at guess depth `depth`; returns whether the run's
+    /// solution limit is now reached.
+    fn solution(&mut self, depth: u64) -> bool;
+    /// A path's exit code.
+    fn exit(&mut self, code: i64);
+    /// Whether the run was stopped elsewhere (checked before each resume).
+    fn stopped(&self) -> bool {
+        false
+    }
+}
+
+/// Evaluates one extension step: resumes `state` until the path dies,
+/// forks or must stop. Console output, solutions and exit codes go to
+/// `sink`; the fan-out cap, the fault policy, the depth/`gcost` upkeep
+/// and the counts happen here, for both engines.
+pub(crate) fn step<K: Sink>(
+    guest: &mut dyn Guest,
+    state: &mut GuestState,
+    policy: FaultPolicy,
+    stats: &mut EngineStats,
+    sink: &mut K,
+) -> Segment {
+    stats.extensions_evaluated += 1;
+    let fault = loop {
+        if sink.stopped() {
+            return Segment::Died;
+        }
+        match guest.resume(state) {
+            Exit::Output { fd, data } => sink.output(fd, data),
+            Exit::Emit => {
+                stats.solutions += 1;
+                if sink.solution(state.depth) {
+                    return Segment::Stop(StopReason::SolutionLimit);
+                }
+            }
+            Exit::Guess { n: 0, .. } | Exit::Fail => {
+                stats.failures += 1;
+                return Segment::Died;
+            }
+            Exit::Guess { n, .. } if n > MAX_FANOUT => {
+                break GuestFault::Other(format!("guess fan-out {n} exceeds MAX_FANOUT"));
+            }
+            Exit::Guess { n, hint } => {
+                state.depth += 1;
+                if let Some(h) = &hint {
+                    state.gcost = h.g;
+                }
+                return Segment::Forked { n, hint };
+            }
+            Exit::Exit { code } => {
+                stats.exits += 1;
+                sink.exit(code);
+                return Segment::Died;
+            }
+            Exit::Fault(fault) => break fault,
+        }
+    };
+    stats.faults += 1;
+    match policy {
+        FaultPolicy::FailPath => Segment::Died,
+        FaultPolicy::Abort => Segment::Stop(StopReason::Aborted(fault)),
+    }
+}
+
+/// The sequential engine's [`Sink`]: results in discovery order.
+struct Results<'a> {
+    config: &'a EngineConfig,
+    transcript: Vec<u8>,
+    solutions: Vec<Solution>,
+    exit_codes: Vec<i64>,
+}
+
+impl Sink for Results<'_> {
+    fn output(&mut self, fd: u32, data: Vec<u8>) {
+        if self.config.echo_output {
+            use std::io::Write as _;
+            if fd == 2 {
+                let _ = std::io::stderr().write_all(&data);
+            } else {
+                let _ = std::io::stdout().write_all(&data);
+            }
+        }
+        self.transcript.extend_from_slice(&data);
+    }
+
+    fn solution(&mut self, depth: u64) -> bool {
+        self.solutions.push(Solution {
+            depth,
+            transcript_mark: self.transcript.len(),
+        });
+        self.config
+            .max_solutions
+            .is_some_and(|max| self.solutions.len() as u64 >= max)
+    }
+
+    fn exit(&mut self, code: i64) {
+        self.exit_codes.push(code);
+    }
+}
+
 /// The system-level backtracking engine.
 pub struct Engine<S: Strategy> {
     strategy: S,
@@ -159,155 +281,69 @@ impl<S: Strategy> Engine<S> {
         Engine { strategy, config }
     }
 
-    /// Read access to the configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Runs `guest` from `root` until the search space is exhausted or a
     /// configured limit is hit.
     pub fn run(&mut self, guest: &mut dyn Guest, root: GuestState) -> RunResult {
         let mut tree = SnapshotTree::new();
         let mut stats = EngineStats::default();
-        let mut transcript: Vec<u8> = Vec::new();
-        let mut solutions: Vec<Solution> = Vec::new();
-        let mut exit_codes: Vec<i64> = Vec::new();
+        let mut results = Results {
+            config: &self.config,
+            transcript: Vec::new(),
+            solutions: Vec::new(),
+            exit_codes: Vec::new(),
+        };
 
         // The one guest state of the run: the root first, then whatever
         // path runs next. A finished path's state is restored into in
         // place rather than dropped for a fresh one.
         let mut state = root;
-        // The snapshot `state` descends from (its parent candidate), and
-        // whether `state` is a path still to run — the root, or an inline
-        // continuation — rather than a finished one.
+        // The snapshot `state` descends from (its parent candidate).
         let mut parent: Option<SnapshotId> = None;
-        let mut live = true;
-        let stop;
 
-        'outer: loop {
-            if !live {
-                let Some(ext) = self.strategy.next() else {
-                    stop = StopReason::Exhausted;
-                    break 'outer;
-                };
-                tree.get(ext.snapshot)
-                    .expect("queued snapshot must be live")
-                    .restore_into(&mut state);
-                state.regs.set(Reg::Rax, ext.index);
-                stats.restores += 1;
-                tree.release(ext.snapshot);
-                parent = Some(ext.snapshot);
-            }
-            live = false;
-
-            if let Some(max) = self.config.max_extensions {
-                if stats.extensions_evaluated >= max {
-                    stop = StopReason::ExtensionBudget;
-                    break 'outer;
-                }
-            }
-            stats.extensions_evaluated += 1;
-
-            // Inner loop: resume the same extension step across non-path
-            // exits (console output, emitted solutions).
+        let stop = 'run: loop {
+            // Evaluate the path in `state`, continuing it inline for as
+            // long as the strategy elects to.
             loop {
-                match guest.resume(&mut state) {
-                    Exit::Output { fd, data } => {
-                        if self.config.echo_output {
-                            use std::io::Write as _;
-                            if fd == 2 {
-                                let _ = std::io::stderr().write_all(&data);
-                            } else {
-                                let _ = std::io::stdout().write_all(&data);
-                            }
-                        }
-                        transcript.extend_from_slice(&data);
-                        // Keep executing the same extension step.
-                    }
-                    Exit::Emit => {
-                        let sol = Solution {
-                            depth: state.depth,
-                            transcript_mark: transcript.len(),
-                        };
-                        stats.solutions += 1;
-                        solutions.push(sol);
-                        if let Some(max) = self.config.max_solutions {
-                            if stats.solutions >= max {
-                                stop = StopReason::SolutionLimit;
-                                break 'outer;
-                            }
-                        }
-                    }
-                    Exit::Guess { n, hint } => {
-                        if n == 0 {
-                            stats.failures += 1;
-                            break;
-                        }
-                        if n > MAX_FANOUT {
-                            stats.faults += 1;
-                            match self.config.fault_policy {
-                                FaultPolicy::FailPath => break,
-                                FaultPolicy::Abort => {
-                                    stop = StopReason::Aborted(GuestFault::Other(format!(
-                                        "guess fan-out {n} exceeds MAX_FANOUT"
-                                    )));
-                                    break 'outer;
-                                }
-                            }
-                        }
-                        state.depth += 1;
-                        if let Some(h) = &hint {
-                            state.gcost = h.g;
-                        }
-                        let snap = Snapshot::capture(&state, parent);
-                        let id = tree.insert(snap, n as u32);
-                        if self.config.keep_all_snapshots {
-                            tree.pin(id);
-                        }
-                        stats.snapshots_created += 1;
-                        let inline = self.strategy.expand(id, n, hint.as_ref(), state.depth);
-                        for dropped in self.strategy.take_dropped() {
-                            tree.release(dropped.snapshot);
-                            stats.dropped_extensions += 1;
-                        }
-                        match inline {
-                            Some(ext) => {
-                                // Depth-first fast path: continue in place.
-                                state.regs.set(Reg::Rax, ext);
-                                tree.release(id);
-                                stats.inline_continues += 1;
-                                parent = Some(id);
-                                live = true;
-                            }
-                            None => {
-                                // The strategy queued everything; the next
-                                // iteration restores whichever it picks.
-                            }
-                        }
-                        continue 'outer;
-                    }
-                    Exit::Fail => {
-                        stats.failures += 1;
-                        break;
-                    }
-                    Exit::Exit { code } => {
-                        stats.exits += 1;
-                        exit_codes.push(code);
-                        break;
-                    }
-                    Exit::Fault(fault) => {
-                        stats.faults += 1;
-                        match self.config.fault_policy {
-                            FaultPolicy::FailPath => break,
-                            FaultPolicy::Abort => {
-                                stop = StopReason::Aborted(fault);
-                                break 'outer;
-                            }
-                        }
+                if let Some(max) = self.config.max_extensions {
+                    if stats.extensions_evaluated >= max {
+                        break 'run StopReason::ExtensionBudget;
                     }
                 }
+                let policy = self.config.fault_policy;
+                let (n, hint) = match step(guest, &mut state, policy, &mut stats, &mut results) {
+                    Segment::Died => break,
+                    Segment::Stop(reason) => break 'run reason,
+                    Segment::Forked { n, hint } => (n, hint),
+                };
+                // Captured even when `n == 1`: a strategy may queue that
+                // one extension rather than continue it inline.
+                let id = tree.insert(Snapshot::capture(&state, parent), n as u32);
+                if self.config.keep_all_snapshots {
+                    tree.pin(id);
+                }
+                let inline = self.strategy.expand(id, n, hint.as_ref(), state.depth);
+                for dropped in self.strategy.take_dropped() {
+                    tree.release(dropped.snapshot);
+                }
+                // Depth-first fast path: continue in place. Otherwise the
+                // strategy queued everything and picks what runs next.
+                let Some(ext) = inline else { break };
+                state.regs.set(Reg::Rax, ext);
+                tree.release(id);
+                stats.inline_continues += 1;
+                parent = Some(id);
             }
-        }
+            let Some(ext) = self.strategy.next() else {
+                break StopReason::Exhausted;
+            };
+            tree.get(ext.snapshot)
+                .expect("queued snapshot must be live")
+                .restore_into(&mut state);
+            state.regs.set(Reg::Rax, ext.index);
+            stats.restores += 1;
+            tree.release(ext.snapshot);
+            parent = Some(ext.snapshot);
+        };
 
         stats.snapshots_peak = tree.peak_live();
         stats.snapshots_created = tree.total_created();
@@ -316,9 +352,9 @@ impl<S: Strategy> Engine<S> {
         RunResult {
             stop,
             stats,
-            transcript,
-            solutions,
-            exit_codes,
+            transcript: results.transcript,
+            solutions: results.solutions,
+            exit_codes: results.exit_codes,
         }
     }
 }
@@ -326,7 +362,6 @@ impl<S: Strategy> Engine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guest::GuessHint;
     use crate::strategy::{BestFirst, Bfs, Dfs, SmaStar};
     use lwsnap_mem::{Prot, RegionKind, PAGE_SIZE};
 
@@ -434,33 +469,9 @@ mod tests {
     #[test]
     fn dfs_frontier_smaller_than_bfs() {
         let run = |strategy: Box<dyn Strategy>| {
-            let mut engine = Engine::new(BoxedStrategy(strategy));
+            let mut engine = Engine::new(strategy);
             engine.run(&mut BitGuest { depth: 6 }, bit_root()).stats
         };
-        struct BoxedStrategy(Box<dyn Strategy>);
-        impl Strategy for BoxedStrategy {
-            fn name(&self) -> &'static str {
-                self.0.name()
-            }
-            fn expand(
-                &mut self,
-                snap: crate::snapshot::SnapshotId,
-                n: u64,
-                hint: Option<&GuessHint>,
-                depth: u64,
-            ) -> Option<u64> {
-                self.0.expand(snap, n, hint, depth)
-            }
-            fn next(&mut self) -> Option<crate::strategy::ExtensionRef> {
-                self.0.next()
-            }
-            fn frontier_len(&self) -> usize {
-                self.0.frontier_len()
-            }
-            fn peak_frontier(&self) -> usize {
-                self.0.peak_frontier()
-            }
-        }
         let dfs = run(Box::new(Dfs::new()));
         let bfs = run(Box::new(Bfs::new()));
         assert_eq!(dfs.solutions, bfs.solutions);
@@ -621,6 +632,16 @@ mod tests {
             bounded_result.stats.solutions < wide_stats.solutions,
             "dropped subtrees mean missed solutions (the SM-A* trade-off)"
         );
+    }
+
+    #[test]
+    fn boxed_strategy_schedules_as_itself() {
+        let boxed = Engine::new(Box::new(SmaStar::new(16)) as Box<dyn Strategy>)
+            .run(&mut BitGuest { depth: 8 }, bit_root());
+        let direct = Engine::new(SmaStar::new(16)).run(&mut BitGuest { depth: 8 }, bit_root());
+        assert_eq!(boxed.transcript, direct.transcript);
+        assert_eq!(boxed.stats, direct.stats);
+        assert!(boxed.stats.dropped_extensions > 0, "the box forwards drops");
     }
 
     #[test]

@@ -31,6 +31,11 @@
 //!   state.
 //! * Termination: a shared count of unevaluated paths; the run is over
 //!   when it reaches zero.
+//! * A guest exit is handled by the same `step` as in [`crate::engine`]
+//!   (fan-out cap, fault policy, depth/`gcost`, counts). A worker keeps
+//!   only its frontier policy: the shared extension budget, the restore
+//!   into its spare state, a capture only for a guess with `n > 1`, the
+//!   sibling push, and the path tag of the inline continue.
 //!
 //! ## Determinism
 //!
@@ -66,8 +71,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::deque::{Deque, Steal, Stealer};
-use crate::engine::{EngineStats, FaultPolicy, RunResult, Solution, StopReason, MAX_FANOUT};
-use crate::guest::{Exit, Guest, GuestFault, GuestState};
+use crate::engine::{step, EngineStats, FaultPolicy, Segment, Sink, Solution, StopReason};
+use crate::guest::{Guest, GuestState};
 use crate::registers::Reg;
 use crate::snapshot::Snapshot;
 
@@ -118,7 +123,7 @@ impl ParallelConfig {
 }
 
 /// The result of a parallel run: a merged, deterministically ordered
-/// [`RunResult`] plus per-worker statistics.
+/// [`RunResult`](crate::RunResult) plus per-worker statistics.
 #[derive(Debug)]
 pub struct ParallelRunResult {
     /// Why the run stopped.
@@ -141,18 +146,6 @@ impl ParallelRunResult {
     /// The transcript as lossy UTF-8.
     pub fn transcript_str(&self) -> String {
         String::from_utf8_lossy(&self.transcript).into_owned()
-    }
-
-    /// Collapses into the sequential engine's result type (dropping the
-    /// per-worker breakdown).
-    pub fn into_run_result(self) -> RunResult {
-        RunResult {
-            stop: self.stop,
-            stats: self.stats,
-            transcript: self.transcript,
-            solutions: self.solutions,
-            exit_codes: self.exit_codes,
-        }
     }
 }
 
@@ -355,11 +348,6 @@ impl ParallelEngine {
         }
     }
 
-    /// Read access to the configuration.
-    pub fn config(&self) -> &ParallelConfig {
-        &self.config
-    }
-
     /// Runs the search space of `root` to exhaustion (or a configured
     /// limit) on `self.config.workers` threads.
     ///
@@ -416,35 +404,6 @@ impl ParallelEngine {
     }
 }
 
-impl<S: crate::strategy::Strategy> crate::Engine<S> {
-    /// Parallel counterpart of [`crate::Engine::run`]: explores the same
-    /// search space on `workers` threads and reports results in
-    /// deterministic depth-first order.
-    ///
-    /// The configured strategy is *not* consulted — parallel exploration
-    /// is depth-first per worker by construction (see the module docs of
-    /// [`crate::parallel`]). Limits and the fault policy carry over from
-    /// the engine's [`crate::EngineConfig`]; `echo_output` and
-    /// `keep_all_snapshots` are not supported in parallel runs (output
-    /// arrives out of order until the final merge, and there is no
-    /// shared snapshot tree to pin) and are ignored.
-    pub fn run_parallel<G, F>(&mut self, workers: usize, factory: F, root: GuestState) -> RunResult
-    where
-        G: Guest,
-        F: Fn() -> G + Sync,
-    {
-        let config = ParallelConfig {
-            workers: workers.max(1),
-            max_solutions: self.config().max_solutions,
-            max_extensions: self.config().max_extensions,
-            fault_policy: self.config().fault_policy,
-        };
-        ParallelEngine::with_config(config)
-            .run(factory, root)
-            .into_run_result()
-    }
-}
-
 /// One worker: find work, evaluate paths depth-first, park when idle.
 fn worker_loop(
     id: usize,
@@ -486,10 +445,56 @@ fn worker_loop(
     (stats, events)
 }
 
-/// Evaluates one path to completion: restore, resume, fork siblings at
-/// guesses, continue extension 0 inline until the path dies. Restores
-/// into `spare` in place when the worker has one, and returns the
-/// finished path's state as the next spare.
+/// Where a worker's path results go: events tagged with the running
+/// path, merged and sorted after the run.
+struct PathSink<'a> {
+    shared: &'a SharedState,
+    events: &'a mut Vec<PathEvent>,
+    /// Extension indices from the root to the running path.
+    path: Vec<u64>,
+    /// Events of one segment share one Arc'd copy of `path` (built
+    /// lazily — failed paths, the overwhelming majority, never pay it).
+    tag: Option<Arc<[u64]>>,
+    seq: u32,
+}
+
+impl PathSink<'_> {
+    fn push(&mut self, kind: EventKind) {
+        let path = self.tag.get_or_insert_with(|| Arc::from(&self.path[..]));
+        self.events.push(PathEvent {
+            path: path.clone(),
+            seq: self.seq,
+            kind,
+        });
+        self.seq += 1;
+    }
+}
+
+impl Sink for PathSink<'_> {
+    fn output(&mut self, _fd: u32, data: Vec<u8>) {
+        self.push(EventKind::Output(data));
+    }
+
+    fn solution(&mut self, depth: u64) -> bool {
+        self.push(EventKind::Solution { depth });
+        let shared = self.shared;
+        let limit = shared.config.max_solutions;
+        limit.is_some_and(|max| shared.solutions.fetch_add(1, Ordering::AcqRel) + 1 >= max)
+    }
+
+    fn exit(&mut self, code: i64) {
+        self.push(EventKind::Exit(code));
+    }
+
+    fn stopped(&self) -> bool {
+        self.shared.stop.load(Ordering::Acquire)
+    }
+}
+
+/// Evaluates one path to completion: restore, then [`step`] it, fork
+/// siblings at guesses and continue extension 0 inline until the path
+/// dies. Restores into `spare` in place when the worker has one, and
+/// returns the finished path's state as the next spare.
 fn evaluate_path(
     shared: &SharedState,
     own: &mut Deque<WorkItem>,
@@ -512,7 +517,6 @@ fn evaluate_path(
     }
     let _retire = RetireOnDrop(shared);
 
-    let mut path = item.path;
     let mut state = match item.kind {
         ItemKind::Root(state) => *state,
         ItemKind::Ext { snap, index } => {
@@ -528,135 +532,63 @@ fn evaluate_path(
             st
         }
     };
-    let mut seq: u32 = 0;
-    // Events of one segment share one Arc'd copy of the path (built
-    // lazily — failed paths, the overwhelming majority, never pay it).
-    let mut path_tag: Option<Arc<[u64]>> = None;
-    let mut push_event =
-        |path: &[u64], tag: &mut Option<Arc<[u64]>>, seq: &mut u32, kind: EventKind| {
-            let tag = tag.get_or_insert_with(|| Arc::from(path)).clone();
-            events.push(PathEvent {
-                path: tag,
-                seq: *seq,
-                kind,
-            });
-            *seq += 1;
-        };
+    let mut sink = PathSink {
+        shared,
+        events,
+        path: item.path,
+        tag: None,
+        seq: 0,
+    };
 
-    'segment: loop {
+    loop {
         // The shared counter exists only to enforce a configured budget;
         // totals come from the per-worker stats, so an unbounded run
         // never touches this contended cache line.
         if let Some(max) = shared.config.max_extensions {
             if shared.extensions.fetch_add(1, Ordering::AcqRel) >= max {
                 shared.record_stop(StopReason::ExtensionBudget);
-                break 'segment;
+                break;
             }
         }
-        stats.extensions_evaluated += 1;
-
-        loop {
-            if shared.stop.load(Ordering::Acquire) {
-                break 'segment;
+        let policy = shared.config.fault_policy;
+        let n = match step(guest, &mut state, policy, stats, &mut sink) {
+            Segment::Died => break,
+            Segment::Stop(reason) => {
+                shared.record_stop(reason);
+                break;
             }
-            match guest.resume(&mut state) {
-                Exit::Output { fd: _, data } => {
-                    push_event(&path, &mut path_tag, &mut seq, EventKind::Output(data));
-                }
-                Exit::Emit => {
-                    push_event(
-                        &path,
-                        &mut path_tag,
-                        &mut seq,
-                        EventKind::Solution { depth: state.depth },
-                    );
-                    stats.solutions += 1;
-                    if let Some(max) = shared.config.max_solutions {
-                        let total = shared.solutions.fetch_add(1, Ordering::AcqRel) + 1;
-                        if total >= max {
-                            shared.record_stop(StopReason::SolutionLimit);
-                            break 'segment;
-                        }
+            Segment::Forked { n, .. } => n,
+        };
+        if n > 1 {
+            // Capture once; all siblings share the snapshot.
+            SharedState::bump_peak(shared.live_snapshots.as_ref(), &shared.peak_snapshots, 1);
+            let snap = Arc::new(TrackedSnapshot {
+                snap: Snapshot::capture(&state, None),
+                live: shared.live_snapshots.clone(),
+            });
+            stats.snapshots_created += 1;
+            let siblings: Vec<WorkItem> = (1..n)
+                .map(|i| {
+                    let mut sibling_path = sink.path.clone();
+                    sibling_path.push(i);
+                    WorkItem {
+                        kind: ItemKind::Ext {
+                            snap: snap.clone(),
+                            index: i,
+                        },
+                        path: sibling_path,
                     }
-                }
-                Exit::Guess { n, hint } => {
-                    if n == 0 {
-                        stats.failures += 1;
-                        break 'segment;
-                    }
-                    if n > MAX_FANOUT {
-                        stats.faults += 1;
-                        match shared.config.fault_policy {
-                            FaultPolicy::FailPath => break 'segment,
-                            FaultPolicy::Abort => {
-                                shared.record_stop(StopReason::Aborted(GuestFault::Other(
-                                    format!("guess fan-out {n} exceeds MAX_FANOUT"),
-                                )));
-                                break 'segment;
-                            }
-                        }
-                    }
-                    state.depth += 1;
-                    if let Some(h) = &hint {
-                        state.gcost = h.g;
-                    }
-                    if n > 1 {
-                        // Capture once; all siblings share the snapshot.
-                        SharedState::bump_peak(
-                            shared.live_snapshots.as_ref(),
-                            &shared.peak_snapshots,
-                            1,
-                        );
-                        let snap = Arc::new(TrackedSnapshot {
-                            snap: Snapshot::capture(&state, None),
-                            live: shared.live_snapshots.clone(),
-                        });
-                        stats.snapshots_created += 1;
-                        let siblings: Vec<WorkItem> = (1..n)
-                            .map(|i| {
-                                let mut sibling_path = path.clone();
-                                sibling_path.push(i);
-                                WorkItem {
-                                    kind: ItemKind::Ext {
-                                        snap: snap.clone(),
-                                        index: i,
-                                    },
-                                    path: sibling_path,
-                                }
-                            })
-                            .collect();
-                        shared.add_pending(siblings.len());
-                        shared.push_work(own, siblings);
-                    }
-                    // Depth-first fast path: continue extension 0 here.
-                    state.regs.set(Reg::Rax, 0);
-                    path.push(0);
-                    path_tag = None;
-                    seq = 0;
-                    stats.inline_continues += 1;
-                    continue 'segment;
-                }
-                Exit::Fail => {
-                    stats.failures += 1;
-                    break 'segment;
-                }
-                Exit::Exit { code } => {
-                    stats.exits += 1;
-                    push_event(&path, &mut path_tag, &mut seq, EventKind::Exit(code));
-                    break 'segment;
-                }
-                Exit::Fault(fault) => {
-                    stats.faults += 1;
-                    match shared.config.fault_policy {
-                        FaultPolicy::FailPath => break 'segment,
-                        FaultPolicy::Abort => {
-                            shared.record_stop(StopReason::Aborted(fault));
-                            break 'segment;
-                        }
-                    }
-                }
-            }
+                })
+                .collect();
+            shared.add_pending(siblings.len());
+            shared.push_work(own, siblings);
         }
+        // Depth-first fast path: continue extension 0 here.
+        state.regs.set(Reg::Rax, 0);
+        sink.path.push(0);
+        sink.tag = None;
+        sink.seq = 0;
+        stats.inline_continues += 1;
     }
     state
 }
@@ -724,8 +656,10 @@ fn finalize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MAX_FANOUT;
+    use crate::guest::{Exit, GuestFault};
     use crate::strategy::Dfs;
-    use crate::Engine;
+    use crate::{Engine, EngineConfig};
     use lwsnap_mem::{Prot, RegionKind, PAGE_SIZE};
 
     /// The bitstring-enumeration guest from the engine tests, as a
@@ -813,12 +747,110 @@ mod tests {
         assert_eq!(sum, p.extensions_evaluated);
     }
 
+    /// A guest whose root guesses 6 and whose extension `i` then takes
+    /// the `i`-th way out of a path: output + emit + fail, an empty
+    /// guess, an oversized guess, an exit, a fault, output + exit.
+    fn every_exit_guest() -> impl FnMut(&mut GuestState) -> Exit {
+        |st: &mut GuestState| {
+            let phase = st.regs.get(Reg::Rbx);
+            st.regs.set(Reg::Rbx, phase + 1);
+            if phase == 0 {
+                return Exit::Guess { n: 6, hint: None };
+            }
+            if phase == 1 {
+                st.regs.set(Reg::R12, st.regs.get(Reg::Rax));
+            }
+            match (st.regs.get(Reg::R12), phase) {
+                (0, 1) => Exit::Output {
+                    fd: 1,
+                    data: b"zero ".to_vec(),
+                },
+                (0, 2) => Exit::Emit,
+                (1, _) => Exit::Guess { n: 0, hint: None },
+                (2, _) => Exit::Guess {
+                    n: MAX_FANOUT + 1,
+                    hint: None,
+                },
+                (3, _) => Exit::Exit { code: 7 },
+                (4, _) => Exit::Fault(GuestFault::IllegalInstruction { rip: 4 }),
+                (5, 1) => Exit::Output {
+                    fd: 2,
+                    data: b"five ".to_vec(),
+                },
+                (5, _) => Exit::Exit { code: 9 },
+                _ => Exit::Fail,
+            }
+        }
+    }
+
     #[test]
-    fn run_parallel_on_engine_is_equivalent() {
-        let sequential = Engine::new(Dfs::new()).run(&mut bit_guest(4), bit_root());
-        let parallel = Engine::new(Dfs::new()).run_parallel(2, || bit_guest(4), bit_root());
-        assert_eq!(parallel.transcript, sequential.transcript);
-        assert_eq!(parallel.stop, StopReason::Exhausted);
+    fn every_exit_arm_matches_across_engines() {
+        let sequential = Engine::new(Dfs::new()).run(&mut every_exit_guest(), GuestState::new());
+        let s = sequential.stats;
+        assert_eq!(sequential.stop, StopReason::Exhausted);
+        assert_eq!(sequential.transcript_str(), "zero five ");
+        assert_eq!(sequential.exit_codes, [7, 9]);
+        assert_eq!(sequential.solutions.len(), 1);
+        assert_eq!(
+            (
+                s.extensions_evaluated,
+                s.failures,
+                s.exits,
+                s.faults,
+                s.solutions
+            ),
+            (7, 2, 2, 2, 1)
+        );
+        for workers in [1, 2, 4] {
+            let parallel = ParallelEngine::new(workers).run(every_exit_guest, GuestState::new());
+            let p = parallel.stats;
+            assert_eq!(parallel.stop, sequential.stop);
+            assert_eq!(parallel.transcript, sequential.transcript);
+            assert_eq!(parallel.solutions, sequential.solutions);
+            assert_eq!(parallel.exit_codes, sequential.exit_codes);
+            assert_eq!(
+                (
+                    p.extensions_evaluated,
+                    p.failures,
+                    p.exits,
+                    p.faults,
+                    p.solutions
+                ),
+                (
+                    s.extensions_evaluated,
+                    s.failures,
+                    s.exits,
+                    s.faults,
+                    s.solutions
+                ),
+                "stats differ at {workers} workers"
+            );
+        }
+
+        // Under `Abort`, the first faulting path in DFS order is the
+        // oversized guess; parallel runs stop at whichever fault comes first.
+        let config = EngineConfig {
+            fault_policy: FaultPolicy::Abort,
+            ..Default::default()
+        };
+        let aborted =
+            Engine::with_config(Dfs::new(), config).run(&mut every_exit_guest(), GuestState::new());
+        assert_eq!(
+            aborted.stop,
+            StopReason::Aborted(GuestFault::Other(format!(
+                "guess fan-out {} exceeds MAX_FANOUT",
+                MAX_FANOUT + 1
+            )))
+        );
+        for workers in [1, 2, 4] {
+            let config = ParallelConfig {
+                fault_policy: FaultPolicy::Abort,
+                ..ParallelConfig::new(workers)
+            };
+            let parallel =
+                ParallelEngine::with_config(config).run(every_exit_guest, GuestState::new());
+            assert!(matches!(parallel.stop, StopReason::Aborted(_)));
+        }
     }
 
     #[test]

@@ -74,6 +74,37 @@ pub trait Strategy {
     }
 }
 
+/// A boxed strategy (say, one chosen at run time) schedules as itself.
+impl<S: Strategy + ?Sized> Strategy for Box<S> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+    fn expand(
+        &mut self,
+        snap: SnapshotId,
+        n: u64,
+        hint: Option<&GuessHint>,
+        depth: u64,
+    ) -> Option<u64> {
+        (**self).expand(snap, n, hint, depth)
+    }
+    fn next(&mut self) -> Option<ExtensionRef> {
+        (**self).next()
+    }
+    fn frontier_len(&self) -> usize {
+        (**self).frontier_len()
+    }
+    fn peak_frontier(&self) -> usize {
+        (**self).peak_frontier()
+    }
+    fn take_dropped(&mut self) -> Vec<ExtensionRef> {
+        (**self).take_dropped()
+    }
+    fn total_dropped(&self) -> u64 {
+        (**self).total_dropped()
+    }
+}
+
 fn f_of(hint: Option<&GuessHint>, depth: u64, i: u64) -> u64 {
     match hint {
         Some(h) => {

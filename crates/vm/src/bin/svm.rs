@@ -140,39 +140,8 @@ fn cmd_explore(program: &Program, opts: &[String]) -> ExitCode {
         }
     }
 
-    struct Boxed(Box<dyn Strategy>);
-    impl Strategy for Boxed {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn expand(
-            &mut self,
-            s: lwsnap_core::SnapshotId,
-            n: u64,
-            h: Option<&lwsnap_core::GuessHint>,
-            d: u64,
-        ) -> Option<u64> {
-            self.0.expand(s, n, h, d)
-        }
-        fn next(&mut self) -> Option<lwsnap_core::strategy::ExtensionRef> {
-            self.0.next()
-        }
-        fn frontier_len(&self) -> usize {
-            self.0.frontier_len()
-        }
-        fn peak_frontier(&self) -> usize {
-            self.0.peak_frontier()
-        }
-        fn take_dropped(&mut self) -> Vec<lwsnap_core::strategy::ExtensionRef> {
-            self.0.take_dropped()
-        }
-        fn total_dropped(&self) -> u64 {
-            self.0.total_dropped()
-        }
-    }
-
     let name = strategy.name();
-    let mut engine = Engine::with_config(Boxed(strategy), config);
+    let mut engine = Engine::with_config(strategy, config);
     let mut interp = Interp::new();
     let root = match program.boot() {
         Ok(state) => state,

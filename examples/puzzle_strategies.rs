@@ -17,7 +17,7 @@
 //! ```
 
 use lwsnap_core::strategy::{BestFirst, Bfs, Dfs, External, SmaStar, Strategy};
-use lwsnap_core::{Engine, EngineConfig, Exit, GuessHint, Guest, GuestState, Reg};
+use lwsnap_core::{Engine, EngineConfig, EngineStats, Exit, GuessHint, Guest, GuestState, Reg};
 
 /// Grid-walk guest as a host state machine (registers carry the walk).
 struct GridWalk {
@@ -81,42 +81,14 @@ impl Guest for GridWalk {
     }
 }
 
-fn run(name: &str, strategy: Box<dyn Strategy>, size: u64) {
-    struct Boxed(Box<dyn Strategy>);
-    impl Strategy for Boxed {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn expand(
-            &mut self,
-            s: lwsnap_core::SnapshotId,
-            n: u64,
-            h: Option<&GuessHint>,
-            d: u64,
-        ) -> Option<u64> {
-            self.0.expand(s, n, h, d)
-        }
-        fn next(&mut self) -> Option<lwsnap_core::strategy::ExtensionRef> {
-            self.0.next()
-        }
-        fn frontier_len(&self) -> usize {
-            self.0.frontier_len()
-        }
-        fn peak_frontier(&self) -> usize {
-            self.0.peak_frontier()
-        }
-        fn take_dropped(&mut self) -> Vec<lwsnap_core::strategy::ExtensionRef> {
-            self.0.take_dropped()
-        }
-        fn total_dropped(&self) -> u64 {
-            self.0.total_dropped()
-        }
-    }
+/// Runs one strategy to its first route; returns the route's cost and
+/// the run's counters.
+fn run(name: &str, strategy: Box<dyn Strategy>, size: u64) -> (u64, EngineStats) {
     let config = EngineConfig {
         max_solutions: Some(1),
         ..Default::default()
     };
-    let mut engine = Engine::with_config(Boxed(strategy), config);
+    let mut engine = Engine::with_config(strategy, config);
     let start = std::time::Instant::now();
     let result = engine.run(&mut GridWalk { size }, GuestState::new());
     let elapsed = start.elapsed();
@@ -136,6 +108,7 @@ fn run(name: &str, strategy: Box<dyn Strategy>, size: u64) {
         result.stats.snapshots_peak,
         result.stats.dropped_extensions,
     );
+    (cost, result.stats)
 }
 
 fn main() {
@@ -147,16 +120,27 @@ fn main() {
         "weighted grid walk to ({0},{0}); one engine, five schedulers\n",
         size - 1
     );
-    run("dfs", Box::new(Dfs::new()), size);
-    run("bfs", Box::new(Bfs::new()), size);
-    run("a* (guess hints)", Box::new(BestFirst::new()), size);
-    run("sm-a* (cap 64)", Box::new(SmaStar::new(64)), size);
+    let dfs = run("dfs", Box::new(Dfs::new()), size);
+    let bfs = run("bfs", Box::new(Bfs::new()), size);
+    let astar = run("a* (guess hints)", Box::new(BestFirst::new()), size);
+    let sma = run("sm-a* (cap 64)", Box::new(SmaStar::new(64)), size);
     // External scheduler: an "external entity" that always picks the
     // most recently created extension (a LIFO imposed from outside).
-    run(
+    let external = run(
         "external (newest-first)",
         Box::new(External::new(|pool| Some(pool.len() - 1))),
         size,
     );
+    for (_, stats) in [dfs, bfs, astar, sma, external] {
+        assert_eq!(stats.solutions, 1, "every strategy finds a route");
+    }
+    assert!(sma.1.frontier_peak <= 64, "SM-A* stays under its cap");
+    assert!(
+        sma.1.dropped_extensions > 0,
+        "SM-A* drops work to stay there"
+    );
+    // A* with an admissible h finds a cheapest route. (On this grid
+    // every monotone route costs the same, so DFS's first is one too.)
+    assert!(astar.0 <= dfs.0, "A* finds no dearer a route than DFS");
     println!("\nA* finds the cheapest route; SM-A* bounds the frontier; DFS commits fast.");
 }
