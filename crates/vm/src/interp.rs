@@ -439,7 +439,12 @@ pub fn is_unmapped_fault(exit: &Exit, va: u64) -> bool {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/guests.rs"]
+mod guests;
+
+#[cfg(test)]
 mod tests {
+    use super::guests::*;
     use super::*;
     use crate::parse::assemble_source;
 
@@ -451,179 +456,56 @@ mod tests {
 
     #[test]
     fn exit_code_propagates() {
-        let (code, _) = run("mov rdi, 42\nmov rax, 60\nsyscall\n");
+        let (code, _) = run(EXIT_42);
         assert_eq!(code, 42);
     }
 
     #[test]
     fn arithmetic_loop_sums() {
-        // sum 1..=10 via a loop, print with putint.
-        let (code, out) = run(r#"
-            _start:
-                mov rbx, 0      ; sum
-                mov rcx, 10     ; i
-            loop:
-                add rbx, rcx
-                sub rcx, 1
-                cmp rcx, 0
-                jnz loop
-                mov rdi, rbx
-                mov rax, 1005   ; putint
-                syscall
-                mov rdi, 0
-                mov rax, 60
-                syscall
-            "#);
+        let (code, out) = run(SUM_LOOP);
         assert_eq!(code, 0);
         assert_eq!(out, "55");
     }
 
     #[test]
     fn memory_and_data_section() {
-        let (_, out) = run(r#"
-            _start:
-                mov  rsi, msg
-                mov  rdx, 6
-                mov  rdi, 1
-                mov  rax, 1       ; write(1, msg, 6)
-                syscall
-                mov  rax, 60
-                mov  rdi, 0
-                syscall
-            .data
-            msg: .asciz "hello\n"
-            "#);
+        let (_, out) = run(HELLO);
         assert_eq!(out, "hello\n");
     }
 
     #[test]
     fn loads_stores_all_sizes() {
-        let (code, _) = run(r#"
-            _start:
-                mov  r12, buf
-                mov  rbx, 0x1122334455667788
-                st8  [r12], rbx
-                ld1  rax, [r12]         ; 0x88
-                cmp  rax, 0x88
-                jnz  bad
-                ld2  rax, [r12]         ; 0x7788
-                cmp  rax, 0x7788
-                jnz  bad
-                ld4  rax, [r12]         ; 0x55667788
-                cmp  rax, 0x55667788
-                jnz  bad
-                ld8  rax, [r12]
-                cmp  rax, rbx
-                jnz  bad
-                ; sign extension
-                mov  rbx, 0xff
-                st1  [r12+9], rbx
-                lds1 rax, [r12+9]
-                cmp  rax, -1
-                jnz  bad
-                mov  rdi, 0
-                mov  rax, 60
-                syscall
-            bad:
-                mov  rdi, 1
-                mov  rax, 60
-                syscall
-            .data
-            buf: .space 16
-            "#);
+        let (code, _) = run(LOADS_STORES);
         assert_eq!(code, 0);
     }
 
     #[test]
     fn signed_and_unsigned_branches() {
-        let (code, _) = run(r#"
-            _start:
-                mov rax, -5
-                cmp rax, 3
-                jl  signed_ok          ; -5 < 3 signed
-                jmp bad
-            signed_ok:
-                cmp rax, 3
-                jb  bad                ; but huge unsigned, not below
-                ja  unsigned_ok
-                jmp bad
-            unsigned_ok:
-                mov rdi, 0
-                mov rax, 60
-                syscall
-            bad:
-                mov rdi, 1
-                mov rax, 60
-                syscall
-            "#);
+        let (code, _) = run(SIGNED_UNSIGNED);
         assert_eq!(code, 0);
     }
 
     #[test]
     fn call_ret_and_stack() {
-        let (_, out) = run(r#"
-            _start:
-                mov  rdi, 7
-                call double
-                mov  rdi, rax
-                mov  rax, 1005
-                syscall
-                mov  rdi, 0
-                mov  rax, 60
-                syscall
-            double:
-                mov  rax, rdi
-                add  rax, rax
-                ret
-            "#);
+        let (_, out) = run(CALL_RET);
         assert_eq!(out, "14");
     }
 
     #[test]
     fn push_pop() {
-        let (code, _) = run(r#"
-            _start:
-                mov  rbx, 123
-                push rbx
-                mov  rbx, 0
-                pop  rcx
-                cmp  rcx, 123
-                jnz  bad
-                mov  rdi, 0
-                mov  rax, 60
-                syscall
-            bad:
-                mov  rdi, 1
-                mov  rax, 60
-                syscall
-            "#);
+        let (code, _) = run(PUSH_POP);
         assert_eq!(code, 0);
     }
 
     #[test]
     fn division_and_remainder() {
-        let (_, out) = run(r#"
-            _start:
-                mov  rbx, 17
-                udiv rbx, 5
-                mov  rdi, rbx
-                mov  rax, 1005
-                syscall
-                mov  rbx, 17
-                urem rbx, 5
-                mov  rdi, rbx
-                mov  rax, 1005
-                syscall
-                mov  rdi, 0
-                mov  rax, 60
-                syscall
-            "#);
+        let (_, out) = run(DIV_REM);
         assert_eq!(out, "32");
     }
 
     #[test]
     fn divide_by_zero_faults() {
-        let prog = assemble_source("mov rbx, 1\nudiv rbx, 0\n").unwrap();
+        let prog = assemble_source(DIV_BY_ZERO).unwrap();
         let err = run_to_exit(&prog, 1000).unwrap_err();
         assert!(matches!(err, Exit::Fault(GuestFault::Other(ref m)) if m.contains("division")));
     }
@@ -631,7 +513,7 @@ mod tests {
     #[test]
     fn illegal_instruction_faults() {
         // Jump into the data section (zero bytes decode to nothing).
-        let prog = assemble_source(".text\n_start: jmp buf\n.data\nbuf: .space 16\n").unwrap();
+        let prog = assemble_source(JUMP_INTO_DATA).unwrap();
         let err = run_to_exit(&prog, 1000).unwrap_err();
         // Data pages are not executable: fetch faults first.
         assert!(matches!(err, Exit::Fault(GuestFault::Memory(_))), "{err:?}");
@@ -639,7 +521,7 @@ mod tests {
 
     #[test]
     fn falling_off_text_faults() {
-        let prog = assemble_source("nop\n").unwrap();
+        let prog = assemble_source(FALL_OFF_TEXT).unwrap();
         let err = run_to_exit(&prog, 1000).unwrap_err();
         // After the last instruction rip hits zero-filled text page: the
         // encoding there (all zeroes) is illegal.
@@ -651,83 +533,23 @@ mod tests {
 
     #[test]
     fn unmapped_access_faults() {
-        let prog = assemble_source("mov rbx, 0xdead0000\nld8 rax, [rbx]\n").unwrap();
+        let prog = assemble_source(UNMAPPED_LOAD).unwrap();
         let err = run_to_exit(&prog, 1000).unwrap_err();
         assert!(is_unmapped_fault(&err, 0xdead_0000), "{err:?}");
     }
 
     #[test]
     fn step_budget_enforced() {
-        let prog = assemble_source("spin: jmp spin\n").unwrap();
+        let prog = assemble_source(SPIN).unwrap();
         let err = run_to_exit(&prog, 1000).unwrap_err();
         assert_eq!(err, Exit::Fault(GuestFault::StepBudget));
     }
 
     #[test]
     fn shifts_mask_counts() {
-        let (code, _) = run(r#"
-            _start:
-                mov rbx, 1
-                shl rbx, 65       ; masked to 1
-                cmp rbx, 2
-                jnz bad
-                mov rbx, -8
-                sar rbx, 1
-                cmp rbx, -4
-                jnz bad
-                mov rbx, 8
-                shr rbx, 2
-                cmp rbx, 2
-                jnz bad
-                mov rdi, 0
-                mov rax, 60
-                syscall
-            bad:
-                mov rdi, 1
-                mov rax, 60
-                syscall
-            "#);
+        let (code, _) = run(SHIFTS);
         assert_eq!(code, 0);
     }
-
-    /// Branch 0 runs `site`, makes its text page writable, copies the
-    /// instruction at `patch` over `site` and jumps back; branch 1 is
-    /// restored from the snapshot taken at the guess, before the patch.
-    const SELF_PATCHING: &str = r#"
-        _start:
-            mov  rdi, 2
-            mov  rax, 1000        ; which = sys_guess(2)
-            syscall
-            mov  r15, rax
-            mov  r12, 0           ; patched yet?
-        site:
-            mov  rbx, 1           ; branch 0 turns this into `mov rbx, 2`
-            mov  rdi, rbx
-            mov  rax, 1005        ; putint(rbx)
-            syscall
-            cmp  r15, 0
-            jnz  done
-            cmp  r12, 0
-            jnz  done
-            mov  r12, 1
-            mov  rdi, _start
-            mov  rsi, 4096
-            mov  rdx, 7           ; mprotect(text, 4096, R|W|X)
-            mov  rax, 10
-            syscall
-            mov  r13, patch
-            mov  r14, site
-            ld8  rcx, [r13]
-            st8  [r14], rcx
-            ld8  rcx, [r13+8]
-            st8  [r14+8], rcx
-            jmp  site
-        done:
-            mov  rax, 1001        ; sys_guess_fail
-            syscall
-        patch:
-            mov  rbx, 2
-        "#;
 
     #[test]
     fn patched_code_runs_and_siblings_run_the_original() {
@@ -744,28 +566,7 @@ mod tests {
 
     #[test]
     fn brk_heap_from_guest() {
-        let (code, _) = run(r#"
-            _start:
-                mov rdi, 0
-                mov rax, 12      ; brk(0) -> current
-                syscall
-                mov rbx, rax     ; heap base
-                mov rdi, rax
-                add rdi, 4096
-                mov rax, 12      ; brk(base+4096)
-                syscall
-                st8 [rbx], rbx   ; heap is writable now
-                ld8 rcx, [rbx]
-                cmp rcx, rbx
-                jnz bad
-                mov rdi, 0
-                mov rax, 60
-                syscall
-            bad:
-                mov rdi, 1
-                mov rax, 60
-                syscall
-            "#);
+        let (code, _) = run(BRK_HEAP);
         assert_eq!(code, 0);
     }
 }

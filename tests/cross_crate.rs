@@ -4,16 +4,21 @@ use std::sync::Arc;
 
 use lwsnap_core::strategy::Dfs;
 use lwsnap_core::{
-    replay_dfs, Engine, GuestState, InterposePolicy, Outcome, ParallelConfig, ParallelEngine,
-    StopReason,
+    replay_dfs, Engine, EngineConfig, FaultPolicy, GuestFault, GuestState, InterposePolicy,
+    Outcome, ParallelConfig, ParallelEngine, RunResult, StopReason,
 };
 use lwsnap_fs::{FsView, Volume};
 use lwsnap_prolog::{Machine, NQUEENS_PROGRAM};
 use lwsnap_service::{ServiceConfig, ShardedService};
 use lwsnap_symex::programs::branch_tree_with_state_source;
 use lwsnap_symex::{par_explore_on, PathEnd, SymExec};
-use lwsnap_vm::programs::{nqueens_source, search_workload_source};
+use lwsnap_vm::programs::{
+    bitstrings_source, guess_fail_source, nqueens_source, search_workload_source,
+};
 use lwsnap_vm::{assemble_source, Interp, Program};
+
+#[path = "../crates/vm/tests/common/guests.rs"]
+mod guests;
 
 /// The three backtracking implementations agree on solution counts.
 #[test]
@@ -282,4 +287,125 @@ fn demand_zero_boot_matches_eager_boot() {
     );
     assert_eq!(demand.len(), 16, "2^4 paths");
     assert_eq!(demand, eager);
+}
+
+/// The step budget both interpreters get in [`run_concrete_and_symbolic`]:
+/// ample for every guest there but the one that spins.
+const PINNED_STEPS: u64 = 100_000;
+
+/// Runs `source` under `Engine<Dfs>` aborting on the first fault, once
+/// with `Interp` and once with `SymExec`, asserts that the two runs are
+/// the same run, and returns `Interp`'s.
+fn run_concrete_and_symbolic(name: &str, source: &str) -> RunResult {
+    let program = assemble_source(source).unwrap();
+    let config = EngineConfig {
+        fault_policy: FaultPolicy::Abort,
+        ..EngineConfig::default()
+    };
+    let mut interp = Interp::new().max_steps(PINNED_STEPS);
+    let concrete =
+        Engine::with_config(Dfs::new(), config.clone()).run(&mut interp, program.boot().unwrap());
+    let mut exec = SymExec::new();
+    exec.max_steps = PINNED_STEPS;
+    let symbolic = Engine::with_config(Dfs::new(), config).run(&mut exec, program.boot().unwrap());
+    assert_eq!(concrete.stop, symbolic.stop, "{name}: stop");
+    assert_eq!(
+        concrete.transcript, symbolic.transcript,
+        "{name}: transcript"
+    );
+    assert_eq!(
+        concrete.exit_codes, symbolic.exit_codes,
+        "{name}: exit codes"
+    );
+    assert_eq!(concrete.solutions, symbolic.solutions, "{name}: solutions");
+    assert_eq!(concrete.stats, symbolic.stats, "{name}: engine stats");
+    assert_eq!(
+        interp.total_steps, exec.stats.instructions,
+        "{name}: instructions retired"
+    );
+    concrete
+}
+
+/// On guests with no symbolic input the symbolic executor is the
+/// concrete interpreter: same output, exits, faults, engine counts and
+/// instructions, on every canned generator and every interpreter
+/// unit-test guest.
+#[test]
+fn symex_runs_concrete_guests_like_interp() {
+    let generators = [
+        ("nqueens", nqueens_source(6, true, true)),
+        ("bitstrings", bitstrings_source(5)),
+        ("guess_fail", guess_fail_source(3, 3)),
+        ("search_workload", search_workload_source(3, 2, 5, 2, 4)),
+    ];
+    for (name, source) in &generators {
+        let run = run_concrete_and_symbolic(name, source);
+        assert_eq!(run.stop, StopReason::Exhausted, "{name}");
+        assert!(run.stats.extensions_evaluated > 1, "{name} searched");
+    }
+    for (name, source) in [
+        ("EXIT_42", guests::EXIT_42),
+        ("SUM_LOOP", guests::SUM_LOOP),
+        ("HELLO", guests::HELLO),
+        ("LOADS_STORES", guests::LOADS_STORES),
+        ("SIGNED_UNSIGNED", guests::SIGNED_UNSIGNED),
+        ("CALL_RET", guests::CALL_RET),
+        ("PUSH_POP", guests::PUSH_POP),
+        ("DIV_REM", guests::DIV_REM),
+        ("DIV_BY_ZERO", guests::DIV_BY_ZERO),
+        ("JUMP_INTO_DATA", guests::JUMP_INTO_DATA),
+        ("FALL_OFF_TEXT", guests::FALL_OFF_TEXT),
+        ("UNMAPPED_LOAD", guests::UNMAPPED_LOAD),
+        ("SPIN", guests::SPIN),
+        ("SHIFTS", guests::SHIFTS),
+        ("SELF_PATCHING", guests::SELF_PATCHING),
+        ("BRK_HEAP", guests::BRK_HEAP),
+    ] {
+        run_concrete_and_symbolic(name, source);
+    }
+}
+
+/// A `ret` to an address 8 bytes into an instruction runs the 16-byte
+/// slot holding it, under both interpreters.
+#[test]
+fn unaligned_return_runs_the_slot_holding_it() {
+    let source = r#"
+_start:
+    mov  rbx, target
+    add  rbx, 8
+    push rbx
+    ret
+target:
+    mov  rdi, 3
+    mov  rax, 60
+    syscall
+"#;
+    let run = run_concrete_and_symbolic("unaligned ret", source);
+    assert_eq!(run.exit_codes, [3]);
+}
+
+/// `urem` by zero faults with the same message under both interpreters.
+#[test]
+fn remainder_by_zero_faults_alike() {
+    let run = run_concrete_and_symbolic("urem by zero", "mov rbx, 7\nurem rbx, 0\n");
+    let StopReason::Aborted(GuestFault::Other(message)) = run.stop else {
+        panic!("expected a guest-specific fault, got {:?}", run.stop);
+    };
+    assert!(
+        message.starts_with("remainder by zero at rip 0x"),
+        "{message}"
+    );
+}
+
+/// Code patched after `mprotect(RWX)` runs in the same resume, and the
+/// sibling restored from before the patch runs the original, under the
+/// symbolic executor too: sequential and on two workers.
+#[test]
+fn symex_runs_patched_code_and_siblings_run_the_original() {
+    let program = assemble_source(guests::SELF_PATCHING).unwrap();
+    let sequential = Engine::new(Dfs::new()).run(&mut SymExec::new(), program.boot().unwrap());
+    assert_eq!(sequential.stop, StopReason::Exhausted);
+    assert_eq!(sequential.transcript_str(), "121");
+    let parallel = ParallelEngine::new(2).run(SymExec::new, program.boot().unwrap());
+    assert_eq!(parallel.transcript_str(), "121");
 }
