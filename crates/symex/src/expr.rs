@@ -24,26 +24,9 @@ use std::sync::{Arc, RwLock};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExprId(pub u32);
 
-/// 64-bit binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BinOp {
-    /// Wrapping addition.
-    Add,
-    /// Wrapping subtraction.
-    Sub,
-    /// Wrapping multiplication (low 64 bits).
-    Mul,
-    /// Bitwise and.
-    And,
-    /// Bitwise or.
-    Or,
-    /// Bitwise xor.
-    Xor,
-    /// Left shift (count masked to 63).
-    Shl,
-    /// Logical right shift (count masked to 63).
-    Shr,
-}
+/// 64-bit binary operators: the SVM-64 ALU's, so an expression and the
+/// interpreter's concrete result are computed by one definition.
+pub use lwsnap_vm::BinOp;
 
 /// Comparison operators (produce 1-bit values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -190,7 +173,7 @@ impl ExprPool {
         debug_assert_eq!(self.width(a), Width::W64, "bin lhs must be 64-bit");
         debug_assert_eq!(self.width(b), Width::W64, "bin rhs must be 64-bit");
         if let (Some(x), Some(y)) = (self.const_of(a), self.const_of(b)) {
-            return self.constant(eval_bin(op, x, y));
+            return self.constant(op.apply(x, y));
         }
         // Identity folds.
         match (op, self.const_of(a), self.const_of(b)) {
@@ -280,7 +263,7 @@ impl ExprPool {
             // Leaves are cheaper to read than to remember.
             Expr::Input { id } => return *inputs.get(&id).unwrap_or(&0) as u64,
             Expr::Const { v } => return v,
-            Expr::Bin { op, a, b } => eval_bin(op, eval(a), eval(b)),
+            Expr::Bin { op, a, b } => op.apply(eval(a), eval(b)),
             Expr::Extract8 { e, byte } => eval(e) >> (8 * byte) & 0xff,
             Expr::ZExt8 { e } => eval(e),
             Expr::Cmp { op, a, b } => eval_cmp(op, eval(a), eval(b)) as u64,
@@ -380,19 +363,6 @@ impl SharedPool {
     /// Evaluates an expression under a concrete input assignment.
     pub fn eval(&self, id: ExprId, inputs: &HashMap<u32, u8>) -> u64 {
         self.0.read().unwrap().eval(id, inputs)
-    }
-}
-
-fn eval_bin(op: BinOp, x: u64, y: u64) -> u64 {
-    match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        BinOp::Shl => x.wrapping_shl(y as u32 & 63),
-        BinOp::Shr => x.wrapping_shr(y as u32 & 63),
     }
 }
 

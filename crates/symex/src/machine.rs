@@ -1,5 +1,6 @@
 //! The symbolic SVM-64 interpreter: an engine [`Guest`] that forks at
-//! symbolic branches.
+//! symbolic branches. It is [`lwsnap_vm::Cpu::run`], the one SVM-64
+//! fetch/decode/execute loop, over a symbolic value domain.
 //!
 //! This is the reproduction of the paper's S2E use case (§3.2): "each
 //! partial candidate corresponds to a different state of the VM
@@ -10,7 +11,11 @@
 //!
 //! Mechanically: concrete state lives in the ordinary [`GuestState`]
 //! (registers + snapshottable address space); symbolic data rides along
-//! as a [`Shadow`] stored in the snapshot's `ext` slot. At a branch whose
+//! as a [`Shadow`] stored in the snapshot's `ext` slot. A value is its
+//! concrete part plus, when it depends on input, an expression; the loop
+//! computes flags and concrete results exactly as it does for
+//! [`lwsnap_vm::Interp`], so a path with no symbolic input runs as it
+//! would there. At a branch whose
 //! condition is symbolic the interpreter issues the equivalent of
 //! `sys_guess(2)`; the backtracking engine snapshots the whole VM state
 //! and schedules both outcomes. Infeasible directions are pruned with the
@@ -43,21 +48,21 @@
 //! [`crate::blast`] for the full contract.
 //!
 //! Supported symbolic data flow: integer arithmetic/logic, shifts,
-//! byte-granular memory, comparisons and all conditional branches.
-//! Deliberately unsupported (the path faults, soundly): symbolic
-//! addresses, symbolic divisors, symbolic `sar`/`test`, sign-extending
-//! loads of symbolic bytes.
+//! byte-granular memory, comparisons (`cmp` and `test`) and all
+//! conditional branches. Deliberately unsupported (the path faults
+//! `symbolic … unsupported`, soundly): a symbolic load or store address,
+//! a symbolic stack pointer under `push`, `pop`, `call` or `ret`, a
+//! symbolic return address, symbolic division or `sar` operands, and
+//! sign-extending loads of symbolic bytes.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use lwsnap_core::{
-    handle_syscall, Exit, Guest, GuestFault, GuestState, InterposePolicy, Reg, SyscallEffect,
-};
-use lwsnap_vm::{Instr, Opcode, INSTR_SIZE};
+use lwsnap_core::{Exit, Guest, GuestFault, GuestState, Reg};
+use lwsnap_vm::{BinOp, Branch, Cpu, Domain, Opcode};
 
 use crate::blast::{check_path, BlastState, Blaster, Feasibility};
-use crate::expr::{BinOp, CmpOp, ExprId, SharedPool};
+use crate::expr::{CmpOp, Expr, ExprId, SharedPool};
 use lwsnap_service::{ProblemId, ServiceConfig, ShardedService, SolverBackend};
 
 /// Syscall number for `make_symbolic(addr, len)`.
@@ -215,10 +220,8 @@ pub struct SymExec {
     /// the same pool, which is what lets the parallel driver move
     /// `ExprId`-bearing shadows between worker threads.
     pub pool: SharedPool,
-    /// Encapsulation policy for ordinary syscalls.
-    pub policy: InterposePolicy,
-    /// Per-resume instruction budget.
-    pub max_steps: u64,
+    /// The interpreter loop, its syscall policy and its step budget.
+    pub cpu: Cpu,
     /// Run counters.
     pub stats: SymStats,
     /// Test cases generated from completed paths.
@@ -235,19 +238,6 @@ pub struct SymExec {
 impl Default for SymExec {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A register value: always-present concrete part + optional expr.
-#[derive(Clone, Copy)]
-struct Val {
-    c: u64,
-    e: Option<ExprId>,
-}
-
-impl Val {
-    fn concrete(c: u64) -> Val {
-        Val { c, e: None }
     }
 }
 
@@ -282,8 +272,7 @@ impl SymExec {
             .expect("solver backend transport failure resolving session root");
         SymExec {
             pool,
-            policy: InterposePolicy::default(),
-            max_steps: 50_000_000,
+            cpu: Cpu::new(50_000_000),
             stats: SymStats::default(),
             cases: Vec::new(),
             backend,
@@ -366,117 +355,6 @@ impl SymExec {
         }
     }
 
-    fn expr_of(&mut self, v: Val) -> ExprId {
-        match v.e {
-            Some(e) => e,
-            None => self.pool.constant(v.c),
-        }
-    }
-
-    fn get_reg(&self, st: &GuestState, shadow: &Shadow, r: Reg) -> Val {
-        Val {
-            c: st.regs.get(r),
-            e: shadow.regs[r.index()],
-        }
-    }
-
-    fn set_reg(&mut self, st: &mut GuestState, shadow: &mut Shadow, r: Reg, v: Val) {
-        st.regs.set(r, v.c);
-        shadow.regs[r.index()] = v.e.filter(|&e| !self.pool.is_const(e));
-    }
-
-    /// Reads `size` bytes at `addr`, composing symbolic bytes if present.
-    fn load(
-        &mut self,
-        st: &mut GuestState,
-        shadow: &Shadow,
-        addr: u64,
-        size: usize,
-    ) -> Result<Val, GuestFault> {
-        let mut buf = [0u8; 8];
-        st.mem
-            .read_bytes(addr, &mut buf[..size])
-            .map_err(GuestFault::Memory)?;
-        let concrete = u64::from_le_bytes(buf);
-        let any_symbolic = (0..size).any(|i| shadow.mem.contains_key(&(addr + i as u64)));
-        if !any_symbolic {
-            return Ok(Val::concrete(concrete));
-        }
-        let mut expr = self.pool.constant(0);
-        #[allow(clippy::needless_range_loop)] // i is an address offset, not just an index
-        for i in 0..size {
-            let byte = match shadow.mem.get(&(addr + i as u64)) {
-                Some(&e) => self.pool.zext8(e),
-                None => self.pool.constant(buf[i] as u64),
-            };
-            let sh = self.pool.constant(8 * i as u64);
-            let shifted = self.pool.bin(BinOp::Shl, byte, sh);
-            expr = self.pool.bin(BinOp::Or, expr, shifted);
-        }
-        Ok(Val {
-            c: concrete,
-            e: Some(expr).filter(|&e| !self.pool.is_const(e)),
-        })
-    }
-
-    /// Writes `size` bytes at `addr`, tracking symbolic bytes.
-    fn store(
-        &mut self,
-        st: &mut GuestState,
-        shadow: &mut Shadow,
-        addr: u64,
-        size: usize,
-        v: Val,
-    ) -> Result<(), GuestFault> {
-        let bytes = v.c.to_le_bytes();
-        st.mem
-            .write_bytes(addr, &bytes[..size])
-            .map_err(GuestFault::Memory)?;
-        match v.e {
-            Some(e) => {
-                for i in 0..size {
-                    let byte = self.pool.extract8(e, i as u8);
-                    if self.pool.is_const(byte) {
-                        shadow.mem.remove(&(addr + i as u64));
-                    } else {
-                        shadow.mem.insert(addr + i as u64, byte);
-                    }
-                }
-            }
-            None => {
-                for i in 0..size {
-                    shadow.mem.remove(&(addr + i as u64));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Requires a concrete value (symbolic → sound fault).
-    fn require_concrete(v: Val, what: &str) -> Result<u64, GuestFault> {
-        match v.e {
-            None => Ok(v.c),
-            Some(_) => Err(GuestFault::Other(format!("symbolic {what} unsupported"))),
-        }
-    }
-
-    fn branch_cond(&mut self, op: Opcode, a: ExprId, b: ExprId) -> (ExprId, bool) {
-        // Returns (condition, polarity-for-taken).
-        match op {
-            Opcode::Jz => (self.pool.cmp(CmpOp::Eq, a, b), true),
-            Opcode::Jnz => (self.pool.cmp(CmpOp::Eq, a, b), false),
-            Opcode::Jl => (self.pool.cmp(CmpOp::Slt, a, b), true),
-            Opcode::Jge => (self.pool.cmp(CmpOp::Slt, a, b), false),
-            Opcode::Jle => (self.pool.cmp(CmpOp::Sle, a, b), true),
-            Opcode::Jg => (self.pool.cmp(CmpOp::Sle, a, b), false),
-            Opcode::Jb => (self.pool.cmp(CmpOp::Ult, a, b), true),
-            Opcode::Jae => (self.pool.cmp(CmpOp::Ult, a, b), false),
-            Opcode::Jbe => (self.pool.cmp(CmpOp::Ule, a, b), true),
-            Opcode::Ja => (self.pool.cmp(CmpOp::Ule, a, b), false),
-            _ => unreachable!("not a conditional branch"),
-        }
-    }
-
     /// Finishes a path: its witness is the test case.
     fn finish_path(&mut self, st: &GuestState, shadow: &Shadow, end: PathEnd) {
         self.stats.witness_hits += 1;
@@ -496,43 +374,12 @@ impl SymExec {
         self.stats.tests_generated += 1;
     }
 
-    fn save_shadow(st: &mut GuestState, shadow: Shadow) {
-        st.ext = Some(Arc::new(shadow));
-    }
-
     fn take_shadow(st: &GuestState) -> Shadow {
         st.ext
             .as_ref()
             .and_then(|e| e.clone().downcast::<Shadow>().ok())
             .map(|arc| (*arc).clone())
             .unwrap_or_default()
-    }
-}
-
-/// Sets concrete flags exactly like the concrete interpreter.
-fn set_cmp_flags(st: &mut GuestState, a: u64, b: u64) {
-    let (res, borrow) = a.overflowing_sub(b);
-    st.regs.flags.zf = res == 0;
-    st.regs.flags.sf = (res as i64) < 0;
-    st.regs.flags.cf = borrow;
-    st.regs.flags.of = ((a ^ b) & (a ^ res)) >> 63 != 0;
-}
-
-fn cond_holds(op: Opcode, st: &GuestState) -> bool {
-    let f = st.regs.flags;
-    match op {
-        Opcode::Jmp => true,
-        Opcode::Jz => f.zf,
-        Opcode::Jnz => !f.zf,
-        Opcode::Jl => f.sf != f.of,
-        Opcode::Jle => f.zf || f.sf != f.of,
-        Opcode::Jg => !f.zf && f.sf == f.of,
-        Opcode::Jge => f.sf == f.of,
-        Opcode::Jb => f.cf,
-        Opcode::Jbe => f.cf || f.zf,
-        Opcode::Ja => !f.cf && !f.zf,
-        Opcode::Jae => !f.cf,
-        _ => unreachable!(),
     }
 }
 
@@ -554,338 +401,200 @@ impl Guest for SymExec {
             }
         }
 
-        let mut buf = [0u8; 16];
-        loop {
-            if st.steps >= self.max_steps {
-                Self::save_shadow(st, shadow);
-                return Exit::Fault(GuestFault::StepBudget);
-            }
-            st.steps += 1;
-            self.stats.instructions += 1;
-            let rip = st.regs.rip;
-            if let Err(fault) = st.mem.fetch_bytes(rip, &mut buf) {
-                let end = PathEnd::Fault(format!("fetch fault: {fault}"));
-                self.finish_path(st, &shadow, end);
-                Self::save_shadow(st, shadow);
-                return Exit::Fault(GuestFault::Memory(fault));
-            }
-            let Some(ins) = Instr::decode(&buf) else {
-                self.finish_path(st, &shadow, PathEnd::Fault(format!("illegal at {rip:#x}")));
-                Self::save_shadow(st, shadow);
-                return Exit::Fault(GuestFault::IllegalInstruction { rip });
-            };
-            st.regs.rip = rip.wrapping_add(INSTR_SIZE);
+        let before = st.steps;
+        let mut domain = Symbolic {
+            pool: &self.pool,
+            shadow: &mut shadow,
+        };
+        let exit = self.cpu.run(&mut domain, st);
+        self.stats.instructions += st.steps - before;
+        match &exit {
+            Exit::Exit { code } => self.finish_path(st, &shadow, PathEnd::Exit(*code)),
+            Exit::Fault(fault) => self.finish_path(st, &shadow, PathEnd::Fault(fault.to_string())),
+            Exit::Guess { .. } if shadow.pending.is_some() => self.stats.forks += 1,
+            _ => {}
+        }
+        st.ext = Some(Arc::new(shadow));
+        exit
+    }
+}
 
-            match self.exec(st, &mut shadow, ins) {
-                Ok(None) => {}
-                Ok(Some(exit)) => {
-                    if let Exit::Exit { code } = exit {
-                        self.finish_path(st, &shadow, PathEnd::Exit(code));
-                    }
-                    Self::save_shadow(st, shadow);
-                    return exit;
-                }
-                Err(fault) => {
-                    self.finish_path(st, &shadow, PathEnd::Fault(fault.to_string()));
-                    Self::save_shadow(st, shadow);
-                    return Exit::Fault(fault);
-                }
-            }
+/// A register value: always-present concrete part + optional expr.
+#[derive(Clone, Copy)]
+struct Val {
+    c: u64,
+    e: Option<ExprId>,
+}
+
+/// The symbolic value domain over one path's [`Shadow`], for one resume.
+struct Symbolic<'a> {
+    pool: &'a SharedPool,
+    shadow: &'a mut Shadow,
+}
+
+impl Symbolic<'_> {
+    fn expr_of(&self, v: Val) -> ExprId {
+        match v.e {
+            Some(e) => e,
+            None => self.pool.constant(v.c),
         }
     }
 }
 
-impl SymExec {
-    /// Executes one instruction; `Ok(Some(exit))` traps to the engine.
-    fn exec(
+impl Domain for Symbolic<'_> {
+    type Val = Val;
+
+    fn constant(&mut self, c: u64) -> Val {
+        Val { c, e: None }
+    }
+
+    fn concrete(&self, v: Val) -> u64 {
+        v.c
+    }
+
+    fn require_concrete(&self, v: Val, what: &str) -> Result<u64, GuestFault> {
+        match v.e {
+            None => Ok(v.c),
+            Some(_) => Err(GuestFault::Other(format!("symbolic {what} unsupported"))),
+        }
+    }
+
+    fn reg(&self, st: &GuestState, r: Reg) -> Val {
+        Val {
+            c: st.regs.get(r),
+            e: self.shadow.regs[r.index()],
+        }
+    }
+
+    fn set_reg(&mut self, st: &mut GuestState, r: Reg, v: Val) {
+        st.regs.set(r, v.c);
+        self.shadow.regs[r.index()] = v.e.filter(|&e| !self.pool.is_const(e));
+    }
+
+    /// Reads `len` bytes at `addr`, composing symbolic bytes if present.
+    fn load(&mut self, st: &mut GuestState, addr: u64, len: u64) -> Result<Val, GuestFault> {
+        let mut buf = [0u8; 8];
+        st.mem
+            .read_bytes(addr, &mut buf[..len as usize])
+            .map_err(GuestFault::Memory)?;
+        let c = u64::from_le_bytes(buf);
+        let mem = &self.shadow.mem;
+        if !(0..len).any(|i| mem.contains_key(&(addr + i))) {
+            return Ok(Val { c, e: None });
+        }
+        let mut expr = self.pool.constant(0);
+        for i in 0..len {
+            let byte = match mem.get(&(addr + i)) {
+                Some(&e) => self.pool.zext8(e),
+                None => self.pool.constant(buf[i as usize] as u64),
+            };
+            let sh = self.pool.constant(8 * i);
+            let shifted = self.pool.bin(BinOp::Shl, byte, sh);
+            expr = self.pool.bin(BinOp::Or, expr, shifted);
+        }
+        Ok(Val {
+            c,
+            e: Some(expr).filter(|&e| !self.pool.is_const(e)),
+        })
+    }
+
+    /// Writes `len` bytes at `addr`, tracking symbolic bytes.
+    fn store(
         &mut self,
         st: &mut GuestState,
-        shadow: &mut Shadow,
-        ins: Instr,
-    ) -> Result<Option<Exit>, GuestFault> {
-        let immu = ins.imm as u64;
-        match ins.op {
-            Opcode::MovRI => self.set_reg(st, shadow, ins.dst, Val::concrete(immu)),
-            Opcode::MovRR => {
-                let v = self.get_reg(st, shadow, ins.src);
-                self.set_reg(st, shadow, ins.dst, v);
-            }
-
-            Opcode::Ld1 | Opcode::Ld2 | Opcode::Ld4 | Opcode::Ld8 => {
-                let base = self.get_reg(st, shadow, ins.src);
-                let addr = Self::require_concrete(base, "load address")?.wrapping_add(immu);
-                let size = match ins.op {
-                    Opcode::Ld1 => 1,
-                    Opcode::Ld2 => 2,
-                    Opcode::Ld4 => 4,
-                    _ => 8,
-                };
-                let v = self.load(st, shadow, addr, size)?;
-                self.set_reg(st, shadow, ins.dst, v);
-            }
-            Opcode::Lds1 | Opcode::Lds2 | Opcode::Lds4 => {
-                let base = self.get_reg(st, shadow, ins.src);
-                let addr = Self::require_concrete(base, "load address")?.wrapping_add(immu);
-                let size = match ins.op {
-                    Opcode::Lds1 => 1,
-                    Opcode::Lds2 => 2,
-                    _ => 4,
-                };
-                let v = self.load(st, shadow, addr, size)?;
-                if v.e.is_some() {
-                    return Err(GuestFault::Other(
-                        "sign-extending load of symbolic data unsupported".into(),
-                    ));
-                }
-                let c = match size {
-                    1 => v.c as u8 as i8 as i64 as u64,
-                    2 => v.c as u16 as i16 as i64 as u64,
-                    _ => v.c as u32 as i32 as i64 as u64,
-                };
-                self.set_reg(st, shadow, ins.dst, Val::concrete(c));
-            }
-            Opcode::St1 | Opcode::St2 | Opcode::St4 | Opcode::St8 => {
-                let base = self.get_reg(st, shadow, ins.dst);
-                let addr = Self::require_concrete(base, "store address")?.wrapping_add(immu);
-                let size = match ins.op {
-                    Opcode::St1 => 1,
-                    Opcode::St2 => 2,
-                    Opcode::St4 => 4,
-                    _ => 8,
-                };
-                let v = self.get_reg(st, shadow, ins.src);
-                self.store(st, shadow, addr, size, v)?;
-            }
-
-            Opcode::Add
-            | Opcode::AddI
-            | Opcode::Sub
-            | Opcode::SubI
-            | Opcode::Mul
-            | Opcode::MulI
-            | Opcode::And
-            | Opcode::AndI
-            | Opcode::Or
-            | Opcode::OrI
-            | Opcode::Xor
-            | Opcode::XorI
-            | Opcode::Shl
-            | Opcode::ShlI
-            | Opcode::Shr
-            | Opcode::ShrI => {
-                let a = self.get_reg(st, shadow, ins.dst);
-                let (b, is_imm) = match ins.op {
-                    Opcode::Add
-                    | Opcode::Sub
-                    | Opcode::Mul
-                    | Opcode::And
-                    | Opcode::Or
-                    | Opcode::Xor
-                    | Opcode::Shl
-                    | Opcode::Shr => (self.get_reg(st, shadow, ins.src), false),
-                    _ => (Val::concrete(immu), true),
-                };
-                let _ = is_imm;
-                let op = match ins.op {
-                    Opcode::Add | Opcode::AddI => BinOp::Add,
-                    Opcode::Sub | Opcode::SubI => BinOp::Sub,
-                    Opcode::Mul | Opcode::MulI => BinOp::Mul,
-                    Opcode::And | Opcode::AndI => BinOp::And,
-                    Opcode::Or | Opcode::OrI => BinOp::Or,
-                    Opcode::Xor | Opcode::XorI => BinOp::Xor,
-                    Opcode::Shl | Opcode::ShlI => BinOp::Shl,
-                    _ => BinOp::Shr,
-                };
-                let c = match op {
-                    BinOp::Add => a.c.wrapping_add(b.c),
-                    BinOp::Sub => a.c.wrapping_sub(b.c),
-                    BinOp::Mul => a.c.wrapping_mul(b.c),
-                    BinOp::And => a.c & b.c,
-                    BinOp::Or => a.c | b.c,
-                    BinOp::Xor => a.c ^ b.c,
-                    BinOp::Shl => a.c.wrapping_shl(b.c as u32 & 63),
-                    BinOp::Shr => a.c.wrapping_shr(b.c as u32 & 63),
-                };
-                let e = if a.e.is_some() || b.e.is_some() {
-                    let ae = self.expr_of(a);
-                    let be = self.expr_of(b);
-                    Some(self.pool.bin(op, ae, be))
-                } else {
-                    None
-                };
-                self.set_reg(st, shadow, ins.dst, Val { c, e });
-            }
-            Opcode::Udiv | Opcode::UdivI | Opcode::Urem | Opcode::UremI => {
-                let a = self.get_reg(st, shadow, ins.dst);
-                let b = match ins.op {
-                    Opcode::Udiv | Opcode::Urem => self.get_reg(st, shadow, ins.src),
-                    _ => Val::concrete(immu),
-                };
-                let av = Self::require_concrete(a, "division operand")?;
-                let bv = Self::require_concrete(b, "division operand")?;
-                if bv == 0 {
-                    return Err(GuestFault::Other("division by zero".into()));
-                }
-                let c = if matches!(ins.op, Opcode::Udiv | Opcode::UdivI) {
-                    av / bv
-                } else {
-                    av % bv
-                };
-                self.set_reg(st, shadow, ins.dst, Val::concrete(c));
-            }
-            Opcode::Sar | Opcode::SarI => {
-                let a = self.get_reg(st, shadow, ins.dst);
-                let b = match ins.op {
-                    Opcode::Sar => self.get_reg(st, shadow, ins.src),
-                    _ => Val::concrete(immu),
-                };
-                let av = Self::require_concrete(a, "sar operand")?;
-                let bv = Self::require_concrete(b, "sar operand")?;
-                let c = ((av as i64).wrapping_shr(bv as u32 & 63)) as u64;
-                self.set_reg(st, shadow, ins.dst, Val::concrete(c));
-            }
-            Opcode::Neg => {
-                let a = self.get_reg(st, shadow, ins.dst);
-                let c = a.c.wrapping_neg();
-                let e = a.e.map(|e| {
-                    let zero = self.pool.constant(0);
-                    self.pool.bin(BinOp::Sub, zero, e)
-                });
-                self.set_reg(st, shadow, ins.dst, Val { c, e });
-            }
-            Opcode::Not => {
-                let a = self.get_reg(st, shadow, ins.dst);
-                let c = !a.c;
-                let e = a.e.map(|e| {
-                    let ones = self.pool.constant(u64::MAX);
-                    self.pool.bin(BinOp::Xor, e, ones)
-                });
-                self.set_reg(st, shadow, ins.dst, Val { c, e });
-            }
-
-            Opcode::Cmp | Opcode::CmpI => {
-                let a = self.get_reg(st, shadow, ins.dst);
-                let b = match ins.op {
-                    Opcode::Cmp => self.get_reg(st, shadow, ins.src),
-                    _ => Val::concrete(immu),
-                };
-                set_cmp_flags(st, a.c, b.c);
-                shadow.last_cmp = if a.e.is_some() || b.e.is_some() {
-                    let ae = self.expr_of(a);
-                    let be = self.expr_of(b);
-                    Some((ae, be))
-                } else {
-                    None
-                };
-            }
-            Opcode::Test => {
-                let a = self.get_reg(st, shadow, ins.dst);
-                let b = self.get_reg(st, shadow, ins.src);
-                if a.e.is_some() || b.e.is_some() {
-                    return Err(GuestFault::Other("symbolic test unsupported".into()));
-                }
-                let res = a.c & b.c;
-                st.regs.flags.zf = res == 0;
-                st.regs.flags.sf = (res as i64) < 0;
-                st.regs.flags.cf = false;
-                st.regs.flags.of = false;
-                shadow.last_cmp = None;
-            }
-
-            Opcode::Jmp => st.regs.rip = immu,
-            Opcode::Jz
-            | Opcode::Jnz
-            | Opcode::Jl
-            | Opcode::Jle
-            | Opcode::Jg
-            | Opcode::Jge
-            | Opcode::Jb
-            | Opcode::Jbe
-            | Opcode::Ja
-            | Opcode::Jae => {
-                if let Some((a, b)) = shadow.last_cmp {
-                    let (cond, taken_polarity) = self.branch_cond(ins.op, a, b);
-                    if !self.pool.is_const(cond) {
-                        // Symbolic branch: fork via the engine. Extension
-                        // 1 = condition holds with `taken_polarity`.
-                        let (cond, target) = if taken_polarity {
-                            (cond, immu)
-                        } else {
-                            // Normalise: extension 1 always means "the
-                            // stored cond is true", so invert for
-                            // negative-polarity jumps.
-                            (self.pool.not1(cond), immu)
-                        };
-                        shadow.pending = Some(Pending { cond, target });
-                        self.stats.forks += 1;
-                        return Ok(Some(Exit::Guess { n: 2, hint: None }));
-                    }
-                    // Condition folded to a constant: concrete branch.
-                    let holds =
-                        matches!(self.pool.node(cond), crate::expr::Expr::Const { v } if v == 1);
-                    let jump = if taken_polarity { holds } else { !holds };
-                    if jump {
-                        st.regs.rip = immu;
-                    }
-                } else if cond_holds(ins.op, st) {
-                    st.regs.rip = immu;
-                }
-            }
-
-            Opcode::Call => {
-                let ret = st.regs.rip;
-                let sp = st.regs.get(Reg::Rsp).wrapping_sub(8);
-                self.store(st, shadow, sp, 8, Val::concrete(ret))?;
-                st.regs.set(Reg::Rsp, sp);
-                shadow.regs[Reg::Rsp.index()] = None;
-                st.regs.rip = immu;
-            }
-            Opcode::Ret => {
-                let sp = st.regs.get(Reg::Rsp);
-                let v = self.load(st, shadow, sp, 8)?;
-                let ret = Self::require_concrete(v, "return address")?;
-                st.regs.set(Reg::Rsp, sp.wrapping_add(8));
-                st.regs.rip = ret;
-            }
-            Opcode::Push => {
-                let v = self.get_reg(st, shadow, ins.src);
-                let sp = st.regs.get(Reg::Rsp).wrapping_sub(8);
-                self.store(st, shadow, sp, 8, v)?;
-                st.regs.set(Reg::Rsp, sp);
-            }
-            Opcode::Pop => {
-                let sp = st.regs.get(Reg::Rsp);
-                let v = self.load(st, shadow, sp, 8)?;
-                st.regs.set(Reg::Rsp, sp.wrapping_add(8));
-                self.set_reg(st, shadow, ins.dst, v);
-            }
-
-            Opcode::Syscall => {
-                let nr = st.regs.get(Reg::Rax);
-                if nr == SYS_MAKE_SYMBOLIC {
-                    let addr = st.regs.get(Reg::Rdi);
-                    let len = st.regs.get(Reg::Rsi).min(4096);
-                    // Bytes must be mapped; contents become inputs.
-                    let mut probe = vec![0u8; len as usize];
-                    st.mem
-                        .read_bytes(addr, &mut probe)
-                        .map_err(GuestFault::Memory)?;
-                    for i in 0..len {
-                        let id = shadow.n_inputs;
-                        shadow.n_inputs += 1;
-                        let e = self.pool.input(id);
-                        shadow.mem.insert(addr + i, e);
-                    }
-                    st.regs.set_return(0);
-                } else {
-                    match handle_syscall(st, &self.policy) {
-                        SyscallEffect::Continue => {}
-                        SyscallEffect::Trap(exit) => return Ok(Some(exit)),
-                    }
-                }
-            }
-            Opcode::Nop => {}
+        addr: u64,
+        len: u64,
+        v: Val,
+    ) -> Result<(), GuestFault> {
+        st.mem
+            .write_bytes(addr, &v.c.to_le_bytes()[..len as usize])
+            .map_err(GuestFault::Memory)?;
+        for i in 0..len {
+            let byte = v.e.map(|e| self.pool.extract8(e, i as u8));
+            match byte.filter(|&b| !self.pool.is_const(b)) {
+                Some(b) => self.shadow.mem.insert(addr + i, b),
+                None => self.shadow.mem.remove(&(addr + i)),
+            };
         }
-        Ok(None)
+        Ok(())
+    }
+
+    fn alu(&mut self, op: BinOp, a: Val, b: Val) -> Val {
+        let e = (a.e.is_some() || b.e.is_some())
+            .then(|| self.pool.bin(op, self.expr_of(a), self.expr_of(b)));
+        Val {
+            c: op.apply(a.c, b.c),
+            e,
+        }
+    }
+
+    /// Remembers the operands of a comparison that involves input.
+    fn compared(&mut self, a: Val, b: Val) {
+        self.shadow.last_cmp =
+            (a.e.is_some() || b.e.is_some()).then(|| (self.expr_of(a), self.expr_of(b)));
+    }
+
+    /// Forks at a branch whose condition depends on input.
+    fn branch(&mut self, op: Opcode, holds: bool, target: u64) -> Branch {
+        let Some((a, b)) = self.shadow.last_cmp else {
+            return if holds {
+                Branch::Taken
+            } else {
+                Branch::NotTaken
+            };
+        };
+        // The condition, and the polarity for which the branch is taken.
+        let (cmp, taken_polarity) = match op {
+            Opcode::Jz => (CmpOp::Eq, true),
+            Opcode::Jnz => (CmpOp::Eq, false),
+            Opcode::Jl => (CmpOp::Slt, true),
+            Opcode::Jge => (CmpOp::Slt, false),
+            Opcode::Jle => (CmpOp::Sle, true),
+            Opcode::Jg => (CmpOp::Sle, false),
+            Opcode::Jb => (CmpOp::Ult, true),
+            Opcode::Jae => (CmpOp::Ult, false),
+            Opcode::Jbe => (CmpOp::Ule, true),
+            Opcode::Ja => (CmpOp::Ule, false),
+            _ => unreachable!("not a conditional branch"),
+        };
+        let cond = self.pool.cmp(cmp, a, b);
+        if let Expr::Const { v } = self.pool.node(cond) {
+            // Condition folded to a constant: concrete branch.
+            return if (v == 1) == taken_polarity {
+                Branch::Taken
+            } else {
+                Branch::NotTaken
+            };
+        }
+        // Extension 1 always means "the stored cond is true", so the
+        // condition is inverted for negative-polarity jumps.
+        let cond = if taken_polarity {
+            cond
+        } else {
+            self.pool.not1(cond)
+        };
+        self.shadow.pending = Some(Pending { cond, target });
+        Branch::Fork
+    }
+
+    /// `make_symbolic(addr, len)`: the bytes become fresh inputs.
+    fn syscall(&mut self, st: &mut GuestState) -> Result<bool, GuestFault> {
+        if st.regs.get(Reg::Rax) != SYS_MAKE_SYMBOLIC {
+            return Ok(false);
+        }
+        let addr = st.regs.get(Reg::Rdi);
+        let len = st.regs.get(Reg::Rsi).min(4096);
+        // Bytes must be mapped; contents become inputs.
+        let mut probe = vec![0u8; len as usize];
+        st.mem
+            .read_bytes(addr, &mut probe)
+            .map_err(GuestFault::Memory)?;
+        for i in 0..len {
+            let id = self.shadow.n_inputs;
+            self.shadow.n_inputs += 1;
+            self.shadow.mem.insert(addr + i, self.pool.input(id));
+        }
+        st.regs.set_return(0);
+        Ok(true)
     }
 }

@@ -29,6 +29,64 @@ buf: .space 1
     .to_owned()
 }
 
+/// A small "parser" over 4 symbolic input bytes with two buried bugs.
+///
+/// `in[0]` must be `'L'` and `in[1]` 1 or 2, else it exits 1. Past that
+/// header, `in[2] == 10` divides by zero and `in[3] > 250` reads through
+/// the wild pointer `0xdead0000`; an input that avoids both exits 0.
+pub fn buggy_parser_source() -> String {
+    r#"
+.text
+_start:
+    mov  rdi, input
+    mov  rsi, 4
+    mov  rax, 1100      ; make_symbolic(input, 4)
+    syscall
+    mov  r12, input
+
+    ; header check: in[0] must be 'L'
+    ld1  rbx, [r12]
+    cmp  rbx, 76
+    jnz  reject
+
+    ; version: in[1] in {1, 2}
+    ld1  rbx, [r12+1]
+    cmp  rbx, 1
+    jz   versioned
+    cmp  rbx, 2
+    jnz  reject
+versioned:
+
+    ; BUG 1: when in[2] == 10 a divisor of zero is used.
+    ld1  rbx, [r12+2]
+    cmp  rbx, 10
+    jnz  no_div_bug
+    mov  rcx, 1000
+    mov  rbx, 0
+    udiv rcx, rbx
+no_div_bug:
+
+    ; BUG 2: if in[3] > 250, read through a wild pointer.
+    ld1  rbx, [r12+3]
+    cmp  rbx, 250
+    jbe  accept
+    mov  rbx, 0xdead0000
+    ld8  rcx, [rbx]
+
+accept:
+    mov  rdi, 0
+    mov  rax, 60
+    syscall
+reject:
+    mov  rdi, 1
+    mov  rax, 60
+    syscall
+.data
+input: .space 4
+"#
+    .to_owned()
+}
+
 /// A byte-by-byte password check over `password.len()` symbolic bytes.
 ///
 /// Any mismatch exits with code 1; a full match exits with code 42.

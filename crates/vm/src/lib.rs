@@ -42,7 +42,7 @@ pub mod prog;
 pub mod programs;
 
 pub use disasm::{disassemble, format_instr};
-pub use interp::{run_to_exit, Interp, DEFAULT_MAX_STEPS};
+pub use interp::{run_to_exit, BinOp, Branch, Cpu, Domain, Interp, DEFAULT_MAX_STEPS};
 pub use isa::{Instr, Opcode, INSTR_SIZE};
 pub use parse::{assemble_source, parse};
 pub use prog::{assemble, AsmError, Item, Program, Section, SymExpr};

@@ -3,70 +3,21 @@
 //! Marks a guest buffer symbolic, explores every feasible path (each
 //! symbolic branch = one `sys_guess(2)` fork in the snapshot tree), and
 //! prints a concrete crashing input for every bug plus a test input for
-//! every clean path.
+//! every clean path. The target is
+//! [`buggy_parser_source`](lwsnap_symex::programs::buggy_parser_source);
+//! the example exits non-zero unless it finds exactly the paths that
+//! target has.
 //!
 //! ```sh
 //! cargo run --release --example symex_bugfinder
 //! ```
 
 use lwsnap_core::{strategy::Dfs, Engine};
-use lwsnap_symex::{PathEnd, SymExec};
+use lwsnap_symex::{programs::buggy_parser_source, PathEnd, SymExec, TestCase};
 use lwsnap_vm::assemble_source;
 
-/// A small "parser" with two buried bugs: a division that can be driven
-/// to zero and a checksum branch hiding an illegal memory access.
-const TARGET: &str = r#"
-.text
-_start:
-    mov  rdi, input
-    mov  rsi, 4
-    mov  rax, 1100      ; make_symbolic(input, 4)
-    syscall
-    mov  r12, input
-
-    ; header check: in[0] must be 'L'
-    ld1  rbx, [r12]
-    cmp  rbx, 76
-    jnz  reject
-
-    ; version: in[1] in {1, 2}
-    ld1  rbx, [r12+1]
-    cmp  rbx, 1
-    jz   versioned
-    cmp  rbx, 2
-    jnz  reject
-versioned:
-
-    ; BUG 1: when in[2] == 10 a divisor of zero is used.
-    ld1  rbx, [r12+2]
-    cmp  rbx, 10
-    jnz  no_div_bug
-    mov  rcx, 1000
-    mov  rbx, 0
-    udiv rcx, rbx
-no_div_bug:
-
-    ; BUG 2: if in[3] > 250, read through a wild pointer.
-    ld1  rbx, [r12+3]
-    cmp  rbx, 250
-    jbe  accept
-    mov  rbx, 0xdead0000
-    ld8  rcx, [rbx]
-
-accept:
-    mov  rdi, 0
-    mov  rax, 60
-    syscall
-reject:
-    mov  rdi, 1
-    mov  rax, 60
-    syscall
-.data
-input: .space 4
-"#;
-
 fn main() {
-    let program = assemble_source(TARGET).expect("target assembles");
+    let program = assemble_source(&buggy_parser_source()).expect("target assembles");
     let mut exec = SymExec::new();
     let mut engine = Engine::new(Dfs::new());
     let start = std::time::Instant::now();
@@ -113,4 +64,27 @@ fn main() {
         "engine: {} snapshots, {} restores — every fork was a lightweight snapshot",
         result.stats.snapshots_created, result.stats.restores
     );
+
+    // Two header rejections, and for each accepted version one clean
+    // exit and each bug once.
+    assert_eq!(exec.cases.len(), 8, "paths");
+    assert_eq!(exec.stats.forks, 7, "forks");
+    assert_eq!(exec.stats.infeasible_pruned, 0, "pruned");
+    fn faulted(case: &TestCase, prefix: &str) -> bool {
+        matches!(&case.end, PathEnd::Fault(msg) if msg.starts_with(prefix))
+    }
+    let count = |keep: fn(&TestCase) -> bool| exec.cases.iter().filter(|&c| keep(c)).count();
+    assert_eq!(
+        count(|c| faulted(c, "division by zero") && c.inputs[2] == 10),
+        2,
+        "division by zero with in[2] == 10"
+    );
+    assert_eq!(
+        count(|c| faulted(c, "memory fault: unmapped address 0xdead0000") && c.inputs[3] > 250),
+        2,
+        "wild read with in[3] > 250"
+    );
+    assert_eq!(count(|c| c.end == PathEnd::Exit(0)), 2, "exit(0)");
+    assert_eq!(count(|c| c.end == PathEnd::Exit(1)), 2, "exit(1)");
+    println!("all ok");
 }

@@ -4,13 +4,16 @@ use std::sync::Arc;
 
 use lwsnap_core::strategy::Dfs;
 use lwsnap_core::{
-    replay_dfs, Engine, EngineConfig, FaultPolicy, GuestFault, GuestState, InterposePolicy,
-    Outcome, ParallelConfig, ParallelEngine, RunResult, StopReason,
+    replay_dfs, Engine, EngineConfig, Exit, FaultPolicy, Guest, GuestFault, GuestState,
+    InterposePolicy, Outcome, ParallelConfig, ParallelEngine, RunResult, StopReason,
 };
 use lwsnap_fs::{FsView, Volume};
 use lwsnap_prolog::{Machine, NQUEENS_PROGRAM};
 use lwsnap_service::{ServiceConfig, ShardedService};
-use lwsnap_symex::programs::branch_tree_with_state_source;
+use lwsnap_symex::programs::{
+    branch_tree_source, branch_tree_with_state_source, buggy_parser_source, linear_crash_source,
+    password_source,
+};
 use lwsnap_symex::{par_explore_on, PathEnd, SymExec};
 use lwsnap_vm::programs::{
     bitstrings_source, guess_fail_source, nqueens_source, search_workload_source,
@@ -306,7 +309,7 @@ fn run_concrete_and_symbolic(name: &str, source: &str) -> RunResult {
     let concrete =
         Engine::with_config(Dfs::new(), config.clone()).run(&mut interp, program.boot().unwrap());
     let mut exec = SymExec::new();
-    exec.max_steps = PINNED_STEPS;
+    exec.cpu.max_steps = PINNED_STEPS;
     let symbolic = Engine::with_config(Dfs::new(), config).run(&mut exec, program.boot().unwrap());
     assert_eq!(concrete.stop, symbolic.stop, "{name}: stop");
     assert_eq!(
@@ -408,4 +411,95 @@ fn symex_runs_patched_code_and_siblings_run_the_original() {
     assert_eq!(sequential.transcript_str(), "121");
     let parallel = ParallelEngine::new(2).run(SymExec::new, program.boot().unwrap());
     assert_eq!(parallel.transcript_str(), "121");
+}
+
+/// Marks one byte `x` of `buf` symbolic, sets `rsp` to `stk + 32 + x`
+/// and pushes: exits 1 if `rsp` is then `stk + 32` (`x == 8`), else 2.
+const SYMBOLIC_RSP: &str = r#"
+.text
+_start:
+    mov  rdi, buf
+    mov  rsi, 1
+    mov  rax, 1100        ; make_symbolic(buf, 1)
+    syscall
+    mov  rbx, buf
+    ld1  rcx, [rbx]
+    mov  rsp, stk
+    add  rsp, 32
+    add  rsp, rcx
+    push rcx
+    mov  rdx, rsp
+    mov  rbx, stk
+    add  rbx, 32
+    cmp  rdx, rbx
+    jnz  differ
+    mov  rdi, 1
+    mov  rax, 60
+    syscall
+differ:
+    mov  rdi, 2
+    mov  rax, 60
+    syscall
+.data
+buf: .space 1
+stk: .space 64
+"#;
+
+/// Whether `end` is a path the symbolic executor gave up on, rather than
+/// one the guest itself ended.
+fn symex_gave_up(end: &PathEnd) -> bool {
+    matches!(end, PathEnd::Fault(msg) if msg.starts_with("symbolic ") && msg.ends_with(" unsupported"))
+}
+
+/// `push` with a symbolic stack pointer faults the path rather than
+/// pushing at a concrete guess of it.
+#[test]
+fn symbolic_stack_pointer_faults() {
+    let program = assemble_source(SYMBOLIC_RSP).unwrap();
+    let mut exec = SymExec::new();
+    Engine::new(Dfs::new()).run(&mut exec, program.boot().unwrap());
+    let ends: Vec<_> = exec.cases.iter().map(|case| &case.end).collect();
+    assert_eq!(
+        ends,
+        [&PathEnd::Fault("symbolic stack pointer unsupported".into())]
+    );
+}
+
+/// Every test case the symbolic executor reports replays under `Interp`:
+/// with the case's inputs written into the buffer the guest marks
+/// symbolic (`Interp` answers `make_symbolic` with `ENOSYS` and leaves
+/// the buffer alone), the concrete run ends as the case says. Paths the
+/// executor gave up on stand for no concrete run and are skipped.
+#[test]
+fn symex_witnesses_replay_under_interp() {
+    let guests = [
+        ("linear_crash", linear_crash_source(), "buf"),
+        ("password", password_source(b"lw"), "buf"),
+        ("branch_tree", branch_tree_source(4), "buf"),
+        ("symbolic rsp", SYMBOLIC_RSP.to_owned(), "buf"),
+        ("buggy_parser", buggy_parser_source(), "input"),
+    ];
+    for (name, source, buffer) in guests {
+        let program = assemble_source(&source).unwrap();
+        let mut exec = SymExec::new();
+        Engine::new(Dfs::new()).run(&mut exec, program.boot().unwrap());
+        assert!(!exec.cases.is_empty(), "{name}: no test cases");
+        for case in exec.cases.iter().filter(|case| !symex_gave_up(&case.end)) {
+            let mut state = program.boot().unwrap();
+            state
+                .mem
+                .poke_bytes(program.symbols[buffer], &case.inputs)
+                .unwrap();
+            let mut interp = Interp::new();
+            let end = loop {
+                match interp.resume(&mut state) {
+                    Exit::Output { .. } => {}
+                    Exit::Exit { code } => break PathEnd::Exit(code),
+                    Exit::Fault(fault) => break PathEnd::Fault(fault.to_string()),
+                    other => panic!("{name}: unexpected {other:?}"),
+                }
+            };
+            assert_eq!(end, case.end, "{name}: inputs {:?}", case.inputs);
+        }
+    }
 }
