@@ -9,6 +9,8 @@
 //!   [`lwsnap_core::GuestState`] (SVM-64 registers + paged memory);
 //! * symbolic data = an expression [`expr::ExprPool`] shadow riding in
 //!   the snapshot's `ext` slot;
+//! * execution = the vm's one interpreter loop, [`lwsnap_vm::Cpu::run`],
+//!   over a symbolic value domain ([`machine`]);
 //! * state forking = `sys_guess(2)` at every branch whose condition is
 //!   symbolic — the engine's snapshot tree *is* the execution tree;
 //! * feasibility & test generation = bit-blasting ([`blast`]) only what

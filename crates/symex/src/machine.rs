@@ -15,11 +15,11 @@
 //! concrete part plus, when it depends on input, an expression; the loop
 //! computes flags and concrete results exactly as it does for
 //! [`lwsnap_vm::Interp`], so a path with no symbolic input runs as it
-//! would there. At a branch whose
-//! condition is symbolic the interpreter issues the equivalent of
-//! `sys_guess(2)`; the backtracking engine snapshots the whole VM state
-//! and schedules both outcomes. Infeasible directions are pruned with the
-//! SAT solver; completed paths yield concrete test inputs (KLEE-style).
+//! would there. At a branch whose condition is symbolic the interpreter
+//! issues the equivalent of `sys_guess(2)`; the backtracking engine
+//! snapshots the whole VM state and schedules both outcomes. Infeasible
+//! directions are pruned with the SAT solver; completed paths yield
+//! concrete test inputs (KLEE-style).
 //!
 //! ## Solver state is just more snapshotted state
 //!
@@ -135,7 +135,9 @@ impl Shadow {
 pub enum PathEnd {
     /// Normal `exit(code)`.
     Exit(i64),
-    /// A guest fault (the bug-finding case).
+    /// A fault (the bug-finding case), as it displays: the fault
+    /// `Interp` reports on the same inputs, or `symbolic … unsupported`
+    /// where the executor cannot follow the path.
     Fault(String),
 }
 

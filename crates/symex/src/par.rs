@@ -193,6 +193,16 @@ mod tests {
         (cases, exec.stats)
     }
 
+    /// A finished worker's executor can be handed to another thread
+    /// (an exploration may collect executors rather than their merged
+    /// verdicts), so nothing it keeps between resumes may be
+    /// thread-bound.
+    #[test]
+    fn executors_can_change_threads() {
+        fn assert_send<T: Send>() {}
+        assert_send::<SymExec>();
+    }
+
     #[test]
     fn par_explore_matches_sequential_verdicts() {
         let src = branch_tree_source(5);

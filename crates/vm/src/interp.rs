@@ -382,7 +382,6 @@ fn stack_pointer<D: Domain>(dom: &D, st: &GuestState) -> Result<u64, GuestFault>
     dom.require_concrete(dom.reg(st, Reg::Rsp), "stack pointer")
 }
 
-/// Sets the stack pointer to `sp`.
 #[inline]
 fn set_stack_pointer<D: Domain>(dom: &mut D, st: &mut GuestState, sp: u64) {
     let v = dom.constant(sp);

@@ -14,7 +14,8 @@
 //! * [`mod@parse`] — the two-pass text assembler ([`parse::assemble_source`]);
 //! * [`prog`] — program images, layout, and booting into a
 //!   [`lwsnap_core::GuestState`];
-//! * [`interp`] — the interpreter, implementing [`lwsnap_core::Guest`];
+//! * [`interp`] — the interpreter: one loop over a value [`Domain`], and
+//!   [`Interp`], its concrete [`lwsnap_core::Guest`];
 //! * [`disasm`] — the disassembler;
 //! * [`programs`] — canned guests (Figure-1 n-queens, workload
 //!   generators) used by examples, tests and the benchmark harness.
