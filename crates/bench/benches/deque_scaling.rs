@@ -21,9 +21,6 @@
 //!   tree (every item fans out into two children up to a fixed total),
 //!   popping locally and stealing when dry — the parallel engine's
 //!   access pattern with the guest work stripped out.
-//! * `injector/*` — batch-push + MPMC pop throughput of the PR-2 locked
-//!   injector replica vs the lock-free segment-list
-//!   [`lwsnap_core::workqueue::Injector`].
 //!
 //! Throughput is reported in items/s (criterion `Elements`), so the
 //! locked/lock-free ratio reads directly off the report. The shim's
@@ -32,11 +29,10 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lwsnap_core::deque::{Deque, Steal};
-use lwsnap_core::workqueue::Injector;
 
 // ---------------------------------------------------------------------
 // The locked baseline: PR 2's work-distribution layer, verbatim shape.
@@ -72,33 +68,6 @@ impl LockedDeques {
             }
         }
         None
-    }
-}
-
-/// PR 2's Injector: a mutex-protected deque plus condvar, reproduced
-/// here as the baseline after the real one went lock-free.
-struct LockedInjector {
-    inner: Mutex<VecDeque<u64>>,
-    ready: Condvar,
-}
-
-impl LockedInjector {
-    fn new() -> Self {
-        LockedInjector {
-            inner: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push_batch(&self, items: impl IntoIterator<Item = u64>) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.extend(items);
-        drop(inner);
-        self.ready.notify_all();
-    }
-
-    fn try_pop(&self) -> Option<u64> {
-        self.inner.lock().unwrap().pop_front()
     }
 }
 
@@ -234,137 +203,5 @@ fn bench_tree(c: &mut Criterion) {
     group.finish();
 }
 
-/// Injector batch-push + pop throughput (single-threaded op cost; the
-/// MPMC correctness side is covered by the stress tests).
-fn bench_injector(c: &mut Criterion) {
-    const ITEMS: u64 = 4096;
-    const BATCH: u64 = 16;
-    let mut group = c.benchmark_group("deque_scaling/injector");
-    group.throughput(Throughput::Elements(ITEMS));
-
-    group.bench_function("locked", |b| {
-        b.iter(|| {
-            let q = LockedInjector::new();
-            for base in 0..(ITEMS / BATCH) {
-                q.push_batch((0..BATCH).map(|i| base * BATCH + i));
-            }
-            while let Some(v) = q.try_pop() {
-                criterion::black_box(v);
-            }
-        })
-    });
-
-    group.bench_function("lockfree", |b| {
-        b.iter(|| {
-            let q: Injector<u64> = Injector::new();
-            for base in 0..(ITEMS / BATCH) {
-                q.push_batch((0..BATCH).map(|i| base * BATCH + i));
-            }
-            while let Some(v) = q.try_pop() {
-                criterion::black_box(v);
-            }
-        })
-    });
-    group.finish();
-}
-
-/// Contended injector: P producers racing C consumers — the regime the
-/// lock-free upgrade targets (under a mutex, every op serialises and
-/// preempted lock-holders strand everyone behind a futex wait).
-fn bench_injector_mpmc(c: &mut Criterion) {
-    const ITEMS: u64 = 16_384;
-    const BATCH: u64 = 16;
-    let mut group = c.benchmark_group("deque_scaling/injector_mpmc");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(ITEMS));
-    for threads in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("locked", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let q = LockedInjector::new();
-                    let consumed = AtomicUsize::new(0);
-                    std::thread::scope(|scope| {
-                        for p in 0..threads as u64 {
-                            let q = &q;
-                            scope.spawn(move || {
-                                let per = ITEMS / threads as u64;
-                                for base in 0..(per / BATCH) {
-                                    q.push_batch((0..BATCH).map(|i| p * per + base * BATCH + i));
-                                }
-                            });
-                        }
-                        for _ in 0..threads {
-                            let q = &q;
-                            let consumed = &consumed;
-                            scope.spawn(move || loop {
-                                match q.try_pop() {
-                                    Some(v) => {
-                                        criterion::black_box(v);
-                                        consumed.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    None => {
-                                        if consumed.load(Ordering::Relaxed) >= ITEMS as usize {
-                                            break;
-                                        }
-                                        std::thread::yield_now();
-                                    }
-                                }
-                            });
-                        }
-                    });
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("lockfree", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let q: Injector<u64> = Injector::new();
-                    let consumed = AtomicUsize::new(0);
-                    std::thread::scope(|scope| {
-                        for p in 0..threads as u64 {
-                            let q = &q;
-                            scope.spawn(move || {
-                                let per = ITEMS / threads as u64;
-                                for base in 0..(per / BATCH) {
-                                    q.push_batch((0..BATCH).map(|i| p * per + base * BATCH + i));
-                                }
-                            });
-                        }
-                        for _ in 0..threads {
-                            let q = &q;
-                            let consumed = &consumed;
-                            scope.spawn(move || loop {
-                                match q.try_pop() {
-                                    Some(v) => {
-                                        criterion::black_box(v);
-                                        consumed.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    None => {
-                                        if consumed.load(Ordering::Relaxed) >= ITEMS as usize {
-                                            break;
-                                        }
-                                        std::thread::yield_now();
-                                    }
-                                }
-                            });
-                        }
-                    });
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_churn,
-    bench_tree,
-    bench_injector,
-    bench_injector_mpmc
-);
+criterion_group!(benches, bench_churn, bench_tree);
 criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! A lock-free work-stealing deque (Chase–Lev).
 //!
-//! This is the "lock-free upgrade" the [`crate::workqueue`] module's
-//! original doc-comment promised: the work-distribution primitive for
+//! The parallel engine's work-distribution primitive for
 //! **fine-grained** items, where a `Mutex<VecDeque>`'s lock/unlock pair
 //! costs more than the work item itself. The design is the classic
 //! Chase–Lev circular-buffer deque ("Dynamic Circular Work-Stealing

@@ -48,9 +48,9 @@
 //! assert_eq!(result.transcript_str(), "00 01 10 11 ");
 //! ```
 
-// `deny` rather than `forbid`: the lock-free work-distribution modules
-// (`deque`, `workqueue`) opt in with module-level `allow(unsafe_code)`
-// and carry per-call SAFETY arguments; everything else stays safe Rust.
+// `deny` rather than `forbid`: the lock-free work-stealing `deque` opts
+// in with a module-level `allow(unsafe_code)` and carries per-call
+// SAFETY arguments; everything else stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -63,7 +63,6 @@ pub mod registers;
 pub mod replay;
 pub mod snapshot;
 pub mod strategy;
-pub mod workqueue;
 
 pub use engine::{Engine, EngineConfig, EngineStats, FaultPolicy, RunResult, Solution, StopReason};
 pub use guest::{Exit, GuessHint, Guest, GuestFault, GuestState};

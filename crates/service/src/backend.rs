@@ -15,7 +15,7 @@
 //! | backend | `submit` | `wait` | overlap |
 //! |---|---|---|---|
 //! | [`ShardedService`] | solves inline on the caller's thread | returns the stored reply | none (degenerate, in-process) |
-//! | [`WorkerPool`] / [`PoolClient`] | queues on the lock-free injector | blocks on the worker's completion | across pool workers |
+//! | [`WorkerPool`] / [`PoolClient`] | queues on the pool's job queue | blocks on the worker's completion | across pool workers |
 //! | [`crate::PipelinedClient`] | writes a tagged frame | reads frames until the tag answers | across the wire *and* pool workers |
 //!
 //! Transport errors (`io::Error`) can only come from remote backends;
@@ -213,8 +213,8 @@ impl SolverBackend for PoolClient {
         })
     }
 
-    /// One injector operation for the whole batch (single atomic tail
-    /// swap), then in-order waits.
+    /// One queue lock acquisition for the whole batch, then in-order
+    /// waits.
     fn solve_batch(
         &self,
         requests: Vec<(ProblemId, Vec<Vec<Lit>>)>,

@@ -22,9 +22,9 @@
 //! * [`router`] — cluster placement: the consistent-hash [`Ring`]
 //!   (seeded rendezvous) mapping session roots to nodes, with exact
 //!   minimal-disruption rebalancing.
-//! * [`pool::WorkerPool`] — M worker threads pulling solve jobs from a
-//!   shared [`lwsnap_core::workqueue::Injector`]; clients submit one job
-//!   or a whole batch under one lock acquisition.
+//! * [`pool::WorkerPool`] — M worker threads pulling solve jobs from
+//!   one FIFO queue (a mutex and a condvar); clients submit one job or
+//!   a whole batch under one lock acquisition.
 //! * [`backend`] — the **unified API**: the completion-based
 //!   [`SolverBackend`] trait (`submit → Ticket`, `wait → reply`) that
 //!   every layer above implements, so exploration drivers, load
