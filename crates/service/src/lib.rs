@@ -90,6 +90,7 @@ pub mod replica;
 pub mod router;
 pub mod sharded;
 pub mod stats;
+mod workqueue;
 
 pub use backend::{SolverBackend, Ticket};
 pub use bufpool::{BufferPool, FrameAssembler, Lease};

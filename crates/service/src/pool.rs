@@ -1,17 +1,16 @@
 //! The worker pool: M threads executing solve requests concurrently.
 //!
-//! Requests flow through one private FIFO job queue — a `Mutex` over a
-//! `VecDeque` plus one `Condvar` — so a client can queue a whole batch
-//! of independent queries under one lock acquisition and the pool fans
-//! them out across workers. A push signals the condvar only when a
+//! Requests flow through one FIFO job queue — a `Mutex` over a
+//! `VecDeque` plus one `Condvar`, private to this crate — so a client
+//! can queue a whole batch of independent queries under one lock
+//! acquisition and the pool fans them out across workers. A push signals the condvar only when a
 //! worker is parked on it, so a busy pool makes no wake-up syscalls.
 //! True parallelism comes from sharding: two jobs on different shards
 //! solve concurrently; two jobs on the same shard serialise on that
 //! shard's lock (and nothing else).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -20,6 +19,7 @@ use lwsnap_trace as trace;
 
 use crate::sharded::{ProblemId, ShardedService, SolveReply};
 use crate::stats::WorkerStats;
+use crate::workqueue::JobQueue;
 
 /// A completion callback: invoked exactly once with the reply (or
 /// dropped uninvoked if the pool shuts down before accepting the job —
@@ -35,74 +35,10 @@ struct Job {
     queued_at: u64,
 }
 
-/// Why a queue lock can fail: a thread panicked while holding it.
-const POISONED: &str = "a thread panicked holding the job queue lock";
-
-/// The pool's job queue: FIFO, closable, blocking pop.
-#[derive(Default)]
-struct JobQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct QueueState {
-    jobs: VecDeque<Job>,
-    /// Set by [`JobQueue::close`]; later pushes are refused.
-    closed: bool,
-    /// Workers waiting on `ready`. A push signals only when this is
-    /// non-zero, so a saturated pool never pays for a wake-up.
-    parked: usize,
-}
-
-impl JobQueue {
-    /// Appends `jobs` in order, or refuses them all once the queue is
-    /// closed. A refused job is dropped with its completion callback —
-    /// after the lock is released, since `state` is dropped before the
-    /// argument — so its client observes `None`.
-    fn push(&self, jobs: impl IntoIterator<Item = Job>) {
-        let mut state = self.state.lock().expect(POISONED);
-        if state.closed {
-            return;
-        }
-        state.jobs.extend(jobs);
-        // Wakes every parked worker, not one per job: on a 2-vCPU Xeon,
-        // one `notify_one` per job measured up to 6 % higher p50 on the
-        // ledger's svc.tree and svc.hard workloads.
-        if state.parked > 0 {
-            self.ready.notify_all();
-        }
-    }
-
-    /// The oldest job, blocking while the queue is empty and open;
-    /// `None` once it is closed and drained.
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().expect(POISONED);
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state.parked += 1;
-            state = self.ready.wait(state).expect(POISONED);
-            state.parked -= 1;
-        }
-    }
-
-    /// Refuses every later push and wakes all parked workers; jobs
-    /// already queued are still handed out.
-    fn close(&self) {
-        self.state.lock().expect(POISONED).closed = true;
-        self.ready.notify_all();
-    }
-}
-
 /// A fixed pool of worker threads serving a [`ShardedService`].
 pub struct WorkerPool {
     service: Arc<ShardedService>,
-    queue: Arc<JobQueue>,
+    queue: Arc<JobQueue<Job>>,
     workers: Vec<JoinHandle<WorkerStats>>,
 }
 
@@ -149,7 +85,7 @@ impl WorkerPool {
     }
 }
 
-fn worker_loop(service: &ShardedService, queue: &JobQueue, index: usize) -> WorkerStats {
+fn worker_loop(service: &ShardedService, queue: &JobQueue<Job>, index: usize) -> WorkerStats {
     let mut stats = WorkerStats::default();
     while let Some(Job {
         parent,
@@ -228,7 +164,7 @@ impl<T> CompletionQueue<T> {
 #[derive(Clone)]
 pub struct PoolClient {
     service: Arc<ShardedService>,
-    queue: Arc<JobQueue>,
+    queue: Arc<JobQueue<Job>>,
 }
 
 impl PoolClient {
