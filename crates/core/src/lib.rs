@@ -48,13 +48,9 @@
 //! assert_eq!(result.transcript_str(), "00 01 10 11 ");
 //! ```
 
-// `deny` rather than `forbid`: the lock-free work-stealing `deque` opts
-// in with a module-level `allow(unsafe_code)` and carries per-call
-// SAFETY arguments; everything else stays safe Rust.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod deque;
 pub mod engine;
 pub mod guest;
 pub mod interpose;

@@ -1,4 +1,4 @@
-//! Work-stealing parallel search over shared immutable snapshots.
+//! Parallel search over shared immutable snapshots.
 //!
 //! The paper's pitch is that snapshot forks are cheap enough to explore
 //! many candidate extensions *at once*. The sequential [`crate::Engine`]
@@ -10,27 +10,28 @@
 //!
 //! ## Architecture
 //!
-//! * Each worker owns a **lock-free Chase–Lev deque** ([`crate::deque`])
-//!   of `WorkItem`s (one unevaluated extension step each:
-//!   `Arc<Snapshot>` + extension index + tree path).
-//! * A worker pushes the siblings of every guess onto its **own** deque
-//!   (bottom) and continues extension 0 inline — the same depth-first
-//!   fast path as the sequential engine. An owner push is a plain store
-//!   plus a `Release` publish: no lock, no read-modify-write.
-//! * An idle worker pops its own deque LIFO (depth-first, cache-warm) and
-//!   **steals from the top** of other workers' deques (the shallowest
-//!   entry — the largest unexplored subtree, the classic work-stealing
-//!   heuristic). A steal is one `compare_exchange`.
-//! * Only when a full steal sweep finds nothing does a worker fall back
-//!   to the **condvar slow path**: it registers in the idle count and
-//!   parks on a timed wait, so an idle fleet sleeps instead of spinning.
-//!   Producers skip the wakeup lock entirely while nobody is parked.
+//! * **One frontier lock.** A `Mutex` guards one queue of `WorkItem`s
+//!   per worker (one unevaluated extension step each: `Arc<Snapshot>` +
+//!   extension index + tree path), the count of pending paths and the
+//!   count of parked workers. One `Condvar` wakes parked workers.
+//! * A worker pushes the siblings of every guess at the back of its
+//!   **own** queue, under the lock, and continues extension 0 inline
+//!   without it — the same depth-first fast path as the sequential
+//!   engine.
+//! * A worker takes the back of its own queue (depth-first, cache-warm);
+//!   when that is empty it takes the **front** of the next non-empty
+//!   queue after its own (the shallowest entry: the largest unexplored
+//!   subtree).
+//! * When every queue is empty a worker parks on the condvar. A push
+//!   signals only while a worker is parked; the last retired path and an
+//!   early stop wake everyone. Every wake-up is sent under the lock, so
+//!   none is lost and no worker polls.
 //! * A worker keeps the state of the path it just finished and restores
 //!   the next item's snapshot into it in place
 //!   ([`Snapshot::restore_into`]); only its first restore builds a fresh
 //!   state.
-//! * Termination: a shared count of unevaluated paths; the run is over
-//!   when it reaches zero.
+//! * Termination: the pending count of paths queued or executing; the
+//!   run is over when it reaches zero.
 //! * A guest exit is handled by the same `step` as in [`crate::engine`]
 //!   (fan-out cap, fault policy, depth/`gcost`, counts). A worker keeps
 //!   only its frontier policy: the shared extension budget, the restore
@@ -67,10 +68,10 @@
 //!
 //! [`Dfs`]: crate::strategy::Dfs
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::deque::{Deque, Steal, Stealer};
 use crate::engine::{step, EngineStats, FaultPolicy, Segment, Sink, Solution, StopReason};
 use crate::guest::{Guest, GuestState};
 use crate::registers::Reg;
@@ -192,23 +193,65 @@ struct PathEvent {
     kind: EventKind,
 }
 
+/// The work still to do: one queue of unevaluated items per worker,
+/// behind the one frontier lock.
+struct Frontier {
+    /// Indexed by worker id. The owner pushes and pops at the back
+    /// (depth-first); any other worker takes from the front (the
+    /// shallowest entry, the largest unexplored subtree).
+    queues: Vec<VecDeque<WorkItem>>,
+    /// Paths queued or executing. The run is over when this hits zero.
+    pending: usize,
+    /// Workers waiting on [`SharedState::ready`]. A push signals only
+    /// while this is non-zero, so a saturated run never pays a wake-up.
+    parked: usize,
+    /// Items in `queues`.
+    queued: usize,
+    /// High-water mark of `queued`: the run's `frontier_peak`.
+    peak: usize,
+}
+
+impl Frontier {
+    /// A frontier holding `root` on worker 0's queue.
+    fn new(workers: usize, root: WorkItem) -> Self {
+        let mut queues: Vec<VecDeque<WorkItem>> = (0..workers).map(|_| VecDeque::new()).collect();
+        queues[0].push_back(root);
+        Frontier {
+            queues,
+            pending: 1,
+            parked: 0,
+            queued: 1,
+            peak: 1,
+        }
+    }
+
+    /// Queues `items` as new pending paths at the back of worker `me`'s
+    /// queue.
+    fn push(&mut self, me: usize, items: Vec<WorkItem>) {
+        self.pending += items.len();
+        self.queued += items.len();
+        self.peak = self.peak.max(self.queued);
+        self.queues[me].extend(items);
+    }
+
+    /// Worker `me`'s newest item, else the oldest item of the first
+    /// non-empty queue after its own.
+    fn take(&mut self, me: usize) -> Option<WorkItem> {
+        let n = self.queues.len();
+        let item = self.queues[me]
+            .pop_back()
+            .or_else(|| (1..n).find_map(|offset| self.queues[(me + offset) % n].pop_front()))?;
+        self.queued -= 1;
+        Some(item)
+    }
+}
+
 /// State shared by all workers.
 struct SharedState {
-    /// Thief handles onto every worker's lock-free deque, indexed by
-    /// worker id. The owning [`Deque`] handles live on the worker
-    /// threads themselves.
-    stealers: Vec<Stealer<WorkItem>>,
-    /// Paths queued or executing. The run is over when this hits zero.
-    pending: AtomicUsize,
-    /// Sleep/wake coordination for idle workers.
-    idle_lock: Mutex<()>,
-    idle_cv: Condvar,
-    /// Workers currently parked on `idle_cv`. Producers skip the wakeup
-    /// lock entirely while this is zero, so wide fan-outs in a saturated
-    /// run pay one deque lock per sibling batch and nothing else. A
-    /// stale-zero read can miss a wakeup; the parked worker's timed wait
-    /// bounds that miss at one tick.
-    idle: AtomicUsize,
+    frontier: Mutex<Frontier>,
+    /// Signalled when work is queued, the last path retires, or the run
+    /// stops.
+    ready: Condvar,
     /// Cooperative early-stop flag.
     stop: AtomicBool,
     /// First non-exhaustion stop reason, if any.
@@ -216,109 +259,89 @@ struct SharedState {
     /// Global counters for limit enforcement.
     solutions: AtomicU64,
     extensions: AtomicU64,
-    /// Live snapshots and peaks.
+    /// Live snapshots and their peak.
     live_snapshots: Arc<AtomicUsize>,
     peak_snapshots: AtomicUsize,
-    frontier: AtomicUsize,
-    peak_frontier: AtomicUsize,
     config: ParallelConfig,
 }
 
 impl SharedState {
+    /// A run of `config` with `root` queued on worker 0.
+    fn new(config: ParallelConfig, root: GuestState) -> Self {
+        let root = WorkItem {
+            kind: ItemKind::Root(Box::new(root)),
+            path: Vec::new(),
+        };
+        SharedState {
+            frontier: Mutex::new(Frontier::new(config.workers, root)),
+            ready: Condvar::new(),
+            stop: AtomicBool::new(false),
+            stop_reason: Mutex::new(None),
+            solutions: AtomicU64::new(0),
+            extensions: AtomicU64::new(0),
+            live_snapshots: Arc::new(AtomicUsize::new(0)),
+            peak_snapshots: AtomicUsize::new(0),
+            config,
+        }
+    }
+
+    /// The frontier, recovered if a thread panicked holding it: no guest
+    /// code runs under the lock, so its counts are never left half-done.
+    fn lock(&self) -> MutexGuard<'_, Frontier> {
+        self.frontier.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn record_stop(&self, reason: StopReason) {
         let mut slot = self.stop_reason.lock().unwrap();
         if slot.is_none() {
             *slot = Some(reason);
         }
         self.stop.store(true, Ordering::Release);
-        let _guard = self.idle_lock.lock().unwrap();
-        self.idle_cv.notify_all();
+        let _frontier = self.lock();
+        self.ready.notify_all();
     }
 
-    fn bump_peak(counter: &AtomicUsize, peak: &AtomicUsize, added: usize) {
-        let now = counter.fetch_add(added, Ordering::Relaxed) + added;
-        peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Pops local work (LIFO) or steals from a victim (FIFO).
-    ///
-    /// Lock-free fast path: the local pop is the owner side of a
-    /// Chase–Lev deque, a steal is one CAS. `Steal::Retry` (a lost race)
-    /// triggers a bounded number of re-sweeps; if work keeps slipping
-    /// away the caller falls back to the condvar slow path, whose timed
-    /// wait guarantees liveness.
-    fn find_work(&self, me: usize, own: &mut Deque<WorkItem>) -> Option<WorkItem> {
-        if let Some(item) = own.pop() {
-            self.frontier.fetch_sub(1, Ordering::Relaxed);
-            return Some(item);
-        }
-        let n = self.stealers.len();
-        for _sweep in 0..4 {
-            let mut contended = false;
-            for offset in 1..n {
-                let victim = (me + offset) % n;
-                // Retry the same victim a few times: a Retry means work
-                // is moving right here, the best place to look.
-                for _attempt in 0..4 {
-                    match self.stealers[victim].steal() {
-                        Steal::Success(item) => {
-                            self.frontier.fetch_sub(1, Ordering::Relaxed);
-                            return Some(item);
-                        }
-                        Steal::Empty => break,
-                        Steal::Retry => {
-                            contended = true;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-            if !contended {
+    /// The next item for worker `me`, parking while the frontier is
+    /// empty; `None` once the run has stopped or drained.
+    fn next_item(&self, me: usize) -> Option<WorkItem> {
+        let mut frontier = self.lock();
+        loop {
+            if self.stop.load(Ordering::Acquire) || frontier.pending == 0 {
                 return None;
             }
-        }
-        None
-    }
-
-    /// Publishes a sibling batch onto the worker's own deque (wait-free
-    /// owner pushes), then wakes sleepers only if any exist.
-    fn push_work(&self, own: &mut Deque<WorkItem>, items: Vec<WorkItem>) {
-        let added = items.len();
-        if added == 0 {
-            return;
-        }
-        // Count BEFORE publishing: a thief may pop (and decrement) the
-        // moment an item is visible, so incrementing afterwards would
-        // let the counter underflow.
-        Self::bump_peak(&self.frontier, &self.peak_frontier, added);
-        for item in items {
-            own.push(item);
-        }
-        if self.idle.load(Ordering::Acquire) > 0 {
-            let _guard = self.idle_lock.lock().unwrap();
-            self.idle_cv.notify_all();
+            if let Some(item) = frontier.take(me) {
+                return Some(item);
+            }
+            frontier.parked += 1;
+            frontier = self
+                .ready
+                .wait(frontier)
+                .unwrap_or_else(PoisonError::into_inner);
+            frontier.parked -= 1;
         }
     }
 
-    /// Marks `n` new pending paths.
-    fn add_pending(&self, n: usize) {
-        self.pending.fetch_add(n, Ordering::AcqRel);
+    /// Queues a sibling batch on worker `me`'s queue, waking parked
+    /// workers only if there are any.
+    fn push_work(&self, me: usize, items: Vec<WorkItem>) {
+        let mut frontier = self.lock();
+        frontier.push(me, items);
+        if frontier.parked > 0 {
+            self.ready.notify_all();
+        }
     }
 
     /// Retires one pending path; wakes everyone when the run is over.
     fn retire_pending(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.idle_lock.lock().unwrap();
-            self.idle_cv.notify_all();
+        let mut frontier = self.lock();
+        frontier.pending -= 1;
+        if frontier.pending == 0 {
+            self.ready.notify_all();
         }
-    }
-
-    fn done(&self) -> bool {
-        self.stop.load(Ordering::Acquire) || self.pending.load(Ordering::Acquire) == 0
     }
 }
 
-/// The work-stealing parallel search engine.
+/// The parallel search engine.
 ///
 /// Exploration order is depth-first per worker; results are reported in
 /// deterministic depth-first order (see module docs). Construct with
@@ -357,41 +380,17 @@ impl ParallelEngine {
         G: Guest,
         F: Fn() -> G + Sync,
     {
-        let workers = self.config.workers;
-        let mut deques: Vec<Deque<WorkItem>> = (0..workers).map(|_| Deque::new()).collect();
-        let shared = SharedState {
-            stealers: deques.iter().map(Deque::stealer).collect(),
-            pending: AtomicUsize::new(1),
-            idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
-            idle: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            stop_reason: Mutex::new(None),
-            solutions: AtomicU64::new(0),
-            extensions: AtomicU64::new(0),
-            live_snapshots: Arc::new(AtomicUsize::new(0)),
-            peak_snapshots: AtomicUsize::new(0),
-            frontier: AtomicUsize::new(0),
-            peak_frontier: AtomicUsize::new(0),
-            config: self.config.clone(),
-        };
-        SharedState::bump_peak(&shared.frontier, &shared.peak_frontier, 1);
-        deques[0].push(WorkItem {
-            kind: ItemKind::Root(Box::new(root)),
-            path: Vec::new(),
-        });
+        let shared = SharedState::new(self.config.clone(), root);
 
         let mut worker_outputs: Vec<(EngineStats, Vec<PathEvent>)> = Vec::new();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = deques
-                .into_iter()
-                .enumerate()
-                .map(|(id, mut own)| {
+            let handles: Vec<_> = (0..self.config.workers)
+                .map(|id| {
                     let shared = &shared;
                     let factory = &factory;
                     scope.spawn(move || {
                         let mut guest = factory();
-                        worker_loop(id, shared, &mut own, &mut guest)
+                        worker_loop(id, shared, &mut guest)
                     })
                 })
                 .collect();
@@ -404,11 +403,10 @@ impl ParallelEngine {
     }
 }
 
-/// One worker: find work, evaluate paths depth-first, park when idle.
+/// One worker: take work, evaluate paths depth-first, park when idle.
 fn worker_loop(
     id: usize,
     shared: &SharedState,
-    own: &mut Deque<WorkItem>,
     guest: &mut dyn Guest,
 ) -> (EngineStats, Vec<PathEvent>) {
     let mut stats = EngineStats::default();
@@ -416,31 +414,16 @@ fn worker_loop(
     // The state of the last path this worker finished: the next path's
     // snapshot is restored into it in place.
     let mut spare: Option<GuestState> = None;
-    loop {
-        if shared.done() {
-            break;
-        }
-        match shared.find_work(id, own) {
-            Some(item) => {
-                let state = evaluate_path(shared, own, guest, item, spare, &mut stats, &mut events);
-                spare = Some(state);
-            }
-            None => {
-                let guard = shared.idle_lock.lock().unwrap();
-                if shared.done() {
-                    break;
-                }
-                // Timed wait guards against the (benign) races between
-                // the emptiness check and a concurrent push, and between
-                // a producer's idle-count read and this increment.
-                shared.idle.fetch_add(1, Ordering::AcqRel);
-                let _ = shared
-                    .idle_cv
-                    .wait_timeout(guard, std::time::Duration::from_millis(1))
-                    .unwrap();
-                shared.idle.fetch_sub(1, Ordering::AcqRel);
-            }
-        }
+    while let Some(item) = shared.next_item(id) {
+        spare = Some(evaluate_path(
+            shared,
+            id,
+            guest,
+            item,
+            spare,
+            &mut stats,
+            &mut events,
+        ));
     }
     (stats, events)
 }
@@ -497,7 +480,7 @@ impl Sink for PathSink<'_> {
 /// returns the finished path's state as the next spare.
 fn evaluate_path(
     shared: &SharedState,
-    own: &mut Deque<WorkItem>,
+    me: usize,
     guest: &mut dyn Guest,
     item: WorkItem,
     spare: Option<GuestState>,
@@ -507,7 +490,7 @@ fn evaluate_path(
     // Retire the path on every exit from this function — including an
     // unwind out of the guest or the engine itself. Without this, a
     // panicking worker would leave `pending` above zero and the
-    // surviving workers polling forever; with it, the run drains and
+    // surviving workers parked forever; with it, the run drains and
     // the panic propagates through the scope join.
     struct RetireOnDrop<'a>(&'a SharedState);
     impl Drop for RetireOnDrop<'_> {
@@ -561,7 +544,8 @@ fn evaluate_path(
         };
         if n > 1 {
             // Capture once; all siblings share the snapshot.
-            SharedState::bump_peak(shared.live_snapshots.as_ref(), &shared.peak_snapshots, 1);
+            let live = shared.live_snapshots.fetch_add(1, Ordering::Relaxed) + 1;
+            shared.peak_snapshots.fetch_max(live, Ordering::Relaxed);
             let snap = Arc::new(TrackedSnapshot {
                 snap: Snapshot::capture(&state, None),
                 live: shared.live_snapshots.clone(),
@@ -580,8 +564,7 @@ fn evaluate_path(
                     }
                 })
                 .collect();
-            shared.add_pending(siblings.len());
-            shared.push_work(own, siblings);
+            shared.push_work(me, siblings);
         }
         // Depth-first fast path: continue extension 0 here.
         state.regs.set(Reg::Rax, 0);
@@ -614,7 +597,7 @@ fn finalize(
         all_events.extend(events);
     }
     total.snapshots_peak = shared.peak_snapshots.load(Ordering::Relaxed);
-    total.frontier_peak = shared.peak_frontier.load(Ordering::Relaxed);
+    total.frontier_peak = shared.lock().peak;
 
     // Depth-first discovery order == lexicographic path order (a prefix
     // sorts before its extensions; sibling indices sort numerically).
@@ -913,5 +896,131 @@ mod tests {
         let result = ParallelEngine::new(0).run(|| bit_guest(3), bit_root());
         assert_eq!(result.worker_stats.len(), 1);
         assert_eq!(result.solutions.len(), 4);
+    }
+
+    /// A work item told apart by its one-step path.
+    fn item(tag: u64) -> WorkItem {
+        WorkItem {
+            kind: ItemKind::Root(Box::default()),
+            path: vec![tag],
+        }
+    }
+
+    #[test]
+    fn frontier_owner_takes_newest_others_take_oldest_of_next_queue() {
+        let taken = |item: Option<WorkItem>| item.map(|item| item.path[0]);
+        let mut frontier = Frontier::new(3, item(0));
+        assert_eq!(
+            (frontier.pending, frontier.queued, frontier.peak),
+            (1, 1, 1)
+        );
+        assert_eq!(taken(frontier.take(0)), Some(0));
+        frontier.push(1, vec![item(10), item(11), item(12)]);
+        frontier.push(2, vec![item(20)]);
+        assert_eq!(
+            (frontier.pending, frontier.queued, frontier.peak),
+            (5, 4, 4)
+        );
+
+        // The owner pops its newest item; worker 0's next queue after
+        // its own is worker 1's, whose oldest item it takes.
+        assert_eq!(taken(frontier.take(1)), Some(12));
+        assert_eq!(taken(frontier.take(0)), Some(10));
+        // Worker 2's own queue comes first; then it wraps round to 1.
+        assert_eq!(taken(frontier.take(2)), Some(20));
+        assert_eq!(taken(frontier.take(2)), Some(11));
+        assert_eq!(taken(frontier.take(0)), None);
+        // Taking leaves `pending` to the retire; `peak` keeps the high water.
+        assert_eq!(
+            (frontier.pending, frontier.queued, frontier.peak),
+            (5, 0, 4)
+        );
+        frontier.push(0, vec![item(1)]);
+        assert_eq!((frontier.queued, frontier.peak), (1, 4));
+    }
+
+    #[test]
+    fn parked_worker_wakes_for_a_push_the_last_retire_and_a_stop() {
+        // Worker 1 parks in `next_item`; the returned handle yields the
+        // path of what it was woken for.
+        fn park<'s>(
+            scope: &'s std::thread::Scope<'s, '_>,
+            shared: &'s SharedState,
+        ) -> std::thread::ScopedJoinHandle<'s, Option<Vec<u64>>> {
+            let taker = scope.spawn(|| shared.next_item(1).map(|item| item.path));
+            while shared.lock().parked == 0 {
+                std::thread::yield_now();
+            }
+            taker
+        }
+
+        let shared = SharedState::new(ParallelConfig::new(2), GuestState::new());
+        std::thread::scope(|scope| {
+            assert_eq!(shared.next_item(0).map(|item| item.path), Some(vec![]));
+            let taker = park(scope, &shared);
+            shared.push_work(0, vec![item(1)]);
+            assert_eq!(taker.join().unwrap(), Some(vec![1]));
+
+            let taker = park(scope, &shared);
+            shared.retire_pending();
+            shared.retire_pending();
+            assert_eq!(taker.join().unwrap(), None, "the run drained");
+        });
+
+        let shared = SharedState::new(ParallelConfig::new(2), GuestState::new());
+        std::thread::scope(|scope| {
+            assert!(shared.next_item(0).is_some());
+            let taker = park(scope, &shared);
+            shared.record_stop(StopReason::SolutionLimit);
+            assert_eq!(taker.join().unwrap(), None, "the run stopped");
+        });
+    }
+
+    #[test]
+    fn one_worker_reports_the_sequential_peaks() {
+        for depth in [3, 6] {
+            let sequential = Engine::new(Dfs::new()).run(&mut bit_guest(depth), bit_root());
+            let parallel = ParallelEngine::new(1).run(|| bit_guest(depth), bit_root());
+            let (p, s) = (parallel.stats, sequential.stats);
+            assert_eq!(s.frontier_peak, depth as usize, "depth {depth}");
+            assert_eq!(
+                (p.frontier_peak, p.snapshots_peak),
+                (s.frontier_peak, s.snapshots_peak),
+                "depth {depth}"
+            );
+        }
+    }
+
+    #[test]
+    fn guest_panic_fails_the_run_instead_of_hanging() {
+        // Panics on the last path of a depth-6 tree, after every other
+        // worker has had work queued.
+        fn guest() -> impl FnMut(&mut GuestState) -> Exit {
+            let mut inner = bit_guest(6);
+            move |st: &mut GuestState| {
+                let ones = (0..6).all(|i| st.mem.read_u8(0x1000 + i).unwrap() == 1);
+                assert!(
+                    st.regs.get(Reg::Rcx) < 6 || !ones,
+                    "guest bug on path 111111"
+                );
+                inner(st)
+            }
+        }
+        for workers in [1, 2, 4] {
+            let (done, finished) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                let run = std::panic::catch_unwind(|| {
+                    ParallelEngine::new(workers).run(guest, bit_root());
+                });
+                done.send(()).unwrap();
+                run
+            });
+            // A hung run fails the test here instead of hanging it.
+            finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("run hung at {workers} workers"));
+            let run = runner.join().expect("the runner thread catches the panic");
+            assert!(run.is_err(), "run returned at {workers} workers");
+        }
     }
 }

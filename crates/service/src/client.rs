@@ -563,7 +563,7 @@ struct ClusterState {
     timeout: Option<Duration>,
 }
 
-/// Chases `id` through the failover remap (bounded — chains are as
+/// Follows `id` through the failover remap (bounded — chains are as
 /// long as the failover count, cycles impossible by construction but
 /// cheap to guard).
 fn resolve(remap: &HashMap<u64, u64>, mut id: u64) -> u64 {

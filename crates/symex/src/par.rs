@@ -1,8 +1,7 @@
 //! The parallel symbolic-execution driver: multi-path exploration on
-//! the lock-free work-stealing engine.
+//! the parallel engine.
 //!
-//! This is the ROADMAP's "parallel symex driver on top of the lock-free
-//! deque": [`par_explore`] runs the same S2E-style exploration as a
+//! [`par_explore`] runs the same S2E-style exploration as a
 //! sequential [`crate::SymExec`] run, but forks path-constraint
 //! snapshots into [`lwsnap_core::ParallelEngine`] so that independent
 //! paths execute — and, crucially, solve their feasibility queries — on

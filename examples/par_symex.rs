@@ -1,5 +1,5 @@
 //! Parallel symbolic execution: S2E-style multi-path analysis on the
-//! lock-free work-stealing engine.
+//! parallel engine.
 //!
 //! Explores a branch-tree program (`2^DEPTH` feasible paths, one SAT
 //! feasibility solve per fork) and a password cracker, first
