@@ -152,11 +152,6 @@ pub mod service_workload {
         pub fn latency_quantile(&self, q: f64) -> Duration {
             Duration::from_nanos(self.latency_hist.quantile(q))
         }
-
-        /// Mean latency, from the histogram's exact count and sum.
-        pub fn latency_mean(&self) -> Duration {
-            Duration::from_nanos(self.latency_hist.mean() as u64)
-        }
     }
 
     /// Replays the workload on a single-threaded [`SolverService`]

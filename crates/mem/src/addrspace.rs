@@ -474,13 +474,6 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Reads a little-endian `u64` at `va` without stats/protection checks.
-    pub fn peek_u64(&self, va: u64) -> Result<u64, Fault> {
-        let mut b = [0u8; 8];
-        self.peek_bytes(va, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
     fn check_mapped(&self, va: u64, len: u64) -> Result<(), Fault> {
         if len == 0 {
             return Ok(());

@@ -16,7 +16,7 @@
 //! |---|---|---|---|
 //! | [`ShardedService`] | solves inline on the caller's thread | returns the stored reply | none (degenerate, in-process) |
 //! | [`WorkerPool`] / [`PoolClient`] | queues on the pool's job queue | blocks on the worker's completion | across pool workers |
-//! | [`crate::PipelinedClient`] | writes a tagged frame | reads frames until the tag answers | across the wire *and* pool workers |
+//! | [`crate::PipelinedClient`] | corks a tagged frame in its write buffer | flushes, then reads frames until the tag answers | across the wire *and* pool workers |
 //!
 //! Transport errors (`io::Error`) can only come from remote backends;
 //! in-process backends are infallible and always return `Ok`. A dead
@@ -84,7 +84,8 @@ pub trait SolverBackend: Send + Sync {
 
     /// Submits `parent ∧ clauses` for solving; returns immediately with
     /// a ticket. More submissions may follow before any wait — remote
-    /// backends pipeline them on one connection.
+    /// backends cork them and send them all at the next wait, pipelined
+    /// on one connection.
     fn submit(&self, parent: ProblemId, clauses: Vec<Vec<Lit>>) -> io::Result<Ticket>;
 
     /// Blocks until the submitted request completes. `Ok(None)` means
@@ -119,8 +120,9 @@ pub trait SolverBackend: Send + Sync {
 
     /// Blocking convenience: submit the whole batch, then wait for all
     /// replies in request order. On pipelined backends the requests
-    /// overlap; the aggregate latency is one round trip plus the
-    /// slowest solve rather than the sum of round trips.
+    /// overlap and the whole window goes out corked, one flush per
+    /// node at the first wait; the aggregate latency is one round trip
+    /// plus the slowest solve rather than the sum of round trips.
     fn solve_batch(
         &self,
         requests: Vec<(ProblemId, Vec<Vec<Lit>>)>,

@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
 
 use lwsnap_solver::{Lit, SolveResult};
@@ -22,8 +22,7 @@ use lwsnap_trace::{self as trace, Event, MetricsSnapshot, StatsSummary};
 
 use crate::backend::{foreign_ticket, SolverBackend, Ticket, TicketInner};
 use crate::protocol::{
-    lits_to_clauses, put_tagged_frame, read_any_frame, write_tagged_frame, ProtoError, Request,
-    Response,
+    lits_to_clauses, put_tagged_frame, read_any_frame, ProtoError, Request, Response,
 };
 use crate::replica::PathLog;
 use crate::router::{mix64, NodeId, Ring};
@@ -99,6 +98,11 @@ struct PipeState {
     forgotten: HashSet<u64>,
     /// A terminal transport error: once set, every wait fails with it.
     dead: Option<Dead>,
+    /// A waiter is reading the socket; the others park on `arrived`.
+    reading: bool,
+    /// Waiters parked on `arrived`: the reader notifies only while
+    /// this is nonzero.
+    parked: usize,
 }
 
 /// A pipelined client: many tagged requests in flight on one
@@ -121,9 +125,12 @@ struct PipeState {
 /// ```
 ///
 /// — eight solves cost one round trip plus the slowest solve, not
-/// eight round trips. All methods take `&self`; the client may be
-/// shared across threads (waits coordinate through a condvar, with one
-/// thread at a time elected to read the socket).
+/// eight round trips. Every submit **corks**: its frame waits in the
+/// buffered writer until a caller waits (or the buffer fills), so
+/// those eight frames reach the socket in one write. All methods take
+/// `&self`; the client may be shared across threads (one waiter at a
+/// time reads the socket and files every reply it reads; the others
+/// park on a condvar until it does).
 pub struct PipelinedClient {
     stream: TcpStream,
     reader: Mutex<BufReader<TcpStream>>,
@@ -141,10 +148,10 @@ impl PipelinedClient {
         Ok(PipelinedClient {
             reader: Mutex::new(BufReader::new(stream.try_clone()?)),
             // The writer buffer IS the cork window: sized to the
-            // server's backpressure high-water mark so a corked batch
-            // ([`PipelinedClient::submit_batch`]) really does reach the
-            // socket in HIGH_WATER-sized writes — a default 8 KiB
-            // BufWriter would spill long before the window closed.
+            // server's backpressure high-water mark, so submits between
+            // two waits reach the socket in HIGH_WATER-sized writes — a
+            // default 8 KiB BufWriter would spill long before the
+            // caller waited.
             writer: Mutex::new(BufWriter::with_capacity(
                 crate::net::HIGH_WATER,
                 stream.try_clone()?,
@@ -154,6 +161,8 @@ impl PipelinedClient {
                 done: HashMap::new(),
                 forgotten: HashSet::new(),
                 dead: None,
+                reading: false,
+                parked: 0,
             }),
             arrived: Condvar::new(),
             next_tag: AtomicU64::new(1),
@@ -170,121 +179,87 @@ impl PipelinedClient {
         self.stream.set_read_timeout(timeout)
     }
 
-    /// Writes one tagged request and returns its correlation tag.
+    /// Writes one tagged request into the cork buffer and returns its
+    /// correlation tag. Nothing reaches the socket until a caller
+    /// waits ([`PipelinedClient::wait_response`]) or the buffered bytes
+    /// cross the server's backpressure high-water mark, 1 MiB.
     pub fn submit_request(&self, request: &Request) -> io::Result<u64> {
         // Encode before taking the writer lock: threads sharing this
-        // client serialize only on the socket write, not on each
+        // client serialize only on the buffered write, not on each
         // other's request serialization.
         let payload = request.encode();
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let mut writer = self.writer.lock().unwrap();
-        write_tagged_frame(&mut *writer, tag, &payload)?;
+        put_tagged_frame(&mut *writer, tag, &payload)?;
         Ok(tag)
     }
 
-    /// Writes a whole window of tagged requests **corked**: frames
-    /// accumulate in the buffered writer and the socket is flushed once
-    /// per window (or whenever the buffered bytes cross the server's
-    /// backpressure high-water mark, 1 MiB —
-    /// matching the bound the reactor applies on its side) instead of
-    /// once per submit. Returns the correlation tags in request order.
-    ///
-    /// This is what makes [`SolverBackend::solve_batch`] on a pipelined
-    /// connection cost one syscall per window: submitting k requests
-    /// uncorked is k `write(2)`s; corked it is ⌈bytes / high-water⌉.
-    pub fn submit_batch(&self, requests: &[Request]) -> io::Result<Vec<u64>> {
-        // Encode the whole window before taking the writer lock, so a
-        // concurrent submitter waits on socket writes only.
-        let payloads: Vec<Vec<u8>> = requests.iter().map(Request::encode).collect();
-        let mut writer = self.writer.lock().unwrap();
-        let mut tags = Vec::with_capacity(requests.len());
-        let mut since_flush = 0usize;
-        for payload in &payloads {
-            let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-            put_tagged_frame(&mut *writer, tag, payload)?;
-            tags.push(tag);
-            since_flush += payload.len() + 12;
-            if since_flush >= crate::net::HIGH_WATER {
-                writer.flush()?;
-                since_flush = 0;
-            }
-        }
-        writer.flush()?;
-        Ok(tags)
+    /// Sends every corked frame.
+    pub(crate) fn flush(&self) -> io::Result<()> {
+        self.writer.lock().unwrap().flush()
     }
 
     /// Submits a request whose response should be discarded on arrival
-    /// (fire-and-forget). Crate-visible: the server's forwarding plane
-    /// ([`crate::net`]) ships its `Replicate` frames through it too.
+    /// (fire-and-forget), and flushes it, since nobody waits on it.
+    /// Crate-visible: the server's forwarding plane ([`crate::net`])
+    /// ships its `Replicate` frames through it too.
     pub(crate) fn submit_forgotten(&self, request: &Request) -> io::Result<()> {
         let tag = self.submit_request(request)?;
-        let mut st = self.state.lock().unwrap();
-        // The response may have raced in already.
-        if st.done.remove(&tag).is_none() {
-            st.forgotten.insert(tag);
+        {
+            let mut st = self.state.lock().unwrap();
+            // The response may have raced in already.
+            if st.done.remove(&tag).is_none() {
+                st.forgotten.insert(tag);
+            }
         }
-        Ok(())
+        self.flush()
     }
 
-    /// Blocks until the response for `tag` arrives, reading the socket
-    /// if no other thread currently is.
+    /// Flushes the corked frames, then blocks until the response for
+    /// `tag` arrives. One waiter at a time reads the socket; the
+    /// others park until it files a frame or gives the socket up.
     pub fn wait_response(&self, tag: u64) -> io::Result<Response> {
+        self.flush()?;
+        let mut st = self.state.lock().unwrap();
         loop {
-            {
-                let mut st = self.state.lock().unwrap();
-                if let Some(resp) = st.done.remove(&tag) {
-                    return Ok(resp);
-                }
-                if let Some(dead) = &st.dead {
-                    return Err(dead.error());
-                }
+            if let Some(resp) = st.done.remove(&tag) {
+                return Ok(resp);
             }
-            match self.reader.try_lock() {
-                Ok(mut reader) => {
-                    let read = read_any_frame(&mut *reader);
-                    let mut st = self.state.lock().unwrap();
-                    match read {
-                        Ok(Some(frame)) => {
-                            if st.forgotten.remove(&frame.tag) {
-                                continue;
+            if let Some(dead) = &st.dead {
+                return Err(dead.error());
+            }
+            if st.reading {
+                st.parked += 1;
+                st = self.arrived.wait(st).unwrap();
+                st.parked -= 1;
+                continue;
+            }
+            st.reading = true;
+            drop(st);
+            let read = read_any_frame(&mut *self.reader.lock().unwrap());
+            st = self.state.lock().unwrap();
+            st.reading = false;
+            match read {
+                Ok(Some(frame)) => {
+                    if !st.forgotten.remove(&frame.tag) {
+                        match Response::decode(&frame.payload) {
+                            Ok(resp) => {
+                                st.done.insert(frame.tag, resp);
                             }
-                            match Response::decode(&frame.payload) {
-                                Ok(resp) => {
-                                    st.done.insert(frame.tag, resp);
-                                }
-                                Err(e) => {
-                                    st.dead = Some(Dead::Failed(
-                                        io::ErrorKind::InvalidData,
-                                        e.to_string(),
-                                    ));
-                                }
+                            Err(e) => {
+                                st.dead =
+                                    Some(Dead::Failed(io::ErrorKind::InvalidData, e.to_string()));
                             }
-                            self.arrived.notify_all();
-                        }
-                        Ok(None) => {
-                            st.dead = Some(Dead::Closed);
-                            self.arrived.notify_all();
-                        }
-                        Err(e) => {
-                            st.dead = Some(Dead::Failed(e.kind(), e.to_string()));
-                            self.arrived.notify_all();
                         }
                     }
                 }
-                Err(TryLockError::WouldBlock) => {
-                    // Someone else is reading; wait for them to deliver.
-                    // The timeout re-checks for a reader that bailed out
-                    // between our try_lock and their notify.
-                    let st = self.state.lock().unwrap();
-                    if st.done.contains_key(&tag) || st.dead.is_some() {
-                        continue;
-                    }
-                    let _ = self
-                        .arrived
-                        .wait_timeout(st, Duration::from_millis(50))
-                        .unwrap();
-                }
-                Err(TryLockError::Poisoned(e)) => panic!("reader lock poisoned: {e}"),
+                Ok(None) => st.dead = Some(Dead::Closed),
+                Err(e) => st.dead = Some(Dead::Failed(e.kind(), e.to_string())),
+            }
+            // Parked waiters re-check: one may own this frame, and one
+            // must take over the socket if this waiter returns.
+            if st.parked > 0 {
+                self.arrived.notify_all();
             }
         }
     }
@@ -373,26 +348,6 @@ impl SolverBackend for PipelinedClient {
         Ok(FleetStats {
             nodes: vec![(node, metrics.counters)],
         })
-    }
-
-    /// One corked window: all frames written under one writer lock,
-    /// the socket flushed once (see [`PipelinedClient::submit_batch`]),
-    /// replies redeemed in request order.
-    fn solve_batch(
-        &self,
-        requests: Vec<(ProblemId, Vec<Vec<Lit>>)>,
-    ) -> io::Result<Vec<Option<SolveReply>>> {
-        let window: Vec<Request> = requests
-            .into_iter()
-            .map(|(parent, clauses)| Request::Solve {
-                parent: parent.to_wire(),
-                clauses: lits_to_clauses(&clauses),
-            })
-            .collect();
-        self.submit_batch(&window)?
-            .into_iter()
-            .map(|tag| solved_reply(self.wait_response(tag)?))
-            .collect()
     }
 }
 
@@ -1091,11 +1046,13 @@ impl SolverBackend for ClusterBackend {
         self.cluster_submit(parent.to_wire(), lits_to_clauses(&clauses))
     }
 
-    /// Redeems a cluster ticket. If the ticket's node died before
-    /// answering, the session is failed over (replica promoted by path
-    /// replay) and the solve is **re-issued transparently** on the new
-    /// home — the caller sees the same deterministic reply it would
-    /// have gotten, minus one node.
+    /// Redeems a cluster ticket. Every member's corked submits are
+    /// flushed first, so a batch spread over nodes starts on all of
+    /// them at once. If the ticket's node died before answering (a
+    /// failed flush included), the session is failed over (replica
+    /// promoted by path replay) and the solve is **re-issued
+    /// transparently** on the new home — the caller sees the same
+    /// deterministic reply it would have gotten, minus one node.
     fn wait(&self, ticket: Ticket) -> io::Result<Option<SolveReply>> {
         let TicketInner::Cluster {
             node,
@@ -1107,6 +1064,11 @@ impl SolverBackend for ClusterBackend {
         else {
             return Err(foreign_ticket());
         };
+        let members: Vec<Arc<ClusterNode>> = self.nodes.read().unwrap().to_vec();
+        for member in &members {
+            // A member's write error resurfaces at its own wait.
+            let _ = member.client.flush();
+        }
         let outcome = match self.node_opt(node) {
             Some(member) => member.client.wait_response(tag),
             // A concurrent failover already removed the node; treat the
@@ -1180,77 +1142,6 @@ impl SolverBackend for ClusterBackend {
             })
             .collect::<io::Result<_>>()?;
         Ok(FleetStats { nodes })
-    }
-
-    /// Corked per node: the batch is split by owning node (order
-    /// preserved within each node's window), each node's window is
-    /// written with one flush ([`PipelinedClient::submit_batch`]), and
-    /// replies are redeemed in the original request order. A window
-    /// whose node dies falls back to per-request submission through
-    /// the failover path.
-    fn solve_batch(
-        &self,
-        requests: Vec<(ProblemId, Vec<Vec<Lit>>)>,
-    ) -> io::Result<Vec<Option<SolveReply>>> {
-        // Resolve and attribute every request, then split into
-        // per-node windows remembering original positions.
-        let resolved: Vec<(u64, Option<u64>, Vec<Vec<i64>>)> = requests
-            .iter()
-            .map(|(parent, clauses)| {
-                let (wire, session) = self.locate(parent.to_wire());
-                (wire, session, lits_to_clauses(clauses))
-            })
-            .collect();
-        let mut windows: Vec<(NodeId, Vec<usize>, Vec<Request>)> = Vec::new();
-        for (pos, (wire, _, clauses)) in resolved.iter().enumerate() {
-            let node = ProblemId::from_wire(*wire).node();
-            self.node(node)?; // unknown nodes fail before any write
-            let request = Request::Solve {
-                parent: *wire,
-                clauses: clauses.clone(),
-            };
-            match windows.iter_mut().find(|(n, ..)| *n == node) {
-                Some((_, positions, window)) => {
-                    positions.push(pos);
-                    window.push(request);
-                }
-                None => windows.push((node, vec![pos], vec![request])),
-            }
-        }
-        // Submit every node's window corked, then wait in request order.
-        let mut tickets: Vec<Option<Ticket>> = Vec::with_capacity(resolved.len());
-        tickets.resize_with(resolved.len(), || None);
-        for (node, positions, window) in windows {
-            let member = self.node(node)?;
-            match member.client.submit_batch(&window) {
-                Ok(tags) => {
-                    for (&pos, tag) in positions.iter().zip(tags) {
-                        let (wire, session, clauses) = &resolved[pos];
-                        tickets[pos] = Some(Ticket(TicketInner::Cluster {
-                            node,
-                            tag,
-                            session: *session,
-                            parent: *wire,
-                            clauses: clauses.clone(),
-                        }));
-                    }
-                }
-                Err(e) if is_node_death(&e) => {
-                    // The whole window is lost; re-route each request
-                    // individually through the failover machinery.
-                    self.failover(node);
-                    for &pos in &positions {
-                        let (wire, _, clauses) = &resolved[pos];
-                        tickets[pos] = Some(self.cluster_submit(*wire, clauses.clone())?);
-                    }
-                }
-                Err(e) => return Err(node_error(node, e)),
-            }
-        }
-        tickets
-            .into_iter()
-            .map(|slot| self.wait(slot.expect("every request was submitted")))
-            .collect()
     }
 }
 

@@ -37,12 +37,12 @@
 //!   session's home node to the session's replica, reaped as the home's
 //!   problems are released, promoted by bit-identical replay when the
 //!   home node dies or drains out.
-//! * [`bufpool`] — pooled 64 KiB receive blocks and the zero-copy
-//!   [`bufpool::FrameAssembler`] that parses frames in place, spilling
+//! * [`bufpool`] — the zero-copy [`bufpool::FrameAssembler`]: each
+//!   connection's own 64 KiB receive block, parsed in place, spilling
 //!   (and counting) only the rare block-boundary bytes.
 //! * [`net`] — the non-blocking front end: one epoll reactor **per
 //!   core** (vendored [`polling`] shim), each with its own
-//!   `SO_REUSEPORT` listener, connection table, buffer pool and
+//!   `SO_REUSEPORT` listener, connection table, spill counter and
 //!   completion queue, with per-connection write backpressure,
 //!   scatter-gather (`writev`) response flushing, graceful shutdown,
 //!   server-side edge forwarding and a peer heartbeat thread; the
@@ -56,7 +56,7 @@
 //!   [`SolverBackend`]s, for one node and for a whole cluster.
 //! * [`stats`] — the fleet view of the stats plane: every counter is a
 //!   field of [`StatsSummary`], kept by its owner (a shard, the replica
-//!   store, the forwarder, a buffer pool) and folded per node
+//!   store, the forwarder, a reactor's spill counter) and folded per node
 //!   ([`Server::stats`]) and per fleet ([`FleetStats::total`]).
 //!
 //! ```
@@ -93,7 +93,7 @@ pub mod stats;
 mod workqueue;
 
 pub use backend::{SolverBackend, Ticket};
-pub use bufpool::{BufferPool, FrameAssembler, Lease};
+pub use bufpool::FrameAssembler;
 pub use chaos::{ChaosAction, ChaosPlan, ChaosPolicy};
 pub use client::{ClusterBackend, Disconnected, NodeError, PipelinedClient};
 pub use lwsnap_trace::{MetricsSnapshot, StatsSummary};

@@ -8,27 +8,26 @@
 //! [`Server::start`] binds N listeners on one port with `SO_REUSEPORT`
 //! set before bind ([`polling::bind_reuseport`]) and spawns N reactor
 //! threads, each owning its own [`polling::Poller`] (epoll instance),
-//! its own connection table, its own [`BufferPool`] of receive
-//! blocks and its own [`CompletionQueue`]. The kernel shards incoming
-//! connections across the accept queues by 4-tuple hash; a connection
-//! is **pinned for life** to the reactor that accepted it, so no
-//! cross-reactor locking ever touches per-connection state. The worker
-//! pool stays shared — completions route back through the owning
-//! reactor's queue and wake exactly that reactor's poller. (When
-//! `SO_REUSEPORT` is unavailable — IPv6, exotic kernels — the front
-//! end falls back to one reactor on a plain listener.)
+//! its own connection table, its own spill counter and its own
+//! [`CompletionQueue`]. The kernel shards incoming connections across
+//! the accept queues by 4-tuple hash; a connection is **pinned for
+//! life** to the reactor that accepted it, so no cross-reactor locking
+//! ever touches per-connection state. The worker pool stays shared —
+//! completions route back through the owning reactor's queue and wake
+//! exactly that reactor's poller. (When `SO_REUSEPORT` is unavailable
+//! — IPv6, exotic kernels — the front end falls back to one reactor on
+//! a plain listener.)
 //!
 //! ## The zero-copy wire path
 //!
-//! * **Read side** — socket bytes land directly in a pooled 64 KiB
-//!   block leased by the connection; frames are parsed **in place**
+//! * **Read side** — socket bytes land directly in the connection's own
+//!   64 KiB receive block ([`FrameAssembler`]), allocated at accept and
+//!   freed at close; frames are parsed **in place**
 //!   ([`crate::protocol::parse_frame_ref`]) and the request is decoded
 //!   straight out of the block — the old `inbuf` staging copy is gone.
 //!   Only a frame that straddles a block boundary is copied (into a
 //!   spill buffer), and those bytes are counted (`rx_copy_bytes`) so
-//!   the benches can assert the copies stayed gone. Blocks recycle to
-//!   the reactor's freelist when a connection closes
-//!   (`pool_recycles`).
+//!   the benches can assert the copies stayed gone.
 //! * **Write side** — responses queue as (header, payload) pairs and go
 //!   out through corked scatter-gather writes
 //!   ([`std::io::Write::write_vectored`], i.e. `writev`): the encoded
@@ -81,7 +80,7 @@ use std::time::Duration;
 use lwsnap_trace::{self as trace, MetricsSnapshot, StatsSummary};
 use polling::{Event, Poller};
 
-use crate::bufpool::{BufferPool, FrameAssembler};
+use crate::bufpool::FrameAssembler;
 use crate::chaos::{root_key, stable_key, ChaosAction, ChaosPolicy};
 use crate::client::PipelinedClient;
 use crate::pool::{CompletionQueue, PoolClient, WorkerPool};
@@ -92,9 +91,8 @@ use crate::sharded::{ProblemId, ServiceConfig, ShardedService, SolveReply};
 use crate::stats::WorkerStats;
 
 /// Stop reading a connection whose unflushed output exceeds this. Also
-/// the flush window for client-side corked batch writes
-/// ([`crate::PipelinedClient::submit_batch`]), so both directions of
-/// the wire share one backpressure bound.
+/// the size of a [`crate::PipelinedClient`]'s cork buffer, so both
+/// directions of the wire share one backpressure bound.
 pub(crate) const HIGH_WATER: usize = 1 << 20;
 /// Resume reading once the unflushed output falls below this.
 const LOW_WATER: usize = HIGH_WATER / 4;
@@ -615,13 +613,6 @@ pub struct ReactorStatsView {
     /// Receive bytes this reactor copied (block-spanning frames only;
     /// ~0 per request on the zero-copy fast path).
     pub rx_copy_bytes: u64,
-    /// Read blocks recycled through this reactor's freelist.
-    pub pool_recycled: u64,
-    /// Read blocks currently leased out to connections (zero once
-    /// every connection has closed — the leak-audit number).
-    pub pool_outstanding: usize,
-    /// Read blocks parked on the freelist.
-    pub pool_free: usize,
 }
 
 /// The server-side handle onto one running reactor: its waker plus the
@@ -629,13 +620,13 @@ pub struct ReactorStatsView {
 struct ReactorHandle {
     poller: Arc<Poller>,
     stats: Arc<ReactorStats>,
-    bufpool: Arc<BufferPool>,
+    rx_copied: Arc<AtomicU64>,
     completions: Arc<CompletionQueue<Completion>>,
     thread: Option<JoinHandle<()>>,
 }
 
 /// The owners of one node's counters — its shards, replica store,
-/// forwarder and reactors' buffer pools — read on demand. Folding them
+/// forwarder and reactors' spill counters — read on demand. Folding them
 /// is the node's one [`StatsSummary`]: the stats reply, the scrape and
 /// [`Server::stats`] all read it here. Cheap to clone, and it outlives
 /// the [`Server`] it came from ([`Server::counters`]).
@@ -644,7 +635,7 @@ pub struct NodeCounters {
     service: Arc<ShardedService>,
     replicas: Arc<ReplicaStore>,
     forwarder: Arc<Forwarder>,
-    bufpools: Arc<[Arc<BufferPool>]>,
+    rx_copied: Arc<[Arc<AtomicU64>]>,
 }
 
 impl NodeCounters {
@@ -653,9 +644,11 @@ impl NodeCounters {
         let mut total = self.service.stats();
         total.absorb(&self.replicas.stats());
         total.absorb(&self.forwarder.stats());
-        for pool in self.bufpools.iter() {
-            total.absorb(&pool.stats());
-        }
+        total.rx_copy_bytes += self
+            .rx_copied
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum::<u64>();
         total
     }
 
@@ -735,12 +728,12 @@ impl Server {
             service: Arc::clone(&service),
             replicas: Arc::clone(&replicas),
             forwarder: Arc::clone(&forwarder),
-            bufpools: armed.iter().map(|_| BufferPool::new()).collect(),
+            rx_copied: armed.iter().map(|_| Arc::default()).collect(),
         };
         let mut handles = Vec::with_capacity(armed.len());
         for (index, (listener, poller)) in armed.into_iter().enumerate() {
             let stats = Arc::new(ReactorStats::default());
-            let bufpool = Arc::clone(&counters.bufpools[index]);
+            let rx_copied = Arc::clone(&counters.rx_copied[index]);
             let completions = Arc::new(CompletionQueue::new());
             let mut reactor = Reactor {
                 listener,
@@ -754,7 +747,7 @@ impl Server {
                 completions: Arc::clone(&completions),
                 hard_stop: Arc::clone(&hard_stop),
                 draining: Arc::clone(&draining),
-                bufpool: Arc::clone(&bufpool),
+                rx_copied: Arc::clone(&rx_copied),
                 stats: Arc::clone(&stats),
                 conns: Vec::new(),
                 free: Vec::new(),
@@ -768,7 +761,7 @@ impl Server {
             handles.push(ReactorHandle {
                 poller,
                 stats,
-                bufpool,
+                rx_copied,
                 completions,
                 thread: Some(thread),
             });
@@ -852,10 +845,7 @@ impl Server {
                 accepted: r.stats.accepted.load(Ordering::Relaxed),
                 completions: r.stats.completions.load(Ordering::Relaxed),
                 queue_peak: r.completions.peak_depth(),
-                rx_copy_bytes: r.bufpool.stats().rx_copy_bytes,
-                pool_recycled: r.bufpool.stats().pool_recycles,
-                pool_outstanding: r.bufpool.outstanding(),
-                pool_free: r.bufpool.free_blocks(),
+                rx_copy_bytes: r.rx_copied.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -940,7 +930,7 @@ impl OutFrame {
 /// Per-connection state.
 struct Conn {
     stream: TcpStream,
-    /// In-place frame assembly over pooled read blocks.
+    /// In-place frame assembly over the connection's receive block.
     rx: FrameAssembler,
     /// Encoded frames awaiting the socket.
     out: VecDeque<OutFrame>,
@@ -1006,8 +996,9 @@ struct Reactor {
     /// Shared graceful-drain flag; any reactor's client `Shutdown`
     /// sets it for all of them.
     draining: Arc<AtomicBool>,
-    /// This reactor's receive-block pool.
-    bufpool: Arc<BufferPool>,
+    /// This reactor's spill counter (`rx_copy_bytes`), shared by its
+    /// connections' assemblers.
+    rx_copied: Arc<AtomicU64>,
     stats: Arc<ReactorStats>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -1108,7 +1099,7 @@ impl Reactor {
                     self.stats.accepted.fetch_add(1, Ordering::Relaxed);
                     let conn = Conn {
                         stream,
-                        rx: FrameAssembler::new(Arc::clone(&self.bufpool)),
+                        rx: FrameAssembler::new(Arc::clone(&self.rx_copied)),
                         out: VecDeque::new(),
                         out_written: 0,
                         out_bytes: 0,
@@ -1246,7 +1237,7 @@ impl Reactor {
     }
 
     /// Reads until the socket would block — bytes land directly in the
-    /// connection's pooled receive block — then parses and dispatches
+    /// connection's receive block — then parses and dispatches
     /// every complete frame in place.
     fn read_conn(&mut self, idx: usize) {
         loop {
@@ -1301,7 +1292,7 @@ impl Reactor {
             if conn.close_after_flush || Self::at_capacity(conn) {
                 break;
             }
-            // Decode while the frame still borrows the pool block — the
+            // Decode while the frame still borrows the receive block — the
             // payload bytes never leave it on the fast path.
             let step = conn
                 .rx

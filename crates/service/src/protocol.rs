@@ -266,10 +266,9 @@ pub fn write_tagged_frame(w: &mut impl Write, tag: u64, payload: &[u8]) -> io::R
     w.flush()
 }
 
-/// Writes one frame **without flushing** — the corked form
-/// batching clients use to put a whole window of frames on a buffered
-/// writer and flush the socket once (see
-/// [`crate::PipelinedClient::submit_batch`]).
+/// Writes one frame **without flushing** — the corked form a
+/// [`crate::PipelinedClient`] uses for every submit, so the frames a
+/// caller submits before it waits reach the socket in one write.
 pub fn put_tagged_frame(w: &mut impl Write, tag: u64, payload: &[u8]) -> io::Result<()> {
     let len = check_len(payload.len().saturating_add(8))?;
     w.write_all(&(len | TAGGED).to_le_bytes())?;

@@ -2,7 +2,7 @@
 //!
 //! Every service counter is a field of [`StatsSummary`], counted by
 //! its owner: a solver shard, the [`crate::ReplicaStore`], the
-//! server's forwarder or a reactor's [`crate::BufferPool`]. A node
+//! server's forwarder or a reactor's spill counter. A node
 //! folds its owners ([`crate::ShardedService::stats`],
 //! [`crate::Server::stats`]) and a fleet folds its nodes
 //! ([`FleetStats::total`]), every level with [`StatsSummary::absorb`].

@@ -2,13 +2,14 @@
 //! decode hardening against truncated, oversized, untagged and garbage
 //! input, and the zero-copy
 //! borrowed-payload assembler: arbitrarily split reads — mid-header,
-//! mid-payload, across pool-block boundaries — must reassemble
-//! bit-identically to a whole-buffer parse, and every pooled block
-//! must return to the freelist once connections drain.
+//! mid-payload, across receive-block boundaries — must reassemble
+//! bit-identically to a whole-buffer parse.
 
 use std::io::Read;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use lwsnap_service::bufpool::{BufferPool, FrameAssembler, BLOCK_SIZE};
+use lwsnap_service::bufpool::{FrameAssembler, BLOCK_SIZE};
 use lwsnap_service::protocol::{
     parse_frame, read_any_frame, write_tagged_frame, Frame, ProtoError, Request, Response,
     MAX_FRAME, TAGGED,
@@ -51,8 +52,8 @@ type DecodedFrame = (u64, Vec<u8>);
 /// Runs `wire` through a [`FrameAssembler`] fed by chunked reads;
 /// returns the decoded frames and the byte count the assembler copied.
 fn assemble_chunked(wire: &[u8], chunks: &[usize]) -> (Vec<DecodedFrame>, u64) {
-    let pool = BufferPool::new();
-    let mut asm = FrameAssembler::new(pool);
+    let copied = Arc::new(AtomicU64::new(0));
+    let mut asm = FrameAssembler::new(Arc::clone(&copied));
     let mut reader = ChunkedReader {
         data: wire,
         pos: 0,
@@ -78,7 +79,7 @@ fn assemble_chunked(wire: &[u8], chunks: &[usize]) -> (Vec<DecodedFrame>, u64) {
         out.push(frame);
     }
     assert_eq!(asm.pending(), 0, "no bytes left behind");
-    (out, asm.copied_bytes())
+    (out, copied.load(Ordering::Relaxed))
 }
 
 /// The whole-buffer reference parse the assembler must match.
@@ -337,7 +338,7 @@ proptest! {
 
     /// Any chunking of a frame stream — cuts mid-header, mid-tag,
     /// mid-payload, wherever the cycle lands — reassembles through the
-    /// pooled assembler bit-identically to a whole-buffer parse.
+    /// block assembler bit-identically to a whole-buffer parse.
     #[test]
     fn split_reads_reassemble_bit_identically(
         frames in proptest::collection::vec((request_strategy(), any::<u64>()), 1..8),
@@ -352,7 +353,7 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// A stream that fits in one pool block is parsed fully in place:
+    /// A stream that fits in one receive block is parsed fully in place:
     /// zero bytes copied, regardless of how the reads were split.
     #[test]
     fn single_block_streams_copy_nothing(
@@ -369,7 +370,7 @@ proptest! {
         prop_assert_eq!(copied, 0, "in-block frames must not copy");
     }
 
-    /// Frames sized around the 64 KiB pool-block boundary force the
+    /// Frames sized around the 64 KiB receive-block boundary force the
     /// spill path — the header itself can straddle two blocks — and
     /// the payload still comes back byte-exact, with every copied byte
     /// accounted (each wire byte spills at most once).
@@ -399,54 +400,4 @@ proptest! {
         }
         prop_assert!(copied as usize <= wire.len(), "each byte copies at most once");
     }
-}
-
-// -------------------------------------------------------------------
-// Buffer-pool leak audit through a live server.
-// -------------------------------------------------------------------
-
-/// Every pooled block returns to the freelist once connections drain:
-/// the reactor leak audit behind `ReactorStatsView::pool_outstanding`.
-#[test]
-fn buffer_pool_blocks_all_return_after_drain() {
-    use lwsnap_service::{PipelinedClient, Server, ServiceConfig, SolverBackend};
-    use lwsnap_solver::Lit;
-
-    let server = Server::start_with("127.0.0.1:0", ServiceConfig::new(2), 2, 2).unwrap();
-    let addr = server.local_addr();
-    let clients: Vec<PipelinedClient> = (0..8)
-        .map(|_| PipelinedClient::connect(addr).unwrap())
-        .collect();
-    for (i, client) in clients.iter().enumerate() {
-        let root = client.session_root(i as u64).unwrap();
-        let ticket = client
-            .submit(root, vec![vec![Lit::from_dimacs(1)]])
-            .unwrap();
-        client.wait(ticket).unwrap().expect("live root");
-    }
-
-    let stats = server.reactor_stats();
-    assert_eq!(stats.iter().map(|s| s.accepted).sum::<u64>(), 8);
-    assert!(
-        stats.iter().map(|s| s.pool_outstanding).sum::<usize>() >= 1,
-        "live connections hold leased blocks"
-    );
-
-    drop(clients);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        let stats = server.reactor_stats();
-        let outstanding: usize = stats.iter().map(|s| s.pool_outstanding).sum();
-        if outstanding == 0 {
-            let recycled: u64 = stats.iter().map(|s| s.pool_recycled).sum();
-            assert!(recycled >= 1, "drained blocks land on the freelist");
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "leaked {outstanding} pool blocks after client drain"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-    server.shutdown();
 }

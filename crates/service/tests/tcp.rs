@@ -254,9 +254,10 @@ fn overdriven_pipeline_is_throttled_not_dropped() {
     server.wait();
 }
 
-/// Satellite: `solve_batch` on a pipelined connection corks the whole
-/// window — all frames written under one writer lock, one flush — and
-/// still answers in request order with correct per-request replies.
+/// `solve_batch` on a pipelined connection corks the whole window —
+/// every submit buffers its frame, the first wait flushes them all —
+/// and still answers in request order with correct per-request
+/// replies.
 #[test]
 fn corked_batch_answers_in_request_order() {
     let server = Server::start("127.0.0.1:0", ServiceConfig::new(8), 4).unwrap();
@@ -288,6 +289,190 @@ fn corked_batch_answers_in_request_order() {
     assert!(mixed[2].is_some());
     client.shutdown_server().unwrap();
     server.wait();
+}
+
+/// Submits cork: eight `submit_request`s put no byte on the socket,
+/// and the first `wait_response` flushes all eight frames at once.
+#[test]
+fn submits_stay_corked_until_a_wait() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (submitted_tx, submitted_rx) = std::sync::mpsc::channel::<()>();
+    let (silent_tx, silent_rx) = std::sync::mpsc::channel::<bool>();
+    let srv = std::thread::spawn(move || {
+        let (s, _) = listener.accept().unwrap();
+        submitted_rx.recv().unwrap();
+        // Nothing may arrive while the client has not waited.
+        s.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut probe = [0u8; 1];
+        let silent = matches!(
+            (&s).read(&mut probe),
+            Err(e) if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            )
+        );
+        silent_tx.send(silent).unwrap();
+        // Read all eight frames before answering any, so the first
+        // wait returns only if its flush delivered the whole window.
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = std::io::BufReader::new(&s);
+        let tags: Vec<u64> = (0..8)
+            .map(|_| protocol::read_any_frame(&mut reader).unwrap().unwrap().tag)
+            .collect();
+        let mut writer = &s;
+        for &tag in &tags {
+            protocol::write_tagged_frame(&mut writer, tag, &Response::Released.encode()).unwrap();
+        }
+        tags
+    });
+    let client = PipelinedClient::connect(addr).unwrap();
+    let tags: Vec<u64> = (0..8)
+        .map(|_| client.submit_request(&Request::Stats).unwrap())
+        .collect();
+    submitted_tx.send(()).unwrap();
+    assert!(
+        silent_rx.recv().unwrap(),
+        "a submit reached the socket before any wait"
+    );
+    assert!(matches!(
+        client.wait_response(tags[0]).unwrap(),
+        Response::Released
+    ));
+    assert_eq!(srv.join().unwrap(), tags, "one wait delivered every frame");
+    for &tag in &tags[1..] {
+        assert!(matches!(
+            client.wait_response(tag).unwrap(),
+            Response::Released
+        ));
+    }
+}
+
+/// A release is fire-and-forget: it reaches the server with no later
+/// call on the client to flush it.
+#[test]
+fn a_release_is_sent_without_a_wait() {
+    let server = Server::start("127.0.0.1:0", ServiceConfig::new(2), 1).unwrap();
+    let client = PipelinedClient::connect(server.local_addr()).unwrap();
+    let root = client.session_root(4).unwrap();
+    let reply = client
+        .solve(root, vec![vec![lwsnap_solver::Lit::from_dimacs(1)]])
+        .unwrap()
+        .expect("live root");
+    let live = server.stats().live_problems;
+    client.release(reply.problem).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.stats().live_problems >= live {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the release never reached the server"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.shutdown();
+}
+
+/// Threads sharing one client each get their own replies: four threads
+/// submit a window of 16 solves apiece and wait in reverse order, so
+/// one reads the socket for all while the others park.
+#[test]
+fn threads_sharing_a_client_get_their_own_replies() {
+    let server = Server::start("127.0.0.1:0", ServiceConfig::new(4), 2).unwrap();
+    let client = Arc::new(PipelinedClient::connect(server.local_addr()).unwrap());
+    let root = client.session_root(6).unwrap();
+    let threads: Vec<_> = (0..4i64)
+        .map(|t| {
+            let client = Arc::clone(&client);
+            std::thread::spawn(move || {
+                let vars: Vec<i64> = (1..=16).map(|i| t * 16 + i).collect();
+                let tickets: Vec<_> = vars
+                    .iter()
+                    .map(|&v| {
+                        client
+                            .submit(root, vec![vec![lwsnap_solver::Lit::from_dimacs(v)]])
+                            .unwrap()
+                    })
+                    .collect();
+                for (&v, ticket) in vars.iter().zip(tickets).rev() {
+                    let reply = client.wait(ticket).unwrap().expect("live root");
+                    assert_eq!(reply.result, lwsnap_solver::SolveResult::Sat);
+                    assert!(
+                        reply.model.unwrap()[v as usize - 1],
+                        "thread {t}: reply answers x{v}"
+                    );
+                }
+            })
+        })
+        .collect();
+    // Bounded: a lost wake-up parks a thread forever.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("every thread got its replies");
+    assert_eq!(client.stats().unwrap().queries, 64);
+    client.shutdown_server().unwrap();
+    server.wait();
+}
+
+/// The waiter that reads the socket wakes a parked one, and a lone
+/// parked waiter is enough: two threads wait on one client, and the
+/// server answers the second request first. Whichever thread reads,
+/// the other must be woken — to take its filed reply, or to take the
+/// socket over once the reader returns.
+#[test]
+fn a_lone_parked_waiter_is_woken() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+    let srv = std::thread::spawn(move || {
+        let (s, _) = listener.accept().unwrap();
+        let mut reader = std::io::BufReader::new(&s);
+        let first = protocol::read_any_frame(&mut reader).unwrap().unwrap().tag;
+        let second = protocol::read_any_frame(&mut reader).unwrap().unwrap().tag;
+        go_rx.recv().unwrap();
+        let mut writer = &s;
+        for tag in [second, first] {
+            protocol::write_tagged_frame(&mut writer, tag, &Response::Released.encode()).unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        // Hold the connection open until the test ends: a lost
+        // wake-up must show as a parked thread, not as an
+        // end-of-stream error.
+        let _ = go_rx.recv();
+    });
+    let client = Arc::new(PipelinedClient::connect(addr).unwrap());
+    let tags = [
+        client.submit_request(&Request::Stats).unwrap(),
+        client.submit_request(&Request::Stats).unwrap(),
+    ];
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    for tag in tags {
+        let (client, done_tx) = (Arc::clone(&client), done_tx.clone());
+        std::thread::spawn(move || {
+            let reply = client.wait_response(tag);
+            done_tx.send((tag, reply.is_ok())).unwrap();
+        });
+    }
+    // Let one thread start reading and the other park. Nothing outside
+    // the client can see that state, so this is a pause: if it is too
+    // short the case goes untested, but the verdict is never wrong.
+    std::thread::sleep(Duration::from_millis(200));
+    go_tx.send(()).unwrap();
+    for _ in tags {
+        let (tag, ok) = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("both waiters return");
+        assert!(ok, "tag {tag} got its reply");
+    }
+    drop(go_tx);
+    srv.join().unwrap();
 }
 
 /// Satellite: a clean server close between frames is the typed

@@ -317,10 +317,6 @@ impl SnapshotStore for CowStore {
             node_copies: self.stats.node_copies,
         }
     }
-
-    fn name(&self) -> &'static str {
-        "cow-page"
-    }
 }
 
 #[cfg(test)]

@@ -255,20 +255,10 @@ impl SolverService {
         self.enforce_capacity(None);
     }
 
-    /// The configured resident-snapshot byte budget.
-    pub fn snapshot_budget(&self) -> Option<usize> {
-        self.budget
-    }
-
     /// Bytes currently held by the snapshot store (shared storage
     /// counted once).
     pub fn resident_bytes(&self) -> usize {
         self.store.resident_bytes()
-    }
-
-    /// Name of the snapshot store backend in use.
-    pub fn store_name(&self) -> &'static str {
-        self.store.name()
     }
 
     /// Physical page accounting of the snapshot store (zeros for the

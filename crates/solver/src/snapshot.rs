@@ -175,9 +175,6 @@ pub trait SnapshotStore: Send {
     fn mem_stats(&self) -> StoreMemStats {
         StoreMemStats::default()
     }
-
-    /// Human-readable backend name (for logs and stats dumps).
-    fn name(&self) -> &'static str;
 }
 
 // ---------------------------------------------------------------------
@@ -257,10 +254,6 @@ impl SnapshotStore for DeepCloneStore {
 
     fn resident_bytes(&self) -> usize {
         self.total
-    }
-
-    fn name(&self) -> &'static str {
-        "deep-clone"
     }
 }
 

@@ -149,11 +149,6 @@ impl Solver {
         self.assigns.len()
     }
 
-    /// Number of problem clauses added (excluding learnt).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
     /// Approximate heap footprint of this solver snapshot, in bytes:
     /// the clause arena (problem + learnt clauses) plus the per-variable
     /// assignment/heuristic state and per-literal watch lists. Used by
@@ -222,13 +217,6 @@ impl Solver {
     #[inline]
     fn set_lit(&mut self, cref: u32, i: usize, lit: Lit) {
         self.arena[cref as usize + 1 + i] = lit.0;
-    }
-
-    /// The literals of a clause (diagnostics).
-    pub fn clause_lits(&self, cref: u32) -> Vec<Lit> {
-        (0..self.clause_len(cref))
-            .map(|i| self.lit_at(cref, i))
-            .collect()
     }
 
     // -- assignment -----------------------------------------------------

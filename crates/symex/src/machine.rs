@@ -123,11 +123,6 @@ impl Shadow {
     pub fn constraints(&self) -> &[(ExprId, bool)] {
         &self.constraints
     }
-
-    /// Number of symbolic input bytes.
-    pub fn num_inputs(&self) -> u32 {
-        self.n_inputs
-    }
 }
 
 /// How a completed path ended.

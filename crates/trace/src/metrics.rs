@@ -4,7 +4,7 @@
 //! Every counter lives in exactly one place: a plain `Copy` field of
 //! [`StatsSummary`], kept by the component that owns the event it
 //! counts (a solver shard, the replica store, the forwarder, a
-//! reactor's buffer pool). A node folds its owners into one summary and
+//! reactor's spill counter). A node folds its owners into one summary and
 //! a fleet folds its nodes, both with the one generated
 //! [`StatsSummary::absorb`]. The struct, its scrape/wire names and its
 //! summer all come from one table below — a new counter costs one line.
@@ -27,7 +27,7 @@ macro_rules! stats_table {
     ($($field:ident, $name:literal, $doc:literal;)*) => {
         /// Every counter one lwsnap node keeps, and the fold of any number
         /// of them: one shard's, one node's (its shards plus its replica
-        /// store, forwarder and buffer pools) or a whole fleet's.
+        /// store, forwarder and spill counters) or a whole fleet's.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct StatsSummary {
             $(#[doc = $doc] pub $field: u64,)*
@@ -88,8 +88,7 @@ stats_table! {
     heartbeat_misses, "heartbeat_misses_total", "Heartbeat probes to peers that went unanswered.";
     dead_peers, "peers_declared_dead_total", "Peers declared dead after consecutive missed probes.";
     chaos_injections, "chaos_injections_total", "Chaos faults injected into replication frames.";
-    rx_copy_bytes, "net_rx_copy_bytes_total", "Receive bytes copied out of pooled blocks (spills).";
-    pool_recycles, "net_pool_recycle_total", "Pooled read blocks returned to a reactor's freelist.";
+    rx_copy_bytes, "net_rx_copy_bytes_total", "Receive bytes copied out of receive blocks (spills).";
 }
 
 impl StatsSummary {
@@ -564,7 +563,6 @@ lwsnap_heartbeat_misses_total 0
 lwsnap_peers_declared_dead_total 0
 lwsnap_chaos_injections_total 0
 lwsnap_net_rx_copy_bytes_total 0
-lwsnap_net_pool_recycle_total 0
 lwsnap_request_ns_count 0
 lwsnap_request_ns_sum 0
 lwsnap_request_ns_bucket{le=\"+Inf\"} 0

@@ -393,18 +393,12 @@ fn main() {
     // The accept/queue-depth distribution the reactor rework is about:
     // nonzero accepts on more than one reactor means the kernel really
     // sharded the connections; rx-copied bytes staying ~0 means the
-    // pooled parse really was in place.
+    // block parse really was in place.
     for (i, r) in server.reactor_stats().iter().enumerate() {
         println!(
             "    reactor {i}: {} conns accepted, {} completions (queue peak {}), \
-             {} rx bytes copied, {} pool blocks recycled ({} leased, {} free)",
-            r.accepted,
-            r.completions,
-            r.queue_peak,
-            r.rx_copy_bytes,
-            r.pool_recycled,
-            r.pool_outstanding,
-            r.pool_free,
+             {} rx bytes copied",
+            r.accepted, r.completions, r.queue_peak, r.rx_copy_bytes,
         );
     }
     PipelinedClient::connect(addr)
