@@ -36,6 +36,11 @@ use lwsnap_solver::Lit;
 const DEPTH: usize = 8;
 const WINDOWS: usize = 8;
 
+/// Per-shard snapshot byte budget: room for about 32 of this bench's
+/// snapshots, which average 19 968 B each on the CoW store (a full
+/// shard's `resident_bytes / resident_snapshots`).
+const SHARD_BUDGET: usize = 32 * 19_968;
+
 /// Connections in the reactor fan-out legs: enough that the kernel's
 /// `SO_REUSEPORT` sharding has something to spread.
 const CONNS: usize = 64;
@@ -97,7 +102,7 @@ fn reactor_gate() {
         return;
     }
     let measure = |reactors: usize| {
-        let config = ServiceConfig::new(8).with_snapshot_capacity(32);
+        let config = ServiceConfig::new(8).with_snapshot_budget(SHARD_BUDGET);
         let server = Server::start_with("127.0.0.1:0", config, 4, reactors).expect("bind");
         run_many(server.local_addr(), CONNS, 1); // warm up listeners + pool
         let wall = run_many(server.local_addr(), CONNS, CONN_QUERIES);
@@ -140,7 +145,7 @@ fn reactor_gate() {
 fn bench_service_pipeline(c: &mut Criterion) {
     // Bound residency so the growing problem tree stays cheap; the
     // queries never revisit children, so eviction costs nothing here.
-    let config = ServiceConfig::new(8).with_snapshot_capacity(32);
+    let config = ServiceConfig::new(8).with_snapshot_budget(SHARD_BUDGET);
     let server = Server::start("127.0.0.1:0", config, 4).expect("bind loopback");
     let addr = server.local_addr();
 
@@ -196,7 +201,7 @@ fn bench_service_pipeline(c: &mut Criterion) {
     // two SO_REUSEPORT reactors, 64 concurrent pipelined connections.
     group.throughput(Throughput::Elements((CONNS * CONN_QUERIES) as u64));
     for reactors in [1usize, 2] {
-        let config = ServiceConfig::new(8).with_snapshot_capacity(32);
+        let config = ServiceConfig::new(8).with_snapshot_budget(SHARD_BUDGET);
         let many = Server::start_with("127.0.0.1:0", config, 4, reactors).expect("bind");
         let many_addr = many.local_addr();
         group.bench_with_input(

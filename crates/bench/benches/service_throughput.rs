@@ -3,7 +3,7 @@
 //! workload (see `lwsnap_bench::service_workload`).
 //!
 //! Expected shape: throughput grows with the worker count until the
-//! session/shard parallelism is exhausted; the eviction-capped variant
+//! session/shard parallelism is exhausted; the byte-budgeted variant
 //! trades a little throughput for a 4× smaller resident set. The shim's
 //! min/median/stddev report is what makes the comparison meaningful.
 
@@ -32,9 +32,12 @@ fn bench_service_throughput(c: &mut Criterion) {
             },
         );
     }
-    // The memory-bounded flavour: 25%-ish caps force eviction + replay.
-    group.bench_with_input(BenchmarkId::new("sharded_cap2", 4), &4, |b, &workers| {
-        b.iter(|| std::hint::black_box(run_sharded(&workload, 8, workers, Some(2)).0.verdicts))
+    // The memory-bounded flavour: a quarter of the unbounded run's mean
+    // resident bytes per shard forces eviction + replay.
+    let (_, unbounded, _) = run_sharded(&workload, 8, 4, None);
+    let budget = Some((unbounded.stats().resident_bytes / (8 * 4)).max(1) as usize);
+    group.bench_with_input(BenchmarkId::new("sharded_budget", 4), &4, |b, &workers| {
+        b.iter(|| std::hint::black_box(run_sharded(&workload, 8, workers, budget).0.verdicts))
     });
     // Tracing overhead at fixed parallelism: the identical workload
     // with the event recorder on vs off (metrics histograms stay live

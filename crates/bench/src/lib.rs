@@ -339,14 +339,14 @@ pub mod service_workload {
         workload: &Workload,
         shards: usize,
         workers: usize,
-        snapshot_capacity: Option<usize>,
+        snapshot_budget_bytes: Option<usize>,
     ) -> (
         RunOutcome,
         Arc<ShardedService>,
         Vec<lwsnap_service::WorkerStats>,
     ) {
         let mut config = ServiceConfig::new(shards);
-        config.snapshot_capacity = snapshot_capacity;
+        config.snapshot_budget_bytes = snapshot_budget_bytes;
         let service = Arc::new(ShardedService::new(config));
         // The shared problem tree: solve the base once per shard, pin it
         // so eviction can't drop the hottest node of all.

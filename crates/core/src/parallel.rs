@@ -941,39 +941,45 @@ mod tests {
 
     #[test]
     fn parked_worker_wakes_for_a_push_the_last_retire_and_a_stop() {
-        // Worker 1 parks in `next_item`; the returned handle yields the
-        // path of what it was woken for.
-        fn park<'s>(
-            scope: &'s std::thread::Scope<'s, '_>,
-            shared: &'s SharedState,
-        ) -> std::thread::ScopedJoinHandle<'s, Option<Vec<u64>>> {
-            let taker = scope.spawn(|| shared.next_item(1).map(|item| item.path));
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        // Worker 1 parks in `next_item`; the returned receiver yields
+        // the path of what it was woken for. A worker that never wakes
+        // stays parked, and `woken` fails the test instead of hanging.
+        fn park(shared: &Arc<SharedState>) -> mpsc::Receiver<Option<Vec<u64>>> {
+            let (done, woken) = mpsc::channel();
+            let taker = Arc::clone(shared);
+            std::thread::spawn(move || {
+                let _ = done.send(taker.next_item(1).map(|item| item.path));
+            });
             while shared.lock().parked == 0 {
                 std::thread::yield_now();
             }
+            woken
+        }
+        fn woken(taker: mpsc::Receiver<Option<Vec<u64>>>) -> Option<Vec<u64>> {
             taker
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the parked worker was never woken")
         }
 
-        let shared = SharedState::new(ParallelConfig::new(2), GuestState::new());
-        std::thread::scope(|scope| {
-            assert_eq!(shared.next_item(0).map(|item| item.path), Some(vec![]));
-            let taker = park(scope, &shared);
-            shared.push_work(0, vec![item(1)]);
-            assert_eq!(taker.join().unwrap(), Some(vec![1]));
+        let shared = Arc::new(SharedState::new(ParallelConfig::new(2), GuestState::new()));
+        assert_eq!(shared.next_item(0).map(|item| item.path), Some(vec![]));
+        let taker = park(&shared);
+        shared.push_work(0, vec![item(1)]);
+        assert_eq!(woken(taker), Some(vec![1]));
 
-            let taker = park(scope, &shared);
-            shared.retire_pending();
-            shared.retire_pending();
-            assert_eq!(taker.join().unwrap(), None, "the run drained");
-        });
+        let taker = park(&shared);
+        shared.retire_pending();
+        shared.retire_pending();
+        assert_eq!(woken(taker), None, "the run drained");
 
-        let shared = SharedState::new(ParallelConfig::new(2), GuestState::new());
-        std::thread::scope(|scope| {
-            assert!(shared.next_item(0).is_some());
-            let taker = park(scope, &shared);
-            shared.record_stop(StopReason::SolutionLimit);
-            assert_eq!(taker.join().unwrap(), None, "the run stopped");
-        });
+        let shared = Arc::new(SharedState::new(ParallelConfig::new(2), GuestState::new()));
+        assert!(shared.next_item(0).is_some());
+        let taker = park(&shared);
+        shared.record_stop(StopReason::SolutionLimit);
+        assert_eq!(woken(taker), None, "the run stopped");
     }
 
     #[test]

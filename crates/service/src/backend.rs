@@ -1,21 +1,21 @@
 //! The transport-agnostic [`SolverBackend`] API.
 //!
 //! Every way of reaching the solver service — calling the
-//! [`ShardedService`] in-process, queueing through a [`WorkerPool`], or
-//! speaking the wire protocol to a remote `lwsnapd` — exposes the same
-//! **completion-based** contract: [`SolverBackend::submit`] hands in a
-//! solve request and returns a [`Ticket`]; [`SolverBackend::wait`]
-//! redeems the ticket for the reply. Between submit and wait the caller
+//! [`ShardedService`] in-process, queueing through a worker pool's
+//! [`PoolClient`], or speaking the wire protocol to a remote `lwsnapd`
+//! — exposes the same **completion-based** contract:
+//! [`SolverBackend::submit`] hands in a solve request and returns a
+//! [`Ticket`]; [`SolverBackend::wait`] redeems the ticket for the reply. Between submit and wait the caller
 //! is free to submit more work, which is what lets exploration drivers
 //! batch and overlap feasibility queries regardless of the transport
 //! underneath. Blocking convenience wrappers ([`SolverBackend::solve`],
 //! [`SolverBackend::solve_batch`]) are provided for closed-loop
-//! callers.
+//! callers; every backend takes their defaults.
 //!
 //! | backend | `submit` | `wait` | overlap |
 //! |---|---|---|---|
 //! | [`ShardedService`] | solves inline on the caller's thread | returns the stored reply | none (degenerate, in-process) |
-//! | [`WorkerPool`] / [`PoolClient`] | queues on the pool's job queue | blocks on the worker's completion | across pool workers |
+//! | [`PoolClient`] | queues on the pool's job queue | blocks on the worker's completion | across pool workers |
 //! | [`crate::PipelinedClient`] | corks a tagged frame in its write buffer | flushes, then reads frames until the tag answers | across the wire *and* pool workers |
 //!
 //! Transport errors (`io::Error`) can only come from remote backends;
@@ -29,7 +29,7 @@ use std::sync::mpsc;
 use lwsnap_solver::Lit;
 use lwsnap_trace::StatsSummary;
 
-use crate::pool::{PoolClient, WorkerPool};
+use crate::pool::PoolClient;
 use crate::sharded::{ProblemId, ShardedService, SolveReply};
 
 /// A claim on one submitted solve request, redeemed with
@@ -214,50 +214,6 @@ impl SolverBackend for PoolClient {
             nodes: vec![(self.service().node_id(), self.stats()?)],
         })
     }
-
-    /// One queue lock acquisition for the whole batch, then in-order
-    /// waits.
-    fn solve_batch(
-        &self,
-        requests: Vec<(ProblemId, Vec<Vec<Lit>>)>,
-    ) -> io::Result<Vec<Option<SolveReply>>> {
-        Ok(PoolClient::solve_batch(self, requests))
-    }
-}
-
-impl SolverBackend for WorkerPool {
-    fn session_root(&self, session: u64) -> io::Result<ProblemId> {
-        Ok(self.service().session_root(session))
-    }
-
-    fn submit(&self, parent: ProblemId, clauses: Vec<Vec<Lit>>) -> io::Result<Ticket> {
-        SolverBackend::submit(&self.client(), parent, clauses)
-    }
-
-    fn wait(&self, ticket: Ticket) -> io::Result<Option<SolveReply>> {
-        SolverBackend::wait(&self.client(), ticket)
-    }
-
-    fn release(&self, id: ProblemId) -> io::Result<()> {
-        SolverBackend::release(&self.client(), id)
-    }
-
-    fn stats(&self) -> io::Result<StatsSummary> {
-        Ok(self.service().stats())
-    }
-
-    fn node_stats(&self) -> io::Result<crate::stats::FleetStats> {
-        Ok(crate::stats::FleetStats {
-            nodes: vec![(self.service().node_id(), SolverBackend::stats(self)?)],
-        })
-    }
-
-    fn solve_batch(
-        &self,
-        requests: Vec<(ProblemId, Vec<Vec<Lit>>)>,
-    ) -> io::Result<Vec<Option<SolveReply>>> {
-        SolverBackend::solve_batch(&self.client(), requests)
-    }
 }
 
 pub(crate) fn foreign_ticket() -> io::Error {
@@ -270,6 +226,7 @@ pub(crate) fn foreign_ticket() -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::WorkerPool;
     use crate::sharded::ServiceConfig;
     use lwsnap_solver::SolveResult;
     use std::sync::Arc;
@@ -308,7 +265,7 @@ mod tests {
     fn pool_backend_conforms() {
         let service = Arc::new(ShardedService::new(ServiceConfig::new(2)));
         let pool = WorkerPool::new(Arc::clone(&service), 2);
-        chain_session(&pool, 7);
+        chain_session(&pool.client(), 7);
         chain_session(&pool.client(), 8);
         pool.shutdown();
     }
@@ -333,7 +290,7 @@ mod tests {
         let service = Arc::new(ShardedService::new(ServiceConfig::new(1)));
         let pool = WorkerPool::new(Arc::clone(&service), 1);
         let root = service.root(0).unwrap();
-        let pool_ticket = SolverBackend::submit(&pool, root, lits(&[1])).unwrap();
+        let pool_ticket = SolverBackend::submit(&pool.client(), root, lits(&[1])).unwrap();
         let err = SolverBackend::wait(&*service, pool_ticket).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         pool.shutdown();

@@ -2,10 +2,8 @@
 //!
 //! ```sh
 //! lwsnapd [--addr 127.0.0.1:7557] [--shards N] [--workers M] \
-//!         [--reactors R] [--capacity K] [--budget BYTES] \
-//!         [--node-id ID] \
-//!         [--peer ID=HOST:PORT ...] [--ring-seed SEED] \
-//!         [--metrics-addr HOST:PORT]
+//!         [--reactors R] [--budget BYTES] [--node-id ID] \
+//!         [--peer ID=HOST:PORT ...] [--metrics-addr HOST:PORT]
 //! ```
 //!
 //! Serves the `lwsnap-service` wire protocol (pipelined tagged frames,
@@ -14,9 +12,8 @@
 //! shards accepted connections across them) until a client sends a
 //! `Shutdown` request, then prints the node's final counters (one
 //! `lwsnap_*` line each, as the scrape shows them) and the worker
-//! statistics. `--capacity`
-//! bounds the resident solver snapshots *per shard* by count,
-//! `--budget` by byte cost (clause + assignment footprint); evicted
+//! statistics. `--budget` bounds the resident solver snapshots *per
+//! shard* by byte cost (clause + assignment footprint); evicted
 //! problems are re-derived transparently by constraint replay.
 //!
 //! ## Cluster mode
@@ -34,12 +31,12 @@
 //! by the home node to the session's replica (its first ring-ranked
 //! peer — a session stays replicated however many clients drive it),
 //! and a heartbeat thread probes the peers, promoting a dead node's
-//! sessions from their replicas before clients notice. `--ring-seed`
-//! must match the clients' seed. A replica holds one path-log edge per
-//! solve of each session it replicates; an edge goes once the home has
-//! relayed the release of its problem and of every problem derived
-//! from it. A relay the network loses leaks its edge, and
-//! `lwsnap_replica_bytes` counts it.
+//! sessions from their replicas before clients notice. Daemons and
+//! clients rank nodes on the same fixed ring. A replica holds one
+//! path-log edge per solve of each session it replicates; an edge goes
+//! once the home has relayed the release of its problem and of every
+//! problem derived from it. A relay the network loses leaks its edge,
+//! and `lwsnap_replica_bytes` counts it.
 //!
 //! ## Observability
 //!
@@ -57,8 +54,8 @@ use std::net::SocketAddr;
 fn usage() -> ! {
     eprintln!(
         "usage: lwsnapd [--addr HOST:PORT] [--shards N] [--workers M] \
-         [--reactors R] [--capacity K] [--budget BYTES] [--node-id ID] \
-         [--peer ID=HOST:PORT ...] [--ring-seed SEED] [--metrics-addr HOST:PORT]\n\
+         [--reactors R] [--budget BYTES] [--node-id ID] \
+         [--peer ID=HOST:PORT ...] [--metrics-addr HOST:PORT]\n\
          \n\
          --addr      listen address (default 127.0.0.1:7557)\n\
          --shards    independently locked problem-tree shards (default 8)\n\
@@ -66,14 +63,11 @@ fn usage() -> ! {
          --reactors  epoll reactor threads, each with its own SO_REUSEPORT\n\
          \u{20}           listener (default: available parallelism; falls back\n\
          \u{20}           to 1 where SO_REUSEPORT is unavailable)\n\
-         --capacity  max resident snapshots per shard (default: unbounded)\n\
          --budget    max resident snapshot bytes per shard (default: unbounded)\n\
          --node-id   cluster node id stamped into problem ids (default 0);\n\
          \u{20}           run one daemon per id and give a ClusterBackend the map\n\
          --peer      another node of the cluster, as ID=HOST:PORT (repeat per\n\
          \u{20}           peer); turns on server-side edge forwarding + heartbeats\n\
-         --ring-seed consistent-hash ring seed (default 0) — must match every\n\
-         \u{20}           client and peer of this cluster\n\
          --metrics-addr  serve GET /metrics (plaintext scrape) and GET /trace\n\
          \u{20}           (chrome://tracing JSON) on this address (default: off)"
     );
@@ -91,11 +85,9 @@ fn main() {
     let mut shards = 8usize;
     let mut workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     let mut reactors = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut capacity: Option<usize> = None;
     let mut budget: Option<usize> = None;
     let mut node_id: u16 = 0;
     let mut peers: Vec<(NodeId, SocketAddr)> = Vec::new();
-    let mut ring_seed: u64 = 0;
     let mut metrics_addr: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
@@ -111,13 +103,9 @@ fn main() {
             "--shards" => shards = value("--shards").parse().unwrap_or_else(|_| usage()),
             "--workers" => workers = value("--workers").parse().unwrap_or_else(|_| usage()),
             "--reactors" => reactors = value("--reactors").parse().unwrap_or_else(|_| usage()),
-            "--capacity" => {
-                capacity = Some(value("--capacity").parse().unwrap_or_else(|_| usage()))
-            }
             "--budget" => budget = Some(value("--budget").parse().unwrap_or_else(|_| usage())),
             "--node-id" => node_id = value("--node-id").parse().unwrap_or_else(|_| usage()),
             "--peer" => peers.push(parse_peer(&value("--peer")).unwrap_or_else(|| usage())),
-            "--ring-seed" => ring_seed = value("--ring-seed").parse().unwrap_or_else(|_| usage()),
             "--metrics-addr" => metrics_addr = Some(value("--metrics-addr")),
             "--help" | "-h" => usage(),
             _ => usage(),
@@ -125,7 +113,6 @@ fn main() {
     }
 
     let mut config = ServiceConfig::new(shards).with_node_id(node_id);
-    config.snapshot_capacity = capacity;
     config.snapshot_budget_bytes = budget;
     let server = match Server::start_with(&addr, config, workers, reactors) {
         Ok(server) => server,
@@ -146,21 +133,21 @@ fn main() {
         }
     }
     if !peers.is_empty() {
-        server.set_peers(&peers, ring_seed);
+        server.set_peers(&peers);
         println!(
-            "lwsnapd node {node_id}: forwarding + heartbeats to {} peer(s), ring seed {ring_seed}",
+            "lwsnapd node {node_id}: forwarding + heartbeats to {} peer(s)",
             peers.len(),
         );
     }
     println!(
         "lwsnapd node {} listening on {} ({} shards, {} workers, {} reactor(s), \
-         capacity {})",
+         budget {})",
         node_id,
         server.local_addr(),
         shards,
         workers,
         server.reactors(),
-        capacity.map_or("unbounded".to_owned(), |c| c.to_string()),
+        budget.map_or("unbounded".to_owned(), |b| format!("{b} B/shard")),
     );
 
     let worker_stats = server.wait();

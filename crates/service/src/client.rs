@@ -25,7 +25,7 @@ use crate::protocol::{
     lits_to_clauses, put_tagged_frame, read_any_frame, ProtoError, Request, Response,
 };
 use crate::replica::PathLog;
-use crate::router::{mix64, NodeId, Ring};
+use crate::router::{mix64, NodeId, Ring, RING_SEED};
 use crate::sharded::{ProblemId, SolveReply};
 use crate::stats::FleetStats;
 
@@ -591,18 +591,8 @@ pub struct ClusterBackend {
 
 impl ClusterBackend {
     /// Connects to every node of the cluster map `addrs` (`(node id,
-    /// address)` pairs; duplicate ids are an error), ring seed 0.
+    /// address)` pairs; duplicate ids are an error).
     pub fn connect<A: ToSocketAddrs>(addrs: &[(NodeId, A)]) -> io::Result<ClusterBackend> {
-        ClusterBackend::connect_seeded(addrs, 0)
-    }
-
-    /// [`ClusterBackend::connect`] with an explicit ring seed — every
-    /// client of one cluster must use the same seed, or their session
-    /// placements disagree.
-    pub fn connect_seeded<A: ToSocketAddrs>(
-        addrs: &[(NodeId, A)],
-        seed: u64,
-    ) -> io::Result<ClusterBackend> {
         let mut nodes = Vec::with_capacity(addrs.len());
         for (id, addr) in addrs {
             let client = PipelinedClient::connect(addr).map_err(|e| node_error(*id, e))?;
@@ -615,7 +605,7 @@ impl ClusterBackend {
                 "duplicate node id in cluster map",
             ));
         }
-        let ring = Ring::new(nodes.iter().map(|n| n.id), seed);
+        let ring = Ring::new(nodes.iter().map(|n| n.id), RING_SEED);
         Ok(ClusterBackend {
             nodes: RwLock::new(nodes),
             state: Mutex::new(ClusterState {

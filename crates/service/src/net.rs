@@ -86,7 +86,7 @@ use crate::client::PipelinedClient;
 use crate::pool::{CompletionQueue, PoolClient, WorkerPool};
 use crate::protocol::{clauses_to_lits, Request, Response, CONNECTION_TAG, TAGGED};
 use crate::replica::ReplicaStore;
-use crate::router::{mix64, NodeId, Ring};
+use crate::router::{mix64, NodeId, Ring, RING_SEED};
 use crate::sharded::{ProblemId, ServiceConfig, ShardedService, SolveReply};
 use crate::stats::WorkerStats;
 
@@ -303,7 +303,7 @@ impl Forwarder {
         Forwarder {
             node,
             inner: Mutex::new(ForwardInner {
-                ring: Ring::new([node], 0),
+                ring: Ring::new([node], RING_SEED),
                 peers: HashMap::new(),
                 conns: HashMap::new(),
                 sessions: HashMap::new(),
@@ -320,7 +320,7 @@ impl Forwarder {
     /// changes — connections to vanished peers are dropped and the
     /// sessions replicated on them pick a new replica; a joined peer
     /// moves nobody.
-    fn set_peers(&self, peers: &[(NodeId, SocketAddr)], seed: u64) {
+    fn set_peers(&self, peers: &[(NodeId, SocketAddr)]) {
         let mut ids: Vec<NodeId> = peers.iter().map(|&(id, _)| id).collect();
         if !ids.contains(&self.node) {
             ids.push(self.node);
@@ -332,7 +332,7 @@ impl Forwarder {
             .collect();
         let mut guard = self.inner.lock().unwrap();
         let inner = &mut *guard;
-        inner.ring = Ring::new(ids, seed);
+        inner.ring = Ring::new(ids, RING_SEED);
         inner.conns.retain(|id, _| peer_map.contains_key(id));
         let before = std::mem::replace(&mut inner.peers, peer_map);
         for id in before.keys().filter(|id| !inner.peers.contains_key(id)) {
@@ -779,13 +779,13 @@ impl Server {
     }
 
     /// Gives this node its cluster map — `(node id, address)` pairs,
-    /// this node included or not — and the shared ring seed. Turns on
-    /// the server-to-server plane: derivation edges of sessions homed
-    /// here start streaming to their ring successors, and (once there
-    /// is at least one peer) the heartbeat thread starts probing.
-    /// Callable again on membership changes.
-    pub fn set_peers(&self, peers: &[(NodeId, SocketAddr)], seed: u64) {
-        self.forwarder.set_peers(peers, seed);
+    /// this node included or not. Turns on the server-to-server plane:
+    /// derivation edges of sessions homed here start streaming to their
+    /// ring successors, and (once there is at least one peer) the
+    /// heartbeat thread starts probing. Callable again on membership
+    /// changes.
+    pub fn set_peers(&self, peers: &[(NodeId, SocketAddr)]) {
+        self.forwarder.set_peers(peers);
         if self.forwarder.has_peers() && !self.forwarder.hb_started.swap(true, Ordering::AcqRel) {
             let forwarder = Arc::clone(&self.forwarder);
             let service = Arc::clone(&self.service);
@@ -1540,13 +1540,12 @@ impl Cluster {
         Ok(cluster)
     }
 
-    /// (Re)installs the cluster map on every live node — ring seed 0,
-    /// matching [`crate::ClusterBackend::connect`] — which turns on
+    /// (Re)installs the cluster map on every live node, which turns on
     /// server-side edge forwarding and the peer heartbeat threads.
     fn wire_peers(&self) {
         let addrs = self.addrs();
         for server in self.servers.iter().flatten() {
-            server.set_peers(&addrs, 0);
+            server.set_peers(&addrs);
         }
     }
 
@@ -1663,7 +1662,7 @@ mod tests {
 
     /// A session whose ring ranking over nodes {0, 1, 2} is `ranking`.
     fn session_ranked(ranking: [NodeId; 3]) -> u64 {
-        let ring = Ring::new([0, 1, 2], 0);
+        let ring = Ring::new([0, 1, 2], RING_SEED);
         (0..4096u64)
             .find(|&s| ring.ranked(s) == ranking)
             .expect("every ranking of three nodes occurs")
@@ -1679,11 +1678,11 @@ mod tests {
         // Node 0 homes the session; node 2 outranks it once it joins.
         let session = session_ranked([2, 0, 1]);
         let home = Forwarder::new(0);
-        home.set_peers(&cluster_map(&[0, 1]), 0);
+        home.set_peers(&cluster_map(&[0, 1]));
         home.register_root(ROOT_A, session);
         assert_eq!(replica_of(&home, ROOT_A), Some(1));
 
-        home.set_peers(&cluster_map(&[0, 1, 2]), 0);
+        home.set_peers(&cluster_map(&[0, 1, 2]));
         assert_eq!(replica_of(&home, ROOT_A), Some(1), "a join moves nobody");
         // A second client asking for the same root changes nothing, and
         // a problem derived after the join inherits the old choice.
@@ -1699,23 +1698,23 @@ mod tests {
     #[test]
     fn a_cluster_map_without_the_replica_rehomes_only_its_sessions() {
         let home = Forwarder::new(0);
-        home.set_peers(&cluster_map(&[0, 1, 2]), 0);
+        home.set_peers(&cluster_map(&[0, 1, 2]));
         home.register_root(ROOT_A, session_ranked([0, 1, 2]));
         home.register_root(ROOT_B, session_ranked([0, 2, 1]));
         assert_eq!(replica_of(&home, ROOT_A), Some(1));
         assert_eq!(replica_of(&home, ROOT_B), Some(2));
 
-        home.set_peers(&cluster_map(&[0, 2]), 0);
+        home.set_peers(&cluster_map(&[0, 2]));
         assert_eq!(replica_of(&home, ROOT_A), Some(2), "its replica left");
         assert_eq!(replica_of(&home, ROOT_B), Some(2), "untouched");
-        home.set_peers(&cluster_map(&[0]), 0);
+        home.set_peers(&cluster_map(&[0]));
         assert_eq!(replica_of(&home, ROOT_A), None, "nobody left to hold it");
     }
 
     #[test]
     fn a_dead_replica_is_replaced_when_the_peer_is_declared_dead() {
         let home = Forwarder::new(0);
-        home.set_peers(&cluster_map(&[0, 1, 2]), 0);
+        home.set_peers(&cluster_map(&[0, 1, 2]));
         home.register_root(ROOT_A, session_ranked([0, 1, 2]));
         assert_eq!(replica_of(&home, ROOT_A), Some(1));
 
@@ -1733,7 +1732,7 @@ mod tests {
         // 2; only then does node 2 declare node 0 dead.
         let session = session_ranked([0, 1, 2]);
         let late = Forwarder::new(2);
-        late.set_peers(&cluster_map(&[0, 1, 2]), 0);
+        late.set_peers(&cluster_map(&[0, 1, 2]));
         let service = Arc::new(ShardedService::new(ServiceConfig::new(1).with_node_id(2)));
         let replicas = Arc::new(ReplicaStore::new());
         replicas.record(session, 1 << 48 | 1, 1 << 48, vec![vec![1]]);

@@ -1,9 +1,8 @@
 //! The worker pool: M threads executing solve requests concurrently.
 //!
 //! Requests flow through one FIFO job queue — a `Mutex` over a
-//! `VecDeque` plus one `Condvar`, private to this crate — so a client
-//! can queue a whole batch of independent queries under one lock
-//! acquisition and the pool fans them out across workers. A push signals the condvar only when a
+//! `VecDeque` plus one `Condvar`, private to this crate — that the pool
+//! fans out across workers. A push signals the condvar only when a
 //! worker is parked on it, so a busy pool makes no wake-up syscalls.
 //! True parallelism comes from sharding: two jobs on different shards
 //! solve concurrently; two jobs on the same shard serialise on that
@@ -185,12 +184,12 @@ impl PoolClient {
         clauses: Vec<Vec<Lit>>,
         complete: impl FnOnce(Option<SolveReply>) + Send + 'static,
     ) {
-        self.queue.push([Job {
+        self.queue.push(Job {
             parent,
             clauses,
             complete: Box::new(complete),
             queued_at: trace::now_ns(),
-        }]);
+        });
     }
 
     /// Submits one solve request; the receiver yields the reply when a
@@ -214,35 +213,6 @@ impl PoolClient {
         self.submit(parent, clauses).recv().unwrap_or(None)
     }
 
-    /// Submits a batch of independent queries under **one** queue lock
-    /// acquisition and waits for all replies, in request order.
-    pub fn solve_batch(
-        &self,
-        requests: Vec<(ProblemId, Vec<Vec<Lit>>)>,
-    ) -> Vec<Option<SolveReply>> {
-        let mut receivers = Vec::with_capacity(requests.len());
-        let jobs: Vec<Job> = requests
-            .into_iter()
-            .map(|(parent, clauses)| {
-                let (tx, rx) = mpsc::channel();
-                receivers.push(rx);
-                Job {
-                    parent,
-                    clauses,
-                    complete: Box::new(move |reply| {
-                        let _ = tx.send(reply);
-                    }),
-                    queued_at: trace::now_ns(),
-                }
-            })
-            .collect();
-        self.queue.push(jobs);
-        receivers
-            .into_iter()
-            .map(|rx| rx.recv().unwrap_or(None))
-            .collect()
-    }
-
     /// Releases on the calling thread (one shard lock), so any request
     /// submitted afterwards sees the reference dead. A queued release
     /// could lose that race to a later solve popped by another worker.
@@ -255,6 +225,7 @@ impl PoolClient {
 mod tests {
     use super::*;
     use crate::sharded::ServiceConfig;
+    use crate::SolverBackend;
     use lwsnap_solver::SolveResult;
     use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
     use std::time::Duration;
@@ -296,7 +267,7 @@ mod tests {
             })
             .collect();
         requests.push((ProblemId::from_wire(77u64 << 32), lits(&[1])));
-        let replies = client.solve_batch(requests);
+        let replies = SolverBackend::solve_batch(&client, requests).unwrap();
         assert_eq!(replies.len(), 5);
         for (s, reply) in replies.iter().take(4).enumerate() {
             let reply = reply.as_ref().expect("live shard root");
@@ -379,8 +350,8 @@ mod tests {
         // slots in the order its solves run, so the replies' ids rise
         // exactly when the jobs ran in request order.
         let batch: Vec<_> = (1..=16).map(|v| (root, lits(&[v]))).collect();
-        let ids: Vec<u64> = client
-            .solve_batch(batch)
+        let ids: Vec<u64> = SolverBackend::solve_batch(&client, batch)
+            .unwrap()
             .into_iter()
             .map(|reply| reply.expect("live root").problem.to_wire())
             .collect();

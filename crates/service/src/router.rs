@@ -59,6 +59,10 @@ pub fn session_shard(session: u64, num_shards: usize) -> usize {
     (hash >> 32) as usize % num_shards.max(1)
 }
 
+/// The seed of every deployed [`Ring`]: daemons and clients share it,
+/// so they all rank a session's nodes alike.
+pub(crate) const RING_SEED: u64 = 0;
+
 /// The consistent-hash ring over a cluster's node ids; see the module
 /// docs for the hashing scheme and its rebalance guarantees.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -24,22 +24,19 @@ use lwsnap_trace::StatsSummary;
 use crate::router::NodeId;
 
 /// Configuration for a [`ShardedService`]: its shards, their snapshot
-/// bounds and its node id. A server's [`crate::ReplicaStore`] takes no
-/// setting: the releases of the sessions it replicates bound it.
+/// byte budget and its node id. A server's [`crate::ReplicaStore`]
+/// takes no setting: the releases of the sessions it replicates bound
+/// it.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Number of shards (independently locked problem trees).
     pub shards: usize,
-    /// Per-shard resident-snapshot bound (`None` = unbounded). The
-    /// whole-service memory budget is `shards × snapshot_capacity`
-    /// solver snapshots.
-    pub snapshot_capacity: Option<usize>,
     /// Per-shard resident-snapshot **byte budget** (`None` =
     /// unbounded): bounds the summed clause-database + assignment
     /// footprint ([`lwsnap_solver::Solver::footprint_bytes`]) of the
     /// resident snapshots, so the LRU evicts a few huge snapshots
-    /// before many tiny ones. Composes with `snapshot_capacity`;
-    /// whichever limit is exceeded first triggers eviction.
+    /// before many tiny ones. The whole-service memory budget is
+    /// `shards × snapshot_budget_bytes`.
     pub snapshot_budget_bytes: Option<usize>,
     /// This instance's cluster node id (stamped into every
     /// [`ProblemId`] it mints; `0` for single-node deployments). Ids
@@ -55,7 +52,6 @@ impl ServiceConfig {
     pub fn new(shards: usize) -> Self {
         ServiceConfig {
             shards: shards.clamp(1, u16::MAX as usize),
-            snapshot_capacity: None,
             snapshot_budget_bytes: None,
             node_id: 0,
         }
@@ -64,12 +60,6 @@ impl ServiceConfig {
     /// Sets the cluster node id.
     pub fn with_node_id(mut self, node: NodeId) -> Self {
         self.node_id = node;
-        self
-    }
-
-    /// Sets the per-shard resident-snapshot bound.
-    pub fn with_snapshot_capacity(mut self, capacity: usize) -> Self {
-        self.snapshot_capacity = Some(capacity);
         self
     }
 
@@ -201,7 +191,7 @@ impl ShardedService {
     /// page-granular copy-on-write snapshot store ([`CowStore`]: a child
     /// holds only the pages it dirtied since its parent), each
     /// containing its root problem, each bounded by
-    /// `config.snapshot_capacity`.
+    /// `config.snapshot_budget_bytes`.
     /// The shard count is clamped to `1..=u16::MAX` — the id's shard
     /// field is 16 bits, and an unclamped count (the `shards` field is
     /// public) would silently alias ids across shards on truncation.
@@ -209,7 +199,6 @@ impl ShardedService {
         let shards = (0..config.shards.clamp(1, u16::MAX as usize))
             .map(|_| {
                 let mut svc = SolverService::with_store(Box::new(CowStore::new()));
-                svc.set_snapshot_capacity(config.snapshot_capacity);
                 svc.set_snapshot_budget(config.snapshot_budget_bytes);
                 Mutex::new(svc)
             })
@@ -475,14 +464,14 @@ mod tests {
 
     #[test]
     fn eviction_applies_per_shard() {
-        let svc = ShardedService::new(ServiceConfig::new(2).with_snapshot_capacity(2));
+        let svc = ShardedService::new(ServiceConfig::new(2).with_snapshot_budget(1));
         let root = svc.root(0).unwrap();
         let mut cur = root;
         for v in 1..=5 {
             cur = svc.solve(cur, &[lits(&[v])]).unwrap().problem;
         }
         let stats = svc.shard_stats();
-        assert!(stats[0].evictions > 0, "chain exceeded capacity");
+        assert!(stats[0].evictions > 0, "chain exceeded the budget");
         assert_eq!(stats[1].evictions, 0, "other shard untouched");
         // Evicted ancestors still answer via replay.
         let reply = svc.solve(root, &[lits(&[6])]).unwrap();

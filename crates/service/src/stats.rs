@@ -59,7 +59,7 @@ mod tests {
 
     #[test]
     fn totals_sum_across_shards() {
-        let svc = ShardedService::new(ServiceConfig::new(2).with_snapshot_capacity(1));
+        let svc = ShardedService::new(ServiceConfig::new(2).with_snapshot_budget(1));
         let root = svc.root(0).unwrap();
         let p = svc.solve(root, &[vec![Lit::from_dimacs(1)]]).unwrap();
         svc.solve(root, &[vec![Lit::from_dimacs(2)]]).unwrap();

@@ -94,11 +94,10 @@ fn all_backends_agree_on_the_script() {
     };
     assert_eq!(reference.len(), 10);
 
-    // Worker pool (and its cloneable client handle).
+    // Worker pool, through its cloneable client handle.
     {
         let service = Arc::new(ShardedService::new(ServiceConfig::new(4)));
         let pool = WorkerPool::new(Arc::clone(&service), 3);
-        assert_eq!(run_script(&pool, 11), reference, "WorkerPool diverged");
         assert_eq!(
             run_script(&pool.client(), 12),
             reference,

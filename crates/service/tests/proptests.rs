@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use lwsnap_service::{ProblemId, ServiceConfig, ShardedService, WorkerPool};
+use lwsnap_service::{ProblemId, ServiceConfig, ShardedService, SolverBackend, WorkerPool};
 use lwsnap_solver::{model_satisfies, Lit, SolveResult, SolverService};
 use proptest::prelude::*;
 
@@ -116,7 +116,7 @@ proptest! {
         // Subject: two concurrent copies of the tree on the sharded
         // service (tight eviction budget), driven level-by-level through
         // the worker pool in cross-session batches.
-        let config = ServiceConfig::new(2).with_snapshot_capacity(2);
+        let config = ServiceConfig::new(2).with_snapshot_budget(1);
         let service = Arc::new(ShardedService::new(config));
         let pool = WorkerPool::new(Arc::clone(&service), 4);
         let client = pool.client();
@@ -136,7 +136,7 @@ proptest! {
                     slots.push((s, i));
                 }
             }
-            let replies = client.solve_batch(batch);
+            let replies = SolverBackend::solve_batch(&client, batch).unwrap();
             for ((s, i), reply) in slots.into_iter().zip(replies) {
                 let reply = reply.expect("live parent reference");
                 prop_assert_eq!(

@@ -90,12 +90,12 @@ fn tcp_session_roundtrip_with_verification() {
 
 #[test]
 fn tcp_surfaces_dead_references_and_eviction() {
-    let config = ServiceConfig::new(2).with_snapshot_capacity(2);
+    let config = ServiceConfig::new(2).with_snapshot_budget(1);
     let server = Server::start("127.0.0.1:0", config, 2).unwrap();
     let client = PipelinedClient::connect(server.local_addr()).unwrap();
 
     let root = client.session_root(7).unwrap().to_wire();
-    // March a chain past the capacity so early nodes get evicted.
+    // March a chain past the budget so early nodes get evicted.
     let mut refs = vec![root];
     let mut cur = root;
     for v in 1..=5i64 {
@@ -472,6 +472,59 @@ fn a_lone_parked_waiter_is_woken() {
         assert!(ok, "tag {tag} got its reply");
     }
     drop(go_tx);
+    srv.join().unwrap();
+}
+
+/// A parked waiter gets the reader's error: two threads wait on one
+/// client, and the server reads both requests and closes without
+/// answering. The reader sees the close; the other waiter must be woken
+/// to return the same typed error instead of parking forever.
+#[test]
+fn a_parked_waiter_gets_the_readers_error() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+    let srv = std::thread::spawn(move || {
+        let (s, _) = listener.accept().unwrap();
+        let mut reader = std::io::BufReader::new(&s);
+        for _ in 0..2 {
+            protocol::read_any_frame(&mut reader).unwrap().unwrap();
+        }
+        go_rx.recv().unwrap();
+        // Dropping the stream closes it cleanly between frames.
+    });
+    let client = Arc::new(PipelinedClient::connect(addr).unwrap());
+    let tags = [
+        client.submit_request(&Request::Stats).unwrap(),
+        client.submit_request(&Request::Stats).unwrap(),
+    ];
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    for tag in tags {
+        let (client, done_tx) = (Arc::clone(&client), done_tx.clone());
+        std::thread::spawn(move || {
+            done_tx.send((tag, client.wait_response(tag))).unwrap();
+        });
+    }
+    // Let one thread start reading and the other park. As in
+    // `a_lone_parked_waiter_is_woken`, too short a pause leaves the
+    // case untested but never gives a wrong verdict.
+    std::thread::sleep(Duration::from_millis(200));
+    go_tx.send(()).unwrap();
+    for _ in tags {
+        let (tag, reply) = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("both waiters return");
+        let err = reply.expect_err("the server answered nothing");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::ConnectionAborted,
+            "tag {tag}"
+        );
+        assert!(
+            err.get_ref().is_some_and(|e| e.is::<Disconnected>()),
+            "tag {tag} gets the typed Disconnected error: {err:?}"
+        );
+    }
     srv.join().unwrap();
 }
 

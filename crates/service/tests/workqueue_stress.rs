@@ -13,7 +13,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lwsnap_service::{ServiceConfig, ShardedService, WorkerPool};
+use lwsnap_service::{ServiceConfig, ShardedService, SolverBackend, WorkerPool};
 use lwsnap_solver::Lit;
 use proptest::prelude::*;
 
@@ -174,7 +174,7 @@ proptest! {
         for batch in &batches {
             let requests = batch.iter().map(|&v| (root, unit(v + 1))).collect();
             let client = client.clone();
-            let replies = bounded(move || client.solve_batch(requests));
+            let replies = bounded(move || SolverBackend::solve_batch(&client, requests).unwrap());
             prop_assert_eq!(replies.len(), batch.len());
             for reply in replies {
                 ids.push(reply.expect("live root").problem.to_wire());

@@ -22,9 +22,6 @@ enum Op {
     },
     /// Release `problems[pick % len]` on both services.
     Release { pick: usize },
-    /// Clamp the resident set to `capacity` snapshots (evicting the
-    /// LRU tail), then lift the bound again.
-    Evict { capacity: usize },
     /// Clamp the resident set to `budget` *bytes*, then lift it. The
     /// two stores evict different snapshot sets here (CoW pages are
     /// cheaper), which is exactly why the answers must still agree.
@@ -42,7 +39,6 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
         4 => (any::<usize>(), clauses)
             .prop_map(|(parent, clauses)| Op::Derive { parent, clauses }),
         1 => any::<usize>().prop_map(|pick| Op::Release { pick }),
-        1 => (1usize..4).prop_map(|capacity| Op::Evict { capacity }),
         1 => (1usize..8192).prop_map(|budget| Op::Squeeze { budget }),
         2 => any::<usize>().prop_map(|pick| Op::Probe { pick }),
     ];
@@ -92,12 +88,6 @@ proptest! {
                     let i = pick % cow_probs.len();
                     cow.release(cow_probs[i]);
                     deep.release(deep_probs[i]);
-                }
-                Op::Evict { capacity } => {
-                    cow.set_snapshot_capacity(Some(*capacity));
-                    deep.set_snapshot_capacity(Some(*capacity));
-                    cow.set_snapshot_capacity(None);
-                    deep.set_snapshot_capacity(None);
                 }
                 Op::Squeeze { budget } => {
                     cow.set_snapshot_budget(Some(*budget));

@@ -18,9 +18,9 @@
 //!
 //! Snapshots are cheap relative to solving but not free: a long-running
 //! service accumulating one solver clone per query would grow without
-//! bound. [`SolverService::set_snapshot_capacity`] arms an LRU eviction
-//! policy: when the number of *resident* solver snapshots exceeds the
-//! capacity, the least-recently-used unpinned snapshot is dropped. The
+//! bound. [`SolverService::set_snapshot_budget`] arms an LRU eviction
+//! policy: while the bytes of *resident* solver snapshots exceed the
+//! budget, the least-recently-used unpinned snapshot is dropped. The
 //! node itself survives as a skeleton — its constraint edge, result and
 //! parent link — so a later query against an evicted problem is answered
 //! by **replaying its constraint path from the nearest resident
@@ -133,21 +133,19 @@ pub struct SolverService {
     /// The counters this shard owns (queries, hits, re-derivations,
     /// evictions); [`SolverService::stats`] adds the store's levels.
     stats: StatsSummary,
-    /// Maximum resident solver snapshots (`None` = unbounded).
-    capacity: Option<usize>,
     /// Maximum bytes of resident solver snapshots (`None` = unbounded).
-    /// When set, the LRU evicts by *cost* — a few huge snapshots go
-    /// before many tiny ones — instead of by raw count.
+    /// The LRU evicts by *cost*: a few huge snapshots go before many
+    /// tiny ones.
     budget: Option<usize>,
     /// Logical clock for LRU stamps.
     clock: u64,
     /// Lazy-deletion min-heap of `(last_use, index)` eviction
-    /// candidates: while a limit is armed every residency touch pushes
+    /// candidates: while a budget is set every residency touch pushes
     /// a fresh entry; stale entries (stamp no longer matching the node)
     /// are discarded on pop, and swept out whenever they outnumber the
     /// resident snapshots two to one. Keeps victim selection O(log n)
     /// amortised instead of a full-table scan per eviction, and the
-    /// heap O(resident). Empty while no limit is armed.
+    /// heap O(resident). Empty while no budget is set.
     lru: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
@@ -214,32 +212,10 @@ impl SolverService {
                 shards: 1,
                 ..Default::default()
             },
-            capacity: None,
             budget: None,
             clock: 0,
             lru: BinaryHeap::new(),
         }
-    }
-
-    /// Creates a service bounded to at most `capacity` resident solver
-    /// snapshots (the root always counts as one and is never evicted).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut svc = Self::new();
-        svc.set_snapshot_capacity(Some(capacity));
-        svc
-    }
-
-    /// Sets (or clears) the resident-snapshot bound. Lowering the bound
-    /// evicts immediately.
-    pub fn set_snapshot_capacity(&mut self, capacity: Option<usize>) {
-        self.capacity = capacity.map(|c| c.max(1));
-        self.rebuild_lru();
-        self.enforce_capacity(None);
-    }
-
-    /// The configured resident-snapshot bound.
-    pub fn snapshot_capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Sets (or clears) the resident-snapshot **byte budget**: the LRU
@@ -252,7 +228,7 @@ impl SolverService {
     pub fn set_snapshot_budget(&mut self, budget: Option<usize>) {
         self.budget = budget;
         self.rebuild_lru();
-        self.enforce_capacity(None);
+        self.enforce_budget(None);
     }
 
     /// Bytes currently held by the snapshot store (shared storage
@@ -267,16 +243,11 @@ impl SolverService {
         self.store.page_stats()
     }
 
-    /// Whether a limit is set, i.e. whether anything can ever be evicted.
-    fn armed(&self) -> bool {
-        self.capacity.is_some() || self.budget.is_some()
-    }
-
-    /// Resets the candidate heap after a limit changed: every resident
-    /// unpinned snapshot while one is armed, nothing otherwise.
+    /// Resets the candidate heap after the budget changed: every
+    /// resident unpinned snapshot while one is set, nothing otherwise.
     fn rebuild_lru(&mut self) {
         self.lru.clear();
-        if self.armed() {
+        if self.budget.is_some() {
             self.lru.extend(
                 (0u32..)
                     .zip(&self.nodes)
@@ -291,7 +262,7 @@ impl SolverService {
     /// candidate. Each push orphans the node's older entries, so sweep
     /// them once they outnumber the resident snapshots two to one.
     fn push_candidate(&mut self, stamp: u64, index: u32) {
-        if !self.armed() {
+        if self.budget.is_none() {
             return;
         }
         self.lru.push(Reverse((stamp, index)));
@@ -300,13 +271,6 @@ impl SolverService {
             self.lru
                 .retain(|&Reverse((stamp, index))| is_candidate(nodes, stamp, index));
         }
-    }
-
-    /// Whether the resident set exceeds either the count capacity or
-    /// the byte budget.
-    fn over_limits(&self) -> bool {
-        self.capacity.is_some_and(|c| self.store.len() > c)
-            || self.budget.is_some_and(|b| self.store.resident_bytes() > b)
     }
 
     /// The root (empty, trivially SAT) problem.
@@ -528,12 +492,12 @@ impl SolverService {
         if !node.pinned {
             self.push_candidate(stamp, r.slot() as u32);
         }
-        self.enforce_capacity(Some(r));
+        self.enforce_budget(Some(r));
         Some((solver, true))
     }
 
-    /// Evicts LRU snapshots until the resident set fits both the count
-    /// capacity and the byte budget. `protect` shields one reference
+    /// Evicts LRU snapshots until the resident set fits the byte
+    /// budget. `protect` shields one reference
     /// (the node a query is being served from) from immediate eviction.
     ///
     /// Victims come off the lazy-deletion heap: an entry is live only if
@@ -541,12 +505,12 @@ impl SolverService {
     /// newer entries, orphaning the old ones). Pinned, evicted, reaped
     /// and stale entries are simply discarded, so the work per eviction
     /// is O(log n) amortised over touches — never a table scan.
-    fn enforce_capacity(&mut self, protect: Option<ProblemRef>) {
-        if !self.armed() {
+    fn enforce_budget(&mut self, protect: Option<ProblemRef>) {
+        let Some(budget) = self.budget else {
             return;
-        }
+        };
         let mut deferred: Option<Reverse<(u64, u32)>> = None;
-        while self.over_limits() {
+        while self.store.resident_bytes() > budget {
             let Some(Reverse((stamp, index))) = self.lru.pop() else {
                 break; // everything left is pinned/protected
             };
@@ -642,7 +606,7 @@ impl SolverService {
             parent_node.children += 1;
         }
         self.push_candidate(stamp, problem.slot() as u32);
-        self.enforce_capacity(Some(problem));
+        self.enforce_budget(Some(problem));
         Some(Reply {
             problem,
             result,
@@ -902,9 +866,9 @@ mod tests {
         assert!(!c2.rederived, "child snapshot was resident");
         // ...and after their own eviction, by replay *through* the
         // released tombstones down from the root.
-        svc.set_snapshot_capacity(Some(1));
-        assert_eq!(svc.is_resident(d.problem), Some(false), "evicted by cap");
-        svc.set_snapshot_capacity(None);
+        svc.set_snapshot_budget(Some(1));
+        assert_eq!(svc.is_resident(d.problem), Some(false), "evicted by budget");
+        svc.set_snapshot_budget(None);
         let d2 = svc.solve(d.problem, &[lits(&[5])]).unwrap();
         assert_eq!(d2.result, SolveResult::Sat);
         assert!(d2.rederived, "evicted child re-derived through tombstones");
@@ -918,7 +882,8 @@ mod tests {
     #[test]
     fn eviction_rederives_transparently() {
         let fam = IncrementalFamily::new(20, 3, 9);
-        let mut svc = SolverService::with_capacity(2);
+        let mut svc = SolverService::new();
+        svc.set_snapshot_budget(Some(1));
         let base = svc.solve(svc.root(), &fam.base().clauses).unwrap();
         let mut refs = vec![base.problem];
         let mut cur = base.problem;
@@ -928,10 +893,10 @@ mod tests {
             refs.push(cur);
         }
         let st = svc.stats();
-        assert!(st.evictions >= 4, "capacity 2 must evict on a 6-chain");
+        assert!(st.evictions >= 4, "a 1-byte budget must evict on a 6-chain");
         assert!(
             st.resident_snapshots <= 3,
-            "root + capacity bound (got {})",
+            "root + the served node (got {})",
             st.resident_snapshots
         );
         // Every historical ref still answers, with the recorded result
@@ -1061,7 +1026,8 @@ mod tests {
 
     #[test]
     fn pinning_protects_from_eviction() {
-        let mut svc = SolverService::with_capacity(2);
+        let mut svc = SolverService::new();
+        svc.set_snapshot_budget(Some(1));
         let a = svc.solve(svc.root(), &[lits(&[1])]).unwrap();
         svc.pin(a.problem);
         let mut cur = a.problem;
@@ -1080,7 +1046,7 @@ mod tests {
 
     /// The candidate heap is lazy-deletion: hits and solves push, only
     /// evictions pop. It must stay O(resident) anyway — empty while no
-    /// limit is armed, and swept of orphaned entries while one is.
+    /// budget is set, and swept of orphaned entries while one is.
     #[test]
     fn lru_heap_stays_bounded_by_the_resident_set() {
         let mut svc = SolverService::new();
@@ -1095,10 +1061,10 @@ mod tests {
         }
         assert!(svc.lru.is_empty(), "nothing can be evicted: no candidates");
 
-        // Arming a limit that never binds makes the resident unpinned
+        // Setting a budget that never binds makes the resident unpinned
         // nodes candidates, and every push keeps the heap within 3× the
         // resident set — here the root, `base` and the round's leaf.
-        svc.set_snapshot_capacity(Some(64));
+        svc.set_snapshot_budget(Some(usize::MAX));
         assert_eq!(svc.lru.len(), 1, "`base` (the root is pinned)");
         for v in 0..10_000 {
             round(&mut svc, v);
@@ -1107,10 +1073,10 @@ mod tests {
         assert_eq!(svc.stats().evictions, 0);
         // The bounded heap still finds the right victim.
         let leaf = svc.solve(base, &[lits(&[9])]).unwrap().problem;
-        svc.set_snapshot_capacity(Some(2));
+        svc.set_snapshot_budget(Some(svc.resident_bytes() - 1));
         assert_eq!(svc.is_resident(base), Some(false), "LRU-older goes first");
         assert_eq!(svc.is_resident(leaf), Some(true));
-        svc.set_snapshot_capacity(None);
+        svc.set_snapshot_budget(None);
         assert!(svc.lru.is_empty(), "disarmed");
     }
 

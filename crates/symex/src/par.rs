@@ -412,14 +412,15 @@ buf: .space 2
         assert!(report.cases.iter().all(|c| c.end == PathEnd::Exit(0)));
     }
 
-    /// Two shards that keep two snapshots each: parents are evicted
+    /// Two shards on a 1-byte budget, so every unpinned snapshot goes:
+    /// parents are evicted
     /// under the states that name them and come back by replay, on
     /// whichever worker — owner or thief — solves next. Same cases.
     #[test]
     fn solver_context_survives_eviction_and_theft() {
         let src = branch_tree_source(6);
         let (seq_cases, _) = sequential_cases(&src);
-        let config = ServiceConfig::new(2).with_snapshot_capacity(2);
+        let config = ServiceConfig::new(2).with_snapshot_budget(1);
         let service = Arc::new(ShardedService::new(config));
         let prog = assemble_source(&src).unwrap();
         let report = par_explore_on(

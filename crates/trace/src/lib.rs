@@ -6,9 +6,9 @@
 //!   fixed capacity holding timestamped spans and instant events.
 //!   Recording allocates nothing, takes no locks, and drops the oldest
 //!   events on overflow. [`drain`] merges every thread's ring into one
-//!   globally time-ordered stream. The whole recorder compiles out when
-//!   the `trace` feature is disabled, and can be switched off at runtime
-//!   with [`set_enabled`] (so one binary can measure its own overhead).
+//!   globally time-ordered stream. The recorder can be switched off at
+//!   runtime with [`set_enabled`] (so one binary can measure its own
+//!   overhead).
 //! * **Stats plane** ([`metrics`]): the counter table
 //!   ([`StatsSummary`], one plain field per counter, kept by whichever
 //!   component owns the event) and the process's log-linear latency
@@ -65,31 +65,19 @@ pub fn thread_id() -> u32 {
     TID.with(|t| *t)
 }
 
-#[cfg(feature = "trace")]
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Is the event recorder live? Always `false` when the `trace` feature
-/// is compiled out. The stats plane is unaffected by this switch.
+/// Is the event recorder live? The stats plane is unaffected by this
+/// switch.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "trace")]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        false
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Runtime on/off switch for the event recorder (default: on). A no-op
-/// without the `trace` feature.
+/// Runtime on/off switch for the event recorder (default: on).
 #[inline]
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "trace")]
     ENABLED.store(on, Ordering::Relaxed);
-    #[cfg(not(feature = "trace"))]
-    let _ = on;
 }
 
 /// Event taxonomy. Payload word meanings (`a`, `b`) per kind are part

@@ -302,27 +302,31 @@ fn main() {
         lwsnap_bench::service_workload::run_sharded(&workload, shards, workers, None);
     report("sharded (unbounded)", &sharded);
     let total = service.stats();
-    let busiest_shard_live = service
+    let busiest_shard_bytes = service
         .shard_stats()
         .iter()
-        .map(|s| s.live_problems as usize)
+        .map(|s| s.resident_bytes as usize)
         .max()
         .unwrap_or(1);
     println!(
-        "    {} live problems over {} shards (busiest {}), hit rate {:.1}%, jobs/worker {:?}",
+        "    {} live problems over {} shards (busiest holds {} B), hit rate {:.1}%, \
+         jobs/worker {:?}",
         total.live_problems,
         total.shards,
-        busiest_shard_live,
+        busiest_shard_bytes,
         total.hit_rate().unwrap_or(1.0) * 100.0,
         worker_stats.iter().map(|w| w.jobs).collect::<Vec<_>>(),
     );
 
-    // Phase 3: cap resident snapshots at 25% of the busiest shard's
-    // tree, forcing eviction + replay on the same workload.
-    let capacity = (busiest_shard_live / 4).max(1);
+    // Phase 3: budget resident snapshots at 25% of the busiest shard's
+    // resident bytes, forcing eviction + replay on the same workload.
+    let evict_budget = (busiest_shard_bytes / 4).max(1);
     let (evicting, evicting_service, _) =
-        lwsnap_bench::service_workload::run_sharded(&workload, shards, workers, Some(capacity));
-    report(&format!("sharded (cap {capacity}/shard)"), &evicting);
+        lwsnap_bench::service_workload::run_sharded(&workload, shards, workers, Some(evict_budget));
+    report(
+        &format!("sharded (budget {evict_budget} B/shard)"),
+        &evicting,
+    );
     let etotal = evicting_service.stats();
     println!(
         "    {} evictions, {} rederivations ({} clauses, {} conflicts replayed), \
