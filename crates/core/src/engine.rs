@@ -100,7 +100,7 @@ pub struct Solution {
 }
 
 /// Why the run ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StopReason {
     /// Every extension was evaluated; the search space is exhausted.
     Exhausted,

@@ -112,7 +112,7 @@ pub enum Exit {
 }
 
 /// Faults a guest can raise.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GuestFault {
     /// Memory access fault from the MMU.
     Memory(Fault),

@@ -55,8 +55,10 @@ pub mod engine;
 pub mod guest;
 pub mod interpose;
 pub mod parallel;
+pub mod parking;
 pub mod registers;
 pub mod replay;
+pub mod schedule;
 pub mod snapshot;
 pub mod strategy;
 

@@ -10,10 +10,10 @@
 //!
 //! ## Architecture
 //!
-//! * **One frontier lock.** A `Mutex` guards one queue of `WorkItem`s
-//!   per worker (one unevaluated extension step each: `Arc<Snapshot>` +
-//!   extension index + tree path), the count of pending paths and the
-//!   count of parked workers. One `Condvar` wakes parked workers.
+//! * **One frontier monitor.** A [`Parking`] monitor guards one queue
+//!   of `WorkItem`s per worker (one unevaluated extension step each:
+//!   `Arc<Snapshot>` + extension index + tree path), the count of
+//!   pending paths and the stop flag.
 //! * A worker pushes the siblings of every guess at the back of its
 //!   **own** queue, under the lock, and continues extension 0 inline
 //!   without it — the same depth-first fast path as the sequential
@@ -22,10 +22,11 @@
 //!   when that is empty it takes the **front** of the next non-empty
 //!   queue after its own (the shallowest entry: the largest unexplored
 //!   subtree).
-//! * When every queue is empty a worker parks on the condvar. A push
-//!   signals only while a worker is parked; the last retired path and an
-//!   early stop wake everyone. Every wake-up is sent under the lock, so
-//!   none is lost and no worker polls.
+//! * When every queue is empty a worker parks on the monitor. A push
+//!   and an early stop wake parked workers, a retire only when it was
+//!   the last, and the monitor notifies only while a worker is parked,
+//!   so none is lost and no worker polls. [`crate::schedule`] checks
+//!   these wake rules on every schedule of a few model workers.
 //! * A worker keeps the state of the path it just finished and restores
 //!   the next item's snapshot into it in place
 //!   ([`Snapshot::restore_into`]); only its first restore builds a fresh
@@ -70,10 +71,11 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use crate::engine::{step, EngineStats, FaultPolicy, Segment, Sink, Solution, StopReason};
 use crate::guest::{Guest, GuestState};
+use crate::parking::{Parking, Wake};
 use crate::registers::Reg;
 use crate::snapshot::Snapshot;
 
@@ -194,68 +196,84 @@ struct PathEvent {
 }
 
 /// The work still to do: one queue of unevaluated items per worker,
-/// behind the one frontier lock.
-struct Frontier {
+/// under the run's one [`Parking`] monitor. Its transitions decide who
+/// a change wakes: a push and a stop wake parked workers, a retire only
+/// when it was the last.
+#[derive(Clone, Hash)]
+struct Frontier<T> {
     /// Indexed by worker id. The owner pushes and pops at the back
     /// (depth-first); any other worker takes from the front (the
     /// shallowest entry, the largest unexplored subtree).
-    queues: Vec<VecDeque<WorkItem>>,
+    queues: Vec<VecDeque<T>>,
     /// Paths queued or executing. The run is over when this hits zero.
     pending: usize,
-    /// Workers waiting on [`SharedState::ready`]. A push signals only
-    /// while this is non-zero, so a saturated run never pays a wake-up.
-    parked: usize,
     /// Items in `queues`.
     queued: usize,
     /// High-water mark of `queued`: the run's `frontier_peak`.
     peak: usize,
+    /// The first reason the run was stopped for; workers then take
+    /// nothing more.
+    stop: Option<StopReason>,
 }
 
-impl Frontier {
+impl<T> Frontier<T> {
     /// A frontier holding `root` on worker 0's queue.
-    fn new(workers: usize, root: WorkItem) -> Self {
-        let mut queues: Vec<VecDeque<WorkItem>> = (0..workers).map(|_| VecDeque::new()).collect();
+    fn new(workers: usize, root: T) -> Self {
+        let mut queues: Vec<VecDeque<T>> = (0..workers).map(|_| VecDeque::new()).collect();
         queues[0].push_back(root);
         Frontier {
             queues,
             pending: 1,
-            parked: 0,
             queued: 1,
             peak: 1,
+            stop: None,
         }
     }
 
     /// Queues `items` as new pending paths at the back of worker `me`'s
     /// queue.
-    fn push(&mut self, me: usize, items: Vec<WorkItem>) {
+    fn push(&mut self, me: usize, items: Vec<T>) -> ((), Wake) {
         self.pending += items.len();
         self.queued += items.len();
         self.peak = self.peak.max(self.queued);
         self.queues[me].extend(items);
+        ((), Wake::Parked)
     }
 
-    /// Worker `me`'s newest item, else the oldest item of the first
-    /// non-empty queue after its own.
-    fn take(&mut self, me: usize) -> Option<WorkItem> {
+    /// Worker `me`'s wait: its own newest item, else the oldest item of
+    /// the first non-empty queue after its own; `Some(None)` once the
+    /// run has stopped or drained; `None` while it must park.
+    fn next(&mut self, me: usize) -> Option<Option<T>> {
+        if self.stop.is_some() || self.pending == 0 {
+            return Some(None);
+        }
         let n = self.queues.len();
         let item = self.queues[me]
             .pop_back()
             .or_else(|| (1..n).find_map(|offset| self.queues[(me + offset) % n].pop_front()))?;
         self.queued -= 1;
-        Some(item)
+        Some(Some(item))
+    }
+
+    /// Retires one pending path.
+    fn retire(&mut self) -> ((), Wake) {
+        self.pending -= 1;
+        let last = self.pending == 0;
+        ((), if last { Wake::Parked } else { Wake::Nobody })
+    }
+
+    /// Stops the run, keeping the first reason.
+    fn stop(&mut self, reason: StopReason) -> ((), Wake) {
+        self.stop.get_or_insert(reason);
+        ((), Wake::Parked)
     }
 }
 
 /// State shared by all workers.
 struct SharedState {
-    frontier: Mutex<Frontier>,
-    /// Signalled when work is queued, the last path retires, or the run
-    /// stops.
-    ready: Condvar,
-    /// Cooperative early-stop flag.
+    frontier: Parking<Frontier<WorkItem>>,
+    /// The stop as running paths see it, without the frontier lock.
     stop: AtomicBool,
-    /// First non-exhaustion stop reason, if any.
-    stop_reason: Mutex<Option<StopReason>>,
     /// Global counters for limit enforcement.
     solutions: AtomicU64,
     extensions: AtomicU64,
@@ -273,10 +291,8 @@ impl SharedState {
             path: Vec::new(),
         };
         SharedState {
-            frontier: Mutex::new(Frontier::new(config.workers, root)),
-            ready: Condvar::new(),
+            frontier: Parking::new(Frontier::new(config.workers, root)),
             stop: AtomicBool::new(false),
-            stop_reason: Mutex::new(None),
             solutions: AtomicU64::new(0),
             extensions: AtomicU64::new(0),
             live_snapshots: Arc::new(AtomicUsize::new(0)),
@@ -285,59 +301,9 @@ impl SharedState {
         }
     }
 
-    /// The frontier, recovered if a thread panicked holding it: no guest
-    /// code runs under the lock, so its counts are never left half-done.
-    fn lock(&self) -> MutexGuard<'_, Frontier> {
-        self.frontier.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn record_stop(&self, reason: StopReason) {
-        let mut slot = self.stop_reason.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(reason);
-        }
         self.stop.store(true, Ordering::Release);
-        let _frontier = self.lock();
-        self.ready.notify_all();
-    }
-
-    /// The next item for worker `me`, parking while the frontier is
-    /// empty; `None` once the run has stopped or drained.
-    fn next_item(&self, me: usize) -> Option<WorkItem> {
-        let mut frontier = self.lock();
-        loop {
-            if self.stop.load(Ordering::Acquire) || frontier.pending == 0 {
-                return None;
-            }
-            if let Some(item) = frontier.take(me) {
-                return Some(item);
-            }
-            frontier.parked += 1;
-            frontier = self
-                .ready
-                .wait(frontier)
-                .unwrap_or_else(PoisonError::into_inner);
-            frontier.parked -= 1;
-        }
-    }
-
-    /// Queues a sibling batch on worker `me`'s queue, waking parked
-    /// workers only if there are any.
-    fn push_work(&self, me: usize, items: Vec<WorkItem>) {
-        let mut frontier = self.lock();
-        frontier.push(me, items);
-        if frontier.parked > 0 {
-            self.ready.notify_all();
-        }
-    }
-
-    /// Retires one pending path; wakes everyone when the run is over.
-    fn retire_pending(&self) {
-        let mut frontier = self.lock();
-        frontier.pending -= 1;
-        if frontier.pending == 0 {
-            self.ready.notify_all();
-        }
+        self.frontier.update(|f| f.stop(reason));
     }
 }
 
@@ -414,7 +380,7 @@ fn worker_loop(
     // The state of the last path this worker finished: the next path's
     // snapshot is restored into it in place.
     let mut spare: Option<GuestState> = None;
-    while let Some(item) = shared.next_item(id) {
+    while let Some(item) = shared.frontier.wait_for(|f| f.next(id)) {
         spare = Some(evaluate_path(
             shared,
             id,
@@ -495,7 +461,7 @@ fn evaluate_path(
     struct RetireOnDrop<'a>(&'a SharedState);
     impl Drop for RetireOnDrop<'_> {
         fn drop(&mut self) {
-            self.0.retire_pending();
+            self.0.frontier.update(Frontier::retire);
         }
     }
     let _retire = RetireOnDrop(shared);
@@ -564,7 +530,7 @@ fn evaluate_path(
                     }
                 })
                 .collect();
-            shared.push_work(me, siblings);
+            shared.frontier.update(|f| f.push(me, siblings));
         }
         // Depth-first fast path: continue extension 0 here.
         state.regs.set(Reg::Rax, 0);
@@ -597,7 +563,8 @@ fn finalize(
         all_events.extend(events);
     }
     total.snapshots_peak = shared.peak_snapshots.load(Ordering::Relaxed);
-    total.frontier_peak = shared.lock().peak;
+    let frontier = shared.frontier.into_inner();
+    total.frontier_peak = frontier.peak;
 
     // Depth-first discovery order == lexicographic path order (a prefix
     // sorts before its extensions; sibling indices sort numerically).
@@ -619,15 +586,8 @@ fn finalize(
         }
     }
 
-    let stop = shared
-        .stop_reason
-        .lock()
-        .unwrap()
-        .take()
-        .unwrap_or(StopReason::Exhausted);
-
     ParallelRunResult {
-        stop,
+        stop: frontier.stop.unwrap_or(StopReason::Exhausted),
         stats: total,
         worker_stats,
         transcript,
@@ -641,6 +601,7 @@ mod tests {
     use super::*;
     use crate::engine::MAX_FANOUT;
     use crate::guest::{Exit, GuestFault};
+    use crate::schedule::{self, Model, Monitor};
     use crate::strategy::Dfs;
     use crate::{Engine, EngineConfig};
     use lwsnap_mem::{Prot, RegionKind, PAGE_SIZE};
@@ -908,15 +869,14 @@ mod tests {
 
     #[test]
     fn frontier_owner_takes_newest_others_take_oldest_of_next_queue() {
-        let taken = |item: Option<WorkItem>| item.map(|item| item.path[0]);
-        let mut frontier = Frontier::new(3, item(0));
+        let mut frontier = Frontier::new(3, 0);
         assert_eq!(
             (frontier.pending, frontier.queued, frontier.peak),
             (1, 1, 1)
         );
-        assert_eq!(taken(frontier.take(0)), Some(0));
-        frontier.push(1, vec![item(10), item(11), item(12)]);
-        frontier.push(2, vec![item(20)]);
+        assert_eq!(frontier.next(0), Some(Some(0)));
+        frontier.push(1, vec![10, 11, 12]);
+        frontier.push(2, vec![20]);
         assert_eq!(
             (frontier.pending, frontier.queued, frontier.peak),
             (5, 4, 4)
@@ -924,18 +884,18 @@ mod tests {
 
         // The owner pops its newest item; worker 0's next queue after
         // its own is worker 1's, whose oldest item it takes.
-        assert_eq!(taken(frontier.take(1)), Some(12));
-        assert_eq!(taken(frontier.take(0)), Some(10));
+        assert_eq!(frontier.next(1), Some(Some(12)));
+        assert_eq!(frontier.next(0), Some(Some(10)));
         // Worker 2's own queue comes first; then it wraps round to 1.
-        assert_eq!(taken(frontier.take(2)), Some(20));
-        assert_eq!(taken(frontier.take(2)), Some(11));
-        assert_eq!(taken(frontier.take(0)), None);
+        assert_eq!(frontier.next(2), Some(Some(20)));
+        assert_eq!(frontier.next(2), Some(Some(11)));
+        assert_eq!(frontier.next(0), None, "nothing queued: park");
         // Taking leaves `pending` to the retire; `peak` keeps the high water.
         assert_eq!(
             (frontier.pending, frontier.queued, frontier.peak),
             (5, 0, 4)
         );
-        frontier.push(0, vec![item(1)]);
+        frontier.push(0, vec![1]);
         assert_eq!((frontier.queued, frontier.peak), (1, 4));
     }
 
@@ -944,16 +904,17 @@ mod tests {
         use std::sync::mpsc;
         use std::time::Duration;
 
-        // Worker 1 parks in `next_item`; the returned receiver yields
+        // Worker 1 parks in its wait; the returned receiver yields
         // the path of what it was woken for. A worker that never wakes
         // stays parked, and `woken` fails the test instead of hanging.
         fn park(shared: &Arc<SharedState>) -> mpsc::Receiver<Option<Vec<u64>>> {
             let (done, woken) = mpsc::channel();
             let taker = Arc::clone(shared);
             std::thread::spawn(move || {
-                let _ = done.send(taker.next_item(1).map(|item| item.path));
+                let next = taker.frontier.wait_for(|f| f.next(1));
+                let _ = done.send(next.map(|item| item.path));
             });
-            while shared.lock().parked == 0 {
+            while shared.frontier.parked() == 0 {
                 std::thread::yield_now();
             }
             woken
@@ -965,21 +926,146 @@ mod tests {
         }
 
         let shared = Arc::new(SharedState::new(ParallelConfig::new(2), GuestState::new()));
-        assert_eq!(shared.next_item(0).map(|item| item.path), Some(vec![]));
+        let next = |shared: &SharedState| shared.frontier.wait_for(|f| f.next(0));
+        assert_eq!(next(&shared).map(|item| item.path), Some(vec![]));
         let taker = park(&shared);
-        shared.push_work(0, vec![item(1)]);
+        shared.frontier.update(|f| f.push(0, vec![item(1)]));
         assert_eq!(woken(taker), Some(vec![1]));
 
         let taker = park(&shared);
-        shared.retire_pending();
-        shared.retire_pending();
+        shared.frontier.update(Frontier::retire);
+        shared.frontier.update(Frontier::retire);
         assert_eq!(woken(taker), None, "the run drained");
 
         let shared = Arc::new(SharedState::new(ParallelConfig::new(2), GuestState::new()));
-        assert!(shared.next_item(0).is_some());
+        assert!(next(&shared).is_some());
         let taker = park(&shared);
         shared.record_stop(StopReason::SolutionLimit);
         assert_eq!(woken(taker), None, "the run stopped");
+    }
+
+    /// Where a model worker stands.
+    #[derive(Clone, Copy, Hash, PartialEq)]
+    enum Worker {
+        Waiting,
+        /// Evaluating a path, now at this node.
+        At(u32),
+        Ended,
+    }
+
+    /// `worker_loop`, `evaluate_path` and `record_stop` on a
+    /// `Frontier<u32>`: the workers explore a complete binary tree in
+    /// heap order (node `x` has children `2x + 1` and `2x + 2`), pushing
+    /// the right child of each node and continuing the left inline, and
+    /// the last thread, if there is a stopper, stops the run.
+    #[derive(Clone, Hash)]
+    struct Run {
+        monitor: Monitor<Frontier<u32>>,
+        workers: Vec<Worker>,
+        stopper: bool,
+        /// Leaves are `first_leaf..=2 * first_leaf`, one path each.
+        first_leaf: u32,
+        /// Bit `leaf - first_leaf` is set once that path retired.
+        retired: u64,
+        retired_twice: bool,
+    }
+
+    impl Run {
+        fn new(workers: usize, depth: u32, stopper: bool) -> Self {
+            Run {
+                monitor: Monitor::new(Frontier::new(workers, 0), workers + usize::from(stopper)),
+                workers: vec![Worker::Waiting; workers],
+                stopper,
+                first_leaf: (1 << depth) - 1,
+                retired: 0,
+                retired_twice: false,
+            }
+        }
+    }
+
+    impl Model for Run {
+        fn threads(&self) -> usize {
+            self.workers.len() + usize::from(self.stopper)
+        }
+
+        fn runnable(&self, thread: usize) -> bool {
+            self.monitor.runnable(thread)
+        }
+
+        fn step(&mut self, me: usize) -> String {
+            let Some(&worker) = self.workers.get(me) else {
+                self.monitor.update(|f| f.stop(StopReason::SolutionLimit));
+                self.monitor.end(me);
+                return "stop".into();
+            };
+            match worker {
+                Worker::Waiting => match self.monitor.wait_for(me, |f| f.next(me)) {
+                    None => "park".into(),
+                    Some(None) => {
+                        self.workers[me] = Worker::Ended;
+                        self.monitor.end(me);
+                        "end".into()
+                    }
+                    Some(Some(node)) => {
+                        self.workers[me] = Worker::At(node);
+                        format!("take {node}")
+                    }
+                },
+                Worker::At(node) if node < self.first_leaf => {
+                    self.monitor.update(|f| f.push(me, vec![2 * node + 2]));
+                    self.workers[me] = Worker::At(2 * node + 1);
+                    format!("push {}", 2 * node + 2)
+                }
+                Worker::At(leaf) => {
+                    self.monitor.update(Frontier::retire);
+                    let bit = 1 << (leaf - self.first_leaf);
+                    self.retired_twice |= self.retired & bit != 0;
+                    self.retired |= bit;
+                    self.workers[me] = Worker::Waiting;
+                    format!("retire {leaf}")
+                }
+                Worker::Ended => unreachable!("an ended worker is not runnable"),
+            }
+        }
+
+        fn check(&self, quiescent: bool) -> Result<(), String> {
+            let f = self.monitor.state();
+            let over = f.stop.is_some() || f.pending == 0;
+            if self.monitor.stranded().next().is_some() && (over || f.queued > 0) {
+                return Err("a worker is parked while an item is queued or the run is over".into());
+            }
+            if self.workers.contains(&Worker::Ended) && !over {
+                return Err("a worker ended while the run has pending paths".into());
+            }
+            if self.retired_twice {
+                return Err("a path retired twice".into());
+            }
+            if quiescent {
+                if self.workers.iter().any(|&w| w != Worker::Ended) {
+                    return Err("a worker is still parked when nothing can run".into());
+                }
+                let all = (1u64 << (self.first_leaf + 1)) - 1;
+                if f.pending != f.queued || (f.stop.is_none() && self.retired != all) {
+                    return Err("a path was never retired".into());
+                }
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frontier_wake_rules_hold_on_every_schedule() {
+        for (workers, depth) in [(3, 2), (2, 3)] {
+            for stopper in [false, true] {
+                let started = std::time::Instant::now();
+                let checked = schedule::check(&Run::new(workers, depth, stopper));
+                eprintln!(
+                    "frontier: {workers} workers, depth {depth}, stopper {stopper}: \
+                     {checked:?} in {:?}",
+                    started.elapsed()
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use core::fmt;
 use crate::region::Access;
 
 /// A guest-visible memory access fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fault {
     /// The address is not covered by any mapped region.
     Unmapped {

@@ -8,15 +8,18 @@
 //! ([`crate::protocol::TAGGED`]), so the server may complete requests
 //! out of order — and both implement [`crate::SolverBackend`], so
 //! drivers written against the trait can run remotely — on one node or
-//! on a whole cluster — unchanged.
+//! on a whole cluster — unchanged. A client's reply wait runs on the one
+//! [`Parking`] monitor: one waiter reads the socket, the others park, and
+//! the reader wakes them after each frame it files while one is parked.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
+use lwsnap_core::parking::{Parking, Wake};
 use lwsnap_solver::{Lit, SolveResult};
 use lwsnap_trace::{self as trace, Event, MetricsSnapshot, StatsSummary};
 
@@ -53,6 +56,7 @@ impl std::error::Error for Disconnected {}
 
 /// Why a connection stopped delivering; kept so that every later wait
 /// fails the same way (`io::Error` is not `Clone`).
+#[derive(Clone, Hash)]
 enum Dead {
     /// The server closed cleanly between frames.
     Closed,
@@ -89,20 +93,72 @@ fn unexpected(response: Response) -> io::Error {
 // The pipelined client.
 // ---------------------------------------------------------------------
 
-/// Shared completion state between waiting threads.
-struct PipeState {
+/// The reply wait's state, under the client's [`Parking`] monitor.
+#[derive(Clone, Hash)]
+struct Replies<R> {
     /// Responses that arrived for tags nobody has claimed yet.
-    done: HashMap<u64, Response>,
+    done: BTreeMap<u64, R>,
     /// Tags whose responses should be dropped on arrival
     /// (fire-and-forget requests like release).
-    forgotten: HashSet<u64>,
+    forgotten: BTreeSet<u64>,
     /// A terminal transport error: once set, every wait fails with it.
     dead: Option<Dead>,
-    /// A waiter is reading the socket; the others park on `arrived`.
+    /// A waiter is reading the socket.
     reading: bool,
-    /// Waiters parked on `arrived`: the reader notifies only while
-    /// this is nonzero.
-    parked: usize,
+}
+
+impl<R> Replies<R> {
+    /// The wait for `tag`: its response, `Ok(None)` when this waiter
+    /// is to read the socket, or the connection's error; `None` while
+    /// another waiter reads it.
+    fn claim(&mut self, tag: u64) -> Option<Result<Option<R>, Dead>> {
+        if let Some(reply) = self.done.remove(&tag) {
+            return Some(Ok(Some(reply)));
+        }
+        if let Some(dead) = &self.dead {
+            return Some(Err(dead.clone()));
+        }
+        if self.reading {
+            return None;
+        }
+        self.reading = true;
+        Some(Ok(None))
+    }
+
+    /// The reader gives the socket back with what it read. Parked
+    /// waiters re-check: one may own this frame, and one must take over
+    /// the socket if the reader returns.
+    fn file(&mut self, read: Result<(u64, R), Dead>) -> ((), Wake) {
+        self.reading = false;
+        match read {
+            Ok((tag, reply)) => {
+                if !self.forgotten.remove(&tag) {
+                    self.done.insert(tag, reply);
+                }
+            }
+            Err(dead) => self.dead = Some(dead),
+        }
+        ((), Wake::Parked)
+    }
+
+    /// Drops `tag`'s response on arrival, or now if it raced in.
+    fn forget(&mut self, tag: u64) -> ((), Wake) {
+        if self.done.remove(&tag).is_none() {
+            self.forgotten.insert(tag);
+        }
+        ((), Wake::Nobody)
+    }
+}
+
+/// Reads the next frame and decodes its response.
+fn read_reply(reader: &mut BufReader<TcpStream>) -> Result<(u64, Response), Dead> {
+    match read_any_frame(reader) {
+        Ok(Some(frame)) => Response::decode(&frame.payload)
+            .map(|reply| (frame.tag, reply))
+            .map_err(|e| Dead::Failed(io::ErrorKind::InvalidData, e.to_string())),
+        Ok(None) => Err(Dead::Closed),
+        Err(e) => Err(Dead::Failed(e.kind(), e.to_string())),
+    }
 }
 
 /// A pipelined client: many tagged requests in flight on one
@@ -130,13 +186,12 @@ struct PipeState {
 /// those eight frames reach the socket in one write. All methods take
 /// `&self`; the client may be shared across threads (one waiter at a
 /// time reads the socket and files every reply it reads; the others
-/// park on a condvar until it does).
+/// park on the client's monitor until it does).
 pub struct PipelinedClient {
     stream: TcpStream,
     reader: Mutex<BufReader<TcpStream>>,
     writer: Mutex<BufWriter<TcpStream>>,
-    state: Mutex<PipeState>,
-    arrived: Condvar,
+    replies: Parking<Replies<Response>>,
     next_tag: AtomicU64,
 }
 
@@ -157,14 +212,12 @@ impl PipelinedClient {
                 stream.try_clone()?,
             )),
             stream,
-            state: Mutex::new(PipeState {
-                done: HashMap::new(),
-                forgotten: HashSet::new(),
+            replies: Parking::new(Replies {
+                done: BTreeMap::new(),
+                forgotten: BTreeSet::new(),
                 dead: None,
                 reading: false,
-                parked: 0,
             }),
-            arrived: Condvar::new(),
             next_tag: AtomicU64::new(1),
         })
     }
@@ -205,13 +258,7 @@ impl PipelinedClient {
     /// ships its `Replicate` frames through it too.
     pub(crate) fn submit_forgotten(&self, request: &Request) -> io::Result<()> {
         let tag = self.submit_request(request)?;
-        {
-            let mut st = self.state.lock().unwrap();
-            // The response may have raced in already.
-            if st.done.remove(&tag).is_none() {
-                st.forgotten.insert(tag);
-            }
-        }
+        self.replies.update(|replies| replies.forget(tag));
         self.flush()
     }
 
@@ -220,47 +267,13 @@ impl PipelinedClient {
     /// others park until it files a frame or gives the socket up.
     pub fn wait_response(&self, tag: u64) -> io::Result<Response> {
         self.flush()?;
-        let mut st = self.state.lock().unwrap();
         loop {
-            if let Some(resp) = st.done.remove(&tag) {
-                return Ok(resp);
+            let claim = self.replies.wait_for(|replies| replies.claim(tag));
+            if let Some(reply) = claim.map_err(|dead| dead.error())? {
+                return Ok(reply);
             }
-            if let Some(dead) = &st.dead {
-                return Err(dead.error());
-            }
-            if st.reading {
-                st.parked += 1;
-                st = self.arrived.wait(st).unwrap();
-                st.parked -= 1;
-                continue;
-            }
-            st.reading = true;
-            drop(st);
-            let read = read_any_frame(&mut *self.reader.lock().unwrap());
-            st = self.state.lock().unwrap();
-            st.reading = false;
-            match read {
-                Ok(Some(frame)) => {
-                    if !st.forgotten.remove(&frame.tag) {
-                        match Response::decode(&frame.payload) {
-                            Ok(resp) => {
-                                st.done.insert(frame.tag, resp);
-                            }
-                            Err(e) => {
-                                st.dead =
-                                    Some(Dead::Failed(io::ErrorKind::InvalidData, e.to_string()));
-                            }
-                        }
-                    }
-                }
-                Ok(None) => st.dead = Some(Dead::Closed),
-                Err(e) => st.dead = Some(Dead::Failed(e.kind(), e.to_string())),
-            }
-            // Parked waiters re-check: one may own this frame, and one
-            // must take over the socket if this waiter returns.
-            if st.parked > 0 {
-                self.arrived.notify_all();
-            }
+            let read = read_reply(&mut self.reader.lock().unwrap());
+            self.replies.update(|replies| replies.file(read));
         }
     }
 
@@ -1138,6 +1151,8 @@ impl SolverBackend for ClusterBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lwsnap_core::schedule::{self, Model, Monitor};
+    use std::collections::VecDeque;
 
     #[test]
     fn node_errors_surface_the_attempt_count() {
@@ -1153,5 +1168,162 @@ mod tests {
             .unwrap();
         assert_eq!(inner.attempts, 1);
         assert!(!inner.to_string().contains("attempts"));
+    }
+
+    /// Where a model waiter stands.
+    #[derive(Clone, Copy, Hash, PartialEq)]
+    enum Waiter {
+        Waiting,
+        Reading,
+        Ended,
+    }
+
+    /// `wait_response` and `submit_forgotten` on `Replies<u64>`:
+    /// waiter `w` waits for tag `w`, whose response is `100 + w`; the
+    /// forgetter, if any, forgets the next tag. One arrival thread per
+    /// tag puts its frame on the socket, so frames arrive in every
+    /// order, and a closer, if any, ends the stream there.
+    #[derive(Clone, Hash)]
+    struct Run {
+        monitor: Monitor<Replies<u64>>,
+        waiters: Vec<Waiter>,
+        forgetter: bool,
+        closer: bool,
+        /// The socket: frame tags in arrival order, `None` the close.
+        socket: VecDeque<Option<u64>>,
+        /// Tags whose frames the readers took off the socket.
+        read: u64,
+        fault: Option<&'static str>,
+    }
+
+    impl Run {
+        fn new(waiters: usize, forgetter: bool, closer: bool) -> Self {
+            let replies = Replies {
+                done: BTreeMap::new(),
+                forgotten: BTreeSet::new(),
+                dead: None,
+                reading: false,
+            };
+            let mut run = Run {
+                monitor: Monitor::new(replies, 0),
+                waiters: vec![Waiter::Waiting; waiters],
+                forgetter,
+                closer,
+                socket: VecDeque::new(),
+                read: 0,
+                fault: None,
+            };
+            run.monitor = Monitor::new(run.monitor.state().clone(), run.threads());
+            run
+        }
+
+        /// Tags with a response: one per waiter, plus the forgotten one.
+        fn tags(&self) -> usize {
+            self.waiters.len() + usize::from(self.forgetter)
+        }
+    }
+
+    impl Model for Run {
+        fn threads(&self) -> usize {
+            2 * self.tags() + usize::from(self.closer)
+        }
+
+        fn runnable(&self, thread: usize) -> bool {
+            self.monitor.runnable(thread)
+                && (self.waiters.get(thread) != Some(&Waiter::Reading) || !self.socket.is_empty())
+        }
+
+        fn step(&mut self, me: usize) -> String {
+            let (waiters, tags) = (self.waiters.len(), self.tags());
+            let Some(&waiter) = self.waiters.get(me) else {
+                self.monitor.end(me);
+                if self.forgetter && me == waiters {
+                    self.monitor
+                        .update(|replies| replies.forget(waiters as u64));
+                    return format!("forget {waiters}");
+                }
+                let arrival = me - tags;
+                if arrival < tags {
+                    self.socket.push_back(Some(arrival as u64));
+                    return format!("arrive {arrival}");
+                }
+                self.socket.push_back(None);
+                return "close".into();
+            };
+            let tag = me as u64;
+            if waiter == Waiter::Reading {
+                let read = match self.socket.front() {
+                    Some(&Some(tag)) => {
+                        self.socket.pop_front();
+                        self.read |= 1 << tag;
+                        Ok((tag, 100 + tag))
+                    }
+                    _ => Err(Dead::Closed),
+                };
+                let label = match read {
+                    Ok((tag, _)) => format!("read {tag}"),
+                    Err(_) => "read EOF".into(),
+                };
+                self.monitor.update(|replies| replies.file(read));
+                self.waiters[me] = Waiter::Waiting;
+                return label;
+            }
+            match self.monitor.wait_for(me, |replies| replies.claim(tag)) {
+                None => "park".into(),
+                Some(Ok(None)) => {
+                    self.waiters[me] = Waiter::Reading;
+                    "take the socket".into()
+                }
+                Some(end) => {
+                    if match end {
+                        Ok(reply) => reply != Some(100 + tag),
+                        Err(_) => self.read & 1 << tag != 0,
+                    } {
+                        self.fault = Some("a waiter got another's response or lost its own");
+                    }
+                    self.waiters[me] = Waiter::Ended;
+                    self.monitor.end(me);
+                    "end".into()
+                }
+            }
+        }
+
+        fn check(&self, quiescent: bool) -> Result<(), String> {
+            let replies = self.monitor.state();
+            if self
+                .waiters
+                .iter()
+                .filter(|&&w| w == Waiter::Reading)
+                .count()
+                > 1
+            {
+                return Err("two waiters read the socket at once".into());
+            }
+            let ready =
+                |tag| !replies.reading || replies.dead.is_some() || replies.done.contains_key(&tag);
+            if self.monitor.stranded().any(|waiter| ready(waiter as u64)) {
+                return Err("a waiter is parked while its wait is ready".into());
+            }
+            if let Some(fault) = self.fault {
+                return Err(fault.into());
+            }
+            if quiescent && (self.monitor.stranded().next().is_some() || !replies.done.is_empty()) {
+                return Err("a waiter or a response is left when nothing can run".into());
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn reply_wait_holds_on_every_schedule() {
+        for (waiters, forgetter, closer) in [(2, true, false), (2, true, true), (3, false, true)] {
+            let started = std::time::Instant::now();
+            let checked = schedule::check(&Run::new(waiters, forgetter, closer));
+            eprintln!(
+                "reply wait: {waiters} waiters, forgetter {forgetter}, closer {closer}: \
+                 {checked:?} in {:?}",
+                started.elapsed()
+            );
+        }
     }
 }

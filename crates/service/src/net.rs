@@ -1423,16 +1423,13 @@ impl Reactor {
                     trace::Registry::global()
                         .request_ns
                         .record(trace::now_ns().saturating_sub(req_t0));
-                    let depth = completions.push(Completion {
+                    let notify = completions.push(Completion {
                         idx,
                         gen,
                         tag,
                         response: solve_response(reply),
                     });
-                    // Wake coalescing: a deeper queue means an earlier
-                    // push already notified and the reactor has not
-                    // drained yet — its eventfd read will see both.
-                    if depth == 1 {
+                    if notify {
                         let _ = poller.notify();
                     }
                 });

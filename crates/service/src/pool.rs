@@ -1,9 +1,10 @@
 //! The worker pool: M threads executing solve requests concurrently.
 //!
-//! Requests flow through one FIFO job queue — a `Mutex` over a
-//! `VecDeque` plus one `Condvar`, private to this crate — that the pool
-//! fans out across workers. A push signals the condvar only when a
-//! worker is parked on it, so a busy pool makes no wake-up syscalls.
+//! Requests flow through one FIFO job queue — a `VecDeque` under the
+//! one `Parking` monitor, private to this crate — that the pool fans out
+//! across workers. A push wakes only while a worker is parked, so a busy
+//! pool makes no wake-up syscalls; a close always wakes them. A
+//! reactor's [`CompletionQueue`] push asks for a notify only when empty.
 //! True parallelism comes from sharding: two jobs on different shards
 //! solve concurrently; two jobs on the same shard serialise on that
 //! shard's lock (and nothing else).
@@ -13,6 +14,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use lwsnap_core::parking::Parking;
 use lwsnap_solver::Lit;
 use lwsnap_trace as trace;
 
@@ -37,14 +39,14 @@ struct Job {
 /// A fixed pool of worker threads serving a [`ShardedService`].
 pub struct WorkerPool {
     service: Arc<ShardedService>,
-    queue: Arc<JobQueue<Job>>,
+    queue: Arc<Parking<JobQueue<Job>>>,
     workers: Vec<JoinHandle<WorkerStats>>,
 }
 
 impl WorkerPool {
     /// Spawns `workers` threads (clamped to ≥ 1) over `service`.
     pub fn new(service: Arc<ShardedService>, workers: usize) -> Self {
-        let queue = Arc::new(JobQueue::default());
+        let queue = Arc::new(Parking::new(JobQueue::default()));
         let handles = (0..workers.max(1))
             .map(|index| {
                 let service = Arc::clone(&service);
@@ -76,7 +78,7 @@ impl WorkerPool {
     /// counters. Every job accepted before the close completes; a
     /// submission after it is refused (its client observes `None`).
     pub fn shutdown(self) -> Vec<WorkerStats> {
-        self.queue.close();
+        self.queue.update(JobQueue::close);
         self.workers
             .into_iter()
             .map(|w| w.join().expect("worker panicked"))
@@ -84,14 +86,18 @@ impl WorkerPool {
     }
 }
 
-fn worker_loop(service: &ShardedService, queue: &JobQueue<Job>, index: usize) -> WorkerStats {
+fn worker_loop(
+    service: &ShardedService,
+    queue: &Parking<JobQueue<Job>>,
+    index: usize,
+) -> WorkerStats {
     let mut stats = WorkerStats::default();
     while let Some(Job {
         parent,
         clauses,
         complete,
         queued_at,
-    }) = queue.pop()
+    }) = queue.wait_for(JobQueue::pop)
     {
         let started = Instant::now();
         trace::span(trace::Kind::QueueWait, queued_at, index as u64, 0);
@@ -136,15 +142,17 @@ impl<T> CompletionQueue<T> {
         CompletionQueue::default()
     }
 
-    /// Enqueues one completion; returns the queue depth after the push
-    /// (callers typically follow with a poller notify).
-    pub fn push(&self, item: T) -> usize {
+    /// Enqueues one completion; returns whether the caller must notify
+    /// the reactor's poller. Only a push onto an empty queue does: a
+    /// deeper queue means an earlier push already notified and the
+    /// reactor has not drained yet — its eventfd read will see both.
+    pub fn push(&self, item: T) -> bool {
         let mut items = self.items.lock().unwrap();
         items.push(item);
         let depth = items.len();
         drop(items);
         self.peak.fetch_max(depth, AtomicOrdering::Relaxed);
-        depth
+        depth == 1
     }
 
     /// Takes the whole pending batch (oldest first).
@@ -163,7 +171,7 @@ impl<T> CompletionQueue<T> {
 #[derive(Clone)]
 pub struct PoolClient {
     service: Arc<ShardedService>,
-    queue: Arc<JobQueue<Job>>,
+    queue: Arc<Parking<JobQueue<Job>>>,
 }
 
 impl PoolClient {
@@ -184,12 +192,13 @@ impl PoolClient {
         clauses: Vec<Vec<Lit>>,
         complete: impl FnOnce(Option<SolveReply>) + Send + 'static,
     ) {
-        self.queue.push(Job {
+        let job = Job {
             parent,
             clauses,
             complete: Box::new(complete),
             queued_at: trace::now_ns(),
-        });
+        };
+        self.queue.update(|jobs| jobs.push(job));
     }
 
     /// Submits one solve request; the receiver yields the reply when a
@@ -226,7 +235,9 @@ mod tests {
     use super::*;
     use crate::sharded::ServiceConfig;
     use crate::SolverBackend;
+    use lwsnap_core::schedule::{self, Model};
     use lwsnap_solver::SolveResult;
+    use std::hash::{Hash, Hasher};
     use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
     use std::time::Duration;
 
@@ -381,12 +392,12 @@ mod tests {
     #[test]
     fn completion_queue_batches_and_tracks_peak() {
         let q = CompletionQueue::new();
-        assert_eq!(q.push(1), 1);
-        assert_eq!(q.push(2), 2);
-        assert_eq!(q.push(3), 3);
+        assert!(q.push(1), "the first push notifies");
+        assert!(!q.push(2));
+        assert!(!q.push(3));
         assert_eq!(q.drain(), vec![1, 2, 3]);
         assert!(q.drain().is_empty());
-        assert_eq!(q.push(4), 1, "depth resets after a drain");
+        assert!(q.push(4), "a push after a drain notifies again");
         assert_eq!(q.peak_depth(), 3, "peak survives the drain");
     }
 
@@ -415,5 +426,123 @@ mod tests {
         assert_eq!(service.stats().queries, 32);
         let stats = pool.shutdown();
         assert_eq!(stats.iter().map(|w| w.jobs).sum::<u64>(), 32);
+    }
+
+    impl<T: Clone> Clone for CompletionQueue<T> {
+        fn clone(&self) -> Self {
+            CompletionQueue {
+                items: Mutex::new(self.items.lock().unwrap().clone()),
+                peak: AtomicUsize::new(self.peak_depth()),
+            }
+        }
+    }
+
+    impl<T: Hash> Hash for CompletionQueue<T> {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            self.items.lock().unwrap().hash(state);
+        }
+    }
+
+    /// Where a model worker stands.
+    #[derive(Clone, Copy, Hash, PartialEq)]
+    enum Worker {
+        /// Completions still to push.
+        Pushing(u32),
+        /// Its push asked for a poller notify it has not sent yet.
+        Notifying(u32),
+    }
+
+    /// Workers pushing completions onto a real `CompletionQueue` and
+    /// notifying as its push asks, and the reactor: asleep until the
+    /// eventfd is set, then it consumes it and drains the queue.
+    #[derive(Clone, Hash)]
+    struct Mailbox {
+        queue: CompletionQueue<u32>,
+        workers: Vec<Worker>,
+        /// The poller's eventfd is set.
+        eventfd: bool,
+        /// The reactor consumed the eventfd and has yet to drain.
+        draining: bool,
+        drained: u32,
+        pushed: u32,
+    }
+
+    impl Model for Mailbox {
+        fn threads(&self) -> usize {
+            self.workers.len() + 1
+        }
+
+        fn runnable(&self, thread: usize) -> bool {
+            match self.workers.get(thread) {
+                Some(&worker) => worker != Worker::Pushing(0),
+                None => self.draining || self.eventfd,
+            }
+        }
+
+        fn step(&mut self, me: usize) -> String {
+            match self.workers.get(me).copied() {
+                Some(Worker::Pushing(left)) => {
+                    let notify = self.queue.push(self.pushed);
+                    self.pushed += 1;
+                    self.workers[me] = if notify {
+                        Worker::Notifying(left - 1)
+                    } else {
+                        Worker::Pushing(left - 1)
+                    };
+                    format!("push {}", self.pushed - 1)
+                }
+                Some(Worker::Notifying(left)) => {
+                    self.eventfd = true;
+                    self.workers[me] = Worker::Pushing(left);
+                    "notify".into()
+                }
+                None if self.draining => {
+                    self.drained += self.queue.drain().len() as u32;
+                    self.draining = false;
+                    "drain".into()
+                }
+                None => {
+                    self.eventfd = false;
+                    self.draining = true;
+                    "wake".into()
+                }
+            }
+        }
+
+        fn check(&self, quiescent: bool) -> Result<(), String> {
+            let queued = self.pushed - self.drained;
+            let notifying = self
+                .workers
+                .iter()
+                .any(|w| matches!(w, Worker::Notifying(_)));
+            if queued > 0 && !self.draining && !self.eventfd && !notifying {
+                return Err(
+                    "a completion is queued while the reactor sleeps with no notify pending".into(),
+                );
+            }
+            if quiescent && queued > 0 {
+                return Err("a completion was never drained".into());
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn completion_mailbox_holds_on_every_schedule() {
+        for (workers, completions) in [(2, 3), (3, 3)] {
+            let started = std::time::Instant::now();
+            let checked = schedule::check(&Mailbox {
+                queue: CompletionQueue::new(),
+                workers: vec![Worker::Pushing(completions); workers],
+                eventfd: false,
+                draining: false,
+                drained: 0,
+                pushed: 0,
+            });
+            eprintln!(
+                "mailbox: {workers} workers x {completions} completions: {checked:?} in {:?}",
+                started.elapsed()
+            );
+        }
     }
 }
