@@ -70,6 +70,7 @@
 //! [`Dfs`]: crate::strategy::Dfs
 
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -199,7 +200,7 @@ struct PathEvent {
 /// under the run's one [`Parking`] monitor. Its transitions decide who
 /// a change wakes: a push and a stop wake parked workers, a retire only
 /// when it was the last.
-#[derive(Clone, Hash)]
+#[derive(Clone)]
 struct Frontier<T> {
     /// Indexed by worker id. The owner pushes and pops at the back
     /// (depth-first); any other worker takes from the front (the
@@ -214,6 +215,22 @@ struct Frontier<T> {
     /// The first reason the run was stopped for; workers then take
     /// nothing more.
     stop: Option<StopReason>,
+}
+
+/// Hashes what decides a transition, which is what the schedule
+/// checker keys its seen states by. `peak` is left out: no decision
+/// reads it, so two states that differ only there behave alike.
+impl<T: Hash> Hash for Frontier<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let Frontier {
+            queues,
+            pending,
+            queued,
+            peak: _,
+            stop,
+        } = self;
+        (queues, pending, queued, stop).hash(state);
+    }
 }
 
 impl<T> Frontier<T> {

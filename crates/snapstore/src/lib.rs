@@ -56,8 +56,11 @@
 //!   table nodes when they all fall in the first 32 pages of their
 //!   sections — and discards a tail only where a section got shorter
 //!   than the parent's header says it was.
-//! * `get` decodes straight out of the mapped frames and rebuilds only
-//!   the solver's derived state: the image is already in normal form.
+//! * `get_into` decodes straight out of the mapped frames into the
+//!   caller's solver, clearing and refilling its buffers, and rebuilds
+//!   only the derived state: the image is already in normal form. Once
+//!   the solver's buffers fit, it allocates nothing. `get` is the same
+//!   into a fresh solver, which allocates every buffer.
 //! * `remove` counts the frames the victim alone kept alive by walking
 //!   only the table nodes private to it, then drops the table.
 //! * `resident_bytes` is a running count those two maintain: O(1).
@@ -253,10 +256,13 @@ impl SnapshotStore for CowStore {
         }
     }
 
-    fn get(&self, id: SnapId) -> Option<Solver> {
-        let table = self.table(id)?;
-        snapshot::decode_from(Self::header(table)?, |sec_idx, len| {
-            Self::section_pages(table, sec_idx, len)
+    fn get_into(&self, id: SnapId, solver: &mut Solver) -> bool {
+        let Some(table) = self.table(id) else {
+            return false;
+        };
+        Self::header(table).is_some_and(|header| {
+            let pages = |sec_idx, len| Self::section_pages(table, sec_idx, len);
+            snapshot::decode_from_into(header, pages, solver)
         })
     }
 
@@ -647,11 +653,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_solver_unsat_at_level_zero_roundtrips_bit_identically() {
-        // (1 ∨ 2), (1 ∨ ¬2), then ¬1: `add_clause`'s own propagation
-        // meets the conflict, permuting clause literals on the way, and
-        // `solve` answers UNSAT without a search.
+    /// (1 ∨ 2), (1 ∨ ¬2), then ¬1: `add_clause`'s own propagation
+    /// meets the conflict, permuting clause literals on the way, and
+    /// `solve` answers UNSAT without a search.
+    fn unsat_solver() -> Solver {
         let mut s = Solver::new();
         for c in [&[1, 2][..], &[1, -2], &[-1]] {
             let lits: Vec<Lit> = c.iter().map(|&v| Lit::from_dimacs(v)).collect();
@@ -659,8 +664,57 @@ mod tests {
         }
         assert!(!s.is_ok());
         assert_eq!(s.solve(), SolveResult::Unsat);
+        s
+    }
+
+    #[test]
+    fn a_solver_unsat_at_level_zero_roundtrips_bit_identically() {
+        let s = unsat_solver();
         let mut store = CowStore::new();
         let id = store.put(None, &s);
         assert_eq!(encode(&store.get(id).unwrap()), encode(&s));
+    }
+
+    #[test]
+    fn get_into_a_dirty_solver_matches_a_fresh_get() {
+        // Sections over several pages against ones within a page.
+        let mut big = Solver::new();
+        for c in &random_ksat(1500, 3000, 3, 17).clauses {
+            big.add_clause(c);
+        }
+        assert_eq!(big.solve(), SolveResult::Sat);
+        let small = worked_solver(18);
+        let mut store = CowStore::new();
+        let ids = [
+            store.put(None, &big),
+            store.put(None, &small),
+            store.put(None, &unsat_solver()),
+            store.put(None, &Solver::new()),
+        ];
+        // Every snapshot restored over every other one, the working
+        // solver carried along as the service carries its own.
+        let mut work = Solver::new();
+        for from in ids {
+            for to in ids {
+                assert!(store.get_into(from, &mut work));
+                assert!(store.get_into(to, &mut work));
+                let fresh = store.get(to).unwrap();
+                assert_eq!(encode(&work), encode(&fresh), "{from:?} then {to:?}");
+                // The derived state matches too: the same clauses on
+                // top solve the same way.
+                let (mut a, mut b) = (work.clone(), fresh);
+                for c in &random_ksat(80, 6, 3, 19).clauses {
+                    a.add_clause(c);
+                    b.add_clause(c);
+                }
+                assert_eq!(a.solve(), b.solve());
+                assert_eq!((a.model(), a.stats()), (b.model(), b.stats()));
+            }
+        }
+        assert!(store.remove(ids[0]));
+        assert!(
+            !store.get_into(ids[0], &mut work),
+            "a removed handle is dead"
+        );
     }
 }

@@ -68,6 +68,8 @@ proptest! {
         let mut store = CowStore::new();
         // Every resident snapshot with the encoding it must read back as.
         let mut live: Vec<(SnapId, Vec<Vec<u8>>)> = Vec::new();
+        // Derives restore into one kept solver, as the service does.
+        let mut work = Solver::new();
         for op in &ops {
             match op {
                 Op::Root { size, seed } => {
@@ -76,13 +78,14 @@ proptest! {
                 }
                 Op::Derive { pick, clauses } if !live.is_empty() => {
                     let parent = live[pick % live.len()].0;
-                    let mut s = store.get(parent).expect("resident");
+                    prop_assert!(store.get_into(parent, &mut work), "resident");
+                    prop_assert_eq!(encode(&work), encode(&store.get(parent).unwrap()));
                     for clause in clauses {
                         let lits: Vec<Lit> = clause.iter().map(|&v| Lit::from_dimacs(v)).collect();
-                        s.add_clause(&lits);
+                        work.add_clause(&lits);
                     }
-                    s.solve();
-                    live.push((store.put(Some(parent), &s), encode(&s)));
+                    work.solve();
+                    live.push((store.put(Some(parent), &work), encode(&work)));
                 }
                 Op::Graft { pick, size, seed } if !live.is_empty() => {
                     let parent = live[pick % live.len()].0;

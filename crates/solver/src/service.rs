@@ -147,6 +147,11 @@ pub struct SolverService {
     /// amortised instead of a full-table scan per eviction, and the
     /// heap O(resident). Empty while no budget is set.
     lru: BinaryHeap<Reverse<(u64, u32)>>,
+    /// The one working solver every query restores its parent into and
+    /// solves in. Queries run one at a time, so one is enough. Its
+    /// buffers outlive each query, so a store that refills them, as the
+    /// page store does, restores a hit without allocating once they fit.
+    work: Solver,
 }
 
 /// Whether heap entry `(stamp, index)` still names an eviction
@@ -215,6 +220,7 @@ impl SolverService {
             budget: None,
             clock: 0,
             lru: BinaryHeap::new(),
+            work: Solver::new(),
         }
     }
 
@@ -401,26 +407,29 @@ impl SolverService {
         snap
     }
 
-    /// A store get timed into the restore-latency histogram.
-    fn get_timed(&self, snap: SnapId) -> Option<Solver> {
+    /// A store restore into `solver`, timed into the restore-latency
+    /// histogram.
+    fn get_timed(&self, snap: SnapId, solver: &mut Solver) -> bool {
         let t0 = trace::now_ns();
-        let solver = self.store.get(snap);
+        let found = self.store.get_into(snap, solver);
         trace::Registry::global()
             .snap_get_ns
             .record(trace::now_ns().saturating_sub(t0));
-        solver
+        found
     }
 
-    /// A solved solver for `r`, cloned from the resident snapshot or
-    /// re-derived by replaying constraint edges from the nearest resident
-    /// ancestor. Returns `None` for dead references.
-    fn materialize(&mut self, r: ProblemRef) -> Option<(Solver, bool)> {
+    /// Makes `solver` the solved state of `r`: restored from the
+    /// resident snapshot, or re-derived by replaying constraint edges
+    /// from the nearest resident ancestor. Returns whether it was
+    /// re-derived, or `None` for dead references.
+    fn materialize(&mut self, r: ProblemRef, solver: &mut Solver) -> Option<bool> {
         let snap = self.node(r)?.snap;
         let stamp = self.next_stamp();
         if let Some(snap) = snap {
-            let solver = self
-                .get_timed(snap)
-                .expect("resident snapshot must be retrievable");
+            assert!(
+                self.get_timed(snap, solver),
+                "resident snapshot must be retrievable"
+            );
             let node = self.raw_node_mut(r).expect("checked above");
             node.last_use = stamp;
             if !node.pinned {
@@ -428,7 +437,7 @@ impl SolverService {
             }
             self.stats.snapshot_hits += 1;
             trace::instant(trace::Kind::SnapHit, r.0 as u64, 0);
-            return Some((solver, false));
+            return Some(false);
         }
         // Metrics stay live even when the trace recorder is switched
         // off, so time with the raw clock (span() self-gates).
@@ -447,7 +456,7 @@ impl SolverService {
             cur = node.parent?;
         }
         let ancestor_snap = self.raw_node(cur)?.snap?;
-        let mut solver = self.get_timed(ancestor_snap)?;
+        self.get_timed(ancestor_snap, solver).then_some(())?;
         let before = solver.stats();
         let mut replayed = 0u64;
         // One solve per edge, not one solve at the end: each original
@@ -485,7 +494,7 @@ impl SolverService {
         // Cache the re-derived snapshot back (as a delta against the
         // ancestor it was replayed from): the query touching it makes it
         // the most recently used node by definition.
-        let snap = self.put_traced(Some(ancestor_snap), &solver, r.0);
+        let snap = self.put_traced(Some(ancestor_snap), solver, r.0);
         let node = self.raw_node_mut(r)?;
         node.snap = Some(snap);
         node.last_use = stamp;
@@ -493,7 +502,7 @@ impl SolverService {
             self.push_candidate(stamp, r.slot() as u32);
         }
         self.enforce_budget(Some(r));
-        Some((solver, true))
+        Some(true)
     }
 
     /// Evicts LRU snapshots until the resident set fits the byte
@@ -549,10 +558,24 @@ impl SolverService {
     /// `None` for a dead `parent`, or when every one of the service's
     /// 2^16 problem slots is taken.
     pub fn solve(&mut self, parent: ProblemRef, added: &[Vec<Lit>]) -> Option<Reply> {
+        let mut solver = std::mem::take(&mut self.work);
+        let reply = self.solve_in(&mut solver, parent, added);
+        self.work = solver;
+        reply
+    }
+
+    /// [`SolverService::solve`] in the working solver, taken out of
+    /// `self` for the query.
+    fn solve_in(
+        &mut self,
+        solver: &mut Solver,
+        parent: ProblemRef,
+        added: &[Vec<Lit>],
+    ) -> Option<Reply> {
         let parent_depth = self.node(parent)?.depth;
         let problem = self.next_problem()?;
-        // The lightweight snapshot: fork the solved parent state.
-        let (mut solver, rederived) = self.materialize(parent)?;
+        // The lightweight snapshot: restore the solved parent state.
+        let rederived = self.materialize(parent, solver)?;
         let before = solver.stats();
         for clause in added {
             solver.add_clause(clause);
@@ -580,7 +603,7 @@ impl SolverService {
         // between there and here), so a CoW store shares every page the
         // child did not dirty.
         let parent_snap = self.raw_node(parent).and_then(|n| n.snap);
-        let snap = self.put_traced(parent_snap, &solver, problem.0);
+        let snap = self.put_traced(parent_snap, solver, problem.0);
         let node = ProblemNode {
             snap: Some(snap),
             parent: Some(parent),

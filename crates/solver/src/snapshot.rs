@@ -44,8 +44,19 @@
 //! so a decoded solver replays decisions, propagations and conflicts
 //! identically to the original — the property that keeps verdicts AND
 //! witnesses bit-identical across store backends.
+//!
+//! ## One decode path
+//!
+//! [`decode_from_into`] is the only decoder. It clears and refills each
+//! field of a solver the caller keeps, whatever state that held, then
+//! rebuilds the derived state in the buffers already there;
+//! [`decode_from`] and [`decode`] run it on a fresh solver. The store
+//! trait has the same split. [`SnapshotStore::get_into`] restores into
+//! the caller's solver; the page store's decodes with this decoder, so
+//! once the solver's buffers have grown to fit, it allocates nothing.
+//! That is why the service keeps one working solver. [`SnapshotStore::get`]
+//! is `get_into` on a fresh solver, so it pays for every buffer again.
 
-use crate::heap::VarHeap;
 use crate::lit::{Lbool, Lit};
 use crate::solver::{Solver, SolverStats};
 
@@ -146,8 +157,19 @@ pub trait SnapshotStore: Send {
     /// (still-resident) `parent` snapshot.
     fn put(&mut self, parent: Option<SnapId>, solver: &Solver) -> SnapId;
 
-    /// Reconstructs the snapshot. `None` for stale or removed handles.
-    fn get(&self, id: SnapId) -> Option<Solver>;
+    /// Restores the snapshot into `solver`, whatever it held before.
+    /// A store that decodes with [`decode_from_into`] refills the
+    /// solver's own buffers, so once they have grown to fit, a restore
+    /// allocates nothing. `false` for stale or removed handles, which
+    /// leave `solver` as it was.
+    fn get_into(&self, id: SnapId, solver: &mut Solver) -> bool;
+
+    /// Reconstructs the snapshot into a fresh solver. `None` for stale
+    /// or removed handles.
+    fn get(&self, id: SnapId) -> Option<Solver> {
+        let mut solver = Solver::new();
+        self.get_into(id, &mut solver).then_some(solver)
+    }
 
     /// Drops the snapshot, freeing whatever storage was private to it.
     /// Returns `false` for stale or already-removed handles.
@@ -220,13 +242,14 @@ impl SnapshotStore for DeepCloneStore {
         }
     }
 
-    fn get(&self, id: SnapId) -> Option<Solver> {
-        if *self.gens.get(id.idx() as usize)? != id.gen() {
-            return None;
-        }
-        self.slots[id.idx() as usize]
-            .as_ref()
-            .map(|(s, _)| s.clone())
+    fn get_into(&self, id: SnapId, solver: &mut Solver) -> bool {
+        let live = self.gens.get(id.idx() as usize) == Some(&id.gen());
+        let slot = self.slots.get(id.idx() as usize).filter(|_| live);
+        let Some((stored, _)) = slot.and_then(Option::as_ref) else {
+            return false;
+        };
+        solver.clone_from(stored);
+        true
     }
 
     fn remove(&mut self, id: SnapId) -> bool {
@@ -383,64 +406,27 @@ pub fn section_lengths(header: &[u8]) -> Option<[usize; NUM_SECTIONS]> {
     (lens[0] == HEADER_LEN).then_some(lens)
 }
 
-/// Little-endian cursor over one section.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Cur<'a> {
-        Cur { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let out = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(out)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-/// Decodes one section of `W`-byte little-endian words, handed over in
-/// consecutive chunks that add up to `len` bytes. `None` if `len` is
-/// not a whole number of words or the chunks do not deliver it.
-fn decode_words<'a, T, const W: usize>(
-    len: usize,
-    chunks: impl Iterator<Item = &'a [u8]>,
-    word: impl Fn([u8; W]) -> T,
-) -> Option<Vec<T>> {
-    if !len.is_multiple_of(W) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(len / W);
+/// Refills `out` from one section of `W`-byte little-endian words:
+/// its declared byte length and its bytes, handed over in consecutive
+/// chunks. `false` unless the chunks deliver exactly `len` bytes, a
+/// whole number of words, each one valid.
+fn fill<'a, T, const W: usize>(
+    out: &mut Vec<T>,
+    (len, chunks): (usize, impl Iterator<Item = &'a [u8]>),
+    word: impl Fn([u8; W]) -> Option<T>,
+) -> bool {
+    out.clear();
+    out.reserve(len / W);
+    let mut delivered = 0;
     for chunk in chunks {
+        delivered += chunk.len();
         out.extend(
             chunk
                 .chunks_exact(W)
-                .map(|w| word(w.try_into().expect("chunks_exact yields W bytes"))),
+                .map_while(|w| word(w.try_into().expect("chunks_exact yields W bytes"))),
         );
     }
-    (out.len() * W == len).then_some(out)
-}
-
-/// [`decode_words`] for a section of one-byte [`Lbool`]s.
-fn decode_lbools<'a>(len: usize, chunks: impl Iterator<Item = &'a [u8]>) -> Option<Vec<Lbool>> {
-    decode_words(len, chunks, |[b]| lbool_from_u8(b))?
-        .into_iter()
-        .collect()
+    delivered == len && out.len() * W == len
 }
 
 /// Validates that every cref in `refs` points at a well-formed clause
@@ -479,14 +465,6 @@ pub fn decode(sections: &[Vec<u8>]) -> Option<Solver> {
     if sections.len() != NUM_SECTIONS {
         return None;
     }
-    let lens = section_lengths(&sections[0])?;
-    if sections
-        .iter()
-        .zip(&lens)
-        .any(|(sec, &len)| sec.len() != len)
-    {
-        return None;
-    }
     decode_from(&sections[0], |idx, _| {
         std::iter::once(sections[idx].as_slice())
     })
@@ -501,93 +479,112 @@ pub fn decode_from<'a, I>(header: &[u8], section: impl Fn(usize, usize) -> I) ->
 where
     I: Iterator<Item = &'a [u8]>,
 {
-    if header.len() != HEADER_LEN {
-        return None;
-    }
-    let lens = section_lengths(header)?;
-    let mut h = Cur::new(&header[8 + NUM_SECTIONS * 8..]);
-    let qhead = h.u64()? as usize;
-    let var_inc = h.f64()?;
-    let cla_inc = h.f64()?;
-    let max_learnts = h.f64()?;
-    let stats = SolverStats {
-        decisions: h.u64()?,
-        propagations: h.u64()?,
-        conflicts: h.u64()?,
-        restarts: h.u64()?,
-        learnt_clauses: h.u64()?,
-        removed_clauses: h.u64()?,
+    let mut solver = Solver::new();
+    decode_from_into(header, section, &mut solver).then_some(solver)
+}
+
+/// [`decode_from`] into a solver the caller keeps, whatever state it
+/// held: every field is cleared and refilled in place, so once the
+/// solver's buffers have grown to fit, a restore allocates nothing.
+/// `false` if the sections are malformed or mutually inconsistent;
+/// `solver` then holds a state the next successful restore overwrites.
+pub fn decode_from_into<'a, I>(
+    header: &[u8],
+    section: impl Fn(usize, usize) -> I,
+    solver: &mut Solver,
+) -> bool
+where
+    I: Iterator<Item = &'a [u8]>,
+{
+    let s = solver;
+    let Some(lens) = section_lengths(header).filter(|_| header.len() == HEADER_LEN) else {
+        return false;
     };
-    let ok = match h.take(1)?[0] {
+    // Past the length table: ten scalar words, then the `ok` byte.
+    let mut words = header[8 + NUM_SECTIONS * 8..]
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes")));
+    let mut word = || words.next().expect("the header holds ten scalar words");
+    s.qhead = word() as usize;
+    s.var_inc = f64::from_bits(word());
+    s.cla_inc = f64::from_bits(word());
+    s.max_learnts = f64::from_bits(word());
+    s.stats = SolverStats {
+        decisions: word(),
+        propagations: word(),
+        conflicts: word(),
+        restarts: word(),
+        learnt_clauses: word(),
+        removed_clauses: word(),
+    };
+    s.ok = match header[HEADER_LEN - 1] {
         0 => false,
         1 => true,
-        _ => return None,
+        _ => return false,
     };
-    if !h.done() {
-        return None;
-    }
 
-    let chunks = |idx: usize| section(idx, lens[idx]);
-    let u32s = |idx: usize| decode_words(lens[idx], chunks(idx), u32::from_le_bytes);
-    let f64s = |idx: usize| {
-        decode_words(lens[idx], chunks(idx), |w| {
-            f64::from_bits(u64::from_le_bytes(w))
+    let src = |idx: usize| (lens[idx], section(idx, lens[idx]));
+    let filled = fill(&mut s.assigns, src(SEC_ASSIGNS), |[b]| lbool_from_u8(b))
+        && fill(&mut s.arena, src(SEC_ARENA), |w| {
+            Some(u32::from_le_bytes(w))
         })
-    };
-    let assigns = decode_lbools(lens[SEC_ASSIGNS], chunks(SEC_ASSIGNS))?;
-    let nvars = assigns.len();
-
-    let mut solver = Solver {
-        arena: u32s(SEC_ARENA)?,
-        clauses: u32s(SEC_CLAUSES)?,
-        learnts: u32s(SEC_LEARNTS)?,
-        learnt_act: f64s(SEC_LEARNT_ACT)?,
-        watches: vec![Vec::new(); 2 * nvars],
-        assigns,
-        level: u32s(SEC_LEVEL)?,
-        reason: u32s(SEC_REASON)?,
-        trail: decode_words(lens[SEC_TRAIL], chunks(SEC_TRAIL), |w| {
-            Lit(u32::from_le_bytes(w))
-        })?,
-        trail_lim: decode_words(lens[SEC_TRAIL_LIM], chunks(SEC_TRAIL_LIM), |w| {
-            u64::from_le_bytes(w) as usize
-        })?,
-        qhead,
-        activity: f64s(SEC_ACTIVITY)?,
-        var_inc,
-        cla_inc,
-        order: VarHeap::new(),
-        polarity: decode_words(lens[SEC_POLARITY], chunks(SEC_POLARITY), |[b]| b != 0)?,
-        seen: vec![false; nvars],
-        ok,
-        model: decode_lbools(lens[SEC_MODEL], chunks(SEC_MODEL))?,
-        max_learnts,
-        stats,
-    };
+        && fill(&mut s.clauses, src(SEC_CLAUSES), |w| {
+            Some(u32::from_le_bytes(w))
+        })
+        && fill(&mut s.learnts, src(SEC_LEARNTS), |w| {
+            Some(u32::from_le_bytes(w))
+        })
+        && fill(&mut s.learnt_act, src(SEC_LEARNT_ACT), |w| {
+            Some(f64::from_le_bytes(w))
+        })
+        && fill(&mut s.level, src(SEC_LEVEL), |w| {
+            Some(u32::from_le_bytes(w))
+        })
+        && fill(&mut s.reason, src(SEC_REASON), |w| {
+            Some(u32::from_le_bytes(w))
+        })
+        && fill(&mut s.trail, src(SEC_TRAIL), |w| {
+            Some(Lit(u32::from_le_bytes(w)))
+        })
+        && fill(&mut s.trail_lim, src(SEC_TRAIL_LIM), |w| {
+            Some(u64::from_le_bytes(w) as usize)
+        })
+        && fill(&mut s.activity, src(SEC_ACTIVITY), |w| {
+            Some(f64::from_le_bytes(w))
+        })
+        && fill(&mut s.polarity, src(SEC_POLARITY), |[b]| Some(b != 0))
+        && fill(&mut s.model, src(SEC_MODEL), |[b]| lbool_from_u8(b));
     // Cross-field sanity. Per-variable arrays must agree on the variable
     // count; the trail must be a quiescent level-0 prefix (encode only
     // accepts quiescent solvers); every clause reference must point at a
     // well-formed arena record, since the rebuild below walks them to
     // attach the watch lists.
-    if solver.level.len() != nvars
-        || solver.reason.len() != nvars
-        || solver.activity.len() != nvars
-        || solver.polarity.len() != nvars
-        || solver.learnt_act.len() != solver.learnts.len()
-        || !solver.trail_lim.is_empty()
-        || solver.qhead != solver.trail.len()
-        || solver.trail.iter().any(|l| l.var().index() >= nvars)
-        || !validate_crefs(&solver.arena, &solver.clauses, false, nvars)
-        || !validate_crefs(&solver.arena, &solver.learnts, true, nvars)
+    let nvars = s.assigns.len();
+    if !filled
+        || s.level.len() != nvars
+        || s.reason.len() != nvars
+        || s.activity.len() != nvars
+        || s.polarity.len() != nvars
+        || s.learnt_act.len() != s.learnts.len()
+        || !s.trail_lim.is_empty()
+        || s.qhead != s.trail.len()
+        || s.trail.iter().any(|l| l.var().index() >= nvars)
+        || !validate_crefs(&s.arena, &s.clauses, false, nvars)
+        || !validate_crefs(&s.arena, &s.learnts, true, nvars)
     {
-        return None;
+        return false;
     }
     debug_assert!(
-        solver.is_canonical(),
+        s.is_canonical(),
         "stored image is not in snapshot normal form"
     );
-    solver.rebuild_derived();
-    Some(solver)
+    // Derived state: sized here, then refilled from the essential
+    // state. Watch lists are never dropped, so none loses its capacity.
+    let lits = s.watches.len().max(2 * nvars);
+    s.watches.resize_with(lits, Vec::new);
+    s.seen.resize(nvars, false);
+    s.rebuild_derived();
+    true
 }
 
 #[cfg(test)]
@@ -677,25 +674,117 @@ mod tests {
         }
     }
 
+    /// [`decode_from_into`] over whole sections, as [`decode`] hands
+    /// them on.
+    fn decode_into(sections: &[Vec<u8>], target: &mut Solver) -> bool {
+        decode_from_into(
+            &sections[0],
+            |idx, _| std::iter::once(&sections[idx][..]),
+            target,
+        )
+    }
+
+    /// A solver unsatisfiable at level 0: `add_clause`'s own propagation
+    /// meets the conflict, and `solve` answers without a search.
+    fn unsat_solver() -> Solver {
+        let mut s = Solver::new();
+        for c in [&[1, 2][..], &[1, -2], &[-1]] {
+            let lits: Vec<Lit> = c.iter().map(|&v| Lit::from_dimacs(v)).collect();
+            s.add_clause(&lits);
+        }
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        s
+    }
+
+    /// The derived state `encode` leaves out: the live literals' watch
+    /// lists, the decision heap and `seen`.
+    fn derived(s: &Solver) -> String {
+        let watches: Vec<Vec<(u32, u32)>> = s.watches[..2 * s.num_vars()]
+            .iter()
+            .map(|ws| ws.iter().map(|w| (w.cref, w.blocker.0)).collect())
+            .collect();
+        format!("{watches:?} {:?} {:?}", s.order, s.seen)
+    }
+
+    #[test]
+    fn restore_into_a_dirty_solver_is_exact() {
+        let big = worked_solver();
+        let small = {
+            let mut s = Solver::new();
+            for c in &IncrementalFamily::new(12, 3, 5).combined(1).clauses {
+                s.add_clause(c);
+            }
+            assert_eq!(s.solve(), SolveResult::Sat);
+            s
+        };
+        assert!(big.num_vars() > small.num_vars() && big.learnts.len() > small.learnts.len());
+        let cases = [
+            ("bigger into smaller", &big, &small),
+            ("smaller into bigger", &small, &big),
+            ("unsat image", &big, &unsat_solver()),
+            ("empty root", &big, &Solver::new()),
+            ("into an unsat solver", &unsat_solver(), &big),
+        ];
+        let fam = IncrementalFamily::new(60, 4, 23);
+        for (case, dirty, image) in cases {
+            let enc = encode(image);
+            let fresh = decode(&enc).unwrap();
+            let mut store = DeepCloneStore::new();
+            let id = store.put(None, image);
+            let mut decoded = dirty.clone();
+            let mut cloned = dirty.clone();
+            assert!(decode_into(&enc, &mut decoded), "{case}");
+            assert!(store.get_into(id, &mut cloned), "{case}");
+            // Equal bytes, equal derived state, and so the same clauses
+            // on top solve the same way.
+            for mut restored in [decoded, cloned] {
+                assert_eq!(encode(&restored), enc, "{case}");
+                assert_eq!(derived(&restored), derived(&fresh), "{case}");
+                let mut reference = fresh.clone();
+                for c in &fam.increment(0) {
+                    reference.add_clause(c);
+                    restored.add_clause(c);
+                }
+                assert_eq!(reference.solve(), restored.solve(), "{case}");
+                assert_eq!(reference.model(), restored.model(), "{case}");
+                assert_eq!(reference.stats(), restored.stats(), "{case}");
+                assert_eq!(encode(&reference), encode(&restored), "{case}");
+            }
+        }
+    }
+
     #[test]
     fn corrupt_sections_decode_to_none() {
         let s = worked_solver();
-        let mut enc = encode(&s);
-        enc[SEC_ASSIGNS].push(9); // not a valid Lbool
-        assert!(decode(&enc).is_none());
-        let mut enc = encode(&s);
-        enc[SEC_LEVEL].pop(); // per-var array out of step
-        assert!(decode(&enc).is_none());
-        let mut enc = encode(&s);
-        enc[0][0] = 0xff; // implausible header length
-        assert!(decode(&enc).is_none());
-        let mut enc = encode(&s);
-        // Dangling clause reference (same section length, so only the
-        // cref validation can catch it).
-        let last = enc[SEC_CLAUSES].len() - 4;
-        enc[SEC_CLAUSES][last..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode(&enc).is_none());
+        let enc = encode(&s);
+        let corrupt = |f: fn(&mut Vec<Vec<u8>>)| {
+            let mut enc = enc.clone();
+            f(&mut enc);
+            enc
+        };
+        let corruptions = [
+            corrupt(|e| e[SEC_ASSIGNS].push(9)), // a byte past the declared length
+            corrupt(|e| e[SEC_ASSIGNS][0] = 9),  // not a valid Lbool
+            corrupt(|e| {
+                e[SEC_LEVEL].pop(); // per-var array out of step
+            }),
+            corrupt(|e| e[0][0] = 0xff), // implausible header length
+            // Dangling clause reference (same section length, so only
+            // the cref validation can catch it).
+            corrupt(|e| {
+                let last = e[SEC_CLAUSES].len() - 4;
+                e[SEC_CLAUSES][last..].copy_from_slice(&u32::MAX.to_le_bytes());
+            }),
+        ];
+        let mut dirty = worked_solver();
+        for bad in &corruptions {
+            assert!(decode(bad).is_none());
+            assert!(!decode_into(bad, &mut dirty));
+        }
         assert!(decode(&[]).is_none());
+        // A failed restore leaves nothing behind a good one keeps.
+        assert!(decode_into(&enc, &mut dirty));
+        assert_eq!(encode(&dirty), enc);
     }
 
     #[test]

@@ -69,6 +69,10 @@ pub struct Solver {
     pub(crate) clauses: Vec<u32>,
     pub(crate) learnts: Vec<u32>,
     pub(crate) learnt_act: Vec<f64>,
+    /// One list per literal of the `num_vars()` variables. Lists past
+    /// them are empty spares: a snapshot restored over a solver with
+    /// more variables keeps their capacity for the next one that needs
+    /// them.
     pub(crate) watches: Vec<Vec<Watcher>>,
     pub(crate) assigns: Vec<Lbool>,
     pub(crate) level: Vec<u32>,
@@ -131,8 +135,10 @@ impl Solver {
         self.activity.push(0.0);
         self.polarity.push(false);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        let lits = 2 * self.assigns.len();
+        if self.watches.len() < lits {
+            self.watches.resize_with(lits, Vec::new);
+        }
         self.order.insert(v, &self.activity);
         v
     }
@@ -603,15 +609,13 @@ impl Solver {
                 self.reason[v] = CREF_NONE;
             }
         }
-        // Canonical literal order and watch choice per clause.
-        let crefs: Vec<u32> = self
-            .clauses
-            .iter()
-            .chain(self.learnts.iter())
-            .copied()
-            .collect();
-        for cref in crefs {
-            self.canonicalize_clause(cref);
+        // Canonical literal order and watch choice per clause, problem
+        // clauses first. `canonicalize_clause` touches only the arena.
+        for i in 0..self.clauses.len() {
+            self.canonicalize_clause(self.clauses[i]);
+        }
+        for i in 0..self.learnts.len() {
+            self.canonicalize_clause(self.learnts[i]);
         }
     }
 
