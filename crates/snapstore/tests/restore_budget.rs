@@ -1,16 +1,16 @@
-//! What restoring a snapshot allocates.
+//! What restoring a snapshot, and a query solved on top of it, allocate.
 //!
 //! The solver service restores every query's parent snapshot from the
-//! page store into the one solver it keeps, so once that solver's
-//! buffers have grown to fit, a restore should not ask the allocator for
-//! anything. This binary
+//! page store into the one solver it keeps, adds the query's clauses and
+//! solves, so once that solver's buffers have grown to fit, none of
+//! those steps should ask the allocator for anything. This binary
 //! installs a counting global allocator (which is why it is a test of
 //! its own) and counts the bytes requested on the calling thread only,
 //! so the test harness's own threads cannot disturb the count.
 //!
 //! Debug builds check every decoded image for snapshot normal form by
 //! canonicalizing a clone of it, so a restore allocates there by
-//! design: the zero is asserted in release builds only
+//! design: the zeros are asserted in release builds only
 //! (`cargo test --release -p lwsnap-snapstore --test restore_budget`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -18,8 +18,8 @@ use std::cell::Cell;
 
 use lwsnap_snapstore::CowStore;
 use lwsnap_solver::generators::random_ksat;
-use lwsnap_solver::snapshot::{encode, SnapshotStore};
-use lwsnap_solver::{SolveResult, Solver};
+use lwsnap_solver::snapshot::{encode, SnapId, SnapshotStore};
+use lwsnap_solver::{Lit, SolveResult, Solver, Var};
 
 struct Counting;
 
@@ -116,4 +116,53 @@ fn a_second_restore_of_a_snapshot_allocates_nothing() {
         #[cfg(not(debug_assertions))]
         assert_eq!(bytes, 0, "{order}");
     }
+}
+
+/// Restores `parent`, adds `added` and solves, all into `work`; returns
+/// the bytes that asked for and the conflicts the solve cost.
+fn query_bytes(
+    store: &CowStore,
+    parent: SnapId,
+    added: &[Vec<Lit>],
+    work: &mut Solver,
+) -> (usize, u64) {
+    let mut conflicts = 0;
+    let bytes = allocated_by(|| {
+        assert!(store.get_into(parent, work));
+        let before = work.stats();
+        for clause in added {
+            work.add_clause(clause);
+        }
+        assert_eq!(work.solve(), SolveResult::Sat);
+        conflicts = work.stats().conflicts - before.conflicts;
+        assert_eq!(work.stats().removed_clauses, before.removed_clauses);
+    });
+    (bytes, conflicts)
+}
+
+#[test]
+fn a_warm_query_allocates_nothing_in_the_solver() {
+    let parent = solved(90, 370, 2);
+    let mut store = CowStore::new();
+    let id = store.put(None, &parent);
+    // Three clauses the parent's model falsifies, so the solve cannot
+    // just replay its saved phases.
+    let model = parent.model();
+    let added: &Vec<Vec<Lit>> = &(0..3u32)
+        .map(|t| {
+            (3 * t..3 * t + 3)
+                .map(|v| Var(v).lit(model[v as usize]))
+                .collect()
+        })
+        .collect();
+    let mut work = Solver::new();
+    // The first query grows every buffer to fit; the same query again
+    // takes the same steps in them.
+    let (first, conflicts) = query_bytes(&store, id, added, &mut work);
+    let (bytes, again) = query_bytes(&store, id, added, &mut work);
+    eprintln!("a warm query allocated {bytes} bytes ({first} when cold), {conflicts} conflicts");
+    assert_eq!(again, conflicts, "the same search both times");
+    assert!(conflicts > 0, "the query must reach conflict analysis");
+    #[cfg(not(debug_assertions))]
+    assert_eq!(bytes, 0);
 }

@@ -7,7 +7,7 @@
 use crate::lit::Var;
 
 /// Max-heap of variables ordered by an external activity array.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VarHeap {
     heap: Vec<Var>,
     /// Position of each variable in `heap`, or `usize::MAX` if absent.

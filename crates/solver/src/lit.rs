@@ -98,26 +98,40 @@ impl fmt::Display for Lit {
 }
 
 /// Three-valued assignment.
+///
+/// One byte each, so a solver's assignment array stays dense, and the
+/// discriminants index [`Lbool::of_lit`]'s table. The snapshot codec
+/// maps values to bytes explicitly, so these numbers never reach an
+/// image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u8)]
 pub enum Lbool {
     /// Assigned true.
-    True,
+    True = 0,
     /// Assigned false.
-    False,
+    False = 1,
     /// Unassigned.
     #[default]
-    Undef,
+    Undef = 2,
 }
 
+/// [`Lbool::of_lit`] for every `(value, sign)`, at `value << 1 | sign`.
+const OF_LIT: [Lbool; 6] = [
+    Lbool::True,
+    Lbool::False,
+    Lbool::False,
+    Lbool::True,
+    Lbool::Undef,
+    Lbool::Undef,
+];
+
 impl Lbool {
-    /// Truth value of a literal under this variable assignment.
+    /// Truth value of a literal under this variable assignment: a table
+    /// load, with no branch, since propagation asks it for every watcher
+    /// it visits.
     #[inline]
     pub fn of_lit(self, lit: Lit) -> Lbool {
-        match (self, lit.sign()) {
-            (Lbool::Undef, _) => Lbool::Undef,
-            (Lbool::True, false) | (Lbool::False, true) => Lbool::True,
-            _ => Lbool::False,
-        }
+        OF_LIT[(self as usize) << 1 | lit.sign() as usize]
     }
 
     /// From a boolean.

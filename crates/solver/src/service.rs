@@ -29,6 +29,22 @@
 //! always terminates. [`SolverService::stats`] counts snapshot hits against
 //! re-derivations (and the conflicts re-derivation cost), which is the
 //! service-level analogue of experiment E5.
+//!
+//! ## The working solver
+//!
+//! Every query runs in one solver the service keeps: its parent is
+//! restored into it, the new clauses are added, it is solved and the
+//! result is put back into the store. A solve always ends in the
+//! snapshot normal form, so right after that put the working solver is
+//! bit-identical to what a restore of the new snapshot would rebuild,
+//! derived state included. The service remembers which snapshot that
+//! is, and a query whose parent is that snapshot — the next step of a
+//! session that deepens its newest node — skips the restore: it is
+//! still a hit, and counted as served in place. This keeps no second
+//! copy of any solver, so it is not a cache of decoded snapshots: a
+//! query against any other parent restores as before, and the check
+//! costs one comparison. Debug builds check every such hit against a
+//! fresh restore.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -36,7 +52,7 @@ use std::collections::BinaryHeap;
 use lwsnap_trace::{self as trace, StatsSummary};
 
 use crate::lit::Lit;
-use crate::snapshot::{DeepCloneStore, SnapId, SnapshotStore, StorePageStats};
+use crate::snapshot::{encode, DeepCloneStore, SnapId, SnapshotStore, StorePageStats};
 use crate::solver::{SolveResult, Solver, SolverStats};
 
 /// Opaque reference to a previously solved problem in the service's tree.
@@ -152,6 +168,10 @@ pub struct SolverService {
     /// buffers outlive each query, so a store that refills them, as the
     /// page store does, restores a hit without allocating once they fit.
     work: Solver,
+    /// The snapshot `work` is bit-identical to, derived state included:
+    /// the one the last query put, while it is resident and `work` has
+    /// not changed since. A query whose parent this is needs no restore.
+    held: Option<SnapId>,
 }
 
 /// Whether heap entry `(stamp, index)` still names an eviction
@@ -221,6 +241,7 @@ impl SolverService {
             clock: 0,
             lru: BinaryHeap::new(),
             work: Solver::new(),
+            held: None,
         }
     }
 
@@ -418,18 +439,41 @@ impl SolverService {
         found
     }
 
-    /// Makes `solver` the solved state of `r`: restored from the
-    /// resident snapshot, or re-derived by replaying constraint edges
+    /// Whether `solver` equals `snap` restored into a fresh solver, in
+    /// its encoding and its derived state: what serving a hit in place
+    /// relies on (debug builds assert it).
+    fn holds(&self, snap: SnapId, solver: &Solver) -> bool {
+        self.store.get(snap).is_some_and(|fresh| {
+            encode(solver) == encode(&fresh) && solver.same_derived_state(&fresh)
+        })
+    }
+
+    /// Makes `solver` the solved state of `r`: left as it is when it
+    /// already `held` `r`'s resident snapshot, restored from that
+    /// snapshot otherwise, or re-derived by replaying constraint edges
     /// from the nearest resident ancestor. Returns whether it was
     /// re-derived, or `None` for dead references.
-    fn materialize(&mut self, r: ProblemRef, solver: &mut Solver) -> Option<bool> {
+    fn materialize(
+        &mut self,
+        r: ProblemRef,
+        solver: &mut Solver,
+        held: Option<SnapId>,
+    ) -> Option<bool> {
         let snap = self.node(r)?.snap;
         let stamp = self.next_stamp();
         if let Some(snap) = snap {
-            assert!(
-                self.get_timed(snap, solver),
-                "resident snapshot must be retrievable"
-            );
+            if held == Some(snap) {
+                debug_assert!(
+                    self.holds(snap, solver),
+                    "the working solver drifted from the snapshot it holds"
+                );
+                self.stats.snapshot_in_place += 1;
+            } else {
+                assert!(
+                    self.get_timed(snap, solver),
+                    "resident snapshot must be retrievable"
+                );
+            }
             let node = self.raw_node_mut(r).expect("checked above");
             node.last_use = stamp;
             if !node.pinned {
@@ -533,6 +577,9 @@ impl SolverService {
             }
             let node = self.nodes[index as usize].as_mut().unwrap();
             let snap = node.snap.take().expect("liveness checked above");
+            if self.held == Some(snap) {
+                self.held = None;
+            }
             let before = self.store.resident_bytes();
             self.store.remove(snap);
             self.stats.evictions += 1;
@@ -574,8 +621,11 @@ impl SolverService {
     ) -> Option<Reply> {
         let parent_depth = self.node(parent)?.depth;
         let problem = self.next_problem()?;
-        // The lightweight snapshot: restore the solved parent state.
-        let rederived = self.materialize(parent, solver)?;
+        // The lightweight snapshot: restore the solved parent state,
+        // unless the working solver still holds it. From here on it
+        // holds nothing until the put below.
+        let held = self.held.take();
+        let rederived = self.materialize(parent, solver, held)?;
         let before = solver.stats();
         for clause in added {
             solver.add_clause(clause);
@@ -604,6 +654,7 @@ impl SolverService {
         // child did not dirty.
         let parent_snap = self.raw_node(parent).and_then(|n| n.snap);
         let snap = self.put_traced(parent_snap, solver, problem.0);
+        self.held = Some(snap);
         let node = ProblemNode {
             snap: Some(snap),
             parent: Some(parent),
@@ -659,6 +710,9 @@ impl SolverService {
             _ => return,
         };
         if let Some(snap) = freed {
+            if self.held == Some(snap) {
+                self.held = None;
+            }
             self.store.remove(snap);
         }
         self.reap(r);
@@ -1143,6 +1197,65 @@ mod tests {
         svc.release(refs[7]);
         let reused = svc.solve(svc.root(), &[]).unwrap().problem;
         assert_eq!(reused.slot(), refs[7].slot());
+    }
+
+    /// A query whose parent the working solver still holds skips the
+    /// restore, and answers exactly as one that restores: the same
+    /// script, run as is (deepening steps are served in place) and with
+    /// an unrelated session's query before every step (so none is),
+    /// gets equal replies. Debug builds also check each in-place hit
+    /// against a fresh restore.
+    #[test]
+    fn a_held_parent_answers_as_a_restored_one() {
+        let fam = IncrementalFamily::new(40, 4, 11);
+        let script = |svc: &mut SolverService, interleave: bool| {
+            let other = svc.solve(svc.root(), &[lits(&[1, 2, 3])]).unwrap().problem;
+            let base = svc.solve(svc.root(), &fam.base().clauses).unwrap();
+            let mut nodes = vec![base.problem];
+            let mut replies = vec![(base.result, base.model, base.conflicts)];
+            for i in 0..8u64 {
+                if interleave {
+                    svc.solve(other, &[lits(&[-(i as i64) - 4])]).unwrap();
+                }
+                // Deepen the newest node, but branch an older one every
+                // third step.
+                let parent = nodes[if i % 3 == 2 {
+                    nodes.len() / 2
+                } else {
+                    nodes.len() - 1
+                }];
+                let reply = svc.solve(parent, &fam.increment(i)).unwrap();
+                nodes.push(reply.problem);
+                replies.push((reply.result, reply.model, reply.conflicts));
+            }
+            replies
+        };
+        let (mut warm, mut cold) = (SolverService::new(), SolverService::new());
+        assert_eq!(script(&mut warm, false), script(&mut cold, true));
+        assert_eq!(warm.stats().snapshot_hits, 10);
+        assert_eq!(warm.stats().snapshot_in_place, 6, "all but the branches");
+        assert_eq!(cold.stats().snapshot_in_place, 0);
+    }
+
+    /// Eviction and release drop the held snapshot: the next query
+    /// against the evicted or re-put problem restores or replays.
+    #[test]
+    fn eviction_and_release_drop_the_held_snapshot() {
+        let mut svc = SolverService::new();
+        let a = svc.solve(svc.root(), &[lits(&[1, 2])]).unwrap().problem;
+        let b = svc.solve(a, &[lits(&[-1])]).unwrap().problem;
+        assert_eq!(svc.stats().snapshot_in_place, 1, "b's parent was held");
+        assert_eq!(svc.held, svc.raw_node(b).unwrap().snap);
+        svc.set_snapshot_budget(Some(1));
+        assert_eq!(svc.held, None, "b's snapshot was evicted");
+        svc.set_snapshot_budget(None);
+        let c = svc.solve(b, &[lits(&[3])]).unwrap();
+        assert!(c.rederived);
+        svc.release(c.problem);
+        assert_eq!(svc.held, None, "c's snapshot was released");
+        let d = svc.solve(b, &[lits(&[-3])]).unwrap();
+        assert_eq!(d.model.unwrap()[..3], [false, true, false]);
+        assert_eq!(svc.stats().snapshot_in_place, 1, "nothing since");
     }
 
     #[test]

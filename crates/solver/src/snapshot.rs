@@ -696,16 +696,6 @@ mod tests {
         s
     }
 
-    /// The derived state `encode` leaves out: the live literals' watch
-    /// lists, the decision heap and `seen`.
-    fn derived(s: &Solver) -> String {
-        let watches: Vec<Vec<(u32, u32)>> = s.watches[..2 * s.num_vars()]
-            .iter()
-            .map(|ws| ws.iter().map(|w| (w.cref, w.blocker.0)).collect())
-            .collect();
-        format!("{watches:?} {:?} {:?}", s.order, s.seen)
-    }
-
     #[test]
     fn restore_into_a_dirty_solver_is_exact() {
         let big = worked_solver();
@@ -739,7 +729,7 @@ mod tests {
             // on top solve the same way.
             for mut restored in [decoded, cloned] {
                 assert_eq!(encode(&restored), enc, "{case}");
-                assert_eq!(derived(&restored), derived(&fresh), "{case}");
+                assert!(restored.same_derived_state(&fresh), "{case}");
                 let mut reference = fresh.clone();
                 for c in &fam.increment(0) {
                     reference.add_clause(c);

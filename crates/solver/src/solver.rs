@@ -18,7 +18,7 @@ use crate::lit::{Lbool, Lit, Var};
 /// Sentinel for "no clause".
 const CREF_NONE: u32 = u32::MAX;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Watcher {
     pub(crate) cref: u32,
     pub(crate) blocker: Lit,
@@ -90,6 +90,13 @@ pub struct Solver {
     pub(crate) model: Vec<Lbool>,
     pub(crate) max_learnts: f64,
     pub(crate) stats: SolverStats,
+    /// The clause being built: `add_clause`'s normalised copy,
+    /// `analyze`'s learnt clause. Scratch, like `to_clear`: never
+    /// encoded and empty between calls, so only its capacity outlives a
+    /// call, and once that fits a solve allocates nothing for it.
+    scratch: Vec<Lit>,
+    /// The variables `analyze` marked `seen`, to unmark.
+    to_clear: Vec<Var>,
 }
 
 impl Default for Solver {
@@ -123,6 +130,8 @@ impl Solver {
             model: Vec::new(),
             max_learnts: 0.0,
             stats: SolverStats::default(),
+            scratch: Vec::new(),
+            to_clear: Vec::new(),
         }
     }
 
@@ -211,18 +220,8 @@ impl Solver {
     }
 
     #[inline]
-    fn is_learnt(&self, cref: u32) -> bool {
-        self.arena[cref as usize] & 1 != 0
-    }
-
-    #[inline]
     fn lit_at(&self, cref: u32, i: usize) -> Lit {
         Lit(self.arena[cref as usize + 1 + i])
-    }
-
-    #[inline]
-    fn set_lit(&mut self, cref: u32, i: usize, lit: Lit) {
-        self.arena[cref as usize + 1 + i] = lit.0;
     }
 
     // -- assignment -----------------------------------------------------
@@ -230,7 +229,7 @@ impl Solver {
     /// Truth value of a literal under the current assignment.
     #[inline]
     pub fn value(&self, lit: Lit) -> Lbool {
-        self.assigns[lit.var().index()].of_lit(lit)
+        value(&self.assigns, lit)
     }
 
     fn decision_level(&self) -> u32 {
@@ -282,35 +281,51 @@ impl Solver {
         for l in lits {
             self.ensure_vars(l.var().index() + 1);
         }
-        // Normalise: sort, dedupe, drop false@0, detect tautology/sat@0.
-        let mut ls: Vec<Lit> = lits.to_vec();
-        ls.sort_unstable();
-        ls.dedup();
-        let mut out: Vec<Lit> = Vec::with_capacity(ls.len());
+        // Normalise into the scratch buffer: sort, dedupe, then
+        // `add_sorted` drops false@0 and detects tautology/sat@0.
+        let mut clause = std::mem::take(&mut self.scratch);
+        clause.extend_from_slice(lits);
+        clause.sort_unstable();
+        clause.dedup();
+        let added = self.add_sorted(&mut clause);
+        clause.clear();
+        self.scratch = clause;
+        added
+    }
+
+    /// [`Solver::add_clause`] of a sorted, duplicate-free clause, which
+    /// it filters in place.
+    fn add_sorted(&mut self, clause: &mut Vec<Lit>) -> bool {
+        let mut kept = 0;
         let mut prev: Option<Lit> = None;
-        for &l in &ls {
+        for i in 0..clause.len() {
+            let l = clause[i];
             if prev == Some(!l) {
                 return true; // tautology: x ∨ ¬x
             }
             match self.value(l) {
                 Lbool::True => return true, // already satisfied at level 0
                 Lbool::False => {}          // drop falsified literal
-                Lbool::Undef => out.push(l),
+                Lbool::Undef => {
+                    clause[kept] = l;
+                    kept += 1;
+                }
             }
             prev = Some(l);
         }
-        match out.len() {
+        clause.truncate(kept);
+        match clause.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(out[0], CREF_NONE);
+                self.unchecked_enqueue(clause[0], CREF_NONE);
                 self.ok = self.propagate() == CREF_NONE;
                 self.ok
             }
             _ => {
-                let cref = self.alloc(&out, false);
+                let cref = self.alloc(clause, false);
                 self.clauses.push(cref);
                 self.attach(cref);
                 true
@@ -342,43 +357,62 @@ impl Solver {
     // -- propagation ----------------------------------------------------
 
     /// Unit propagation; returns the conflicting clause or `CREF_NONE`.
+    ///
+    /// The hot loop of the search, so it works on disjoint borrows of
+    /// the fields it touches, slices each visited clause once and
+    /// enqueues implied literals in place. The visiting order is the
+    /// one the snapshot normal form and every pinned search assume:
+    /// a watcher that moves is swap-removed from its list.
     fn propagate(&mut self) -> u32 {
-        let mut conflict = CREF_NONE;
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
-            self.qhead += 1;
-            self.stats.propagations += 1;
+        let Solver {
+            arena,
+            watches,
+            assigns,
+            level,
+            reason,
+            trail,
+            trail_lim,
+            qhead,
+            stats,
+            ..
+        } = self;
+        let depth = trail_lim.len() as u32;
+        while *qhead < trail.len() {
+            let p = trail[*qhead];
+            *qhead += 1;
+            stats.propagations += 1;
             let false_lit = !p;
             // Visit clauses watching ¬p (now false).
-            let mut ws = std::mem::take(&mut self.watches[false_lit.index()]);
+            let mut ws = std::mem::take(&mut watches[false_lit.index()]);
             let mut i = 0;
             'watchers: while i < ws.len() {
                 let w = ws[i];
-                if self.value(w.blocker) == Lbool::True {
+                if value(assigns, w.blocker) == Lbool::True {
                     i += 1;
                     continue;
                 }
-                let cref = w.cref;
+                let at = w.cref as usize;
+                let len = (arena[at] >> 1) as usize;
+                let clause = &mut arena[at + 1..at + 1 + len];
                 // Normalise: the false literal goes to slot 1.
-                if self.lit_at(cref, 0) == false_lit {
-                    let other = self.lit_at(cref, 1);
-                    self.set_lit(cref, 0, other);
-                    self.set_lit(cref, 1, false_lit);
+                if clause[0] == false_lit.0 {
+                    clause[0] = clause[1];
+                    clause[1] = false_lit.0;
                 }
-                let first = self.lit_at(cref, 0);
-                if self.value(first) == Lbool::True {
+                let first = Lit(clause[0]);
+                if value(assigns, first) == Lbool::True {
                     ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..self.clause_len(cref) {
-                    let lk = self.lit_at(cref, k);
-                    if self.value(lk) != Lbool::False {
-                        self.set_lit(cref, 1, lk);
-                        self.set_lit(cref, k, false_lit);
-                        self.watches[lk.index()].push(Watcher {
-                            cref,
+                for k in 2..len {
+                    let lk = Lit(clause[k]);
+                    if value(assigns, lk) != Lbool::False {
+                        clause[1] = lk.0;
+                        clause[k] = false_lit.0;
+                        watches[lk.index()].push(Watcher {
+                            cref: w.cref,
                             blocker: first,
                         });
                         ws.swap_remove(i);
@@ -387,47 +421,27 @@ impl Solver {
                 }
                 // No replacement: clause is unit or conflicting.
                 ws[i].blocker = first;
-                if self.value(first) == Lbool::False {
-                    conflict = cref;
-                    self.qhead = self.trail.len();
-                    break;
+                if value(assigns, first) == Lbool::False {
+                    *qhead = trail.len();
+                    watches[false_lit.index()] = ws;
+                    return w.cref;
                 }
-                self.unchecked_enqueue(first, cref);
+                let v = first.var().index();
+                assigns[v] = Lbool::from_bool(!first.sign());
+                level[v] = depth;
+                reason[v] = w.cref;
+                trail.push(first);
                 i += 1;
             }
-            self.watches[false_lit.index()] = ws;
-            if conflict != CREF_NONE {
-                break;
-            }
+            watches[false_lit.index()] = ws;
         }
-        conflict
+        CREF_NONE
     }
 
     // -- activities -----------------------------------------------------
 
-    fn var_bump(&mut self, v: Var) {
-        self.activity[v.index()] += self.var_inc;
-        if self.activity[v.index()] > 1e100 {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.var_inc *= 1e-100;
-        }
-        self.order.bumped(v, &self.activity);
-    }
-
     fn var_decay(&mut self) {
         self.var_inc /= 0.95;
-    }
-
-    fn cla_bump(&mut self, learnt_idx: usize) {
-        self.learnt_act[learnt_idx] += self.cla_inc;
-        if self.learnt_act[learnt_idx] > 1e20 {
-            for a in &mut self.learnt_act {
-                *a *= 1e-20;
-            }
-            self.cla_inc *= 1e-20;
-        }
     }
 
     fn cla_decay(&mut self) {
@@ -436,30 +450,50 @@ impl Solver {
 
     // -- conflict analysis ----------------------------------------------
 
-    /// First-UIP learning; returns (learnt clause, backtrack level).
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot 0: asserting literal
+    /// First-UIP learning into `self.scratch`, asserting literal first;
+    /// returns the backtrack level.
+    fn analyze(&mut self, mut confl: u32) -> u32 {
+        let depth = self.decision_level();
+        let Solver {
+            arena,
+            learnts,
+            learnt_act,
+            cla_inc,
+            level,
+            reason,
+            trail,
+            activity,
+            var_inc,
+            order,
+            seen,
+            scratch: learnt,
+            to_clear,
+            ..
+        } = self;
+        learnt.push(Lit(0)); // slot 0: asserting literal
         let mut path = 0u32;
-        let mut p: Option<Lit> = None;
-        let mut index = self.trail.len();
-        let mut to_clear: Vec<Var> = Vec::new();
+        // Every reason clause after the conflict holds the literal it
+        // implied, the one just resolved on, in slot 0.
+        let mut start = 0;
+        let mut index = trail.len();
 
-        loop {
+        let uip = loop {
             debug_assert_ne!(confl, CREF_NONE);
-            if self.is_learnt(confl) {
-                if let Some(idx) = self.learnts.iter().position(|&c| c == confl) {
-                    self.cla_bump(idx);
+            let at = confl as usize;
+            let header = arena[at];
+            if header & 1 != 0 {
+                if let Some(idx) = learnts.iter().position(|&c| c == confl) {
+                    bump_clause(learnt_act, cla_inc, idx);
                 }
             }
-            let start = if p.is_none() { 0 } else { 1 };
-            for j in start..self.clause_len(confl) {
-                let q = self.lit_at(confl, j);
-                let v = q.var();
-                if !self.seen[v.index()] && self.level[v.index()] > 0 {
-                    self.seen[v.index()] = true;
-                    to_clear.push(v);
-                    self.var_bump(v);
-                    if self.level[v.index()] >= self.decision_level() {
+            for &q in &arena[at + 1 + start..at + 1 + (header >> 1) as usize] {
+                let q = Lit(q);
+                let v = q.var().index();
+                if !seen[v] && level[v] > 0 {
+                    seen[v] = true;
+                    to_clear.push(q.var());
+                    bump_var(activity, var_inc, order, q.var());
+                    if level[v] >= depth {
                         path += 1;
                     } else {
                         learnt.push(q);
@@ -469,69 +503,60 @@ impl Solver {
             // Next literal on the trail to resolve on.
             loop {
                 index -= 1;
-                if self.seen[self.trail[index].var().index()] {
+                if seen[trail[index].var().index()] {
                     break;
                 }
             }
-            let lit = self.trail[index];
-            p = Some(lit);
-            confl = self.reason[lit.var().index()];
-            self.seen[lit.var().index()] = false;
+            let lit = trail[index];
+            start = 1;
+            confl = reason[lit.var().index()];
+            seen[lit.var().index()] = false;
             path -= 1;
             if path == 0 {
-                break;
+                break lit;
+            }
+        };
+        learnt[0] = !uip;
+
+        // One-step self-subsumption minimisation, in place: a literal is
+        // redundant if every other literal of its reason clause is
+        // already seen (or at level 0). Nothing here changes `seen`, so
+        // the order the literals are checked in does not matter.
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            let r = reason[l.var().index()] as usize;
+            let redundant = r != CREF_NONE as usize
+                && arena[r + 1..r + 1 + (arena[r] >> 1) as usize]
+                    .iter()
+                    .all(|&q| {
+                        let v = Lit(q).var();
+                        v == l.var() || seen[v.index()] || level[v.index()] == 0
+                    });
+            if !redundant {
+                learnt[kept] = l;
+                kept += 1;
             }
         }
-        learnt[0] = !p.expect("asserting literal");
+        learnt.truncate(kept);
 
-        // One-step self-subsumption minimisation: a literal is redundant
-        // if every other literal of its reason clause is already seen (or
-        // at level 0).
-        let mut keep = vec![true; learnt.len()];
-        for (i, &l) in learnt.iter().enumerate().skip(1) {
-            let r = self.reason[l.var().index()];
-            if r == CREF_NONE {
-                continue;
-            }
-            let mut redundant = true;
-            for j in 0..self.clause_len(r) {
-                let q = self.lit_at(r, j);
-                if q.var() == l.var() {
-                    continue;
-                }
-                if !self.seen[q.var().index()] && self.level[q.var().index()] > 0 {
-                    redundant = false;
-                    break;
-                }
-            }
-            keep[i] = !redundant;
-        }
-        let mut filtered: Vec<Lit> = learnt
-            .iter()
-            .zip(&keep)
-            .filter(|(_, &k)| k)
-            .map(|(&l, _)| l)
-            .collect();
-
-        for v in to_clear {
-            self.seen[v.index()] = false;
+        for v in to_clear.drain(..) {
+            seen[v.index()] = false;
         }
 
         // Backtrack level = second-highest level in the clause.
-        let bt = if filtered.len() == 1 {
+        if learnt.len() == 1 {
             0
         } else {
             let mut max_i = 1;
-            for i in 2..filtered.len() {
-                if self.level[filtered[i].var().index()] > self.level[filtered[max_i].var().index()]
-                {
+            for i in 2..learnt.len() {
+                if level[learnt[i].var().index()] > level[learnt[max_i].var().index()] {
                     max_i = i;
                 }
             }
-            filtered.swap(1, max_i);
-            self.level[filtered[1].var().index()]
-        };
-        (filtered, bt)
+            learnt.swap(1, max_i);
+            level[learnt[1].var().index()]
+        }
     }
 
     // -- learnt DB reduction ---------------------------------------------
@@ -640,6 +665,19 @@ impl Solver {
         self.order.rebuild(self.assigns.len(), &self.activity);
     }
 
+    /// Whether `self` and `other` hold the same derived state: the live
+    /// literals' watch lists in order, the decision heap and `seen`.
+    /// [`Solver::rebuild_derived`] makes it a function of the essential
+    /// state, so solvers that encode equal must agree here too; what the
+    /// service asserts of its warm working solver (debug builds).
+    pub(crate) fn same_derived_state(&self, other: &Solver) -> bool {
+        let lits = 2 * self.num_vars();
+        self.num_vars() == other.num_vars()
+            && self.watches[..lits] == other.watches[..lits]
+            && self.order == other.order
+            && self.seen == other.seen
+    }
+
     /// Whether the essential state is already canonical, i.e. whether
     /// [`Solver::canonicalize`] would leave it as it is. What the codec
     /// asserts of every image it decodes (debug builds).
@@ -707,12 +745,13 @@ impl Solver {
                     self.ok = false;
                     return Some(SolveResult::Unsat);
                 }
-                let (learnt, bt) = self.analyze(confl);
+                let bt = self.analyze(confl);
                 // Never backtrack into the assumption prefix's middle:
                 // cancel to max(bt, assumption levels already implied)?
                 // Assumption levels re-establish themselves on re-descent,
                 // so plain bt is sound here.
                 self.cancel_until(bt);
+                let mut learnt = std::mem::take(&mut self.scratch);
                 if learnt.len() == 1 {
                     self.unchecked_enqueue(learnt[0], CREF_NONE);
                 } else {
@@ -722,6 +761,8 @@ impl Solver {
                     self.attach(cref);
                     self.unchecked_enqueue(learnt[0], cref);
                 }
+                learnt.clear();
+                self.scratch = learnt;
                 self.var_decay();
                 self.cla_decay();
             } else {
@@ -752,7 +793,7 @@ impl Solver {
                         Some(l) => l,
                         None => {
                             // Complete assignment: SAT.
-                            self.model = self.assigns.clone();
+                            self.model.clone_from(&self.assigns);
                             return Some(SolveResult::Sat);
                         }
                     },
@@ -816,6 +857,37 @@ impl Solver {
     /// The full model as booleans (unassigned variables default `false`).
     pub fn model(&self) -> Vec<bool> {
         self.model.iter().map(|&b| b == Lbool::True).collect()
+    }
+}
+
+/// Truth value of `lit` under `assigns`.
+#[inline]
+fn value(assigns: &[Lbool], lit: Lit) -> Lbool {
+    assigns[lit.var().index()].of_lit(lit)
+}
+
+/// Bumps `v`'s activity by `var_inc`, rescaling every activity and the
+/// increment once it passes 1e100.
+fn bump_var(activity: &mut [f64], var_inc: &mut f64, order: &mut VarHeap, v: Var) {
+    activity[v.index()] += *var_inc;
+    if activity[v.index()] > 1e100 {
+        for a in activity.iter_mut() {
+            *a *= 1e-100;
+        }
+        *var_inc *= 1e-100;
+    }
+    order.bumped(v, activity);
+}
+
+/// Bumps learnt clause `idx`'s activity by `cla_inc`, rescaling every
+/// learnt activity and the increment once it passes 1e20.
+fn bump_clause(learnt_act: &mut [f64], cla_inc: &mut f64, idx: usize) {
+    learnt_act[idx] += *cla_inc;
+    if learnt_act[idx] > 1e20 {
+        for a in learnt_act.iter_mut() {
+            *a *= 1e-20;
+        }
+        *cla_inc *= 1e-20;
     }
 }
 

@@ -69,6 +69,7 @@ stats_table! {
     live_problems, "live_problems", "Live (unreleased) problems.";
     resident_snapshots, "resident_snapshots", "Resident (unevicted) solver snapshots.";
     snapshot_hits, "snapshot_hits_total", "Queries served straight from a resident snapshot.";
+    snapshot_in_place, "snapshot_in_place_total", "Hits served by the working solver already holding the parent: no restore.";
     rederivations, "rederivations_total", "Queries that re-derived an evicted parent by replay.";
     replayed_clauses, "replayed_clauses_total", "Clauses re-added during re-derivations.";
     rederive_conflicts, "rederive_conflicts_total", "Conflicts spent inside re-derivations.";
@@ -543,6 +544,7 @@ lwsnap_propagations_total 0
 lwsnap_live_problems 0
 lwsnap_resident_snapshots 0
 lwsnap_snapshot_hits_total 1
+lwsnap_snapshot_in_place_total 0
 lwsnap_rederivations_total 0
 lwsnap_replayed_clauses_total 0
 lwsnap_rederive_conflicts_total 0
